@@ -74,6 +74,12 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
+def _object(doc, what: str) -> dict:
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"{what} must be a JSON object")
+    return doc
+
+
 def parse_game(text: str) -> Game:
     """Read a game document: players, per-player action lists, and one
     row-major payoff list per player."""
@@ -81,8 +87,8 @@ def parse_game(text: str) -> Game:
     players = _require(doc, "players")
     if not isinstance(players, list) or not all(isinstance(p, str) for p in players):
         raise DataFormatError("'players' must be a list of strings")
-    actions_doc = _require(doc, "actions")
-    payoffs_doc = _require(doc, "payoffs")
+    actions_doc = _object(_require(doc, "actions"), "'actions'")
+    payoffs_doc = _object(_require(doc, "payoffs"), "'payoffs'")
     actions = []
     payoffs = []
     for player in players:
@@ -94,7 +100,10 @@ def parse_game(text: str) -> Game:
         if not isinstance(labels, list) or not all(isinstance(a, str) for a in labels):
             raise DataFormatError(f"actions for {player!r} must be a list of strings")
         actions.append(tuple(labels))
-        payoffs.append(tuple(parse_rational(v) for v in payoffs_doc[player]))
+        row = payoffs_doc[player]
+        if not isinstance(row, list):
+            raise DataFormatError(f"payoffs for {player!r} must be a list")
+        payoffs.append(tuple(parse_rational(v) for v in row))
     for key in actions_doc:
         if key not in players:
             raise DataFormatError(f"actions listed for unknown player {key!r}")
@@ -147,6 +156,7 @@ def emit_marginals(game: Game, p: MarginalProfile) -> str:
 
 
 def _parse_kernel_doc(doc, game: Game) -> DeviationKernel:
+    doc = _object(doc, "kernel")
     rows = []
     for i, player in enumerate(game.players):
         if player not in doc:
@@ -155,6 +165,8 @@ def _parse_kernel_doc(doc, game: Game) -> DeviationKernel:
         player_rows = doc[player]
         if not isinstance(player_rows, list) or len(player_rows) != k:
             raise DataFormatError(f"kernel for {player!r} must list {k} rows")
+        if not all(isinstance(row, list) for row in player_rows):
+            raise DataFormatError(f"kernel rows for {player!r} must be lists")
         rows.append(
             tuple(tuple(parse_rational(v) for v in row) for row in player_rows)
         )
@@ -203,11 +215,11 @@ def emit_scheme(game: Game, scheme) -> str:
     return _dumps(_scheme_doc(game, scheme))
 
 
-def _parse_scheme_doc(doc: dict, game: Game):
-    kind = _require(doc, "type")
+def _parse_scheme_doc(doc, game: Game):
+    kind = _require(_object(doc, "scheme"), "type")
     kernel = _parse_kernel_doc(_require(doc, "kernel"), game)
     if kind == "actionwise":
-        fees_doc = _require(doc, "fees")
+        fees_doc = _object(_require(doc, "fees"), "'fees'")
         fees = []
         for i, player in enumerate(game.players):
             if player not in fees_doc:
@@ -253,7 +265,7 @@ def emit_verdict(game: Game, verdict) -> str:
             "verdict": "compatible",
             "witness": [rational_str(v) for v in verdict.witness.probs],
         }
-    elif isinstance(verdict, Exploitable):
+    elif isinstance(verdict, (Exploitable, nash.Exploitable)):
         doc = {
             "verdict": "exploitable",
             "expected_profit": rational_str(verdict.expected_profit),
@@ -261,12 +273,6 @@ def emit_verdict(game: Game, verdict) -> str:
         }
     elif isinstance(verdict, nash.IsNash):
         doc = {"verdict": "nash"}
-    elif isinstance(verdict, nash.Exploitable):
-        doc = {
-            "verdict": "exploitable",
-            "expected_profit": rational_str(verdict.expected_profit),
-            "scheme": _scheme_doc(game, verdict.scheme),
-        }
     else:
         raise TypeError(f"not a verdict: {verdict!r}")
     return _dumps(doc)
@@ -299,18 +305,17 @@ def parse_certificate(text: str, game: Game):
         verdict = parse_verdict(text, game)
         if isinstance(verdict, Compatible):
             return "witness", verdict.witness
-        if isinstance(verdict, (Exploitable, nash.Exploitable)):
-            scheme = verdict.scheme
-            kind = "actionwise" if isinstance(scheme, ActionwiseScheme) else "profilewise"
-            return kind, scheme
-        raise DataFormatError("verdict document carries nothing checkable")
-    if "witness" in doc:
+        if not isinstance(verdict, (Exploitable, nash.Exploitable)):
+            raise DataFormatError("verdict document carries nothing checkable")
+        scheme = verdict.scheme
+    elif "witness" in doc:
         return "witness", _joint_values(game, doc["witness"])
-    if "type" in doc:
+    elif "type" in doc:
         scheme = _parse_scheme_doc(doc, game)
-        kind = "actionwise" if isinstance(scheme, ActionwiseScheme) else "profilewise"
-        return kind, scheme
-    raise DataFormatError("certificate document has no recognizable payload")
+    else:
+        raise DataFormatError("certificate document has no recognizable payload")
+    kind = "actionwise" if isinstance(scheme, ActionwiseScheme) else "profilewise"
+    return kind, scheme
 
 
 def emit_surplus(game: Game, values) -> str:

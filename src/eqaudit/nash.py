@@ -6,8 +6,10 @@ mixture of the others. For profiles that fail, this module also produces
 a certificate in the same currency as the correlated test: a deviation
 kernel plus an aggregate fee per action profile, feasible at every
 profile and with strictly positive expected income under the product
-distribution. The certificate comes from the Farkas dual of the incentive
-system with the joint distribution pinned to the product of `p`.
+distribution. No solver is needed: the kernel makes the one unilateral
+deviation that gains most, and the fee is its surplus (compare Nau and
+McCardle, "Coherent behavior in noncooperative games", JET 1990). The
+pinned LP `build_nash_system` is kept as a reference formulation only.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .games import (
     MarginalProfile,
     as_fraction,
     product_distribution,
+    surplus_table,
 )
 
 _ZERO = Fraction(0)
@@ -76,21 +79,32 @@ def expected_payoff(game: Game, p: MarginalProfile, i: int, action: int) -> Frac
     return total
 
 
+def _best_deviation(game: Game, p: MarginalProfile):
+    """`(gain, i, a, b)` for the most profitable switch of a supported
+    action `a` of player `i` to `i`'s lowest-index best reply `b`, where
+    gain = p_i(a) * (u_i(b, p_-i) - u_i(a, p_-i)); None when `p` is Nash.
+    Ties go to the lowest player, then the lowest action."""
+    if p.shape != game.shape:
+        raise ValueError("marginal profile shape does not match game")
+    found = None
+    for i, k in enumerate(game.shape):
+        values = [expected_payoff(game, p, i, a) for a in range(k)]
+        best = max(values)
+        reply = values.index(best)
+        for a in range(k):
+            gain = p.probs[i][a] * (best - values[a])
+            if gain > 0 and (found is None or gain > found[0]):
+                found = (gain, i, a, reply)
+    return found
+
+
 def is_nash(game: Game, p: MarginalProfile) -> bool:
     """True iff every supported action is a best response.
 
     Only actions with positive probability impose an inequality; actions
     off the support still count as deviation targets.
     """
-    if p.shape != game.shape:
-        raise ValueError("marginal profile shape does not match game")
-    for i, k in enumerate(game.shape):
-        values = [expected_payoff(game, p, i, a) for a in range(k)]
-        best = max(values)
-        for a in range(k):
-            if p.probs[i][a] > 0 and values[a] < best:
-                return False
-    return True
+    return _best_deviation(game, p) is None
 
 
 def build_nash_system(game: Game, p: MarginalProfile) -> lp.LinearSystem:
@@ -108,45 +122,18 @@ def build_nash_system(game: Game, p: MarginalProfile) -> lp.LinearSystem:
 
 
 def test_nash_exploitability(game: Game, p: MarginalProfile) -> NashVerdict:
-    """IsNash, or a verified profile-wise scheme with positive income.
+    """IsNash, or a profile-wise scheme built from the best deviation.
 
-    The direct best-response check runs first; the pinned feasibility
-    system is only solved to extract a certificate, and the two routes
-    must agree.
+    The kernel is the identity except that player `i`, told `a`, plays
+    `b`; the fee at each profile is that kernel's surplus there, so the
+    scheme is feasible by construction. Its income under the product of
+    `p` is exactly the deviation's gain.
     """
-    if is_nash(game, p):
+    deviation = _best_deviation(game, p)
+    if deviation is None:
         return IsNash()
-    outcome = lp.solve_feasibility(build_nash_system(game, p))
-    if not isinstance(outcome, lp.Infeasible):
-        raise RuntimeError(
-            "best-response check and pinned feasibility system disagree"
-        )
-    multipliers = outcome.multipliers
-    shape = game.shape
-    off_diag = [[[_ZERO] * k for _ in range(k)] for k in shape]
-    index = 0
-    for i, ai, aj in deviation_pairs(game):
-        off_diag[i][ai][aj] = multipliers[index]
-        index += 1
-    raw_fee = list(multipliers[index:])
-
-    max_row_sum = max(
-        (sum(row) for player_rows in off_diag for row in player_rows),
-        default=_ZERO,
-    )
-    scale = _ONE if max_row_sum <= 1 else _ONE / max_row_sum
-
-    kernel_rows = []
-    for i, k in enumerate(shape):
-        player_rows = []
-        for ai in range(k):
-            row = [scale * v for v in off_diag[i][ai]]
-            row[ai] = _ONE - sum(row)
-            player_rows.append(tuple(row))
-        kernel_rows.append(tuple(player_rows))
-    fee = tuple(scale * v for v in raw_fee)
-    scheme = ProfilewiseScheme(fee, DeviationKernel(tuple(kernel_rows)))
-
-    q = product_distribution(p)
-    profit = sum((qa * fa for qa, fa in zip(q.probs, fee)), _ZERO)
-    return Exploitable(scheme, profit)
+    gain, i, a, b = deviation
+    rows = [list(r) for r in DeviationKernel.identity(game.shape).rows]
+    rows[i][a] = rows[i][b]
+    kernel = DeviationKernel(tuple(map(tuple, rows)))
+    return Exploitable(ProfilewiseScheme(surplus_table(game, kernel), kernel), gain)

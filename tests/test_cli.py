@@ -183,3 +183,53 @@ def test_repeated_runs_byte_identical(files):
         second = run_cli(*args)
         assert first.stdout == second.stdout
         assert first.returncode == second.returncode
+
+
+# Two players whose ids double as the only entries of the list-valued
+# containers below, so `"A" in ["A"]` holds and the type is what fails.
+AB_GAME = {
+    "players": ["A", "B"],
+    "actions": {"A": ["x", "y"], "B": ["x", "y"]},
+    "payoffs": {"A": ["1", "0", "0", "1"], "B": ["1", "0", "0", "1"]},
+}
+AB_MARGINALS = {"A": ["1/2", "1/2"], "B": ["1/2", "1/2"]}
+AB_KERNEL = {"A": [["1", "0"], ["0", "1"]], "B": [["1", "0"], ["0", "1"]]}
+
+
+@pytest.mark.parametrize(
+    "command, game_patch, certificate",
+    [
+        ("test-nash", {"payoffs": {"A": 5, "B": ["1", "0", "0", "1"]}}, None),
+        ("test-nash", {"actions": ["A"]}, None),
+        (
+            "verify",
+            {},
+            {"type": "actionwise", "fees": ["A"], "kernel": AB_KERNEL},
+        ),
+        ("verify", {}, {"type": "profilewise", "fee": ["0"] * 4, "kernel": ["A"]}),
+        (
+            "verify",
+            {},
+            {
+                "type": "profilewise",
+                "fee": ["0"] * 4,
+                "kernel": {"A": [5, ["0", "1"]], "B": AB_KERNEL["B"]},
+            },
+        ),
+    ],
+    ids=["payoffs-scalar", "actions-list", "fees-list", "kernel-list", "kernel-row-scalar"],
+)
+def test_wrongly_typed_container_exits_two(tmp_path, command, game_patch, certificate):
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps({**AB_GAME, **game_patch}))
+    marginals = tmp_path / "p.json"
+    marginals.write_text(json.dumps(AB_MARGINALS))
+    args = [command, str(game), str(marginals)]
+    if certificate is not None:
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(certificate))
+        args.append(str(cert))
+    res = run_cli(*args)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1

@@ -5,10 +5,11 @@ from conftest import duplicate_action, extend_marginals
 from eqaudit import lp
 from eqaudit import correlated, nash
 from eqaudit.correlated import Compatible
-from eqaudit.games import MarginalProfile
+from eqaudit.games import DeviationKernel, MarginalProfile, surplus_table
 from eqaudit.nash import (
     Exploitable,
     IsNash,
+    ProfilewiseScheme,
     build_nash_system,
     expected_payoff,
     is_nash,
@@ -45,6 +46,19 @@ def test_skewed_profile_not_nash(coordination, skewed_profile):
     assert income == verdict.expected_profit > 0
 
 
+def test_skewed_certificate_moves_the_second_column(
+    coordination, skewed_profile, column_swap_kernel
+):
+    # P2's M -> L pays 3/4 * (9/2 - 1/2) = 3, more than P1's B -> T (3/4)
+    verdict = nash.test_nash_exploitability(coordination, skewed_profile)
+    assert verdict == Exploitable(
+        ProfilewiseScheme(
+            surplus_table(coordination, column_swap_kernel), column_swap_kernel
+        ),
+        F(3),
+    )
+
+
 def test_pure_miscoordination_exploitable(coordination):
     p = MarginalProfile(((F(1), F(0)), (F(0), F(1), F(0))))
     verdict = nash.test_nash_exploitability(coordination, p)
@@ -58,6 +72,82 @@ def test_build_system_shape(coordination, skewed_profile):
     senses = [row.sense for row in sys_.rows]
     assert senses.count(lp.GE) == 8
     assert senses.count(lp.EQ) == 6  # one pin per profile
+
+
+def _pure_equilibrium(game):
+    """Point-mass marginals of the first pure equilibrium in row-major
+    order, or None."""
+    for profile in game.profiles():
+        if all(
+            game.utility(i, profile)
+            >= max(
+                game.payoffs[i][game.flat_index(profile[:i] + (a,) + profile[i + 1 :])]
+                for a in range(game.shape[i])
+            )
+            for i in range(game.num_players)
+        ):
+            return MarginalProfile(
+                tuple(
+                    tuple(F(1) if a == profile[i] else F(0) for a in range(k))
+                    for i, k in enumerate(game.shape)
+                )
+            )
+    return None
+
+
+def test_certificate_is_the_largest_best_response_gap():
+    rng = random.Random(53)
+    exploited = 0
+    for _ in range(80):
+        game = random_game(rng)
+        p = random_marginals(rng, game)
+        verdict = nash.test_nash_exploitability(game, p)
+        if isinstance(verdict, IsNash):
+            continue
+        exploited += 1
+        identity = DeviationKernel.identity(game.shape).rows
+        moved = [
+            (i, a)
+            for i, k in enumerate(game.shape)
+            for a in range(k)
+            if verdict.scheme.kernel.rows[i][a] != identity[i][a]
+        ]
+        assert len(moved) == 1
+        i, a = moved[0]
+        b = verdict.scheme.kernel.rows[i][a].index(F(1))
+        values = [expected_payoff(game, p, i, c) for c in range(game.shape[i])]
+        assert values[b] == max(values) and values.index(values[b]) == b
+        assert verdict.expected_profit == p.probs[i][a] * (values[b] - values[a])
+        # the largest gain over all supported actions, first in (player,
+        # action) order on ties
+        gains = {}
+        for j, k in enumerate(game.shape):
+            vals = [expected_payoff(game, p, j, c) for c in range(k)]
+            for c in range(k):
+                gains[j, c] = p.probs[j][c] * (max(vals) - vals[c])
+        best = max(gains.values())
+        assert verdict.expected_profit == best
+        assert (i, a) == next(key for key, gain in gains.items() if gain == best)
+        assert verdict.scheme.fee == surplus_table(game, verdict.scheme.kernel)
+    assert exploited > 40
+
+
+def test_pinned_system_feasible_iff_nash(coordination, mixed_equilibrium):
+    # the reference LP formulation agrees with the best-response check
+    rng = random.Random(61)
+    cases = [(coordination, mixed_equilibrium)]
+    for _ in range(24):
+        game = random_game(rng, max_players=rng.choice((2, 3)), max_actions=2)
+        cases.append((game, random_marginals(rng, game)))
+        equilibrium = _pure_equilibrium(game)
+        if equilibrium is not None:
+            cases.append((game, equilibrium))
+    seen = set()
+    for game, p in cases:
+        outcome = lp.solve_feasibility(build_nash_system(game, p))
+        assert isinstance(outcome, lp.Feasible) == is_nash(game, p)
+        seen.add(is_nash(game, p))
+    assert seen == {True, False}
 
 
 def test_agreement_on_random_corpus():
@@ -80,23 +170,11 @@ def test_agreement_on_random_corpus():
     found = 0
     while found < 3:
         game = random_game(rng)
-        for profile in game.profiles():
-            if all(
-                game.utility(i, profile)
-                >= max(
-                    game.payoffs[i][game.flat_index(profile[:i] + (a,) + profile[i + 1 :])]
-                    for a in range(game.shape[i])
-                )
-                for i in range(game.num_players)
-            ):
-                rows = []
-                for i, k in enumerate(game.shape):
-                    rows.append(tuple(F(1) if a == profile[i] else F(0) for a in range(k)))
-                p = MarginalProfile(tuple(rows))
-                assert is_nash(game, p)
-                assert isinstance(nash.test_nash_exploitability(game, p), IsNash)
-                found += 1
-                break
+        p = _pure_equilibrium(game)
+        if p is not None:
+            assert is_nash(game, p)
+            assert isinstance(nash.test_nash_exploitability(game, p), IsNash)
+            found += 1
 
 
 def test_nash_implies_ce_compatible(coordination, mixed_equilibrium):

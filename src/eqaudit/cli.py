@@ -3,7 +3,8 @@
 Exit codes: 0 when the profile is compatible / an equilibrium / the
 certificate checks out; 1 when it is exploitable or the certificate is
 invalid; 2 on malformed input; 3 when `--oracle` cross-checks disagree
-with the verdict. Output is byte-deterministic: the same inputs always
+with the verdict; 4 when a solver self-check fails (an internal error,
+never expected). Output is byte-deterministic: the same inputs always
 produce the same document.
 """
 
@@ -210,6 +211,9 @@ def main(argv=None) -> int:
     except oracles.OracleDisagreement as exc:
         print(f"oracle disagreement: {exc}", file=sys.stderr)
         return 3
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except (DataFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

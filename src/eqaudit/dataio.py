@@ -55,6 +55,8 @@ def _loads(text: str) -> dict:
         doc = json.loads(text, parse_float=Fraction)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise DataFormatError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise DataFormatError("top-level JSON value must be an object")
     return doc

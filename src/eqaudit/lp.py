@@ -4,11 +4,16 @@ A `LinearSystem` mixes `>=` and `==` rows over variables that are either
 sign-restricted to be nonnegative or free. `solve_feasibility` runs phase
 one of a two-phase simplex on a dense Fraction tableau using Bland's
 entering and leaving rule, so it terminates on every input without any
-degeneracy tolerance. If the artificial objective cannot be driven to
-zero, the phase-one dual multipliers are returned as a Farkas certificate:
-nonnegative on inequality rows, free on equality rows, combining the rows
-into `y.A <= 0` on nonnegative variables (`= 0` on free ones) while
-`y.b > 0`. `verify_outcome` checks either arm by direct substitution.
+degeneracy tolerance. The starting basis is a slack start: a `>=` row
+whose right-hand side is at most zero (an incentive row, say) is already
+satisfied at the origin, so its own surplus column is basic at first and
+the row needs no artificial column. Only equality rows and `>=` rows with
+a positive right-hand side get one, and phase one minimizes their sum. If
+that sum cannot be driven to zero, the phase-one dual multipliers are
+returned as a Farkas certificate: nonnegative on inequality rows, free on
+equality rows, combining the rows into `y.A <= 0` on nonnegative
+variables (`= 0` on free ones) while `y.b > 0`. `verify_outcome` checks
+either arm by direct substitution.
 
 `maximize` exposes phase two for callers that need a vertex of a feasible
 system under a linear objective; feasibility testing itself never uses it.
@@ -122,11 +127,14 @@ def verify_outcome(system: LinearSystem, outcome: FeasibilityOutcome) -> bool:
 class _Simplex:
     """Dense rational tableau over the standard equality form of a system.
 
-    Free variables are split into positive and negative parts, `>=` rows
-    get a surplus column, rows are sign-flipped so the right-hand side is
-    nonnegative, and one artificial column per row provides the starting
-    basis. Artificial columns never re-enter the basis; their reduced
-    costs at the phase-one optimum encode the dual multipliers.
+    Free variables are split into positive and negative parts and `>=`
+    rows get a surplus column. A `>=` row whose right-hand side is at most
+    zero is negated and starts with its own surplus column in the basis,
+    at value `-rhs`. Every other row is sign-flipped so its right-hand side
+    is nonnegative and gets an artificial column for the starting basis.
+    Artificial columns never re-enter the basis; at the phase-one optimum
+    the reduced costs of the artificial and slack-started surplus columns
+    encode the dual multipliers.
     """
 
     def __init__(self, system: LinearSystem):
@@ -142,24 +150,30 @@ class _Simplex:
             else:
                 self.minus.append(ncols)
                 ncols += 1
-        surplus: list[int | None] = []
+        self.surplus: list[int | None] = []
         for row in system.rows:
             if row.sense == GE:
-                surplus.append(ncols)
+                self.surplus.append(ncols)
                 ncols += 1
             else:
-                surplus.append(None)
-        m = len(system.rows)
-        self.art = list(range(ncols, ncols + m))
-        ncols += m
+                self.surplus.append(None)
+        # Row k starts from its surplus column when that column alone is a
+        # feasible basic variable; every other row needs an artificial.
+        first_art = ncols
+        self.art: list[int | None] = []
+        for row in system.rows:
+            if row.sense == GE and row.rhs <= 0:
+                self.art.append(None)
+            else:
+                self.art.append(ncols)
+                ncols += 1
         self.ncols = ncols
-        self.is_art = [False] * ncols
-        for col in self.art:
-            self.is_art[col] = True
+        self.is_art = [j >= first_art for j in range(ncols)]
 
         self.T: list[list[Fraction]] = []
         self.b: list[Fraction] = []
         self.flip: list[int] = []
+        self.basis: list[int] = []
         for k, row in enumerate(system.rows):
             vec = [_ZERO] * ncols
             for j, c in enumerate(row.coeffs):
@@ -168,20 +182,24 @@ class _Simplex:
                     mcol = self.minus[j]
                     if mcol is not None:
                         vec[mcol] = -c
-            scol = surplus[k]
+            scol = self.surplus[k]
             if scol is not None:
                 vec[scol] = -_ONE
             rhs = row.rhs
-            if rhs < 0:
+            acol = self.art[k]
+            if rhs < 0 or acol is None:
                 vec = [-v for v in vec]
                 rhs = -rhs
                 self.flip.append(-1)
             else:
                 self.flip.append(1)
-            vec[self.art[k]] = _ONE
+            if acol is None:
+                self.basis.append(scol)
+            else:
+                vec[acol] = _ONE
+                self.basis.append(acol)
             self.T.append(vec)
             self.b.append(rhs)
-        self.basis = list(self.art)
         self.objrow: list[Fraction] = []
 
     def _pivot(self, r: int, col: int) -> None:
@@ -242,16 +260,12 @@ class _Simplex:
     def phase_one(self) -> Fraction:
         """Minimize the artificial total; returns the optimal value."""
         objrow = [_ZERO] * self.ncols
-        for j in range(self.ncols):
-            if self.is_art[j]:
+        for r, row in enumerate(self.T):
+            if not self.is_art[self.basis[r]]:
                 continue
-            total = _ZERO
-            for row in self.T:
-                v = row[j]
-                if v:
-                    total += v
-            if total:
-                objrow[j] = -total
+            for j, v in enumerate(row):
+                if v and not self.is_art[j]:
+                    objrow[j] -= v
         self.objrow = objrow
         self._run()
         return sum(
@@ -260,12 +274,17 @@ class _Simplex:
         )
 
     def farkas(self) -> tuple[Fraction, ...]:
-        # Artificial column k carries cost 1, so its reduced cost there is
-        # 1 - y_k; undo the sign flips applied when building the tableau.
-        return tuple(
-            self.flip[k] * (_ONE - self.objrow[self.art[k]])
-            for k in range(len(self.system.rows))
-        )
+        # A slack-started row was negated and its surplus column carries
+        # cost 0 and entry +1 there, so that column's reduced cost is the
+        # row's multiplier. An artificial column k carries cost 1, so its
+        # reduced cost is 1 - y_k; undo the sign flip applied to its row.
+        out = []
+        for k, acol in enumerate(self.art):
+            if acol is None:
+                out.append(self.objrow[self.surplus[k]])
+            else:
+                out.append(self.flip[k] * (_ONE - self.objrow[acol]))
+        return tuple(out)
 
     def point(self) -> tuple[Fraction, ...]:
         xstd = [_ZERO] * self.ncols

@@ -233,3 +233,24 @@ def test_wrongly_typed_container_exits_two(tmp_path, command, game_patch, certif
     assert res.returncode == 2
     assert res.stdout == ""
     assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+
+
+def test_deeply_nested_json_exits_two(files, tmp_path):
+    game = tmp_path / "nested.json"
+    game.write_text("[" * 100000)
+    res = run_cli("test-nash", str(game), files["skewed.json"])
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_solver_self_check_failure_exits_four(files, monkeypatch, capsys):
+    from eqaudit import cli, lp
+
+    monkeypatch.setattr(lp, "verify_outcome", lambda *_args: False)
+    assert cli.main(["test-ce", files["game.json"], files["skewed.json"]]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("internal error:")

@@ -125,3 +125,49 @@ def test_random_systems_exclusive_and_verified():
         assert type(out2) is type(out)
     # the generator must exercise both arms for the test to mean anything
     assert feasible > 10 and infeasible > 10
+
+
+def test_slack_started_row_carries_positive_multiplier():
+    # x2 >= x1 starts from its own surplus column; with x1 + x2 = 1 and
+    # x1 >= 3/4 it is infeasible, and the proof needs that row.
+    sys_ = system(
+        2, [lp.ge([-1, 1], 0), lp.eq([1, 1], 1), lp.ge([1, 0], F(3, 4))]
+    )
+    out = lp.solve_feasibility(sys_)
+    assert out == lp.Infeasible((F(1, 2), F(-1, 2), F(1)))
+    assert lp.verify_outcome(sys_, out)
+
+
+def test_negative_rhs_ge_rows_on_both_arms():
+    # x <= 1 written as -x >= -1 is slack-started; x = 2 contradicts it.
+    sys_ = system(1, [lp.ge([-1], -1), lp.eq([1], 2)], nonneg=[False])
+    out = lp.solve_feasibility(sys_)
+    assert out == lp.Infeasible((F(1), F(1)))
+    assert lp.verify_outcome(sys_, out)
+
+    sys_ = system(
+        2,
+        [lp.ge([-1, 1], -2), lp.ge([1, 0], -5), lp.eq([1, 1], 4)],
+        nonneg=[False, True],
+    )
+    out = lp.solve_feasibility(sys_)
+    assert out == lp.Feasible((F(3), F(1)))
+    assert lp.verify_outcome(sys_, out)
+
+
+def test_ce_system_artificials_only_on_marginal_rows():
+    # Every incentive row starts from its surplus column, so the only
+    # artificial columns belong to the sum(shape) marginal equalities.
+    from eqaudit.correlated import build_ce_system
+    from eqaudit.oracles import random_game, random_marginals
+
+    rng = random.Random(7)
+    for _ in range(6):
+        game = random_game(rng)
+        sys_ = build_ce_system(game, random_marginals(rng, game))
+        simplex = lp._Simplex(sys_)
+        with_art = [k for k, col in enumerate(simplex.art) if col is not None]
+        first_marginal = len(sys_.rows) - sum(game.shape)
+        assert first_marginal > 0
+        assert with_art == list(range(first_marginal, len(sys_.rows)))
+        assert sum(simplex.is_art) == sum(game.shape)

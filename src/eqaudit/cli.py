@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import dataio, nash, oracles
@@ -66,6 +65,7 @@ def _analyze_one(kind: str, game_text: str, marginals_path: str):
 
 def _run_batch(kind: str, args) -> int:
     import json
+    from concurrent.futures import ProcessPoolExecutor
 
     game_text = _read(args.game)
     directory = Path(args.marginals)

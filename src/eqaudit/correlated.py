@@ -23,7 +23,6 @@ from .games import (
     JointDistribution,
     MarginalProfile,
     as_fraction,
-    replace,
 )
 
 _ZERO = Fraction(0)
@@ -89,24 +88,26 @@ def incentive_coefficients(game: Game, i: int, ai: int, aj: int) -> list[Fractio
     player `i` being told `ai`, switching to `aj` does not pay."""
     coeffs = [_ZERO] * game.num_profiles
     payoff = game.payoffs[i]
-    for flat, profile in enumerate(game.profiles()):
-        if profile[i] == ai:
-            coeffs[flat] = payoff[flat] - payoff[game.flat_index(replace(profile, i, aj))]
+    step = game.strides[i]
+    for start in game.line_starts(i):
+        flat = start + ai * step
+        coeffs[flat] = payoff[flat] - payoff[start + aj * step]
     return coeffs
 
 
 def is_correlated_equilibrium(game: Game, q: JointDistribution) -> bool:
     """Direct check of every incentive inequality, no solver involved."""
     _check_joint(game, q)
-    flats = {profile: flat for flat, profile in enumerate(game.profiles())}
+    starts = [game.line_starts(i) for i in range(game.num_players)]
     for i, ai, aj in deviation_pairs(game):
         payoff = game.payoffs[i]
+        step = game.strides[i]
+        shift = (aj - ai) * step
         gain = _ZERO
-        for profile, flat in flats.items():
-            if profile[i] == ai and q.probs[flat]:
-                gain += q.probs[flat] * (
-                    payoff[flat] - payoff[flats[replace(profile, i, aj)]]
-                )
+        for start in starts[i]:
+            flat = start + ai * step
+            if q.probs[flat]:
+                gain += q.probs[flat] * (payoff[flat] - payoff[flat + shift])
         if gain < 0:
             return False
     return True

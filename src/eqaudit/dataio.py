@@ -4,9 +4,13 @@ Everything structured is JSON with canonical serialization (sorted keys,
 two-space indent, trailing newline), so identical values always produce
 identical bytes. Rationals travel as strings like "7/4" or "9"; decimal
 literals in input are converted exactly (0.1 becomes 1/10, never a binary
-float). Payoff tensors, joint distributions and fee tables are flat lists
-in row-major profile order: players in declaration order, actions in
-declaration order, last player's action fastest.
+float). A decimal exponent may be at most `MAX_EXPONENT` (4300, Python's
+default int-string digit limit) in magnitude: "1e4300" is read, "1e4301"
+and "1e-1000000" are malformed, because the cost of building such a
+number grows faster than its exponent. Payoff tensors, joint
+distributions and fee tables are flat lists in row-major profile order:
+players in declaration order, actions in declaration order, last
+player's action fastest.
 
 Play logs are CSV with one column per player (header row holds player
 ids). Columns may have different lengths; the histories are per player
@@ -18,6 +22,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,19 +35,47 @@ class DataFormatError(ValueError):
     """Malformed input document."""
 
 
+MAX_EXPONENT = 4300
+
+# The form `rational_str` emits: an optional '-', ASCII digits, and
+# optionally '/' and ASCII digits.
+_PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+# The exponent of a decimal literal as `Fraction` reads it.
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def _exponent_too_large(text: str) -> bool:
+    match = _EXPONENT.search(text)
+    if match is None:
+        return False
+    try:
+        return abs(int(match.group(1))) > MAX_EXPONENT
+    except ValueError:  # more digits than int() converts
+        return True
+
+
 def parse_rational(value) -> Fraction:
     """Exact rational from an int, decimal string, or 'n/d' string."""
+    if isinstance(value, str):
+        plain = _PLAIN_RATIONAL.fullmatch(value)
+        if not plain and _exponent_too_large(value):
+            raise DataFormatError(
+                f"malformed rational {value!r}: "
+                f"exponent magnitude over {MAX_EXPONENT}"
+            )
+        try:
+            if plain:
+                num, den = plain.groups()
+                return Fraction(int(num), int(den)) if den else Fraction(int(num))
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DataFormatError(f"malformed rational {value!r}: {exc}") from None
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise DataFormatError(f"not a number: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DataFormatError(f"malformed rational {value!r}: {exc}") from None
     raise DataFormatError(f"cannot read a rational from {value!r}")
 
 

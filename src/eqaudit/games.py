@@ -9,6 +9,15 @@ Action profiles are plain tuples of per-player action indices. Flat
 (tensor) indexing is row-major over those tuples: player 0's index varies
 slowest, the last player's fastest. All file formats and tables in this
 package use that order.
+
+Fractions stay at the boundary; the hot loops run on integers. A line of
+player i is the k_i profiles that differ only in i's action, at flat
+indices `start + a * strides[i]`. `Game.int_payoffs` gives each line one
+common denominator, the lcm of its own k_i payoff denominators, and every
+payoff on it an integer numerator. A tensor-wide common denominator would
+grow with the number of distinct denominators in the whole game; a
+line-local one grows only with those k_i. `surplus_parts` computes every
+profile's deviation surplus from that view as an unreduced integer ratio.
 """
 
 from __future__ import annotations
@@ -16,7 +25,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from functools import cached_property
+from math import lcm, prod
 from typing import Iterator, Sequence
 
 Profile = tuple[int, ...]
@@ -85,7 +95,8 @@ class Game:
         for k in reversed(shape):
             strides.append(acc)
             acc *= k
-        object.__setattr__(self, "_strides", tuple(reversed(strides)))
+        object.__setattr__(self, "_shape", shape)
+        object.__setattr__(self, "strides", tuple(reversed(strides)))
 
     @property
     def num_players(self) -> int:
@@ -93,7 +104,7 @@ class Game:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return tuple(len(labels) for labels in self.actions)
+        return self._shape
 
     @property
     def num_profiles(self) -> int:
@@ -104,15 +115,49 @@ class Game:
         return itertools.product(*(range(k) for k in self.shape))
 
     def flat_index(self, profile: Profile) -> int:
-        shape = self.shape
+        shape = self._shape
         if len(profile) != len(shape):
             raise ValueError("profile length does not match player count")
         flat = 0
-        for a, k, stride in zip(profile, shape, self._strides):
+        for a, k, stride in zip(profile, shape, self.strides):
             if not 0 <= a < k:
                 raise ValueError(f"action index {a} out of range for {k} actions")
             flat += a * stride
         return flat
+
+    def line_starts(self, i: int) -> list[int]:
+        """Flat index of the profile where player `i` plays action 0, for
+        every line of `i`, in row-major order of the other players'
+        actions."""
+        step = self.strides[i]
+        block = step * self._shape[i]
+        return [
+            top + low
+            for top in range(0, self.num_profiles, block)
+            for low in range(step)
+        ]
+
+    @cached_property
+    def int_payoffs(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """Per player `i`, `(numerators, denominators)` with
+        `payoffs[i][flat] == numerators[flat] / denominators[flat]`.
+
+        The profiles on one line of `i` share their denominator, the lcm
+        of that line's payoff denominators. Computed once per game.
+        """
+        view = []
+        for i, row in enumerate(self.payoffs):
+            step = self.strides[i]
+            nums = [0] * len(row)
+            dens = [1] * len(row)
+            for start in self.line_starts(i):
+                line = range(start, start + self._shape[i] * step, step)
+                den = lcm(*(row[f].denominator for f in line))
+                for f in line:
+                    nums[f] = row[f].numerator * (den // row[f].denominator)
+                    dens[f] = den
+            view.append((tuple(nums), tuple(dens)))
+        return tuple(view)
 
     def profile_labels(self, profile: Profile) -> tuple[str, ...]:
         return tuple(self.actions[i][a] for i, a in enumerate(profile))
@@ -273,7 +318,11 @@ def product_distribution(p: MarginalProfile) -> JointDistribution:
 
 def surplus(game: Game, kernel: DeviationKernel, profile: Profile) -> Fraction:
     """Aggregate gain across players when each unilaterally swaps the
-    action recommended at `profile` for their kernel row's mixture."""
+    action recommended at `profile` for their kernel row's mixture.
+
+    This is the single-profile reference definition, in plain Fraction
+    arithmetic; `surplus_parts` and `surplus_table` compute the same values
+    at every profile from the integer payoff view."""
     if kernel.shape != game.shape:
         raise ValueError("kernel shape does not match game")
     total = Fraction(0)
@@ -287,6 +336,46 @@ def surplus(game: Game, kernel: DeviationKernel, profile: Profile) -> Fraction:
     return total
 
 
+def surplus_parts(game: Game, kernel: DeviationKernel) -> tuple[list[int], list[int]]:
+    """`surplus` at every profile, row-major, as unreduced integer
+    numerators and positive integer denominators.
+
+    Player i's kernel rows are scaled to integers by the lcm L of their
+    denominators. On a line of i with integer payoffs n and denominator d,
+    the term of recommended action a is (sum_b L*r_ab*n_b - L*n_a) / (L*d).
+    A zero term is skipped; a term whose denominator equals the profile's
+    running one adds its numerator, any other is cross-multiplied in.
+    """
+    if kernel.shape != game.shape:
+        raise ValueError("kernel shape does not match game")
+    nums = [0] * game.num_profiles
+    dens = [1] * game.num_profiles
+    for i, (player_rows, (pay, pay_dens)) in enumerate(
+        zip(kernel.rows, game.int_payoffs)
+    ):
+        scale = lcm(*(w.denominator for row in player_rows for w in row))
+        step = game.strides[i]
+        # Per recommended action: (flat offset of b, nonzero L*r_ab - L*[a == b]).
+        moves = []
+        for a, row in enumerate(player_rows):
+            weights = [w.numerator * (scale // w.denominator) for w in row]
+            weights[a] -= scale
+            moves.append([(b * step, w) for b, w in enumerate(weights) if w])
+        for start in game.line_starts(i):
+            den = scale * pay_dens[start]
+            for a, terms in enumerate(moves):
+                gain = sum(w * pay[start + offset] for offset, w in terms)
+                if not gain:
+                    continue
+                flat = start + a * step
+                if dens[flat] == den:
+                    nums[flat] += gain
+                else:
+                    nums[flat] = nums[flat] * den + gain * dens[flat]
+                    dens[flat] *= den
+    return nums, dens
+
+
 def surplus_table(game: Game, kernel: DeviationKernel) -> tuple[Fraction, ...]:
     """`surplus` at every profile, row-major."""
-    return tuple(surplus(game, kernel, a) for a in game.profiles())
+    return tuple(map(Fraction, *surplus_parts(game, kernel)))

@@ -14,8 +14,10 @@ pinned LP `build_nash_system` is kept as a reference formulation only.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from . import lp
 from .correlated import deviation_pairs, incentive_coefficients
@@ -64,18 +66,18 @@ NashVerdict = IsNash | Exploitable
 def expected_payoff(game: Game, p: MarginalProfile, i: int, action: int) -> Fraction:
     """Player `i`'s expected payoff for playing `action` against the
     independent mixture of everyone else."""
+    # Per other player, (flat offset, probability) of each supported action.
+    support = [
+        [(a * step, w) for a, w in enumerate(row) if w]
+        for j, (row, step) in enumerate(zip(p.probs, game.strides))
+        if j != i
+    ]
+    payoff = game.payoffs[i]
+    origin = action * game.strides[i]
     total = _ZERO
-    for flat, profile in enumerate(game.profiles()):
-        if profile[i] != action:
-            continue
-        weight = _ONE
-        for j, aj in enumerate(profile):
-            if j != i:
-                weight *= p.probs[j][aj]
-                if not weight:
-                    break
-        if weight:
-            total += weight * game.payoffs[i][flat]
+    for combo in itertools.product(*support):
+        flat = origin + sum(offset for offset, _ in combo)
+        total += prod((w for _, w in combo), start=_ONE) * payoff[flat]
     return total
 
 

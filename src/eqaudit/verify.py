@@ -1,25 +1,32 @@
 """Self-contained checks for every certificate the analyzers emit.
 
-Each verifier re-derives its verdict from plain rational arithmetic over
-the game data; none of them calls the feasibility solver, so a solver bug
-cannot vouch for its own output. Scheme verifiers return the exact
-expected fee income rather than a boolean: callers decide what sign they
-require, since zero-income schemes are legal objects. An infeasible
-scheme raises `SchemeViolation` carrying the first violating profile in
-row-major order.
+Each verifier re-derives its verdict from exact arithmetic over the game
+data; none of them calls the feasibility solver, so a solver bug cannot
+vouch for its own output. The scheme verifiers share payoff data with
+the producers, the game's integer view and `games.surplus_parts`, but
+never pivoting code: they compare each profile's surplus with its fee in
+integers, by cross-multiplying numerators and denominators, and build a
+Fraction only for the income and for a violation's shortfall. They
+return the exact expected fee income rather than a boolean: callers
+decide what sign they require, since zero-income schemes are legal
+objects. An infeasible scheme raises `SchemeViolation` carrying the
+first violating profile in row-major order.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+from math import lcm
 
-from .correlated import is_correlated_equilibrium
+from .correlated import expected_fee_income, is_correlated_equilibrium
 from .games import (
+    DeviationKernel,
     Game,
     JointDistribution,
     MarginalProfile,
     product_distribution,
-    surplus,
+    surplus_parts,
 )
 
 _ZERO = Fraction(0)
@@ -49,27 +56,31 @@ def verify_witness(game: Game, p: MarginalProfile, q: JointDistribution) -> bool
     return is_correlated_equilibrium(game, q)
 
 
+def _check_fees(game: Game, kernel: DeviationKernel, fees) -> None:
+    """Raise `SchemeViolation` at the first profile, row-major, whose fee,
+    given as `(numerator, positive denominator)`, exceeds the surplus."""
+    nums, dens = surplus_parts(game, kernel)
+    for profile, num, den, (fee, fee_den) in zip(game.profiles(), nums, dens, fees):
+        excess = fee * den - num * fee_den
+        if excess > 0:
+            raise SchemeViolation(
+                profile, game.profile_labels(profile), Fraction(excess, fee_den * den)
+            )
+
+
 def verify_actionwise(game: Game, p: MarginalProfile, scheme) -> Fraction:
     """Check an action-wise scheme pointwise and return its expected
     fee income under `p`."""
     if scheme.kernel.shape != game.shape or p.shape != game.shape:
         raise ValueError("scheme shape does not match game")
-    fees = scheme.fees
-    for profile in game.profiles():
-        fee_total = sum(
-            (fees[i][a] for i, a in enumerate(profile)), _ZERO
-        )
-        slack = surplus(game, scheme.kernel, profile) - fee_total
-        if slack < 0:
-            raise SchemeViolation(profile, game.profile_labels(profile), -slack)
-    return sum(
-        (
-            prob * fee
-            for row, fee_row in zip(p.probs, fees)
-            for prob, fee in zip(row, fee_row)
-        ),
-        _ZERO,
-    )
+    scale = lcm(*(fee.denominator for row in scheme.fees for fee in row))
+    scaled = [
+        [fee.numerator * (scale // fee.denominator) for fee in row]
+        for row in scheme.fees
+    ]
+    totals = map(sum, itertools.product(*scaled))
+    _check_fees(game, scheme.kernel, ((total, scale) for total in totals))
+    return expected_fee_income(p, scheme.fees)
 
 
 def verify_profilewise(game: Game, p: MarginalProfile, scheme) -> Fraction:
@@ -79,9 +90,8 @@ def verify_profilewise(game: Game, p: MarginalProfile, scheme) -> Fraction:
         raise ValueError("scheme shape does not match game")
     if len(scheme.fee) != game.num_profiles:
         raise ValueError("fee table length does not match game")
-    for flat, profile in enumerate(game.profiles()):
-        slack = surplus(game, scheme.kernel, profile) - scheme.fee[flat]
-        if slack < 0:
-            raise SchemeViolation(profile, game.profile_labels(profile), -slack)
+    _check_fees(
+        game, scheme.kernel, ((fee.numerator, fee.denominator) for fee in scheme.fee)
+    )
     q = product_distribution(p)
     return sum((qa * fa for qa, fa in zip(q.probs, scheme.fee)), _ZERO)

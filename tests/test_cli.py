@@ -254,3 +254,15 @@ def test_solver_self_check_failure_exits_four(files, monkeypatch, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("internal error:")
+
+
+def test_huge_exponent_payoff_exits_two(files, tmp_path):
+    doc = json.loads(GAME_DOC)
+    doc["payoffs"]["P1"][0] = "1e1000000"
+    game = tmp_path / "huge.json"
+    game.write_text(json.dumps(doc))
+    res = run_cli("test-nash", str(game), files["skewed.json"])
+    assert res.returncode == 2
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")

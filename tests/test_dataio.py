@@ -185,3 +185,55 @@ def test_play_log_errors(coordination):
 def test_rational_wire_roundtrip(a, b):
     for value in (a, b):
         assert dataio.parse_rational(dataio.rational_str(value)) == value
+
+
+# Digits, signs, '/', '.', 'e', '_', spaces and non-ASCII digits (Arabic-
+# Indic three, Devanagari seven, fullwidth one).
+RATIONAL_TEXT = st.text(alphabet="0123456789-+/.eE_ \u0663\u096d\uff11", max_size=12)
+
+
+@given(RATIONAL_TEXT)
+@settings(max_examples=400, deadline=None)
+def test_parse_rational_agrees_with_fraction(text):
+    _, e, tail = text.lower().rpartition("e")
+    try:
+        exponent = int(tail) if e else 0
+    except ValueError:
+        exponent = 0
+    if abs(exponent) > dataio.MAX_EXPONENT:
+        with pytest.raises(DataFormatError):
+            dataio.parse_rational(text)
+        return
+    try:
+        expected = F(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(DataFormatError):
+            dataio.parse_rational(text)
+    else:
+        assert dataio.parse_rational(text) == expected
+
+
+@pytest.mark.parametrize(
+    "text", ["-7/12", "0/5", "-0", "007/010", "1/-2", "1 /2", " 3/4 ", "1_0/3", "\u0661/\u0662"]
+)
+def test_parse_rational_edge_forms_unchanged(text):
+    try:
+        expected = F(text)
+    except ValueError:
+        with pytest.raises(DataFormatError):
+            dataio.parse_rational(text)
+    else:
+        assert dataio.parse_rational(text) == expected
+
+
+def test_parse_rational_zero_denominator():
+    with pytest.raises(DataFormatError):
+        dataio.parse_rational("1/0")
+
+
+def test_parse_rational_bounds_the_exponent():
+    assert dataio.parse_rational("1e4300") == 10**4300
+    assert dataio.parse_rational("25E-4300") == F(25, 10**4300)
+    for text in ("1e4301", "1e-1000000", "1e1000000", "2.5e+1_000_000", "1e" + "9" * 5000):
+        with pytest.raises(DataFormatError):
+            dataio.parse_rational(text)

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -163,3 +164,113 @@ def test_surplus_linear_in_kernel(lam):
 
 def test_replace():
     assert replace((0, 1, 2), 1, 5) == (0, 5, 2)
+
+
+def _reference_surplus(game, kernel, profile):
+    """The deviation surplus written out from its definition: for each
+    player, the kernel row's expected payoff minus the recommended one."""
+    shape = game.shape
+    flat = lambda a: sum(x * prod(shape[j + 1 :]) for j, x in enumerate(a))
+    total = F(0)
+    for i, a in enumerate(profile):
+        for b, weight in enumerate(kernel.rows[i][a]):
+            moved = profile[:i] + (b,) + profile[i + 1 :]
+            total += weight * game.payoffs[i][flat(moved)]
+        total -= game.payoffs[i][flat(profile)]
+    return total
+
+
+@st.composite
+def games_and_kernels(draw):
+    shape = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    size = prod(shape)
+    payoff = st.fractions(min_value=-50, max_value=50, max_denominator=30)
+    payoffs = [draw(st.lists(payoff, min_size=size, max_size=size)) for _ in shape]
+    rows = []
+    for k in shape:
+        player_rows = []
+        for _ in range(k):
+            # Zero entries allowed; the row total sets the denominators.
+            weights = draw(st.lists(st.integers(0, 7), min_size=k, max_size=k).filter(any))
+            player_rows.append(tuple(F(w, sum(weights)) for w in weights))
+        rows.append(tuple(player_rows))
+    game = Game(
+        tuple(f"P{i}" for i in range(len(shape))),
+        tuple(tuple(f"a{x}" for x in range(k)) for k in shape),
+        tuple(map(tuple, payoffs)),
+    )
+    return game, DeviationKernel(tuple(rows))
+
+
+@given(games_and_kernels())
+@settings(max_examples=80, deadline=None)
+def test_surplus_table_matches_definition(case):
+    game, kernel = case
+    expected = tuple(_reference_surplus(game, kernel, a) for a in game.profiles())
+    assert surplus_table(game, kernel) == expected
+
+
+def _primes_above(start, count):
+    """The first `count` primes above `start`, by a sieve over a window."""
+    width = 64 * count
+    composite = bytearray(width)
+    for d in range(2, int((start + width) ** 0.5) + 1):
+        for m in range(-(-start // d) * d, start + width, d):
+            composite[m - start] = 1
+    return [start + x for x in range(width) if not composite[x]][:count]
+
+
+def test_hostile_denominators_stay_line_local():
+    # Every payoff of a 4x4x4x4 game has its own 21-bit prime denominator,
+    # so a common denominator over the whole tensor would have thousands
+    # of bits; a line's has at most four primes.
+    shape = (4, 4, 4, 4)
+    size = prod(shape)
+    primes = iter(_primes_above(2**20, len(shape) * size))
+    payoffs = tuple(
+        tuple(F((-1) ** flat * (flat + i + 1), next(primes)) for flat in range(size))
+        for i in range(len(shape))
+    )
+    game = Game(
+        tuple(f"P{i}" for i in range(len(shape))),
+        tuple(tuple(f"a{x}" for x in range(k)) for k in shape),
+        payoffs,
+    )
+    for i, (nums, dens) in enumerate(game.int_payoffs):
+        step = game.strides[i]
+        for start in game.line_starts(i):
+            line = range(start, start + shape[i] * step, step)
+            line_lcm = lcm(*(payoffs[i][f].denominator for f in line))
+            assert line_lcm.bit_length() <= 4 * 21
+            for f in line:
+                assert dens[f] == line_lcm
+                assert F(nums[f], dens[f]) == payoffs[i][f]
+    kernel = DeviationKernel(
+        tuple(
+            tuple(
+                tuple(F(1, 2) if b in (a, (a + 1) % k) else F(0) for b in range(k))
+                for a in range(k)
+            )
+            for k in shape
+        )
+    )
+    table = surplus_table(game, kernel)
+    assert table == tuple(surplus(game, kernel, a) for a in game.profiles())
+
+
+def test_line_starts_cover_every_profile_once():
+    game = Game(
+        ("A", "B", "C"),
+        (("x", "y"), ("x", "y", "z"), ("x", "y")),
+        (("0",) * 12,) * 3,
+    )
+    profiles = list(game.profiles())
+    for i, k in enumerate(game.shape):
+        lines = [
+            [profiles[start + a * game.strides[i]] for a in range(k)]
+            for start in game.line_starts(i)
+        ]
+        assert sorted(a for line in lines for a in line) == profiles
+        for line in lines:
+            assert [a[i] for a in line] == list(range(k))
+            assert len({a[:i] + a[i + 1 :] for a in line}) == 1

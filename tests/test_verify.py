@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 
@@ -6,9 +8,11 @@ import eqaudit.lp
 from eqaudit.correlated import ActionwiseScheme
 from eqaudit.games import (
     DeviationKernel,
+    Game,
     JointDistribution,
     MarginalProfile,
     product_distribution,
+    surplus,
     surplus_table,
 )
 from eqaudit.nash import ProfilewiseScheme
@@ -149,3 +153,77 @@ def test_verifiers_never_touch_the_solver(
     probs[0] = probs[4] = F(1, 2)
     q = JointDistribution((2, 3), tuple(probs))
     assert verify_witness(coordination, q.marginals(), q)
+
+
+def _random_rational(rng, low, high):
+    return F(rng.randint(low, high), rng.choice((1, 2, 3, 7, 10, 12)))
+
+
+def _random_row(rng, k):
+    weights = [rng.choice((0, 0, 1, 2, 5)) for _ in range(k)]
+    weights[rng.randrange(k)] += 1
+    return tuple(F(w, sum(weights)) for w in weights)
+
+
+def _first_violation(game, kernel, fee_at):
+    """Brute-force Fraction scan: the first profile, row-major, whose fee
+    exceeds the surplus, with the shortfall; None when there is none."""
+    for flat, profile in enumerate(game.profiles()):
+        slack = surplus(game, kernel, profile) - fee_at(flat, profile)
+        if slack < 0:
+            return profile, -slack
+    return None
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_tampered_schemes_match_brute_force(seed):
+    rng = random.Random(seed)
+    shape = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 3)))
+    size = prod(shape)
+    game = Game(
+        tuple(f"P{i}" for i in range(len(shape))),
+        tuple(tuple(f"a{x}" for x in range(k)) for k in shape),
+        tuple(
+            tuple(_random_rational(rng, -20, 20) for _ in range(size)) for _ in shape
+        ),
+    )
+    p = MarginalProfile(tuple(_random_row(rng, k) for k in shape))
+    kernel = DeviationKernel(
+        tuple(tuple(_random_row(rng, k) for _ in range(k)) for k in shape)
+    )
+
+    # Profile-wise: the surplus table, lowered everywhere, then raised at a
+    # few random profiles (sometimes none).
+    table = surplus_table(game, kernel)
+    fee = [v - _random_rational(rng, 0, 3) for v in table]
+    for flat in rng.sample(range(size), rng.randint(0, min(3, size))):
+        fee[flat] += _random_rational(rng, 1, 4)
+    scheme = ProfilewiseScheme(tuple(fee), kernel)
+    expected = _first_violation(game, kernel, lambda flat, _a: fee[flat])
+    if expected is None:
+        q = product_distribution(p)
+        income = sum(qa * fa for qa, fa in zip(q.probs, fee))
+        assert verify_profilewise(game, p, scheme) == income
+    else:
+        with pytest.raises(SchemeViolation) as err:
+            verify_profilewise(game, p, scheme)
+        assert (err.value.profile, err.value.shortfall) == expected
+
+    # Action-wise: random fees around a share of the smallest surplus.
+    floor = min(table) / len(shape)
+    fees = tuple(
+        tuple(floor + _random_rational(rng, -3, 1) for _ in range(k)) for k in shape
+    )
+    scheme = ActionwiseScheme(fees, kernel)
+    expected = _first_violation(
+        game, kernel, lambda _flat, a: sum(fees[i][x] for i, x in enumerate(a))
+    )
+    if expected is None:
+        income = sum(
+            prob * fee for row, fee_row in zip(p.probs, fees) for prob, fee in zip(row, fee_row)
+        )
+        assert verify_actionwise(game, p, scheme) == income
+    else:
+        with pytest.raises(SchemeViolation) as err:
+            verify_actionwise(game, p, scheme)
+        assert (err.value.profile, err.value.shortfall) == expected

@@ -11,6 +11,7 @@ produce the same document.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -49,56 +50,55 @@ def _load_profile(args, game) -> "dataio.MarginalProfile":
     return dataio.parse_marginals(_read(args.marginals), game)
 
 
-def _analyze_one(kind: str, game_text: str, marginals_path: str):
-    """Worker for batch runs; parses everything itself so it can run in a
-    separate process."""
-    game = dataio.parse_game(game_text)
-    p = dataio.parse_marginals(Path(marginals_path).read_text(), game)
+def _audit(kind: str, game, p, oracle: bool, seed: int):
+    """Test one profile, cross-check the verdict when `oracle` is set, and
+    return the verdict document and whether the profile is exploitable."""
     if kind == "ce":
         verdict = test_ce_compatibility(game, p)
-        exploitable = isinstance(verdict, Exploitable)
+        if oracle:
+            oracles.cross_check_ce(game, p, verdict, seed=seed)
     else:
         verdict = test_nash_exploitability(game, p)
-        exploitable = isinstance(verdict, nash.Exploitable)
-    return Path(marginals_path).name, dataio.emit_verdict(game, verdict), exploitable
+        if oracle:
+            oracles.cross_check_nash(game, p, verdict)
+    exploitable = isinstance(verdict, (Exploitable, nash.Exploitable))
+    return dataio.emit_verdict(game, verdict), exploitable
 
 
-def _run_batch(kind: str, args) -> int:
+def _run_batch(kind: str, game, args) -> int:
     import json
     from concurrent.futures import ProcessPoolExecutor
 
-    game_text = _read(args.game)
+    if args.log:
+        raise DataFormatError("--log cannot be combined with a marginals directory")
     directory = Path(args.marginals)
-    files = sorted(str(p) for p in directory.glob("*.json"))
+    files = sorted(directory.glob("*.json"))
     if not files:
         raise DataFormatError(f"no .json marginals files in {directory}")
-    tasks = [(kind, game_text, f) for f in files]
-    if args.jobs and args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_analyze_one, *zip(*tasks)))
+    profiles = [dataio.parse_marginals(_read(str(f)), game) for f in files]
+    tasks = [(kind, game, p, args.oracle, args.seed) for p in profiles]
+    # The pool forks all its workers up front, so size it by what can run.
+    workers = min(args.jobs, len(files), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_audit, *zip(*tasks)))
     else:
-        results = [_analyze_one(*task) for task in tasks]
-    combined = {"results": {name: json.loads(doc) for name, doc, _ in results}}
+        results = [_audit(*task) for task in tasks]
+    combined = {
+        "results": {f.name: json.loads(doc) for f, (doc, _) in zip(files, results)}
+    }
     _write_output(dataio.canonical_json(combined), args.out)
-    return 1 if any(flag for _, _, flag in results) else 0
+    return 1 if any(flag for _, flag in results) else 0
 
 
 def _cmd_test(kind: str, args) -> int:
-    if args.marginals and Path(args.marginals).is_dir():
-        return _run_batch(kind, args)
     game = dataio.parse_game(_read(args.game))
-    p = _load_profile(args, game)
-    if kind == "ce":
-        verdict = test_ce_compatibility(game, p)
-        exploitable = isinstance(verdict, Exploitable)
-        if args.oracle:
-            oracles.cross_check_ce(game, p, verdict, seed=args.seed)
-    else:
-        verdict = test_nash_exploitability(game, p)
-        exploitable = isinstance(verdict, nash.Exploitable)
-        if args.oracle:
-            oracles.cross_check_nash(game, p, verdict)
-    _write_output(dataio.emit_verdict(game, verdict), args.out)
+    if args.marginals and Path(args.marginals).is_dir():
+        return _run_batch(kind, game, args)
+    doc, exploitable = _audit(
+        kind, game, _load_profile(args, game), args.oracle, args.seed
+    )
+    _write_output(doc, args.out)
     return 1 if exploitable else 0
 
 
@@ -106,25 +106,17 @@ def _cmd_verify(args) -> int:
     game = dataio.parse_game(_read(args.game))
     p = dataio.parse_marginals(_read(args.marginals), game)
     kind, payload = dataio.parse_certificate(_read(args.certificate), game)
+    doc = {"kind": kind, "valid": True}
     if kind == "witness":
-        ok = verify_witness(game, p, payload)
-        doc = {"kind": kind, "valid": ok}
-        _write_output(dataio.canonical_json(doc), args.out)
-        return 0 if ok else 1
-    checker = verify_actionwise if kind == "actionwise" else verify_profilewise
-    try:
-        income = checker(game, p, payload)
-    except SchemeViolation as exc:
-        doc = {"kind": kind, "valid": False, "violation": list(exc.labels)}
-        _write_output(dataio.canonical_json(doc), args.out)
-        return 1
-    doc = {
-        "kind": kind,
-        "valid": True,
-        "expected_profit": dataio.rational_str(income),
-    }
+        doc["valid"] = verify_witness(game, p, payload)
+    else:
+        checker = verify_actionwise if kind == "actionwise" else verify_profilewise
+        try:
+            doc["expected_profit"] = dataio.rational_str(checker(game, p, payload))
+        except SchemeViolation as exc:
+            doc.update(valid=False, violation=list(exc.labels))
     _write_output(dataio.canonical_json(doc), args.out)
-    return 0
+    return 0 if doc["valid"] else 1
 
 
 def _cmd_surplus(args) -> int:
@@ -139,6 +131,13 @@ def _cmd_marginals(args) -> int:
     p = dataio.empirical_marginals(game, dataio.parse_play_log(_read(args.log)))
     _write_output(dataio.emit_marginals(game, p), args.out)
     return 0
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -159,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
             p.add_argument(
                 "--jobs",
-                type=int,
+                type=_positive_int,
                 default=1,
                 help="workers for batch directories of marginals files",
             )
@@ -214,10 +213,7 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    except (DataFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # DataFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

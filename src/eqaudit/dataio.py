@@ -12,6 +12,12 @@ distributions and fee tables are flat lists in row-major profile order:
 players in declaration order, actions in declaration order, last
 player's action fastest.
 
+Actions, payoffs, marginals, kernels and action-wise fees are per-player
+tables: a JSON object with one list per game player and no other key,
+each list as long as the player's action count where that is fixed. A
+result with a rational over 4300 digits cannot be written and is reported
+as malformed input.
+
 Play logs are CSV with one column per player (header row holds player
 ids). Columns may have different lengths; the histories are per player
 and never aligned across players.
@@ -23,6 +29,7 @@ import csv
 import io
 import json
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -80,7 +87,13 @@ def parse_rational(value) -> Fraction:
 
 
 def rational_str(value: Fraction) -> str:
-    return str(Fraction(value))
+    try:
+        return str(Fraction(value))
+    except ValueError:  # more digits than int-to-str converts
+        raise DataFormatError(
+            "the result has a rational over the "
+            f"{sys.get_int_max_str_digits()}-digit output limit"
+        ) from None
 
 
 def _loads(text: str) -> dict:
@@ -100,9 +113,6 @@ def canonical_json(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-_dumps = canonical_json
-
-
 def _require(doc: dict, key: str):
     if key not in doc:
         raise DataFormatError(f"missing field {key!r}")
@@ -115,6 +125,52 @@ def _object(doc, what: str) -> dict:
     return doc
 
 
+def _checked(cls, *args):
+    """`cls(*args)`, with a failed validation reported as malformed input."""
+    try:
+        return cls(*args)
+    except ValueError as exc:
+        raise DataFormatError(str(exc)) from None
+
+
+def _parse_table(doc, players, what: str, item, sizes=None) -> tuple:
+    """Read a per-player table: a JSON object with one list per player in
+    `players`, of length `sizes[i]` when `sizes` is given, and no other
+    key. Each list entry is read with `item`."""
+    doc = _object(doc, what)
+    rows = []
+    for i, player in enumerate(players):
+        if player not in doc:
+            raise DataFormatError(f"no {what} for player {player!r}")
+        row = doc[player]
+        if not isinstance(row, list):
+            raise DataFormatError(f"{what} for {player!r} must be a list")
+        if sizes is not None and len(row) != sizes[i]:
+            raise DataFormatError(f"{what} for {player!r} must list {sizes[i]} entries")
+        rows.append(tuple(map(item, row)))
+    if len(doc) > len(players):  # every player has an entry, so a key is extra
+        unknown = min(doc.keys() - set(players))
+        raise DataFormatError(f"{what} listed for unknown player {unknown!r}")
+    return tuple(rows)
+
+
+def _table_doc(players, rows, item=rational_str) -> dict:
+    """Write a per-player table, the inverse of `_parse_table`."""
+    return {player: [item(v) for v in row] for player, row in zip(players, rows)}
+
+
+def _label(value) -> str:
+    if not isinstance(value, str):
+        raise DataFormatError("action labels must be strings")
+    return value
+
+
+def _rational_row(values) -> tuple[Fraction, ...]:
+    if not isinstance(values, list):
+        raise DataFormatError("kernel rows must be lists")
+    return tuple(map(parse_rational, values))
+
+
 def parse_game(text: str) -> Game:
     """Read a game document: players, per-player action lists, and one
     row-major payoff list per player."""
@@ -122,41 +178,17 @@ def parse_game(text: str) -> Game:
     players = _require(doc, "players")
     if not isinstance(players, list) or not all(isinstance(p, str) for p in players):
         raise DataFormatError("'players' must be a list of strings")
-    actions_doc = _object(_require(doc, "actions"), "'actions'")
-    payoffs_doc = _object(_require(doc, "payoffs"), "'payoffs'")
-    actions = []
-    payoffs = []
-    for player in players:
-        if player not in actions_doc:
-            raise DataFormatError(f"no action list for player {player!r}")
-        if player not in payoffs_doc:
-            raise DataFormatError(f"no payoff list for player {player!r}")
-        labels = actions_doc[player]
-        if not isinstance(labels, list) or not all(isinstance(a, str) for a in labels):
-            raise DataFormatError(f"actions for {player!r} must be a list of strings")
-        actions.append(tuple(labels))
-        row = payoffs_doc[player]
-        if not isinstance(row, list):
-            raise DataFormatError(f"payoffs for {player!r} must be a list")
-        payoffs.append(tuple(parse_rational(v) for v in row))
-    for key in actions_doc:
-        if key not in players:
-            raise DataFormatError(f"actions listed for unknown player {key!r}")
-    try:
-        return Game(tuple(players), tuple(actions), tuple(payoffs))
-    except ValueError as exc:
-        raise DataFormatError(str(exc)) from None
+    actions = _parse_table(_require(doc, "actions"), players, "actions", _label)
+    payoffs = _parse_table(_require(doc, "payoffs"), players, "payoffs", parse_rational)
+    return _checked(Game, tuple(players), actions, payoffs)
 
 
 def emit_game(game: Game) -> str:
-    return _dumps(
+    return canonical_json(
         {
             "players": list(game.players),
-            "actions": {p: list(a) for p, a in zip(game.players, game.actions)},
-            "payoffs": {
-                p: [rational_str(v) for v in row]
-                for p, row in zip(game.players, game.payoffs)
-            },
+            "actions": _table_doc(game.players, game.actions, str),
+            "payoffs": _table_doc(game.players, game.payoffs),
         }
     )
 
@@ -165,50 +197,17 @@ def parse_marginals(text: str, game: Game) -> MarginalProfile:
     """Read one distribution per player, keyed by player id, values in
     action declaration order."""
     doc = _loads(text)
-    rows = []
-    for i, player in enumerate(game.players):
-        if player not in doc:
-            raise DataFormatError(f"no marginal distribution for player {player!r}")
-        values = doc[player]
-        if not isinstance(values, list) or len(values) != len(game.actions[i]):
-            raise DataFormatError(
-                f"marginals for {player!r} must list {len(game.actions[i])} values"
-            )
-        rows.append(tuple(parse_rational(v) for v in values))
-    try:
-        return MarginalProfile(tuple(rows))
-    except ValueError as exc:
-        raise DataFormatError(str(exc)) from None
+    rows = _parse_table(doc, game.players, "marginals", parse_rational, game.shape)
+    return _checked(MarginalProfile, rows)
 
 
 def emit_marginals(game: Game, p: MarginalProfile) -> str:
-    return _dumps(
-        {
-            player: [rational_str(v) for v in row]
-            for player, row in zip(game.players, p.probs)
-        }
-    )
+    return canonical_json(_table_doc(game.players, p.probs))
 
 
 def _parse_kernel_doc(doc, game: Game) -> DeviationKernel:
-    doc = _object(doc, "kernel")
-    rows = []
-    for i, player in enumerate(game.players):
-        if player not in doc:
-            raise DataFormatError(f"no kernel rows for player {player!r}")
-        k = len(game.actions[i])
-        player_rows = doc[player]
-        if not isinstance(player_rows, list) or len(player_rows) != k:
-            raise DataFormatError(f"kernel for {player!r} must list {k} rows")
-        if not all(isinstance(row, list) for row in player_rows):
-            raise DataFormatError(f"kernel rows for {player!r} must be lists")
-        rows.append(
-            tuple(tuple(parse_rational(v) for v in row) for row in player_rows)
-        )
-    try:
-        return DeviationKernel(tuple(rows))
-    except ValueError as exc:
-        raise DataFormatError(str(exc)) from None
+    rows = _parse_table(doc, game.players, "kernel", _rational_row, game.shape)
+    return _checked(DeviationKernel, rows)
 
 
 def parse_kernel(text: str, game: Game) -> DeviationKernel:
@@ -217,24 +216,20 @@ def parse_kernel(text: str, game: Game) -> DeviationKernel:
 
 
 def _kernel_doc(game: Game, kernel: DeviationKernel) -> dict:
-    return {
-        player: [[rational_str(v) for v in row] for row in player_rows]
-        for player, player_rows in zip(game.players, kernel.rows)
-    }
+    return _table_doc(
+        game.players, kernel.rows, lambda row: [rational_str(v) for v in row]
+    )
 
 
 def emit_kernel(game: Game, kernel: DeviationKernel) -> str:
-    return _dumps(_kernel_doc(game, kernel))
+    return canonical_json(_kernel_doc(game, kernel))
 
 
 def _scheme_doc(game: Game, scheme) -> dict:
     if isinstance(scheme, ActionwiseScheme):
         return {
             "type": "actionwise",
-            "fees": {
-                player: [rational_str(v) for v in row]
-                for player, row in zip(game.players, scheme.fees)
-            },
+            "fees": _table_doc(game.players, scheme.fees),
             "kernel": _kernel_doc(game, scheme.kernel),
         }
     if isinstance(scheme, nash.ProfilewiseScheme):
@@ -247,32 +242,20 @@ def _scheme_doc(game: Game, scheme) -> dict:
 
 
 def emit_scheme(game: Game, scheme) -> str:
-    return _dumps(_scheme_doc(game, scheme))
+    return canonical_json(_scheme_doc(game, scheme))
 
 
 def _parse_scheme_doc(doc, game: Game):
     kind = _require(_object(doc, "scheme"), "type")
     kernel = _parse_kernel_doc(_require(doc, "kernel"), game)
     if kind == "actionwise":
-        fees_doc = _object(_require(doc, "fees"), "'fees'")
-        fees = []
-        for i, player in enumerate(game.players):
-            if player not in fees_doc:
-                raise DataFormatError(f"no fees for player {player!r}")
-            row = fees_doc[player]
-            if not isinstance(row, list) or len(row) != len(game.actions[i]):
-                raise DataFormatError(
-                    f"fees for {player!r} must list {len(game.actions[i])} values"
-                )
-            fees.append(tuple(parse_rational(v) for v in row))
-        return ActionwiseScheme(tuple(fees), kernel)
+        fees = _parse_table(
+            _require(doc, "fees"), game.players, "fees", parse_rational, game.shape
+        )
+        return ActionwiseScheme(fees, kernel)
     if kind == "profilewise":
-        fee = _require(doc, "fee")
-        if not isinstance(fee, list) or len(fee) != game.num_profiles:
-            raise DataFormatError(
-                f"'fee' must list {game.num_profiles} values in row-major order"
-            )
-        return nash.ProfilewiseScheme(tuple(parse_rational(v) for v in fee), kernel)
+        fee = _profile_values(_require(doc, "fee"), game, "'fee'")
+        return nash.ProfilewiseScheme(fee, kernel)
     raise DataFormatError(f"unknown scheme type {kind!r}")
 
 
@@ -282,15 +265,18 @@ def parse_scheme(text: str, game: Game):
     return _parse_scheme_doc(_loads(text), game)
 
 
-def _joint_values(game: Game, values) -> JointDistribution:
+def _profile_values(values, game: Game, what: str) -> tuple[Fraction, ...]:
     if not isinstance(values, list) or len(values) != game.num_profiles:
         raise DataFormatError(
-            f"witness must list {game.num_profiles} values in row-major order"
+            f"{what} must list {game.num_profiles} values in row-major order"
         )
-    try:
-        return JointDistribution(game.shape, tuple(parse_rational(v) for v in values))
-    except ValueError as exc:
-        raise DataFormatError(str(exc)) from None
+    return tuple(map(parse_rational, values))
+
+
+def _joint_values(game: Game, values) -> JointDistribution:
+    return _checked(
+        JointDistribution, game.shape, _profile_values(values, game, "witness")
+    )
 
 
 def emit_verdict(game: Game, verdict) -> str:
@@ -310,12 +296,10 @@ def emit_verdict(game: Game, verdict) -> str:
         doc = {"verdict": "nash"}
     else:
         raise TypeError(f"not a verdict: {verdict!r}")
-    return _dumps(doc)
+    return canonical_json(doc)
 
 
-def parse_verdict(text: str, game: Game):
-    """Inverse of emit_verdict."""
-    doc = _loads(text)
+def _verdict_from_doc(doc: dict, game: Game):
     kind = _require(doc, "verdict")
     if kind == "compatible":
         return Compatible(_joint_values(game, _require(doc, "witness")))
@@ -330,6 +314,11 @@ def parse_verdict(text: str, game: Game):
     raise DataFormatError(f"unknown verdict {kind!r}")
 
 
+def parse_verdict(text: str, game: Game):
+    """Inverse of emit_verdict."""
+    return _verdict_from_doc(_loads(text), game)
+
+
 def parse_certificate(text: str, game: Game):
     """Read any checkable object: a scheme document, a witness document
     ({"witness": [...]}) or a whole verdict document. Returns
@@ -337,7 +326,7 @@ def parse_certificate(text: str, game: Game):
     ("profilewise", scheme)."""
     doc = _loads(text)
     if "verdict" in doc:
-        verdict = parse_verdict(text, game)
+        verdict = _verdict_from_doc(doc, game)
         if isinstance(verdict, Compatible):
             return "witness", verdict.witness
         if not isinstance(verdict, (Exploitable, nash.Exploitable)):
@@ -358,7 +347,7 @@ def emit_surplus(game: Game, values) -> str:
     values = tuple(values)
     if len(values) != game.num_profiles:
         raise ValueError("surplus table length does not match game")
-    return _dumps(
+    return canonical_json(
         {
             "players": list(game.players),
             "profiles": [list(game.profile_labels(a)) for a in game.profiles()],
@@ -381,10 +370,17 @@ class PlayLog:
             raise KeyError(f"no history for player {player!r}") from None
 
 
+def _csv_rows(text: str):
+    try:
+        yield from csv.reader(io.StringIO(text))
+    except csv.Error as exc:  # such as a cell over the csv field size limit
+        raise DataFormatError(f"malformed play log: {exc}") from None
+
+
 def parse_play_log(text: str) -> PlayLog:
     """Read a CSV play log: header row of player ids, one column per
     player, empty cells ignored (histories may differ in length)."""
-    reader = csv.reader(io.StringIO(text))
+    reader = _csv_rows(text)
     try:
         header = next(reader)
     except StopIteration:

@@ -254,9 +254,12 @@ class JointDistribution:
         """Sum out everyone but player `i`."""
         if not 0 <= i < len(self.shape):
             raise ValueError(f"unknown player index {i}")
-        sums = [Fraction(0)] * self.shape[i]
-        for flat, profile in enumerate(self.profiles()):
-            sums[profile[i]] += self.probs[flat]
+        k = self.shape[i]
+        stride = prod(self.shape[i + 1 :])
+        sums = [Fraction(0)] * k
+        for flat, v in enumerate(self.probs):
+            if v:
+                sums[flat // stride % k] += v
         return tuple(sums)
 
     def marginals(self) -> MarginalProfile:

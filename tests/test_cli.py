@@ -170,6 +170,96 @@ def test_batch_directory_with_jobs(files, tmp_path):
     assert doc["results"]["b_pure.json"]["verdict"] == "compatible"
     serial = run_cli("test-ce", files["game.json"], str(batch))
     assert serial.stdout == res.stdout
+    checked = run_cli(
+        "test-ce", files["game.json"], str(batch), "--jobs", "2", "--oracle"
+    )
+    assert checked.returncode == 1
+    assert checked.stdout == res.stdout
+
+
+def _batch(tmp_path, count):
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    for j in range(count):
+        (batch / f"m{j}.json").write_text(SKEWED if j % 2 else PURE_TL)
+    return str(batch)
+
+
+class RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: runs tasks in this process and
+    records the pool size asked for."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize(
+    "jobs, files_count, cpus, size",
+    [(64, 3, 8, 3), (64, 3, 2, 2), (2, 3, 8, 2), (2, 3, 1, None), (4, 1, 8, None)],
+)
+def test_batch_pool_is_bounded(
+    files, tmp_path, monkeypatch, capsys, jobs, files_count, cpus, size
+):
+    import concurrent.futures
+    import os
+
+    from eqaudit import cli
+
+    monkeypatch.setattr(RecordingExecutor, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    batch = _batch(tmp_path, files_count)
+    code = cli.main(["test-ce", files["game.json"], batch, "--jobs", str(jobs)])
+    assert code == (1 if files_count > 1 else 0)
+    assert RecordingExecutor.sizes == ([] if size is None else [size])
+    assert len(json.loads(capsys.readouterr().out)["results"]) == files_count
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exits_two(files, capsys, jobs):
+    from eqaudit import cli
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["test-ce", files["game.json"], files["skewed.json"], "--jobs", jobs])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_batch_runs_the_oracle_cross_check(files, tmp_path, monkeypatch, capsys):
+    from eqaudit import cli, oracles
+
+    def disagree(*_args, **_kwargs):
+        raise oracles.OracleDisagreement("planted")
+
+    monkeypatch.setattr(oracles, "cross_check_ce", disagree)
+    batch = _batch(tmp_path, 2)
+    assert cli.main(["test-ce", files["game.json"], batch]) == 1
+    capsys.readouterr()
+    assert cli.main(["test-ce", files["game.json"], batch, "--oracle"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("oracle disagreement: planted")
+
+
+def test_batch_rejects_log(files, tmp_path):
+    res = run_cli(
+        "test-ce", files["game.json"], _batch(tmp_path, 2), "--log", files["plays.csv"]
+    )
+    assert res.returncode == 2
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 def test_repeated_runs_byte_identical(files):
@@ -197,18 +287,20 @@ AB_KERNEL = {"A": [["1", "0"], ["0", "1"]], "B": [["1", "0"], ["0", "1"]]}
 
 
 @pytest.mark.parametrize(
-    "command, game_patch, certificate",
+    "command, game_patch, marginals_patch, certificate",
     [
-        ("test-nash", {"payoffs": {"A": 5, "B": ["1", "0", "0", "1"]}}, None),
-        ("test-nash", {"actions": ["A"]}, None),
+        ("test-nash", {"payoffs": {"A": 5, "B": ["1", "0", "0", "1"]}}, {}, None),
+        ("test-nash", {"actions": ["A"]}, {}, None),
         (
             "verify",
             {},
+            {},
             {"type": "actionwise", "fees": ["A"], "kernel": AB_KERNEL},
         ),
-        ("verify", {}, {"type": "profilewise", "fee": ["0"] * 4, "kernel": ["A"]}),
+        ("verify", {}, {}, {"type": "profilewise", "fee": ["0"] * 4, "kernel": ["A"]}),
         (
             "verify",
+            {},
             {},
             {
                 "type": "profilewise",
@@ -216,14 +308,49 @@ AB_KERNEL = {"A": [["1", "0"], ["0", "1"]], "B": [["1", "0"], ["0", "1"]]}
                 "kernel": {"A": [5, ["0", "1"]], "B": AB_KERNEL["B"]},
             },
         ),
+        # A key that names no player is malformed in every per-player table.
+        ("test-nash", {"payoffs": {**AB_GAME["payoffs"], "Z": ["0"] * 4}}, {}, None),
+        ("test-nash", {}, {"C": ["1"]}, None),
+        (
+            "verify",
+            {},
+            {},
+            {
+                "type": "actionwise",
+                "fees": {"A": ["0", "0"], "B": ["0", "0"], "Z": ["0", "0"]},
+                "kernel": AB_KERNEL,
+            },
+        ),
+        (
+            "verify",
+            {},
+            {},
+            {
+                "type": "profilewise",
+                "fee": ["0"] * 4,
+                "kernel": {**AB_KERNEL, "Z": [["1"]]},
+            },
+        ),
     ],
-    ids=["payoffs-scalar", "actions-list", "fees-list", "kernel-list", "kernel-row-scalar"],
+    ids=[
+        "payoffs-scalar",
+        "actions-list",
+        "fees-list",
+        "kernel-list",
+        "kernel-row-scalar",
+        "payoffs-unknown-player",
+        "marginals-unknown-player",
+        "fees-unknown-player",
+        "kernel-unknown-player",
+    ],
 )
-def test_wrongly_typed_container_exits_two(tmp_path, command, game_patch, certificate):
+def test_wrongly_typed_container_exits_two(
+    tmp_path, command, game_patch, marginals_patch, certificate
+):
     game = tmp_path / "game.json"
     game.write_text(json.dumps({**AB_GAME, **game_patch}))
     marginals = tmp_path / "p.json"
-    marginals.write_text(json.dumps(AB_MARGINALS))
+    marginals.write_text(json.dumps({**AB_MARGINALS, **marginals_patch}))
     args = [command, str(game), str(marginals)]
     if certificate is not None:
         cert = tmp_path / "cert.json"
@@ -266,3 +393,31 @@ def test_huge_exponent_payoff_exits_two(files, tmp_path):
     assert res.stdout == ""
     lines = res.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_oversized_play_log_cell_exits_two(files, tmp_path):
+    log = tmp_path / "wide.csv"
+    log.write_text("P1,P2\n" + "T" * 131073 + ",L\n")
+    for args in (
+        ("marginals", files["game.json"], str(log)),
+        ("test-ce", files["game.json"], "--log", str(log)),
+        ("test-nash", files["game.json"], "--log", str(log)),
+    ):
+        res = run_cli(*args)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: malformed play log")
+
+
+def test_result_over_the_digit_limit_exits_two(files, tmp_path):
+    doc = json.loads(GAME_DOC)
+    doc["payoffs"]["P1"][0] = "1e4300"
+    game = tmp_path / "big.json"
+    game.write_text(json.dumps(doc))
+    res = run_cli("test-nash", str(game), files["skewed.json"])
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.splitlines() == [
+        "error: the result has a rational over the 4300-digit output limit"
+    ]

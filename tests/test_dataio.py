@@ -152,6 +152,19 @@ def test_certificate_dispatch(coordination, diagonal_profile, column_swap_kernel
         dataio.parse_certificate('{"nothing": 1}', coordination)
 
 
+def test_certificate_reads_a_verdict_document_once(
+    coordination, skewed_profile, monkeypatch
+):
+    verdict = correlated.test_ce_compatibility(coordination, skewed_profile)
+    text = dataio.emit_verdict(coordination, verdict)
+    calls = []
+    loads = dataio._loads
+    monkeypatch.setattr(dataio, "_loads", lambda t: calls.append(t) or loads(t))
+    kind, scheme = dataio.parse_certificate(text, coordination)
+    assert (kind, scheme) == ("actionwise", verdict.scheme)
+    assert calls == [text]
+
+
 def test_play_log_counts(coordination):
     log = dataio.parse_play_log("P1,P2\nT,L\nB,M\n,M\n,M\n")
     p = dataio.empirical_marginals(coordination, log)

@@ -135,6 +135,35 @@ def test_product_marginals_roundtrip(p):
     assert q.marginals() == p
 
 
+@st.composite
+def joint_distributions(draw):
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    # Mostly zero weights, as in point-mass and sparse witnesses.
+    weights = draw(
+        st.lists(
+            st.one_of(st.just(0), st.integers(1, 30)),
+            min_size=prod(shape),
+            max_size=prod(shape),
+        ).filter(any)
+    )
+    denominators = draw(
+        st.lists(st.integers(1, 9), min_size=len(weights), max_size=len(weights))
+    )
+    raw = [F(w, d) for w, d in zip(weights, denominators)]
+    total = sum(raw)
+    return JointDistribution(shape, tuple(v / total for v in raw))
+
+
+@given(joint_distributions())
+@settings(max_examples=80, deadline=None)
+def test_marginal_matches_profile_sum(q):
+    for i, k in enumerate(q.shape):
+        expected = [F(0)] * k
+        for profile in q.profiles():
+            expected[profile[i]] += q.prob(profile)
+        assert q.marginal(i) == tuple(expected)
+
+
 @given(st.fractions(min_value=0, max_value=1, max_denominator=10))
 @settings(max_examples=30, deadline=None)
 def test_surplus_linear_in_kernel(lam):

@@ -8,6 +8,24 @@ passes the incentive inequalities, or an action-wise transfer scheme
 the observed marginals is strictly positive while the aggregate deviation
 surplus covers the fees at every action profile. The scheme is obtained by
 normalizing the Farkas multipliers of the infeasible coupling system.
+
+The coupling system is built once per request and presolved before the
+solver sees it. An action with observed frequency 0 forces zero mass on
+every profile that uses it, so only the profiles in the product of the
+supports stay as variables, only the incentive rows whose recommended
+action is supported stay (their replacement action may be off the
+support), and only the marginal rows of supported actions stay, less one
+row of every player after the first, which player 0's rows already imply
+through the total mass. The reduced outcome is lifted back to the full
+system without a solver. A witness is 0 on every dropped profile. Farkas
+multipliers are 0 on the dropped incentive and redundant rows; each
+dropped profile is charged to the off-support action of the lowest-index
+player who plays one there, and that action's marginal row (rhs 0, free
+sign) gets -max(0, c), where c is the largest combination that the kept
+rows give a profile charged to it. Every dropped profile then combines to
+at most 0 and the right-hand side total is unchanged, so the lifted
+multipliers certify the full system. The lifted outcome is re-checked on
+the full system by `lp.verify_outcome` before a verdict is returned.
 """
 
 from __future__ import annotations
@@ -149,22 +167,27 @@ def expected_fee_income(p: MarginalProfile, fees) -> Fraction:
     )
 
 
-def normalize_dual(game: Game, p: MarginalProfile, multipliers) -> ActionwiseScheme:
-    """Turn a Farkas certificate of the coupling system into a transfer
-    scheme with a row-stochastic kernel.
+def normalize_dual(game: Game, system: lp.LinearSystem, multipliers) -> ActionwiseScheme:
+    """Turn a Farkas certificate of the coupling system `system`, as built
+    by `build_ce_system` for this game, into a transfer scheme with a
+    row-stochastic kernel.
 
-    Incentive-row multipliers become off-diagonal kernel mass and
-    marginal-row multipliers become fees. Both are scaled by a common
+    Raises ValueError unless the multipliers certify that `system` is
+    infeasible. Incentive-row multipliers become off-diagonal kernel mass
+    and marginal-row multipliers become fees. Both are scaled by a common
     positive factor so that every off-diagonal row sum is at most 1, and
     each diagonal entry absorbs the remainder; the diagonal carries a zero
     payoff coefficient, so the pointwise inequalities are unaffected.
     """
     multipliers = tuple(as_fraction(m) for m in multipliers)
-    system = build_ce_system(game, p)
+    shape = game.shape
+    if system.num_vars != game.num_profiles or len(system.rows) != sum(
+        k * k for k in shape
+    ):
+        raise ValueError("system is not a coupling system of this game")
     if not lp.verify_outcome(system, lp.Infeasible(multipliers)):
         raise ValueError("multipliers are not an infeasibility certificate "
                          "for this game and profile")
-    shape = game.shape
     off_diag = [[[_ZERO] * k for _ in range(k)] for k in shape]
     index = 0
     for i, ai, aj in deviation_pairs(game):
@@ -193,10 +216,94 @@ def normalize_dual(game: Game, p: MarginalProfile, multipliers) -> ActionwiseSch
     return ActionwiseScheme(fees, DeviationKernel(tuple(kernel_rows)))
 
 
-def test_ce_compatibility(game: Game, p: MarginalProfile) -> CeVerdict:
-    """Decide compatibility and return the matching certificate."""
-    outcome = lp.solve_feasibility(build_ce_system(game, p))
+@dataclass(frozen=True)
+class _Presolve:
+    """The coupling system restricted to the support product, with the
+    indices that map it back: `cols` are the kept profiles and `rows` the
+    kept rows of the full system, both ascending; `dropped` pairs every
+    other profile with the marginal row of the off-support action it is
+    charged to."""
+
+    reduced: lp.LinearSystem
+    cols: tuple[int, ...]
+    rows: tuple[int, ...]
+    dropped: tuple[tuple[int, int], ...]
+
+
+def _presolve(game: Game, p: MarginalProfile, system: lp.LinearSystem) -> _Presolve:
+    supports = [p.support(i) for i in range(game.num_players)]
+    first = len(system.rows) - sum(game.shape)
+    marginal_row = []
+    for k in game.shape:
+        marginal_row.append(first)
+        first += k
+    cols = []
+    dropped = []
+    for flat, profile in enumerate(game.profiles()):
+        for i, a in enumerate(profile):
+            if a not in supports[i]:
+                dropped.append((flat, marginal_row[i] + a))
+                break
+        else:
+            cols.append(flat)
+    rows = [
+        k for k, (i, ai, _aj) in enumerate(deviation_pairs(game)) if ai in supports[i]
+    ]
+    for i, support in enumerate(supports):
+        rows.extend(marginal_row[i] + a for a in (support if i == 0 else support[:-1]))
+    reduced = lp.LinearSystem(
+        len(cols),
+        tuple(
+            lp.Row(
+                tuple(system.rows[k].coeffs[j] for j in cols),
+                system.rows[k].sense,
+                system.rows[k].rhs,
+            )
+            for k in rows
+        ),
+        (True,) * len(cols),
+    )
+    return _Presolve(reduced, tuple(cols), tuple(rows), tuple(dropped))
+
+
+def _lift(
+    system: lp.LinearSystem, pre: _Presolve, outcome: lp.FeasibilityOutcome
+) -> lp.FeasibilityOutcome:
+    """Extend an outcome of `pre.reduced` to the full `system`."""
     if isinstance(outcome, lp.Feasible):
+        point = [_ZERO] * system.num_vars
+        for j, v in zip(pre.cols, outcome.point):
+            point[j] = v
+        return lp.Feasible(tuple(point))
+    y = [_ZERO] * len(system.rows)
+    for k, v in zip(pre.rows, outcome.multipliers):
+        y[k] = v
+    kept = [(system.rows[k].coeffs, y[k]) for k in pre.rows if y[k]]
+    for j, r in pre.dropped:
+        combined = sum((yk * coeffs[j] for coeffs, yk in kept if coeffs[j]), _ZERO)
+        if -combined < y[r]:
+            y[r] = -combined
+    return lp.Infeasible(tuple(y))
+
+
+def test_ce_compatibility(game: Game, p: MarginalProfile) -> CeVerdict:
+    """Decide compatibility and return the matching certificate.
+
+    The coupling system is built once, presolved to the product of the
+    supports (see the module docstring) and solved there. The outcome is
+    lifted back to the full system and re-checked on it by
+    `lp.verify_outcome`, on both arms, before the verdict is returned; a
+    lifted outcome that fails the check raises RuntimeError.
+    """
+    system = build_ce_system(game, p)
+    pre = _presolve(game, p, system)
+    outcome = _lift(system, pre, lp.solve_feasibility(pre.reduced))
+    if isinstance(outcome, lp.Feasible):
+        if not lp.verify_outcome(system, outcome):
+            raise RuntimeError("lifted witness fails the full coupling system")
         return Compatible(JointDistribution(game.shape, outcome.point))
-    scheme = normalize_dual(game, p, outcome.multipliers)
+    try:
+        scheme = normalize_dual(game, system, outcome.multipliers)
+    except ValueError:
+        raise RuntimeError("lifted multipliers fail the full coupling system") from None
     return Exploitable(scheme, expected_fee_income(p, scheme.fees))

@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -34,11 +35,12 @@ PAPERLIKE_SCHEME = (
 PLAYS = "P1,P2\nT,L\nB,M\n,M\n,M\n"
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "eqaudit", *args],
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
 
 
@@ -156,6 +158,61 @@ def test_oracle_flag_passes_on_both_arms(files):
     assert run_cli(
         "test-nash", files["game.json"], files["skewed.json"], "--oracle"
     ).returncode == 1
+
+
+def test_oracle_is_bounded_on_a_sparse_three_player_game(tmp_path):
+    # Seeded 2x3x2 game whose equilibrium marginals have supports (0, 1),
+    # (0, 2), (0, 1): a grid scheme search over it runs for minutes, so
+    # --oracle must not start one.
+    from eqaudit import dataio, oracles
+
+    rng = random.Random(3)
+    for _ in range(9):
+        game = oracles.random_game(rng)
+    p = oracles.random_ce(game, 8).marginals()
+    assert [p.support(i) for i in range(3)] == [(0, 1), (0, 2), (0, 1)]
+    game_path = tmp_path / "game.json"
+    game_path.write_text(dataio.emit_game(game))
+    marginals_path = tmp_path / "p.json"
+    marginals_path.write_text(dataio.emit_marginals(game, p))
+    plain = run_cli("test-ce", str(game_path), str(marginals_path))
+    checked = run_cli(
+        "test-ce", str(game_path), str(marginals_path), "--oracle", "--seed", "3",
+        timeout=30,
+    )
+    assert plain.returncode == checked.returncode == 0
+    assert checked.stdout == plain.stdout
+
+
+@pytest.mark.parametrize(
+    "marginals, kind", [("mixed.json", "witness"), ("skewed.json", "actionwise")]
+)
+def test_sparse_certificate_round_trip(files, tmp_path, marginals, kind):
+    # Both profiles leave R unobserved, so the certificate is a lifted one:
+    # a witness that is 0 on R, or a scheme with a negative fee on R and an
+    # identity kernel row for it.
+    first = run_cli("test-ce", files["game.json"], files[marginals])
+    second = run_cli("test-ce", files["game.json"], files[marginals])
+    assert first.stdout == second.stdout
+    assert first.returncode == second.returncode
+    doc = json.loads(first.stdout)
+    if kind == "witness":
+        assert first.returncode == 0
+        certificate = {"witness": doc["witness"]}
+        assert doc["witness"][2] == doc["witness"][5] == "0"
+    else:
+        assert first.returncode == 1
+        certificate = doc["scheme"]
+        assert certificate["fees"]["P2"][2].startswith("-")
+        assert certificate["kernel"]["P2"][2] == ["0", "0", "1"]
+    path = tmp_path / "certificate.json"
+    path.write_text(json.dumps(certificate))
+    res = run_cli("verify", files["game.json"], files[marginals], str(path))
+    assert res.returncode == 0
+    result = json.loads(res.stdout)
+    assert result["kind"] == kind and result["valid"] is True
+    if kind == "actionwise":
+        assert result["expected_profit"] == doc["expected_profit"]
 
 
 def test_batch_directory_with_jobs(files, tmp_path):

@@ -19,7 +19,7 @@ from eqaudit.correlated import (
     normalize_dual,
 )
 from eqaudit.games import Game, JointDistribution, MarginalProfile
-from eqaudit.oracles import random_game, random_marginals
+from eqaudit.oracles import random_ce, random_game, random_marginals
 from eqaudit.verify import verify_actionwise, verify_witness
 
 
@@ -101,10 +101,14 @@ def test_skewed_profile_exploitable(coordination, skewed_profile):
     assert income == verdict.expected_profit > 0
 
 
-def test_normalize_dual_rejects_garbage(coordination, skewed_profile):
+def test_normalize_dual_rejects_garbage(coordination, skewed_profile, matching_pennies):
     sys_ = build_ce_system(coordination, skewed_profile)
     with pytest.raises(ValueError):
-        normalize_dual(coordination, skewed_profile, (F(0),) * len(sys_.rows))
+        normalize_dual(coordination, sys_, (F(0),) * len(sys_.rows))
+    # a true certificate of the system, read against another game
+    out = lp.solve_feasibility(sys_)
+    with pytest.raises(ValueError):
+        normalize_dual(matching_pennies, sys_, out.multipliers)
 
 
 def test_normalize_dual_scale_invariance(coordination, skewed_profile):
@@ -113,9 +117,89 @@ def test_normalize_dual_scale_invariance(coordination, skewed_profile):
     assert isinstance(out, lp.Infeasible)
     for scale in (F(1), F(5), F(1, 7)):
         scheme = normalize_dual(
-            coordination, skewed_profile, tuple(scale * m for m in out.multipliers)
+            coordination, sys_, tuple(scale * m for m in out.multipliers)
         )
         assert verify_actionwise(coordination, skewed_profile, scheme) > 0
+
+
+def _support_product(game, p):
+    supports = [set(p.support(i)) for i in range(game.num_players)]
+    return [
+        all(a in supports[i] for i, a in enumerate(profile))
+        for profile in game.profiles()
+    ]
+
+
+def test_presolve_keeps_the_decision_and_certificates():
+    # The verdict on the presolved system must be the arm the full system
+    # gives, and every lifted certificate must check out on its own.
+    # random_marginals leaves some actions at 0; random_ce marginals come
+    # from sparse vertices.
+    rng = random.Random(17)
+    seen = set()
+    for k in range(40):
+        game = random_game(rng, max_actions=3 if k % 2 else 2)
+        for p in (random_marginals(rng, game), random_ce(game, k).marginals()):
+            verdict = correlated.test_ce_compatibility(game, p)
+            full = lp.solve_feasibility(build_ce_system(game, p))
+            assert isinstance(verdict, Compatible) == isinstance(full, lp.Feasible)
+            seen.add((type(verdict), any(0 in row for row in p.probs)))
+            if isinstance(verdict, Compatible):
+                assert verify_witness(game, p, verdict.witness)
+                inside = _support_product(game, p)
+                assert all(
+                    v == 0 for v, kept in zip(verdict.witness.probs, inside) if not kept
+                )
+            else:
+                assert (
+                    verify_actionwise(game, p, verdict.scheme)
+                    == verdict.expected_profit
+                    > 0
+                )
+    # both arms, each with and without an off-support action
+    assert len(seen) == 4
+
+
+def test_skewed_certificate_is_the_lifted_one(coordination, skewed_profile):
+    # R is off the support: its fee is the negative lift multiplier and its
+    # kernel row, whose incentive rows were dropped, is the identity.
+    verdict = correlated.test_ce_compatibility(coordination, skewed_profile)
+    assert isinstance(verdict, Exploitable)
+    assert verdict.expected_profit == F(7, 36)
+    assert verdict.scheme.fees == ((F(1), F(-1, 9)), (F(-1), F(0), F(-1)))
+    assert verdict.scheme.kernel.rows[1][2] == (F(0), F(0), F(1))
+    assert verify_actionwise(coordination, skewed_profile, verdict.scheme) == F(7, 36)
+
+
+def test_lift_needs_a_negative_off_support_fee():
+    # Pinned seeded instance: player 2's first action is unobserved, and
+    # the lifted certificate only passes the full system because that
+    # action's marginal row gets a strictly negative multiplier.
+    rng = random.Random(2)
+    game = random_game(rng)
+    p = random_marginals(rng, game)
+    assert game.shape == (2, 2) and p.support(1) == (1,)
+    verdict = correlated.test_ce_compatibility(game, p)
+    assert isinstance(verdict, Exploitable)
+    assert verdict.scheme.fees[1][0] < 0
+    assert verify_actionwise(game, p, verdict.scheme) == verdict.expected_profit > 0
+
+
+def test_ce_system_is_built_once_per_request(
+    monkeypatch, coordination, skewed_profile, mixed_equilibrium
+):
+    calls = []
+    original = correlated.build_ce_system
+
+    def counting(game, p):
+        calls.append(p)
+        return original(game, p)
+
+    monkeypatch.setattr(correlated, "build_ce_system", counting)
+    for p, arm in ((skewed_profile, Exploitable), (mixed_equilibrium, Compatible)):
+        calls.clear()
+        assert isinstance(correlated.test_ce_compatibility(coordination, p), arm)
+        assert calls == [p]
 
 
 def test_marginal_zero_probability_actions(coordination):

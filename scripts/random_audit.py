@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Randomized cross-validation of the analyzers against the brute-force
 oracles. Samples small games, audits equilibrium-derived and random
-profiles, and re-verifies every certificate; any disagreement raises.
+profiles, and re-verifies every certificate; every CE and Nash verdict
+also goes through `oracles.cross_check`, the `--oracle` check of the
+command line. Any disagreement raises.
 
     python scripts/random_audit.py --games 50 --profiles 100 --seed 7
 """
@@ -16,6 +18,7 @@ from eqaudit.correlated import Compatible
 from eqaudit.nash import IsNash, is_nash
 from eqaudit.oracles import (
     coupling_scan_2x2,
+    cross_check,
     exhaustive_scheme_search,
     random_ce,
     random_game,
@@ -34,6 +37,7 @@ def main():
     rng = random.Random(args.seed)
     games = [random_game(rng) for _ in range(args.games)]
     start = time.monotonic()
+    checked = 0  # verdicts passed through cross_check
 
     for idx, game in enumerate(games):
         q = random_ce(game, seed=args.seed * 1000 + idx)
@@ -41,6 +45,8 @@ def main():
         assert verify_witness(game, p, q)
         verdict = correlated.test_ce_compatibility(game, p)
         assert isinstance(verdict, Compatible), "equilibrium marginals misjudged"
+        cross_check(game, p, verdict, seed=idx)
+        checked += 1
     print(f"{args.games} equilibrium-derived profiles: all compatible")
 
     counts = {"compatible": 0, "exploitable": 0, "nash": 0, "scans": 0, "searches": 0}
@@ -49,6 +55,8 @@ def main():
         game = games[rng.randrange(len(games))]
         p = random_marginals(rng, game)
         verdict = correlated.test_ce_compatibility(game, p)
+        cross_check(game, p, verdict, seed=k)
+        checked += 1
         small_support = all(
             len(p.support(i)) <= 2 for i in range(game.num_players)
         )
@@ -66,6 +74,8 @@ def main():
                 assert coupling_scan_2x2(game, p, 32) is None
                 counts["scans"] += 1
         nash_verdict = nash.test_nash_exploitability(game, p)
+        cross_check(game, p, nash_verdict)
+        checked += 1
         assert is_nash(game, p) == isinstance(nash_verdict, IsNash)
         if isinstance(nash_verdict, IsNash):
             counts["nash"] += 1
@@ -83,7 +93,8 @@ def main():
     )
     print(
         f"oracle cross-checks: {counts['scans']} coupling scans, "
-        f"{counts['searches']} scheme searches, no disagreements"
+        f"{counts['searches']} scheme searches, {checked} cross_check verdicts, "
+        "no disagreements"
     )
     print(f"done in {elapsed:.1f}s")
 

@@ -6,6 +6,11 @@ invalid; 2 on malformed input; 3 when `--oracle` cross-checks disagree
 with the verdict; 4 when a solver self-check fails (an internal error,
 never expected). Output is byte-deterministic: the same inputs always
 produce the same document.
+
+`test-ce` and `test-nash` share one route, `_audit`, which takes the test
+function itself. Either test's verdict is `Compatible`, `IsNash` or the
+one `Exploitable` verdict, and `--oracle` passes it to
+`oracles.cross_check`.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import dataio, nash, oracles
+from . import dataio, oracles
 from .correlated import Exploitable, test_ce_compatibility
 from .dataio import DataFormatError
 from .games import surplus_table
@@ -50,22 +55,17 @@ def _load_profile(args, game) -> "dataio.MarginalProfile":
     return dataio.parse_marginals(_read(args.marginals), game)
 
 
-def _audit(kind: str, game, p, oracle: bool, seed: int):
-    """Test one profile, cross-check the verdict when `oracle` is set, and
+def _audit(test, game, p, oracle: bool, seed: int):
+    """Run `test` (`test_ce_compatibility` or `test_nash_exploitability`)
+    on one profile, cross-check the verdict when `oracle` is set, and
     return the verdict document and whether the profile is exploitable."""
-    if kind == "ce":
-        verdict = test_ce_compatibility(game, p)
-        if oracle:
-            oracles.cross_check_ce(game, p, verdict, seed=seed)
-    else:
-        verdict = test_nash_exploitability(game, p)
-        if oracle:
-            oracles.cross_check_nash(game, p, verdict)
-    exploitable = isinstance(verdict, (Exploitable, nash.Exploitable))
-    return dataio.emit_verdict(game, verdict), exploitable
+    verdict = test(game, p)
+    if oracle:
+        oracles.cross_check(game, p, verdict, seed=seed)
+    return dataio.emit_verdict(game, verdict), isinstance(verdict, Exploitable)
 
 
-def _run_batch(kind: str, game, args) -> int:
+def _run_batch(test, game, args) -> int:
     import json
     from concurrent.futures import ProcessPoolExecutor
 
@@ -76,7 +76,7 @@ def _run_batch(kind: str, game, args) -> int:
     if not files:
         raise DataFormatError(f"no .json marginals files in {directory}")
     profiles = [dataio.parse_marginals(_read(str(f)), game) for f in files]
-    tasks = [(kind, game, p, args.oracle, args.seed) for p in profiles]
+    tasks = [(test, game, p, args.oracle, args.seed) for p in profiles]
     # The pool forks all its workers up front, so size it by what can run.
     workers = min(args.jobs, len(files), os.cpu_count() or 1)
     if workers > 1:
@@ -91,12 +91,12 @@ def _run_batch(kind: str, game, args) -> int:
     return 1 if any(flag for _, flag in results) else 0
 
 
-def _cmd_test(kind: str, args) -> int:
+def _cmd_test(test, args) -> int:
     game = dataio.parse_game(_read(args.game))
     if args.marginals and Path(args.marginals).is_dir():
-        return _run_batch(kind, game, args)
+        return _run_batch(test, game, args)
     doc, exploitable = _audit(
-        kind, game, _load_profile(args, game), args.oracle, args.seed
+        test, game, _load_profile(args, game), args.oracle, args.seed
     )
     _write_output(doc, args.out)
     return 1 if exploitable else 0
@@ -173,13 +173,13 @@ def build_parser() -> argparse.ArgumentParser:
     ce.add_argument("game")
     ce.add_argument("marginals", nargs="?")
     add_common(ce)
-    ce.set_defaults(func=lambda a: _cmd_test("ce", a))
+    ce.set_defaults(func=lambda a: _cmd_test(test_ce_compatibility, a))
 
     ne = sub.add_parser("test-nash", help="Nash equilibrium test")
     ne.add_argument("game")
     ne.add_argument("marginals", nargs="?")
     add_common(ne)
-    ne.set_defaults(func=lambda a: _cmd_test("nash", a))
+    ne.set_defaults(func=lambda a: _cmd_test(test_nash_exploitability, a))
 
     vf = sub.add_parser("verify", help="check a witness or scheme document")
     vf.add_argument("game")

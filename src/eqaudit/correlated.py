@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from . import lp
 from .games import (
@@ -42,6 +42,9 @@ from .games import (
     MarginalProfile,
     as_fraction,
 )
+
+if TYPE_CHECKING:
+    from .nash import ProfilewiseScheme
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -74,7 +77,11 @@ class Compatible:
 
 @dataclass(frozen=True)
 class Exploitable:
-    scheme: ActionwiseScheme
+    """Either test's verdict on exploitable play: a feasible scheme with
+    positive expected income, action-wise from `test_ce_compatibility` and
+    profile-wise from `nash.test_nash_exploitability`."""
+
+    scheme: ActionwiseScheme | ProfilewiseScheme
     expected_profit: Fraction
 
 

@@ -7,7 +7,9 @@ literals in input are converted exactly (0.1 becomes 1/10, never a binary
 float). A decimal exponent may be at most `MAX_EXPONENT` (4300, Python's
 default int-string digit limit) in magnitude: "1e4300" is read, "1e4301"
 and "1e-1000000" are malformed, because the cost of building such a
-number grows faster than its exponent. Payoff tensors, joint
+number grows faster than its exponent. Bare JSON number literals follow
+the same rules as strings: 1e4301 is malformed, and so is an integer
+literal of more than 4300 digits. Payoff tensors, joint
 distributions and fee tables are flat lists in row-major profile order:
 players in declaration order, actions in declaration order, last
 player's action fastest.
@@ -20,7 +22,10 @@ as malformed input.
 
 Play logs are CSV with one column per player (header row holds player
 ids). Columns may have different lengths; the histories are per player
-and never aligned across players.
+and never aligned across players. Like a per-player table, a log needs a
+column for every game player and no other: a header id that names no
+player is malformed, and so is a non-empty cell past the last header
+column. Empty cells are ignored.
 """
 
 from __future__ import annotations
@@ -96,9 +101,19 @@ def rational_str(value: Fraction) -> str:
         ) from None
 
 
+def _int_literal(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # more digits than str-to-int converts
+        raise DataFormatError(
+            "malformed number: an integer literal over the "
+            f"{sys.get_int_max_str_digits()}-digit input limit"
+        ) from None
+
+
 def _loads(text: str) -> dict:
     try:
-        doc = json.loads(text, parse_float=Fraction)
+        doc = json.loads(text, parse_float=parse_rational, parse_int=_int_literal)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"invalid JSON: {exc}") from None
     except RecursionError:
@@ -286,7 +301,7 @@ def emit_verdict(game: Game, verdict) -> str:
             "verdict": "compatible",
             "witness": [rational_str(v) for v in verdict.witness.probs],
         }
-    elif isinstance(verdict, (Exploitable, nash.Exploitable)):
+    elif isinstance(verdict, Exploitable):
         doc = {
             "verdict": "exploitable",
             "expected_profit": rational_str(verdict.expected_profit),
@@ -307,10 +322,7 @@ def _verdict_from_doc(doc: dict, game: Game):
         return nash.IsNash()
     if kind == "exploitable":
         scheme = _parse_scheme_doc(_require(doc, "scheme"), game)
-        profit = parse_rational(_require(doc, "expected_profit"))
-        if isinstance(scheme, ActionwiseScheme):
-            return Exploitable(scheme, profit)
-        return nash.Exploitable(scheme, profit)
+        return Exploitable(scheme, parse_rational(_require(doc, "expected_profit")))
     raise DataFormatError(f"unknown verdict {kind!r}")
 
 
@@ -329,7 +341,7 @@ def parse_certificate(text: str, game: Game):
         verdict = _verdict_from_doc(doc, game)
         if isinstance(verdict, Compatible):
             return "witness", verdict.witness
-        if not isinstance(verdict, (Exploitable, nash.Exploitable)):
+        if not isinstance(verdict, Exploitable):
             raise DataFormatError("verdict document carries nothing checkable")
         scheme = verdict.scheme
     elif "witness" in doc:
@@ -379,7 +391,8 @@ def _csv_rows(text: str):
 
 def parse_play_log(text: str) -> PlayLog:
     """Read a CSV play log: header row of player ids, one column per
-    player, empty cells ignored (histories may differ in length)."""
+    player, empty cells ignored (histories may differ in length). A
+    non-empty cell past the header is malformed."""
     reader = _csv_rows(text)
     try:
         header = next(reader)
@@ -391,16 +404,20 @@ def parse_play_log(text: str) -> PlayLog:
     if len(set(header)) != len(header):
         raise DataFormatError("play log header repeats a player id")
     columns: list[list[str]] = [[] for _ in header]
-    for row in reader:
-        for j, cell in enumerate(row[: len(header)]):
+    for line, row in enumerate(reader, start=2):
+        for j, cell in enumerate(row):
             cell = cell.strip()
-            if cell:
-                columns[j].append(cell)
+            if not cell:
+                continue
+            if j >= len(header):
+                raise DataFormatError(f"play log row {line} has a cell past the header")
+            columns[j].append(cell)
     return PlayLog(tuple(header), tuple(tuple(c) for c in columns))
 
 
 def empirical_marginals(game: Game, log: PlayLog) -> MarginalProfile:
-    """Exact per-player action frequencies from a play log."""
+    """Exact per-player action frequencies from a play log, which must
+    have a column for every game player and no other."""
     rows = []
     for i, player in enumerate(game.players):
         try:
@@ -416,4 +433,7 @@ def empirical_marginals(game: Game, log: PlayLog) -> MarginalProfile:
             except ValueError as exc:
                 raise DataFormatError(str(exc)) from None
         rows.append(tuple(Fraction(c, len(history)) for c in counts))
+    for player in log.players:
+        if player not in game.players:
+            raise DataFormatError(f"play log lists unknown player {player!r}")
     return MarginalProfile(tuple(rows))

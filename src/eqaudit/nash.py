@@ -8,7 +8,9 @@ kernel plus an aggregate fee per action profile, feasible at every
 profile and with strictly positive expected income under the product
 distribution. No solver is needed: the kernel makes the one unilateral
 deviation that gains most, and the fee is its surplus (compare Nau and
-McCardle, "Coherent behavior in noncooperative games", JET 1990). The
+McCardle, "Coherent behavior in noncooperative games", JET 1990). A
+non-equilibrium gets the same `Exploitable` verdict as the correlated
+test, imported from `correlated`, carrying a `ProfilewiseScheme`. The
 pinned LP `build_nash_system` is kept as a reference formulation only.
 """
 
@@ -20,7 +22,7 @@ from fractions import Fraction
 from math import prod
 
 from . import lp
-from .correlated import deviation_pairs, incentive_coefficients
+from .correlated import Exploitable, deviation_pairs, incentive_coefficients
 from .games import (
     DeviationKernel,
     Game,
@@ -52,12 +54,6 @@ class ProfilewiseScheme:
 @dataclass(frozen=True)
 class IsNash:
     pass
-
-
-@dataclass(frozen=True)
-class Exploitable:
-    scheme: ProfilewiseScheme
-    expected_profit: Fraction
 
 
 NashVerdict = IsNash | Exploitable

@@ -7,11 +7,14 @@ exploitability (by exhibiting a positive-income scheme from a finite
 family). Each is sound, neither is complete, and together they catch the
 sign and indexing mistakes that duality code is prone to. Their work is
 not bounded in advance, so only the test suite and
-`scripts/random_audit.py` call them; the command-line `--oracle` checks
-(`cross_check_ce`, `cross_check_nash`) re-verify certificates and, for
-compatibility, make the `random_ce` round trip. `random_ce` samples a
-vertex of the incentive polytope under a seeded objective and is checked
-against the direct incentive inequalities before returning.
+`scripts/random_audit.py` call them. The command-line `--oracle` check,
+`cross_check`, takes a verdict of either test: it re-verifies the
+certificate (a witness, or the action-wise or profile-wise scheme of the
+one `Exploitable` verdict), runs the direct best-response check on Nash
+verdicts and, for compatibility, makes the `random_ce` round trip.
+`random_ce` samples a vertex of the incentive polytope under a seeded
+objective and is checked against the direct incentive inequalities
+before returning.
 
 Everything here is deterministic given its seed; no wall-clock entropy.
 """
@@ -43,8 +46,7 @@ from .games import (
     product_distribution,
     surplus_table,
 )
-from .nash import Exploitable as ProfileExploitable
-from .nash import IsNash, is_nash
+from .nash import IsNash, ProfilewiseScheme, is_nash
 from .verify import (
     SchemeViolation,
     verify_actionwise,
@@ -304,13 +306,18 @@ def random_marginals(rng: random.Random, game: Game) -> MarginalProfile:
     return MarginalProfile(tuple(rows))
 
 
-def cross_check_ce(game: Game, p: MarginalProfile, verdict, seed: int = 0) -> None:
-    """Raise OracleDisagreement if a compatibility verdict contradicts the
+def cross_check(game: Game, p: MarginalProfile, verdict, seed: int = 0) -> None:
+    """Raise OracleDisagreement if a verdict of either test contradicts the
     independent checks. Used by the command-line `--oracle` flag.
 
-    The certificate is re-verified with the `verify` checkers, and a
-    compatible verdict is also checked by the `random_ce` round trip: the
-    marginals of a sampled equilibrium must come back compatible. The grid
+    A compatible verdict must carry a witness that `verify_witness`
+    accepts, and the `random_ce` round trip must hold: the marginals of
+    the equilibrium sampled under `seed` must come back compatible. An
+    IsNash verdict must pass the direct best-response check, and the
+    product of its profile the incentive inequalities. An exploitable
+    verdict's scheme is re-verified by the checker of its kind, and its
+    income must be positive and equal to the verdict's; a profile-wise
+    (Nash) verdict must also fail the best-response check. The grid
     scans are not run here: their work has no bound, and by weak duality
     neither can overturn a verified certificate. A witness q gives every
     feasible scheme the income E_p[fees] = E_q[fees] <= E_q[surplus] <= 0,
@@ -324,35 +331,24 @@ def cross_check_ce(game: Game, p: MarginalProfile, verdict, seed: int = 0) -> No
             raise OracleDisagreement(
                 "marginals of a sampled equilibrium judged incompatible"
             )
-    elif isinstance(verdict, Exploitable):
-        try:
-            income = verify_actionwise(game, p, verdict.scheme)
-        except SchemeViolation as exc:
-            raise OracleDisagreement(f"exploitable verdict carries a bad scheme: {exc}")
-        if income != verdict.expected_profit or income <= 0:
-            raise OracleDisagreement("exploitable verdict income does not check out")
-    else:
-        raise TypeError(f"not a compatibility verdict: {verdict!r}")
-
-
-def cross_check_nash(game: Game, p: MarginalProfile, verdict) -> None:
-    """Raise OracleDisagreement if a Nash verdict contradicts the direct
-    best-response check or its own certificate."""
-    if isinstance(verdict, IsNash):
+    elif isinstance(verdict, IsNash):
         if not is_nash(game, p):
             raise OracleDisagreement("IsNash verdict fails the best-response check")
         if not is_correlated_equilibrium(game, product_distribution(p)):
             raise OracleDisagreement(
                 "product of an equilibrium profile fails the incentive inequalities"
             )
-    elif isinstance(verdict, ProfileExploitable):
-        if is_nash(game, p):
-            raise OracleDisagreement("exploitable verdict on an equilibrium profile")
+    elif isinstance(verdict, Exploitable):
+        checker = verify_actionwise
+        if isinstance(verdict.scheme, ProfilewiseScheme):
+            checker = verify_profilewise
+            if is_nash(game, p):
+                raise OracleDisagreement("exploitable verdict on an equilibrium profile")
         try:
-            income = verify_profilewise(game, p, verdict.scheme)
+            income = checker(game, p, verdict.scheme)
         except SchemeViolation as exc:
             raise OracleDisagreement(f"exploitable verdict carries a bad scheme: {exc}")
         if income != verdict.expected_profit or income <= 0:
             raise OracleDisagreement("exploitable verdict income does not check out")
     else:
-        raise TypeError(f"not a Nash verdict: {verdict!r}")
+        raise TypeError(f"not a verdict: {verdict!r}")

@@ -299,7 +299,7 @@ def test_batch_runs_the_oracle_cross_check(files, tmp_path, monkeypatch, capsys)
     def disagree(*_args, **_kwargs):
         raise oracles.OracleDisagreement("planted")
 
-    monkeypatch.setattr(oracles, "cross_check_ce", disagree)
+    monkeypatch.setattr(oracles, "cross_check", disagree)
     batch = _batch(tmp_path, 2)
     assert cli.main(["test-ce", files["game.json"], batch]) == 1
     capsys.readouterr()
@@ -450,6 +450,45 @@ def test_huge_exponent_payoff_exits_two(files, tmp_path):
     assert res.stdout == ""
     lines = res.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "literal, message",
+    [
+        ("1e4301", "exponent magnitude over 4300"),
+        ("1e-1000000", "exponent magnitude over 4300"),
+        ("7" * 5000, "integer literal over the 4300-digit input limit"),
+    ],
+    ids=["exponent-4301", "exponent-minus-million", "integer-5000-digits"],
+)
+def test_bare_number_literal_over_a_limit_exits_two(files, tmp_path, literal, message):
+    game = tmp_path / "bare.json"
+    game.write_text(GAME_DOC.replace('"9"', literal, 1))
+    res = run_cli("test-nash", str(game), files["skewed.json"], timeout=30)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0]
+
+
+@pytest.mark.parametrize(
+    "log",
+    ["P1,P2\nT,L,B\nB,M\n", "P1,P2,P3\nT,L,x\nB,M\n"],
+    ids=["cell-past-header", "unknown-player"],
+)
+def test_play_log_outside_the_table_rule_exits_two(files, tmp_path, log):
+    path = tmp_path / "plays.csv"
+    path.write_text(log)
+    for args in (
+        ("marginals", files["game.json"], str(path)),
+        ("test-ce", files["game.json"], "--log", str(path)),
+        ("test-nash", files["game.json"], "--log", str(path)),
+    ):
+        res = run_cli(*args)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: play log")
 
 
 def test_oversized_play_log_cell_exits_two(files, tmp_path):

@@ -108,7 +108,7 @@ def test_verdict_roundtrip_exploitable(coordination, skewed_profile):
     assert isinstance(verdict, Exploitable)
     text = dataio.emit_verdict(coordination, verdict)
     back = dataio.parse_verdict(text, coordination)
-    assert back == verdict
+    assert type(back) is Exploitable and back == verdict
 
 
 def test_verdict_roundtrip_nash(coordination, mixed_equilibrium, skewed_profile):
@@ -120,7 +120,7 @@ def test_verdict_roundtrip_nash(coordination, mixed_equilibrium, skewed_profile)
     text = dataio.emit_verdict(coordination, exploit)
     back = dataio.parse_verdict(text, coordination)
     assert isinstance(back.scheme, ProfilewiseScheme)
-    assert back == exploit
+    assert type(back) is Exploitable and back == exploit
 
 
 def test_scheme_document_checks_out(coordination, skewed_profile, column_swap_kernel):
@@ -173,7 +173,8 @@ def test_play_log_counts(coordination):
 
 
 def test_play_log_independent_lengths(coordination):
-    log = dataio.parse_play_log("P2,P1\nL,T\nM,B\nM,\nM,\n")
+    # Empty cells past the header are ignored like any other empty cell.
+    log = dataio.parse_play_log("P2,P1\nL,T,\nM,B, \nM,\nM,\n")
     p = dataio.empirical_marginals(coordination, log)
     assert p.probs[0] == (F(1, 2), F(1, 2))
     assert p.probs[1] == (F(1, 4), F(3, 4), F(0))
@@ -188,6 +189,13 @@ def test_play_log_errors(coordination):
         )
     with pytest.raises(DataFormatError):
         dataio.parse_play_log("P1,P1\nT,T\n")
+    # A log follows the per-player table rule: no cell past the header and
+    # no column for a player the game does not have.
+    with pytest.raises(DataFormatError, match="row 2 has a cell past the header"):
+        dataio.parse_play_log("P1,P2\nT,L,B\n")
+    log = dataio.parse_play_log("P1,P2,P3\nT,L,x\nB,M,\n")
+    with pytest.raises(DataFormatError, match="unknown player 'P3'"):
+        dataio.empirical_marginals(coordination, log)
 
 
 @given(
@@ -242,6 +250,21 @@ def test_parse_rational_edge_forms_unchanged(text):
 def test_parse_rational_zero_denominator():
     with pytest.raises(DataFormatError):
         dataio.parse_rational("1/0")
+
+
+def _bare_payoff(literal: str) -> str:
+    """The game document with P1's first payoff as a bare JSON number."""
+    return GAME_DOC.replace('"9"', literal, 1)
+
+
+def test_bare_number_literals_follow_the_string_rules():
+    assert dataio.parse_game(_bare_payoff("1e4300")).payoffs[0][0] == 10**4300
+    assert dataio.parse_game(_bare_payoff("25E-4300")).payoffs[0][0] == F(25, 10**4300)
+    for literal in ("1e4301", "1e-1000000", "2.5e1000000"):
+        with pytest.raises(DataFormatError, match="exponent magnitude over 4300"):
+            dataio.parse_game(_bare_payoff(literal))
+    with pytest.raises(DataFormatError, match="over the 4300-digit input limit"):
+        dataio.parse_game(_bare_payoff("7" * 5000))
 
 
 def test_parse_rational_bounds_the_exponent():

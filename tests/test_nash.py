@@ -46,6 +46,15 @@ def test_skewed_profile_not_nash(coordination, skewed_profile):
     assert income == verdict.expected_profit > 0
 
 
+def test_both_tests_share_one_exploitable_verdict(coordination, skewed_profile):
+    assert Exploitable is correlated.Exploitable
+    ce = correlated.test_ce_compatibility(coordination, skewed_profile)
+    ne = nash.test_nash_exploitability(coordination, skewed_profile)
+    assert type(ce) is type(ne) is Exploitable
+    assert isinstance(ce.scheme, correlated.ActionwiseScheme)
+    assert isinstance(ne.scheme, ProfilewiseScheme)
+
+
 def test_skewed_certificate_moves_the_second_column(
     coordination, skewed_profile, column_swap_kernel
 ):

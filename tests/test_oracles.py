@@ -3,11 +3,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from eqaudit import correlated
-from eqaudit.correlated import Compatible, Exploitable
-from eqaudit.games import Game, MarginalProfile
+from eqaudit import correlated, nash, oracles
+from eqaudit.correlated import ActionwiseScheme, Compatible, Exploitable
+from eqaudit.games import DeviationKernel, Game, MarginalProfile, product_distribution
+from eqaudit.nash import IsNash, ProfilewiseScheme
 from eqaudit.oracles import (
+    OracleDisagreement,
     coupling_scan_2x2,
+    cross_check,
     exhaustive_scheme_search,
     random_ce,
     random_game,
@@ -111,3 +114,119 @@ def test_oracles_agree_with_analyzer():
             assert exhaustive_scheme_search(game, p, grid) is None
             searched += 1
     assert scanned >= 5  # the corpus must actually exercise the checks
+
+
+# --- cross_check: the `--oracle` check for verdicts of both tests ----------
+
+
+def test_cross_check_accepts_true_verdicts():
+    """Every verdict kind but IsNash, which random marginals rarely earn;
+    the next test supplies it."""
+    rng = random.Random(12)
+    seen = set()
+    for trial in range(30):
+        game = random_game(rng)
+        if trial % 2:
+            p = random_marginals(rng, game)
+        else:
+            p = random_ce(game, trial).marginals()
+        for test in (correlated.test_ce_compatibility, nash.test_nash_exploitability):
+            verdict = test(game, p)
+            cross_check(game, p, verdict, seed=trial)
+            seen.add(type(getattr(verdict, "scheme", verdict)).__name__)
+    assert seen >= {"Compatible", "ActionwiseScheme", "ProfilewiseScheme"}
+
+
+def test_cross_check_accepts_is_nash(coordination, mixed_equilibrium):
+    verdict = nash.test_nash_exploitability(coordination, mixed_equilibrium)
+    assert verdict == IsNash()
+    cross_check(coordination, mixed_equilibrium, verdict)
+
+
+def test_cross_check_rejects_a_bad_witness(coordination, diagonal_profile):
+    # The product of the diagonal marginals has the right marginals, but a
+    # player told B gains by switching to T.
+    verdict = Compatible(product_distribution(diagonal_profile))
+    with pytest.raises(OracleDisagreement, match="bad witness"):
+        cross_check(coordination, diagonal_profile, verdict)
+
+
+def test_cross_check_rejects_a_failed_round_trip(
+    coordination, diagonal_profile, skewed_profile, monkeypatch
+):
+    verdict = correlated.test_ce_compatibility(coordination, diagonal_profile)
+    cross_check(coordination, diagonal_profile, verdict)
+    # A sampler that returns a distribution whose marginals are incompatible.
+    monkeypatch.setattr(
+        oracles, "random_ce", lambda game, seed: product_distribution(skewed_profile)
+    )
+    with pytest.raises(OracleDisagreement, match="judged incompatible"):
+        cross_check(coordination, diagonal_profile, verdict)
+
+
+def test_cross_check_rejects_is_nash_on_a_non_equilibrium(coordination, skewed_profile):
+    with pytest.raises(OracleDisagreement, match="fails the best-response check"):
+        cross_check(coordination, skewed_profile, IsNash())
+
+
+def test_cross_check_rejects_a_non_correlated_product(
+    coordination, skewed_profile, monkeypatch
+):
+    # A best-response check that wrongly passes leaves the product check.
+    monkeypatch.setattr(oracles, "is_nash", lambda game, p: True)
+    with pytest.raises(OracleDisagreement, match="fails the incentive inequalities"):
+        cross_check(coordination, skewed_profile, IsNash())
+
+
+def test_cross_check_rejects_profilewise_exploitation_of_a_nash_profile(
+    coordination, skewed_profile, mixed_equilibrium
+):
+    verdict = nash.test_nash_exploitability(coordination, skewed_profile)
+    with pytest.raises(OracleDisagreement, match="on an equilibrium profile"):
+        cross_check(coordination, mixed_equilibrium, verdict)
+
+
+def _tampered(scheme):
+    if isinstance(scheme, ActionwiseScheme):
+        fees = [list(row) for row in scheme.fees]
+        fees[0][0] += 100
+        return ActionwiseScheme(tuple(map(tuple, fees)), scheme.kernel)
+    return ProfilewiseScheme((scheme.fee[0] + 100,) + scheme.fee[1:], scheme.kernel)
+
+
+BOTH_TESTS = pytest.mark.parametrize(
+    "test",
+    [correlated.test_ce_compatibility, nash.test_nash_exploitability],
+    ids=["actionwise", "profilewise"],
+)
+
+
+@BOTH_TESTS
+def test_cross_check_rejects_a_tampered_scheme(coordination, skewed_profile, test):
+    verdict = test(coordination, skewed_profile)
+    cross_check(coordination, skewed_profile, verdict)
+    bad = Exploitable(_tampered(verdict.scheme), verdict.expected_profit)
+    with pytest.raises(OracleDisagreement, match="bad scheme: scheme infeasible"):
+        cross_check(coordination, skewed_profile, bad)
+
+
+@BOTH_TESTS
+def test_cross_check_rejects_a_wrong_income(coordination, skewed_profile, test):
+    verdict = test(coordination, skewed_profile)
+    wrong = Exploitable(verdict.scheme, verdict.expected_profit + 1)
+    with pytest.raises(OracleDisagreement, match="income does not check out"):
+        cross_check(coordination, skewed_profile, wrong)
+
+
+def test_cross_check_rejects_a_zero_income_scheme(coordination, skewed_profile):
+    # Zero fees under the identity kernel are feasible and earn nothing.
+    identity = DeviationKernel.identity(coordination.shape)
+    zero = ActionwiseScheme(((F(0),) * 2, (F(0),) * 3), identity)
+    with pytest.raises(OracleDisagreement, match="income does not check out"):
+        cross_check(coordination, skewed_profile, Exploitable(zero, F(0)))
+
+
+def test_cross_check_rejects_a_non_verdict(coordination, skewed_profile):
+    verdict = correlated.test_ce_compatibility(coordination, skewed_profile)
+    with pytest.raises(TypeError, match="not a verdict"):
+        cross_check(coordination, skewed_profile, verdict.scheme)

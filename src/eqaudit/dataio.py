@@ -8,8 +8,10 @@ float). A decimal exponent may be at most `MAX_EXPONENT` (4300, Python's
 default int-string digit limit) in magnitude: "1e4300" is read, "1e4301"
 and "1e-1000000" are malformed, because the cost of building such a
 number grows faster than its exponent. Bare JSON number literals follow
-the same rules as strings: 1e4301 is malformed, and so is an integer
-literal of more than 4300 digits. Payoff tensors, joint
+the same rules as strings: 1e4301 is malformed, and so is an integer of
+more than 4300 digits, bare or inside a string. The error for a
+malformed rational string quotes its first 40 characters at most.
+Payoff tensors, joint
 distributions and fee tables are flat lists in row-major profile order:
 players in declaration order, actions in declaration order, last
 player's action fastest.
@@ -69,10 +71,11 @@ def _exponent_too_large(text: str) -> bool:
 def parse_rational(value) -> Fraction:
     """Exact rational from an int, decimal string, or 'n/d' string."""
     if isinstance(value, str):
+        shown = value if len(value) <= 40 else value[:40] + "…"
         plain = _PLAIN_RATIONAL.fullmatch(value)
         if not plain and _exponent_too_large(value):
             raise DataFormatError(
-                f"malformed rational {value!r}: "
+                f"malformed rational {shown!r}: "
                 f"exponent magnitude over {MAX_EXPONENT}"
             )
         try:
@@ -80,8 +83,14 @@ def parse_rational(value) -> Fraction:
                 num, den = plain.groups()
                 return Fraction(int(num), int(den)) if den else Fraction(int(num))
             return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DataFormatError(f"malformed rational {value!r}: {exc}") from None
+        except ZeroDivisionError:
+            raise DataFormatError(
+                f"malformed rational {shown!r}: zero denominator"
+            ) from None
+        except ValueError:
+            if _has_long_digit_run(value):  # more than int() converts
+                raise _digit_limit_error() from None
+            raise DataFormatError(f"malformed rational {shown!r}") from None
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -101,14 +110,23 @@ def rational_str(value: Fraction) -> str:
         ) from None
 
 
+def _has_long_digit_run(text: str) -> bool:
+    limit = sys.get_int_max_str_digits()
+    return any(len(run) > limit for run in re.findall(r"[0-9]+", text))
+
+
+def _digit_limit_error() -> DataFormatError:
+    return DataFormatError(
+        "malformed number: an integer literal over the "
+        f"{sys.get_int_max_str_digits()}-digit input limit"
+    )
+
+
 def _int_literal(text: str) -> int:
     try:
         return int(text)
     except ValueError:  # more digits than str-to-int converts
-        raise DataFormatError(
-            "malformed number: an integer literal over the "
-            f"{sys.get_int_max_str_digits()}-digit input limit"
-        ) from None
+        raise _digit_limit_error() from None
 
 
 def _loads(text: str) -> dict:

@@ -2,18 +2,21 @@
 
 A `LinearSystem` mixes `>=` and `==` rows over variables that are either
 sign-restricted to be nonnegative or free. `solve_feasibility` runs phase
-one of a two-phase simplex on a dense Fraction tableau using Bland's
-entering and leaving rule, so it terminates on every input without any
-degeneracy tolerance. The starting basis is a slack start: a `>=` row
-whose right-hand side is at most zero (an incentive row, say) is already
-satisfied at the origin, so its own surplus column is basic at first and
-the row needs no artificial column. Only equality rows and `>=` rows with
-a positive right-hand side get one, and phase one minimizes their sum. If
-that sum cannot be driven to zero, the phase-one dual multipliers are
-returned as a Farkas certificate: nonnegative on inequality rows, free on
-equality rows, combining the rows into `y.A <= 0` on nonnegative
-variables (`= 0` on free ones) while `y.b > 0`. `verify_outcome` checks
-either arm by direct substitution.
+one of a two-phase simplex using Bland's entering and leaving rule, so it
+terminates on every input without any degeneracy tolerance. The tableau
+is exact and fraction-free: each row is a list of ints over one row
+denominator, and a pivot cross-multiplies and divides out the gcd, in the
+manner of Edmonds' and Bareiss' integer-preserving elimination. The
+starting basis is a slack start: a `>=` row whose right-hand side is at
+most zero (an incentive row, say) is already satisfied at the origin, so
+its own surplus column is basic at first and the row needs no artificial
+column. Only equality rows and `>=` rows with a positive right-hand side
+get one, and phase one minimizes their sum. If that sum cannot be driven
+to zero, the phase-one dual multipliers are returned as a Farkas
+certificate: nonnegative on inequality rows, free on equality rows,
+combining the rows into `y.A <= 0` on nonnegative variables (`= 0` on
+free ones) while `y.b > 0`. `verify_outcome` checks either arm by direct
+substitution, in Fractions and with no code shared with the tableau.
 
 `maximize` exposes phase two for callers that need a vertex of a feasible
 system under a linear objective; feasibility testing itself never uses it.
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .games import as_fraction
 
@@ -30,7 +34,6 @@ GE = ">="
 EQ = "=="
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -125,7 +128,7 @@ def verify_outcome(system: LinearSystem, outcome: FeasibilityOutcome) -> bool:
 
 
 class _Simplex:
-    """Dense rational tableau over the standard equality form of a system.
+    """Exact tableau over the standard equality form of a system.
 
     Free variables are split into positive and negative parts and `>=`
     rows get a surplus column. A `>=` row whose right-hand side is at most
@@ -135,6 +138,10 @@ class _Simplex:
     Artificial columns never re-enter the basis; at the phase-one optimum
     the reduced costs of the artificial and slack-started surplus columns
     encode the dual multipliers.
+
+    Each tableau row, right-hand side last, is a list of ints over one
+    positive row denominator, with no factor common to all of them; so
+    is the objective row, whose last entry is minus the current cost.
     """
 
     def __init__(self, system: LinearSystem):
@@ -170,69 +177,72 @@ class _Simplex:
         self.ncols = ncols
         self.is_art = [j >= first_art for j in range(ncols)]
 
-        self.T: list[list[Fraction]] = []
-        self.b: list[Fraction] = []
+        # Scaling a row by the lcm of its denominators leaves entries whose
+        # gcd with that lcm is already 1.
+        self.T: list[list[int]] = []
+        self.d: list[int] = []
         self.flip: list[int] = []
         self.basis: list[int] = []
         for k, row in enumerate(system.rows):
-            vec = [_ZERO] * ncols
+            scale = lcm(row.rhs.denominator, *(c.denominator for c in row.coeffs))
+            acol = self.art[k]
+            sign = -1 if row.rhs < 0 or acol is None else 1
+            vec = [0] * (ncols + 1)
             for j, c in enumerate(row.coeffs):
                 if c:
-                    vec[self.plus[j]] = c
+                    v = sign * c.numerator * (scale // c.denominator)
+                    vec[self.plus[j]] = v
                     mcol = self.minus[j]
                     if mcol is not None:
-                        vec[mcol] = -c
+                        vec[mcol] = -v
             scol = self.surplus[k]
             if scol is not None:
-                vec[scol] = -_ONE
-            rhs = row.rhs
-            acol = self.art[k]
-            if rhs < 0 or acol is None:
-                vec = [-v for v in vec]
-                rhs = -rhs
-                self.flip.append(-1)
-            else:
-                self.flip.append(1)
+                vec[scol] = -sign * scale
+            vec[ncols] = sign * row.rhs.numerator * (scale // row.rhs.denominator)
             if acol is None:
                 self.basis.append(scol)
             else:
-                vec[acol] = _ONE
+                vec[acol] = scale
                 self.basis.append(acol)
+            self.flip.append(sign)
             self.T.append(vec)
-            self.b.append(rhs)
-        self.objrow: list[Fraction] = []
+            self.d.append(scale)
+        self.objrow: list[int] = []
+        self.objden = 1
+
+    def _price(self, cost: list[int], den: int) -> None:
+        # Objective row for `cost / den` (rhs entry 0): eliminate every
+        # basic column from it.
+        self.objrow, self.objden = cost, den
+        for r, col in enumerate(self.basis):
+            if self.objrow[col]:
+                self.objrow, self.objden = _eliminate(
+                    self.objrow, self.objden, self.T[r], col
+                )
 
     def _pivot(self, r: int, col: int) -> None:
         row = self.T[r]
-        piv = row[col]
-        if piv != 1:
-            inv = _ONE / piv
-            row = [v * inv if v else v for v in row]
-            self.T[r] = row
-            self.b[r] *= inv
-        nonzero = [j for j, v in enumerate(row) if v]
-        br = self.b[r]
+        if row[col] < 0:
+            row = [-v for v in row]
+        g = gcd(*row)
+        if g != 1:
+            row = [v // g for v in row]
+        self.T[r] = row
+        self.d[r] = row[col]
         for r2, row2 in enumerate(self.T):
-            if r2 == r:
-                continue
-            factor = row2[col]
-            if factor:
-                for j in nonzero:
-                    row2[j] -= factor * row[j]
-                if br:
-                    self.b[r2] -= factor * br
-        factor = self.objrow[col]
-        if factor:
-            objrow = self.objrow
-            for j in nonzero:
-                objrow[j] -= factor * row[j]
+            if r2 != r and row2[col]:
+                self.T[r2], self.d[r2] = _eliminate(row2, self.d[r2], row, col)
+        if self.objrow[col]:
+            self.objrow, self.objden = _eliminate(self.objrow, self.objden, row, col)
         self.basis[r] = col
 
     def _run(self) -> None:
         # Bland: enter the lowest-index improving column, leave on the
-        # minimum ratio breaking ties by lowest basic variable index.
-        objrow = self.objrow
+        # minimum ratio breaking ties by lowest basic variable index. Row
+        # denominators are positive and cancel in rhs/entry, so signs and
+        # ratios are read from the numerators alone.
         while True:
+            objrow = self.objrow
             enter = -1
             for j in range(self.ncols):
                 if objrow[j] < 0 and not self.is_art[j]:
@@ -241,37 +251,29 @@ class _Simplex:
             if enter < 0:
                 return
             leave = -1
-            best_ratio = None
             for r, row in enumerate(self.T):
                 a = row[enter]
                 if a > 0:
-                    ratio = self.b[r] / a
-                    if (
-                        best_ratio is None
-                        or ratio < best_ratio
-                        or (ratio == best_ratio and self.basis[r] < self.basis[leave])
-                    ):
-                        best_ratio = ratio
-                        leave = r
+                    if leave >= 0:
+                        lhs, rhs = row[-1] * best_a, best_b * a
+                        if lhs > rhs or (
+                            lhs == rhs and self.basis[r] > self.basis[leave]
+                        ):
+                            continue
+                    best_b, best_a, leave = row[-1], a, r
             if leave < 0:
                 raise ArithmeticError("objective is unbounded")
             self._pivot(leave, enter)
 
     def phase_one(self) -> Fraction:
         """Minimize the artificial total; returns the optimal value."""
-        objrow = [_ZERO] * self.ncols
-        for r, row in enumerate(self.T):
-            if not self.is_art[self.basis[r]]:
-                continue
-            for j, v in enumerate(row):
-                if v and not self.is_art[j]:
-                    objrow[j] -= v
-        self.objrow = objrow
+        cost = [0] * (self.ncols + 1)
+        for col in self.art:
+            if col is not None:
+                cost[col] = 1
+        self._price(cost, 1)
         self._run()
-        return sum(
-            (self.b[r] for r in range(len(self.T)) if self.is_art[self.basis[r]]),
-            _ZERO,
-        )
+        return Fraction(-self.objrow[-1], self.objden)
 
     def farkas(self) -> tuple[Fraction, ...]:
         # A slack-started row was negated and its surplus column carries
@@ -279,17 +281,18 @@ class _Simplex:
         # row's multiplier. An artificial column k carries cost 1, so its
         # reduced cost is 1 - y_k; undo the sign flip applied to its row.
         out = []
+        den = self.objden
         for k, acol in enumerate(self.art):
             if acol is None:
-                out.append(self.objrow[self.surplus[k]])
+                out.append(Fraction(self.objrow[self.surplus[k]], den))
             else:
-                out.append(self.flip[k] * (_ONE - self.objrow[acol]))
+                out.append(Fraction(self.flip[k] * (den - self.objrow[acol]), den))
         return tuple(out)
 
     def point(self) -> tuple[Fraction, ...]:
         xstd = [_ZERO] * self.ncols
         for r, col in enumerate(self.basis):
-            xstd[col] = self.b[r]
+            xstd[col] = Fraction(self.T[r][-1], self.d[r])
         out = []
         for j in range(self.system.num_vars):
             v = xstd[self.plus[j]]
@@ -316,26 +319,33 @@ class _Simplex:
 
     def phase_two_max(self, objective) -> Fraction:
         self._purge_artificials()
-        cost = [_ZERO] * self.ncols
+        objective = [as_fraction(c) for c in objective]
+        scale = lcm(*(c.denominator for c in objective))
+        cost = [0] * (self.ncols + 1)
         for j, c in enumerate(objective):
-            c = as_fraction(c)
             if c:
-                cost[self.plus[j]] = -c
+                v = c.numerator * (scale // c.denominator)
+                cost[self.plus[j]] = -v
                 mcol = self.minus[j]
                 if mcol is not None:
-                    cost[mcol] = c
-        objrow = list(cost)
-        for r, row in enumerate(self.T):
-            cb = cost[self.basis[r]]
-            if cb:
-                for j, v in enumerate(row):
-                    if v:
-                        objrow[j] -= cb * v
-        self.objrow = objrow
+                    cost[mcol] = v
+        self._price(cost, scale)
         self._run()
-        return -sum(
-            (cost[self.basis[r]] * self.b[r] for r in range(len(self.T))), _ZERO
-        )
+        return Fraction(self.objrow[-1], self.objden)
+
+
+def _eliminate(row2: list[int], d2: int, row: list[int], col: int):
+    """Zero `col` in `row2 / d2` with `row`, which holds its own row
+    denominator there; returns the reduced result and its denominator."""
+    p = row[col]
+    f = row2[col]
+    new = [a * p - f * b for a, b in zip(row2, row)]
+    den = d2 * p
+    g = gcd(den, *new)
+    if g != 1:
+        new = [v // g for v in new]
+        den //= g
+    return new, den
 
 
 def solve_feasibility(system: LinearSystem) -> FeasibilityOutcome:

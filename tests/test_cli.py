@@ -472,6 +472,22 @@ def test_bare_number_literal_over_a_limit_exits_two(files, tmp_path, literal, me
 
 
 @pytest.mark.parametrize(
+    "payoff", ["7" * 5000, "1/" + "7" * 5000], ids=["integer", "denominator"]
+)
+def test_string_payoff_over_the_digit_limit_exits_two_briefly(files, tmp_path, payoff):
+    # The error names the limit and does not echo the 5000-digit value.
+    game = tmp_path / "long.json"
+    game.write_text(GAME_DOC.replace('"9"', f'"{payoff}"', 1))
+    res = run_cli("test-nash", str(game), files["skewed.json"], timeout=30)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert len(lines[0].encode()) < 200
+    assert "over the 4300-digit input limit" in lines[0]
+
+
+@pytest.mark.parametrize(
     "log",
     ["P1,P2\nT,L,B\nB,M\n", "P1,P2,P3\nT,L,x\nB,M\n"],
     ids=["cell-past-header", "unknown-player"],

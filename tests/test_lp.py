@@ -2,8 +2,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fraction_simplex
 from eqaudit import lp
+from eqaudit.correlated import build_ce_system
+from eqaudit.oracles import random_ce, random_game, random_marginals
 
 
 def system(num_vars, rows, nonneg=None):
@@ -158,9 +163,6 @@ def test_negative_rhs_ge_rows_on_both_arms():
 def test_ce_system_artificials_only_on_marginal_rows():
     # Every incentive row starts from its surplus column, so the only
     # artificial columns belong to the sum(shape) marginal equalities.
-    from eqaudit.correlated import build_ce_system
-    from eqaudit.oracles import random_game, random_marginals
-
     rng = random.Random(7)
     for _ in range(6):
         game = random_game(rng)
@@ -171,3 +173,91 @@ def test_ce_system_artificials_only_on_marginal_rows():
         assert first_marginal > 0
         assert with_art == list(range(first_marginal, len(sys_.rows)))
         assert sum(simplex.is_art) == sum(game.shape)
+
+
+# Denominators mix small values with distinct 21-bit primes, so row
+# scales differ and entries need many bits before any cancellation.
+_DENOMINATORS = (1, 1, 2, 3, 4, 6, 7, 12, 1048583, 1048589, 2097143, 2097133)
+_rationals = st.builds(F, st.integers(-6, 6), st.sampled_from(_DENOMINATORS))
+
+
+@st.composite
+def _systems(draw):
+    n = draw(st.integers(1, 5))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        coeffs = draw(st.lists(_rationals, min_size=n, max_size=n))
+        # rhs < 0, = 0 and > 0 each a third of the time
+        rhs = draw(st.sampled_from((-1, 0, 1))) * (abs(draw(_rationals)) or F(1))
+        rows.append(lp.Row(tuple(coeffs), draw(st.sampled_from((lp.GE, lp.EQ))), rhs))
+    nonneg = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return lp.LinearSystem(n, tuple(rows), tuple(nonneg))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_systems())
+def test_solve_matches_the_fraction_tableau(sys_):
+    # Same rational tableau, same Bland pivots: the same outcome exactly.
+    assert lp.solve_feasibility(sys_) == fraction_simplex.solve(sys_)
+
+
+def _maximize_or_error(maximize, sys_, objective):
+    try:
+        return maximize(sys_, objective)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_systems(), st.data())
+def test_maximize_matches_the_fraction_tableau(sys_, data):
+    objective = data.draw(
+        st.lists(_rationals, min_size=sys_.num_vars, max_size=sys_.num_vars)
+    )
+    assert _maximize_or_error(lp.maximize, sys_, objective) == _maximize_or_error(
+        fraction_simplex.maximize, sys_, objective
+    )
+
+
+def test_ce_systems_match_the_fraction_tableau():
+    # The marginal rows bound every CE system; marginals of a sampled CE
+    # make it feasible, so maximize returns a vertex on those.
+    rng = random.Random(8)
+    for k in range(30):
+        game = random_game(rng)
+        p = random_ce(game, k).marginals() if k % 2 else random_marginals(rng, game)
+        sys_ = build_ce_system(game, p)
+        assert lp.solve_feasibility(sys_) == fraction_simplex.solve(sys_)
+        objective = [
+            F(rng.randint(-24, 24), rng.randint(1, 12)) for _ in range(sys_.num_vars)
+        ]
+        assert _maximize_or_error(lp.maximize, sys_, objective) == _maximize_or_error(
+            fraction_simplex.maximize, sys_, objective
+        )
+
+
+def test_verify_outcome_works_without_the_solver(monkeypatch):
+    # The checker must not share the tableau's arithmetic: with the
+    # tableau gone it still accepts true outcomes and rejects tampered ones.
+    feasible_sys = system(2, [lp.ge([1, 0], 2), lp.eq([1, 1], 5)])
+    infeasible_sys = system(
+        2, [lp.ge([-1, 1], 0), lp.eq([1, 1], 1), lp.ge([1, 0], F(3, 4))]
+    )
+    feasible = lp.solve_feasibility(feasible_sys)
+    infeasible = lp.solve_feasibility(infeasible_sys)
+    assert isinstance(feasible, lp.Feasible) and isinstance(infeasible, lp.Infeasible)
+
+    def explode(*_args, **_kwargs):
+        raise AssertionError("the checker reached the solver")
+
+    monkeypatch.setattr(lp, "_Simplex", explode)
+    with pytest.raises(AssertionError):
+        lp.solve_feasibility(feasible_sys)
+    assert lp.verify_outcome(feasible_sys, feasible)
+    assert lp.verify_outcome(infeasible_sys, infeasible)
+    x = feasible.point
+    assert not lp.verify_outcome(feasible_sys, lp.Feasible((x[0] - F(1, 3), x[1])))
+    assert not lp.verify_outcome(feasible_sys, lp.Feasible((F(1), F(4))))
+    y = infeasible.multipliers
+    assert not lp.verify_outcome(infeasible_sys, lp.Infeasible((F(0),) + y[1:]))
+    assert not lp.verify_outcome(infeasible_sys, lp.Infeasible((-y[0],) + y[1:]))

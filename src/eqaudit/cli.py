@@ -24,7 +24,7 @@ from . import dataio, oracles
 from .correlated import Exploitable, test_ce_compatibility
 from .dataio import DataFormatError
 from .games import surplus_table
-from .nash import test_nash_exploitability
+from .nash import is_nash, test_nash_exploitability
 from .verify import (
     SchemeViolation,
     verify_actionwise,
@@ -109,6 +109,8 @@ def _cmd_verify(args) -> int:
     doc = {"kind": kind, "valid": True}
     if kind == "witness":
         doc["valid"] = verify_witness(game, p, payload)
+    elif kind == "nash":
+        doc["valid"] = is_nash(game, p)
     else:
         checker = verify_actionwise if kind == "actionwise" else verify_profilewise
         try:
@@ -154,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--oracle",
                 action="store_true",
-                help="run brute-force cross-checks and fail loudly on disagreement",
+                help="run independent cross-checks and fail loudly on disagreement",
             )
             p.add_argument(
                 "--jobs",

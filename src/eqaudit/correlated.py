@@ -120,6 +120,14 @@ def incentive_coefficients(game: Game, i: int, ai: int, aj: int) -> list[Fractio
     return coeffs
 
 
+def incentive_rows(game: Game) -> list[lp.Row]:
+    """One `>= 0` row per `deviation_pairs` triple, in that order."""
+    return [
+        lp.ge(incentive_coefficients(game, i, ai, aj), 0)
+        for i, ai, aj in deviation_pairs(game)
+    ]
+
+
 def is_correlated_equilibrium(game: Game, q: JointDistribution) -> bool:
     """Direct check of every incentive inequality, no solver involved."""
     _check_joint(game, q)
@@ -148,9 +156,7 @@ def build_ce_system(game: Game, p: MarginalProfile) -> lp.LinearSystem:
     total mass to 1, so no separate normalization row is added.
     """
     _check_marginals(game, p)
-    rows: list[lp.Row] = []
-    for i, ai, aj in deviation_pairs(game):
-        rows.append(lp.ge(incentive_coefficients(game, i, ai, aj), 0))
+    rows = incentive_rows(game)
     for i, k in enumerate(game.shape):
         for ai in range(k):
             indicator = [

@@ -352,15 +352,15 @@ def parse_verdict(text: str, game: Game):
 def parse_certificate(text: str, game: Game):
     """Read any checkable object: a scheme document, a witness document
     ({"witness": [...]}) or a whole verdict document. Returns
-    ("witness", JointDistribution), ("actionwise", scheme) or
-    ("profilewise", scheme)."""
+    ("witness", JointDistribution), ("actionwise", scheme),
+    ("profilewise", scheme) or, for a Nash verdict, ("nash", IsNash())."""
     doc = _loads(text)
     if "verdict" in doc:
         verdict = _verdict_from_doc(doc, game)
         if isinstance(verdict, Compatible):
             return "witness", verdict.witness
         if not isinstance(verdict, Exploitable):
-            raise DataFormatError("verdict document carries nothing checkable")
+            return "nash", verdict
         scheme = verdict.scheme
     elif "witness" in doc:
         return "witness", _joint_values(game, doc["witness"])

@@ -168,12 +168,6 @@ class Game:
             raise ValueError(f"unknown player index {i}")
         return self.payoffs[i][self.flat_index(profile)]
 
-    def player_index(self, player: str) -> int:
-        try:
-            return self.players.index(player)
-        except ValueError:
-            raise ValueError(f"unknown player {player!r}") from None
-
     def action_index(self, i: int, label: str) -> int:
         try:
             return self.actions[i].index(label)
@@ -205,9 +199,6 @@ class MarginalProfile:
     @property
     def shape(self) -> tuple[int, ...]:
         return tuple(len(row) for row in self.probs)
-
-    def prob(self, i: int, action: int) -> Fraction:
-        return self.probs[i][action]
 
     def support(self, i: int) -> tuple[int, ...]:
         return tuple(a for a, v in enumerate(self.probs[i]) if v > 0)
@@ -305,9 +296,6 @@ class DeviationKernel:
     @property
     def shape(self) -> tuple[int, ...]:
         return tuple(len(player_rows) for player_rows in self.rows)
-
-    def row(self, i: int, action: int) -> tuple[Fraction, ...]:
-        return self.rows[i][action]
 
 
 def product_distribution(p: MarginalProfile) -> JointDistribution:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import prod
 
 from . import lp
-from .correlated import Exploitable, deviation_pairs, incentive_coefficients
+from .correlated import Exploitable, incentive_rows
 from .games import (
     DeviationKernel,
     Game,
@@ -109,9 +109,7 @@ def build_nash_system(game: Game, p: MarginalProfile) -> lp.LinearSystem:
     """Incentive system with the joint distribution pinned, entry by
     entry, to the product of `p`. Feasible exactly when `p` is Nash."""
     q = product_distribution(p)
-    rows: list[lp.Row] = []
-    for i, ai, aj in deviation_pairs(game):
-        rows.append(lp.ge(incentive_coefficients(game, i, ai, aj), 0))
+    rows = incentive_rows(game)
     for flat in range(game.num_profiles):
         indicator = [_ZERO] * game.num_profiles
         indicator[flat] = _ONE

@@ -37,14 +37,9 @@ from eqaudit import correlated, dataio, nash
 from eqaudit.correlated import ActionwiseScheme, Compatible, Exploitable
 from eqaudit.games import Game, MarginalProfile, surplus_table
 from eqaudit.nash import IsNash, is_nash
-from eqaudit.oracles import (
-    coupling_scan_2x2,
-    exhaustive_scheme_search,
-    random_ce,
-    random_game,
-    random_marginals,
-)
+from eqaudit.oracles import random_ce, random_game, random_marginals
 from eqaudit.verify import verify_actionwise, verify_profilewise, verify_witness
+from grid_oracles import coupling_scan_2x2, exhaustive_scheme_search
 
 CORPUS_SEED = 163
 CORPUS_SIZE = 200

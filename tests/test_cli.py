@@ -126,6 +126,31 @@ def test_verify_witness_from_verdict_doc(files, tmp_path):
     assert json.loads(res.stdout) == {"kind": "witness", "valid": True}
 
 
+@pytest.mark.parametrize("marginals, valid", [("pure_tl.json", True), ("pure_tm.json", False)])
+def test_verify_nash_verdict_doc_without_the_solver(
+    files, tmp_path, monkeypatch, capsys, marginals, valid
+):
+    from eqaudit import cli, lp
+
+    out = tmp_path / "verdict.json"
+    argv = ["test-nash", files["game.json"], files["pure_tl.json"], "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert json.loads(out.read_text()) == {"verdict": "nash"}
+
+    def explode(*_args, **_kwargs):  # pragma: no cover
+        raise AssertionError("verify called the solver")
+
+    for name in ("solve_feasibility", "verify_outcome", "maximize"):
+        monkeypatch.setattr(lp, name, explode)
+    monkeypatch.setattr(lp._Simplex, "phase_one", explode)
+    capsys.readouterr()
+    code = cli.main(["verify", files["game.json"], files[marginals], str(out)])
+    captured = capsys.readouterr()
+    assert code == (0 if valid else 1)
+    assert json.loads(captured.out) == {"kind": "nash", "valid": valid}
+    assert captured.err == ""
+
+
 def test_marginals_command(files):
     res = run_cli("marginals", files["game.json"], files["plays.csv"])
     assert res.returncode == 0

@@ -148,6 +148,8 @@ def test_certificate_dispatch(coordination, diagonal_profile, column_swap_kernel
     )
     kind, payload = dataio.parse_certificate(verdict_text, coordination)
     assert kind == "witness"
+    kind, payload = dataio.parse_certificate('{"verdict": "nash"}', coordination)
+    assert kind == "nash" and isinstance(payload, IsNash)
     with pytest.raises(DataFormatError):
         dataio.parse_certificate('{"nothing": 1}', coordination)
 

@@ -9,14 +9,13 @@ from eqaudit.games import DeviationKernel, Game, MarginalProfile, product_distri
 from eqaudit.nash import IsNash, ProfilewiseScheme
 from eqaudit.oracles import (
     OracleDisagreement,
-    coupling_scan_2x2,
     cross_check,
-    exhaustive_scheme_search,
     random_ce,
     random_game,
     random_marginals,
 )
 from eqaudit.verify import verify_witness
+from grid_oracles import coupling_scan_2x2, exhaustive_scheme_search
 
 
 def test_scan_finds_diagonal(coordination, diagonal_profile):

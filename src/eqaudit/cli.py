@@ -26,8 +26,10 @@ from .dataio import DataFormatError
 from .games import surplus_table
 from .nash import is_nash, test_nash_exploitability
 from .verify import (
+    IncomeClaimError,
     SchemeViolation,
     verify_actionwise,
+    verify_exploitable,
     verify_profilewise,
     verify_witness,
 )
@@ -112,11 +114,19 @@ def _cmd_verify(args) -> int:
     elif kind == "nash":
         doc["valid"] = is_nash(game, p)
     else:
-        checker = verify_actionwise if kind == "actionwise" else verify_profilewise
         try:
-            doc["expected_profit"] = dataio.rational_str(checker(game, p, payload))
+            if isinstance(payload, Exploitable):
+                income = verify_exploitable(game, p, payload)
+            elif kind == "actionwise":
+                income = verify_actionwise(game, p, payload)
+            else:
+                income = verify_profilewise(game, p, payload)
         except SchemeViolation as exc:
             doc.update(valid=False, violation=list(exc.labels))
+        except IncomeClaimError as exc:
+            doc.update(valid=False, expected_profit=dataio.rational_str(exc.income))
+        else:
+            doc["expected_profit"] = dataio.rational_str(income)
     _write_output(dataio.canonical_json(doc), args.out)
     return 0 if doc["valid"] else 1
 

@@ -9,27 +9,22 @@ the observed marginals is strictly positive while the aggregate deviation
 surplus covers the fees at every action profile. The scheme is obtained by
 normalizing the Farkas multipliers of the infeasible coupling system.
 
-The coupling system is built once per request and presolved before the
-solver sees it. An action with observed frequency 0 forces zero mass on
-every profile that uses it, so only the profiles in the product of the
-supports stay as variables, only the incentive rows whose recommended
-action is supported stay (their replacement action may be off the
-support), and only the marginal rows of supported actions stay, less one
-row of every player after the first, which player 0's rows already imply
-through the total mass. The reduced outcome is lifted back to the full
-system without a solver. A witness is 0 on every dropped profile. Farkas
-multipliers are 0 on the dropped incentive and redundant rows; each
-dropped profile is charged to the off-support action of the lowest-index
-player who plays one there, and that action's marginal row (rhs 0, free
-sign) gets -max(0, c), where c is the largest combination that the kept
-rows give a profile charged to it. Every dropped profile then combines to
-at most 0 and the right-hand side total is unchanged, so the lifted
-multipliers certify the full system. The lifted outcome is re-checked on
-the full system by `lp.verify_outcome` before a verdict is returned.
+One coupling system is built per request, on the product of the
+supports: an action with observed frequency 0 forces zero mass on every
+profile that uses it. The outcome is read back without a solver and
+checked by `verify`. A witness is zero-extended to every profile.
+Multipliers become a kernel and fees; an unobserved action has no kept
+row, so its kernel row is the identity and its fee is the largest value
+at most 0 that keeps feasible every profile charged to it, a profile
+outside the support product being charged to the unobserved action of
+the lowest-index player who plays one there. That fee is computed with
+the Fraction reference `games.surplus`, never with the checker's integer
+`surplus_parts`, so producer and checker share no surplus arithmetic.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator
@@ -41,6 +36,7 @@ from .games import (
     JointDistribution,
     MarginalProfile,
     as_fraction,
+    surplus,
 )
 
 if TYPE_CHECKING:
@@ -146,26 +142,44 @@ def is_correlated_equilibrium(game: Game, q: JointDistribution) -> bool:
     return True
 
 
+def _kept(game: Game, p: MarginalProfile):
+    """What `build_ce_system` keeps of the coupling system, for the build
+    and the read-back alike: the supports, the profiles of their product
+    as `(flat index, profile)` in row-major order, the `deviation_pairs`
+    triples whose recommended action is supported, in that order, and the
+    `(player, action)` of each marginal row."""
+    supports = [p.support(i) for i in range(game.num_players)]
+    cols = [(game.flat_index(s), s) for s in itertools.product(*supports)]
+    pairs = [t for t in deviation_pairs(game) if t[1] in supports[t[0]]]
+    marginals = [
+        (i, a)
+        for i, support in enumerate(supports)
+        for a in (support if i == 0 else support[:-1])
+    ]
+    return supports, cols, pairs, marginals
+
+
 def build_ce_system(game: Game, p: MarginalProfile) -> lp.LinearSystem:
     """Feasibility system for a coupling with marginals `p` that satisfies
-    every incentive inequality.
+    every incentive inequality, on the product of the supports.
 
-    Variables are the joint probabilities, all nonnegative. Incentive rows
-    come first (in `deviation_pairs` order), then one marginal equality
-    per (player, action). The rows of any single player already force the
-    total mass to 1, so no separate normalization row is added.
+    Variables are the joint probabilities of the profiles in that
+    product, all nonnegative. The incentive rows of supported recommended
+    actions come first (in `deviation_pairs` order), then one marginal
+    equality per supported (player, action), less the last one of every
+    player after the first. Player 0's rows already force the total mass
+    to 1, so no separate normalization row is added.
     """
     _check_marginals(game, p)
-    rows = incentive_rows(game)
-    for i, k in enumerate(game.shape):
-        for ai in range(k):
-            indicator = [
-                _ONE if profile[i] == ai else _ZERO for profile in game.profiles()
-            ]
-            rows.append(lp.eq(indicator, p.probs[i][ai]))
-    return lp.LinearSystem(
-        game.num_profiles, tuple(rows), (True,) * game.num_profiles
-    )
+    _supports, cols, pairs, marginals = _kept(game, p)
+    rows = []
+    for i, ai, aj in pairs:
+        coeffs = incentive_coefficients(game, i, ai, aj)
+        rows.append(lp.ge([coeffs[flat] for flat, _profile in cols]))
+    for i, a in marginals:
+        indicator = [_ONE if profile[i] == a else _ZERO for _flat, profile in cols]
+        rows.append(lp.eq(indicator, p.probs[i][a]))
+    return lp.LinearSystem(len(cols), tuple(rows), (True,) * len(cols))
 
 
 def expected_fee_income(p: MarginalProfile, fees) -> Fraction:
@@ -180,143 +194,83 @@ def expected_fee_income(p: MarginalProfile, fees) -> Fraction:
     )
 
 
-def normalize_dual(game: Game, system: lp.LinearSystem, multipliers) -> ActionwiseScheme:
-    """Turn a Farkas certificate of the coupling system `system`, as built
-    by `build_ce_system` for this game, into a transfer scheme with a
-    row-stochastic kernel.
+def normalize_dual(game: Game, p: MarginalProfile, multipliers) -> ActionwiseScheme:
+    """Turn a Farkas certificate of `build_ce_system(game, p)` into a
+    transfer scheme with a row-stochastic kernel, and check it.
 
-    Raises ValueError unless the multipliers certify that `system` is
-    infeasible. Incentive-row multipliers become off-diagonal kernel mass
-    and marginal-row multipliers become fees. Both are scaled by a common
+    Incentive-row multipliers become off-diagonal kernel mass and
+    marginal-row multipliers become fees. Both are scaled by a common
     positive factor so that every off-diagonal row sum is at most 1, and
     each diagonal entry absorbs the remainder; the diagonal carries a zero
-    payoff coefficient, so the pointwise inequalities are unaffected.
+    payoff coefficient, so the pointwise inequalities are unaffected. An
+    unobserved action keeps an identity kernel row, and its fee is
+    min(0, surplus - supported fees) over the profiles charged to it (see
+    the module docstring). Raises ValueError unless the scheme is feasible
+    at every profile and its expected income under `p` is positive.
     """
-    multipliers = tuple(as_fraction(m) for m in multipliers)
-    shape = game.shape
-    if system.num_vars != game.num_profiles or len(system.rows) != sum(
-        k * k for k in shape
-    ):
-        raise ValueError("system is not a coupling system of this game")
-    if not lp.verify_outcome(system, lp.Infeasible(multipliers)):
-        raise ValueError("multipliers are not an infeasibility certificate "
-                         "for this game and profile")
-    off_diag = [[[_ZERO] * k for _ in range(k)] for k in shape]
-    index = 0
-    for i, ai, aj in deviation_pairs(game):
-        off_diag[i][ai][aj] = multipliers[index]
-        index += 1
-    raw_fees = []
-    for k in shape:
-        raw_fees.append(list(multipliers[index : index + k]))
-        index += k
+    from . import verify  # verify imports this module
 
+    _check_marginals(game, p)
+    supports, _cols, pairs, marginals = _kept(game, p)
+    multipliers = tuple(as_fraction(m) for m in multipliers)
+    if len(multipliers) != len(pairs) + len(marginals):
+        raise ValueError("multipliers do not match the coupling system "
+                         "of this game and profile")
+    shape = game.shape
+    off_diag = [[[_ZERO] * k for _ in range(k)] for k in shape]
+    for (i, ai, aj), y in zip(pairs, multipliers):
+        off_diag[i][ai][aj] = y
     max_row_sum = max(
         (sum(row) for player_rows in off_diag for row in player_rows),
         default=_ZERO,
     )
     scale = _ONE if max_row_sum <= 1 else _ONE / max_row_sum
-
-    kernel_rows = []
-    for i, k in enumerate(shape):
-        player_rows = []
-        for ai in range(k):
-            row = [scale * v for v in off_diag[i][ai]]
+    for player_rows in off_diag:
+        for ai, row in enumerate(player_rows):
+            row[:] = [scale * v for v in row]
             row[ai] = _ONE - sum(row)
-            player_rows.append(tuple(row))
-        kernel_rows.append(tuple(player_rows))
-    fees = tuple(tuple(scale * v for v in row) for row in raw_fees)
-    return ActionwiseScheme(fees, DeviationKernel(tuple(kernel_rows)))
-
-
-@dataclass(frozen=True)
-class _Presolve:
-    """The coupling system restricted to the support product, with the
-    indices that map it back: `cols` are the kept profiles and `rows` the
-    kept rows of the full system, both ascending; `dropped` pairs every
-    other profile with the marginal row of the off-support action it is
-    charged to."""
-
-    reduced: lp.LinearSystem
-    cols: tuple[int, ...]
-    rows: tuple[int, ...]
-    dropped: tuple[tuple[int, int], ...]
-
-
-def _presolve(game: Game, p: MarginalProfile, system: lp.LinearSystem) -> _Presolve:
-    supports = [p.support(i) for i in range(game.num_players)]
-    first = len(system.rows) - sum(game.shape)
-    marginal_row = []
-    for k in game.shape:
-        marginal_row.append(first)
-        first += k
-    cols = []
-    dropped = []
-    for flat, profile in enumerate(game.profiles()):
-        for i, a in enumerate(profile):
-            if a not in supports[i]:
-                dropped.append((flat, marginal_row[i] + a))
-                break
-        else:
-            cols.append(flat)
-    rows = [
-        k for k, (i, ai, _aj) in enumerate(deviation_pairs(game)) if ai in supports[i]
-    ]
-    for i, support in enumerate(supports):
-        rows.extend(marginal_row[i] + a for a in (support if i == 0 else support[:-1]))
-    reduced = lp.LinearSystem(
-        len(cols),
-        tuple(
-            lp.Row(
-                tuple(system.rows[k].coeffs[j] for j in cols),
-                system.rows[k].sense,
-                system.rows[k].rhs,
-            )
-            for k in rows
-        ),
-        (True,) * len(cols),
-    )
-    return _Presolve(reduced, tuple(cols), tuple(rows), tuple(dropped))
-
-
-def _lift(
-    system: lp.LinearSystem, pre: _Presolve, outcome: lp.FeasibilityOutcome
-) -> lp.FeasibilityOutcome:
-    """Extend an outcome of `pre.reduced` to the full `system`."""
-    if isinstance(outcome, lp.Feasible):
-        point = [_ZERO] * system.num_vars
-        for j, v in zip(pre.cols, outcome.point):
-            point[j] = v
-        return lp.Feasible(tuple(point))
-    y = [_ZERO] * len(system.rows)
-    for k, v in zip(pre.rows, outcome.multipliers):
-        y[k] = v
-    kept = [(system.rows[k].coeffs, y[k]) for k in pre.rows if y[k]]
-    for j, r in pre.dropped:
-        combined = sum((yk * coeffs[j] for coeffs, yk in kept if coeffs[j]), _ZERO)
-        if -combined < y[r]:
-            y[r] = -combined
-    return lp.Infeasible(tuple(y))
+    kernel = DeviationKernel(off_diag)
+    fees = [[_ZERO] * k for k in shape]
+    for (i, a), y in zip(marginals, multipliers[len(pairs) :]):
+        fees[i][a] = scale * y
+    for profile in game.profiles():
+        off = [i for i, a in enumerate(profile) if a not in supports[i]]
+        if off:
+            i, a = off[0], profile[off[0]]
+            paid = sum(fees[j][b] for j, b in enumerate(profile) if j not in off)
+            fees[i][a] = min(fees[i][a], surplus(game, kernel, profile) - paid)
+    scheme = ActionwiseScheme(tuple(map(tuple, fees)), kernel)
+    claim = Exploitable(scheme, expected_fee_income(p, scheme.fees))
+    try:
+        verify.verify_exploitable(game, p, claim)
+    except verify.SchemeViolation as exc:
+        raise ValueError(str(exc)) from None
+    return scheme
 
 
 def test_ce_compatibility(game: Game, p: MarginalProfile) -> CeVerdict:
     """Decide compatibility and return the matching certificate.
 
-    The coupling system is built once, presolved to the product of the
-    supports (see the module docstring) and solved there. The outcome is
-    lifted back to the full system and re-checked on it by
-    `lp.verify_outcome`, on both arms, before the verdict is returned; a
-    lifted outcome that fails the check raises RuntimeError.
+    `build_ce_system` builds the one coupling system, on the product of
+    the supports, and `lp.solve_feasibility` solves it. A feasible point
+    is zero-extended to every profile and re-checked by
+    `verify.verify_witness`; multipliers are read back by `normalize_dual`,
+    which re-checks the scheme. A certificate that fails its check raises
+    RuntimeError.
     """
-    system = build_ce_system(game, p)
-    pre = _presolve(game, p, system)
-    outcome = _lift(system, pre, lp.solve_feasibility(pre.reduced))
+    from . import verify  # verify imports this module
+
+    outcome = lp.solve_feasibility(build_ce_system(game, p))
     if isinstance(outcome, lp.Feasible):
-        if not lp.verify_outcome(system, outcome):
-            raise RuntimeError("lifted witness fails the full coupling system")
-        return Compatible(JointDistribution(game.shape, outcome.point))
+        probs = [_ZERO] * game.num_profiles
+        for (flat, _profile), v in zip(_kept(game, p)[1], outcome.point):
+            probs[flat] = v
+        witness = JointDistribution(game.shape, probs)
+        if not verify.verify_witness(game, p, witness):
+            raise RuntimeError("witness fails the marginal or incentive check")
+        return Compatible(witness)
     try:
-        scheme = normalize_dual(game, system, outcome.multipliers)
-    except ValueError:
-        raise RuntimeError("lifted multipliers fail the full coupling system") from None
+        scheme = normalize_dual(game, p, outcome.multipliers)
+    except ValueError as exc:
+        raise RuntimeError(f"scheme read from the multipliers fails: {exc}") from None
     return Exploitable(scheme, expected_fee_income(p, scheme.fees))

@@ -353,7 +353,10 @@ def parse_certificate(text: str, game: Game):
     """Read any checkable object: a scheme document, a witness document
     ({"witness": [...]}) or a whole verdict document. Returns
     ("witness", JointDistribution), ("actionwise", scheme),
-    ("profilewise", scheme) or, for a Nash verdict, ("nash", IsNash())."""
+    ("profilewise", scheme) or, for a Nash verdict, ("nash", IsNash()).
+    For an exploitable verdict the kind is its scheme's and the payload
+    the whole `Exploitable` verdict, so its claimed income travels with
+    it."""
     doc = _loads(text)
     if "verdict" in doc:
         verdict = _verdict_from_doc(doc, game)
@@ -361,15 +364,15 @@ def parse_certificate(text: str, game: Game):
             return "witness", verdict.witness
         if not isinstance(verdict, Exploitable):
             return "nash", verdict
-        scheme = verdict.scheme
+        payload, scheme = verdict, verdict.scheme
     elif "witness" in doc:
         return "witness", _joint_values(game, doc["witness"])
     elif "type" in doc:
-        scheme = _parse_scheme_doc(doc, game)
+        payload = scheme = _parse_scheme_doc(doc, game)
     else:
         raise DataFormatError("certificate document has no recognizable payload")
     kind = "actionwise" if isinstance(scheme, ActionwiseScheme) else "profilewise"
-    return kind, scheme
+    return kind, payload
 
 
 def emit_surplus(game: Game, values) -> str:

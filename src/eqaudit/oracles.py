@@ -31,9 +31,9 @@ from .correlated import (
 from .games import Game, JointDistribution, MarginalProfile, product_distribution
 from .nash import IsNash, ProfilewiseScheme, is_nash
 from .verify import (
+    IncomeClaimError,
     SchemeViolation,
-    verify_actionwise,
-    verify_profilewise,
+    verify_exploitable,
     verify_witness,
 )
 
@@ -102,15 +102,15 @@ def cross_check(game: Game, p: MarginalProfile, verdict, seed: int = 0) -> None:
     the equilibrium sampled under `seed` must come back compatible. An
     IsNash verdict must pass the direct best-response check, and the
     product of its profile the incentive inequalities. An exploitable
-    verdict's scheme is re-verified by the checker of its kind, and its
-    income must be positive and equal to the verdict's; a profile-wise
-    (Nash) verdict must also fail the best-response check. The grid
-    scans of the tests (`tests/grid_oracles.py`) are not run here: their
-    work has no bound, and by weak duality neither can overturn a
-    verified certificate. A witness q gives every
-    feasible scheme the income E_p[fees] = E_q[fees] <= E_q[surplus] <= 0,
-    and a verified scheme with positive income rules out every witness in
-    the same way."""
+    verdict must pass `verify_exploitable`: its scheme is re-verified by
+    the checker of its kind, and its income must be positive and equal to
+    the verdict's; a profile-wise (Nash) verdict must also fail the
+    best-response check. The grid scans of the tests
+    (`tests/grid_oracles.py`) are not run here: their work has no bound,
+    and by weak duality neither can overturn a verified certificate. A
+    witness q gives every feasible scheme the income
+    E_p[fees] = E_q[fees] <= E_q[surplus] <= 0, and a verified scheme with
+    positive income rules out every witness in the same way."""
     if isinstance(verdict, Compatible):
         if not verify_witness(game, p, verdict.witness):
             raise OracleDisagreement("compatible verdict carries a bad witness")
@@ -127,16 +127,13 @@ def cross_check(game: Game, p: MarginalProfile, verdict, seed: int = 0) -> None:
                 "product of an equilibrium profile fails the incentive inequalities"
             )
     elif isinstance(verdict, Exploitable):
-        checker = verify_actionwise
-        if isinstance(verdict.scheme, ProfilewiseScheme):
-            checker = verify_profilewise
-            if is_nash(game, p):
-                raise OracleDisagreement("exploitable verdict on an equilibrium profile")
+        if isinstance(verdict.scheme, ProfilewiseScheme) and is_nash(game, p):
+            raise OracleDisagreement("exploitable verdict on an equilibrium profile")
         try:
-            income = checker(game, p, verdict.scheme)
+            verify_exploitable(game, p, verdict)
         except SchemeViolation as exc:
             raise OracleDisagreement(f"exploitable verdict carries a bad scheme: {exc}")
-        if income != verdict.expected_profit or income <= 0:
+        except IncomeClaimError:
             raise OracleDisagreement("exploitable verdict income does not check out")
     else:
         raise TypeError(f"not a verdict: {verdict!r}")

@@ -10,7 +10,9 @@ Fraction only for the income and for a violation's shortfall. They
 return the exact expected fee income rather than a boolean: callers
 decide what sign they require, since zero-income schemes are legal
 objects. An infeasible scheme raises `SchemeViolation` carrying the
-first violating profile in row-major order.
+first violating profile in row-major order. `verify_exploitable`, the
+one check of an exploitable verdict's claimed income, is where a sign is
+required: positive, and equal to the claim.
 """
 
 from __future__ import annotations
@@ -19,7 +21,11 @@ import itertools
 from fractions import Fraction
 from math import lcm
 
-from .correlated import expected_fee_income, is_correlated_equilibrium
+from .correlated import (
+    ActionwiseScheme,
+    expected_fee_income,
+    is_correlated_equilibrium,
+)
 from .games import (
     DeviationKernel,
     Game,
@@ -43,6 +49,15 @@ class SchemeViolation(Exception):
             f"scheme infeasible at profile {'/'.join(self.labels)}: "
             f"fees exceed deviation surplus by {shortfall}"
         )
+
+
+class IncomeClaimError(ValueError):
+    """An exploitable verdict's feasible scheme does not earn the positive
+    income the verdict claims; `income` is what it does earn."""
+
+    def __init__(self, income, claimed):
+        self.income = income
+        super().__init__(f"scheme earns {income}, not the claimed {claimed}")
 
 
 def verify_witness(game: Game, p: MarginalProfile, q: JointDistribution) -> bool:
@@ -95,3 +110,16 @@ def verify_profilewise(game: Game, p: MarginalProfile, scheme) -> Fraction:
     )
     q = product_distribution(p)
     return sum((qa * fa for qa, fa in zip(q.probs, scheme.fee)), _ZERO)
+
+
+def verify_exploitable(game: Game, p: MarginalProfile, verdict) -> Fraction:
+    """Check an `Exploitable` verdict's scheme with the checker of its kind
+    and return its income; raise `IncomeClaimError` unless that income is
+    positive and equal to `verdict.expected_profit`."""
+    if isinstance(verdict.scheme, ActionwiseScheme):
+        income = verify_actionwise(game, p, verdict.scheme)
+    else:
+        income = verify_profilewise(game, p, verdict.scheme)
+    if not 0 < income == verdict.expected_profit:
+        raise IncomeClaimError(income, verdict.expected_profit)
+    return income

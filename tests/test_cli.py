@@ -151,6 +151,56 @@ def test_verify_nash_verdict_doc_without_the_solver(
     assert captured.err == ""
 
 
+def _all_fees(scheme, fee):
+    if scheme["type"] == "actionwise":
+        scheme["fees"] = {who: [fee] * len(row) for who, row in scheme["fees"].items()}
+    else:
+        scheme["fee"] = [fee] * len(scheme["fee"])
+
+
+@pytest.mark.parametrize(
+    "command, edit, valid, income",
+    [
+        ("test-ce", None, True, "7/36"),
+        ("test-ce", "fees", False, "-2"),
+        ("test-ce", "claim", False, "7/36"),
+        ("test-ce", "bare scheme fees", True, "-2"),
+        ("test-nash", None, True, None),
+        ("test-nash", "fees", False, "-1"),
+    ],
+)
+def test_verify_checks_the_claim_of_an_exploitable_verdict(
+    files, tmp_path, capsys, command, edit, valid, income
+):
+    # A verdict document is valid only if its scheme is feasible and earns
+    # exactly the positive income it claims; a bare scheme document is
+    # checked pointwise and its income printed, whatever its sign.
+    from eqaudit import cli
+
+    out = tmp_path / "verdict.json"
+    argv = [command, files["game.json"], files["skewed.json"], "--out", str(out)]
+    assert cli.main(argv) == 1
+    doc = json.loads(out.read_text())
+    income = income or doc["expected_profit"]
+    if edit == "fees":
+        _all_fees(doc["scheme"], "-1")
+    elif edit == "claim":
+        doc["expected_profit"] = "1000"
+    elif edit == "bare scheme fees":
+        doc = doc["scheme"]
+        _all_fees(doc, "-1")
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = cli.main(["verify", files["game.json"], files["skewed.json"], str(out)])
+    assert code == (0 if valid else 1)
+    kind = "actionwise" if command == "test-ce" else "profilewise"
+    assert json.loads(capsys.readouterr().out) == {
+        "expected_profit": income,
+        "kind": kind,
+        "valid": valid,
+    }
+
+
 def test_marginals_command(files):
     res = run_cli("marginals", files["game.json"], files["plays.csv"])
     assert res.returncode == 0
@@ -213,9 +263,9 @@ def test_oracle_is_bounded_on_a_sparse_three_player_game(tmp_path):
     "marginals, kind", [("mixed.json", "witness"), ("skewed.json", "actionwise")]
 )
 def test_sparse_certificate_round_trip(files, tmp_path, marginals, kind):
-    # Both profiles leave R unobserved, so the certificate is a lifted one:
-    # a witness that is 0 on R, or a scheme with a negative fee on R and an
-    # identity kernel row for it.
+    # Both profiles leave R unobserved, so the certificate is read back
+    # from the system on the support product: a witness that is 0 on R, or
+    # a scheme with a negative fee on R and an identity kernel row for it.
     first = run_cli("test-ce", files["game.json"], files[marginals])
     second = run_cli("test-ce", files["game.json"], files[marginals])
     assert first.stdout == second.stdout

@@ -9,7 +9,8 @@ from conftest import (
     permute_joint,
     permute_marginals,
 )
-from eqaudit import lp
+from full_ce_system import build_full_ce_system
+from eqaudit import games, lp, verify
 from eqaudit import correlated
 from eqaudit.correlated import (
     Compatible,
@@ -50,12 +51,23 @@ def test_is_ce_mixed_product(coordination, mixed_equilibrium):
 
 
 def test_build_system_shape(coordination, skewed_profile):
+    # R is unobserved: its two profiles and its two incentive rows go, and
+    # so do its marginal row and P2's last supported one (M).
     sys_ = build_ce_system(coordination, skewed_profile)
-    assert sys_.num_vars == 6
+    assert sys_.num_vars == 2 * 2
     senses = [row.sense for row in sys_.rows]
-    assert senses.count(lp.GE) == 2 * 1 + 3 * 2  # per-player deviations
-    assert senses.count(lp.EQ) == 2 + 3
+    assert senses.count(lp.GE) == 2 * 1 + 2 * 2  # supported deviations
+    assert senses.count(lp.EQ) == 2 + 1
     assert all(sys_.nonneg)
+    # the rows and columns it keeps, cut out of the unreduced system
+    full = build_full_ce_system(coordination, skewed_profile)
+    cols = [0, 1, 3, 4]
+    rows = [0, 1, 2, 3, 4, 5, 8, 9, 10]
+    cut = [
+        (tuple(row.coeffs[j] for j in cols), row.sense, row.rhs)
+        for row in (full.rows[k] for k in rows)
+    ]
+    assert [(row.coeffs, row.sense, row.rhs) for row in sys_.rows] == cut
 
 
 def test_build_system_degenerate():
@@ -104,11 +116,16 @@ def test_skewed_profile_exploitable(coordination, skewed_profile):
 def test_normalize_dual_rejects_garbage(coordination, skewed_profile, matching_pennies):
     sys_ = build_ce_system(coordination, skewed_profile)
     with pytest.raises(ValueError):
-        normalize_dual(coordination, sys_, (F(0),) * len(sys_.rows))
+        normalize_dual(coordination, skewed_profile, (F(0),) * len(sys_.rows))
     # a true certificate of the system, read against another game
     out = lp.solve_feasibility(sys_)
+    uniform = MarginalProfile(((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2))))
     with pytest.raises(ValueError):
-        normalize_dual(matching_pennies, sys_, out.multipliers)
+        normalize_dual(matching_pennies, uniform, out.multipliers)
+    # ... and against a game of the same shape, where no fee is earned
+    idle = Game(coordination.players, coordination.actions, (("0",) * 6,) * 2)
+    with pytest.raises(ValueError):
+        normalize_dual(idle, skewed_profile, out.multipliers)
 
 
 def test_normalize_dual_scale_invariance(coordination, skewed_profile):
@@ -117,7 +134,7 @@ def test_normalize_dual_scale_invariance(coordination, skewed_profile):
     assert isinstance(out, lp.Infeasible)
     for scale in (F(1), F(5), F(1, 7)):
         scheme = normalize_dual(
-            coordination, sys_, tuple(scale * m for m in out.multipliers)
+            coordination, skewed_profile, tuple(scale * m for m in out.multipliers)
         )
         assert verify_actionwise(coordination, skewed_profile, scheme) > 0
 
@@ -131,8 +148,9 @@ def _support_product(game, p):
 
 
 def test_presolve_keeps_the_decision_and_certificates():
-    # The verdict on the presolved system must be the arm the full system
-    # gives, and every lifted certificate must check out on its own.
+    # The verdict on the system over the support product must be the arm
+    # the unreduced system gives, and every certificate read back from it
+    # must check out on its own.
     # random_marginals leaves some actions at 0; random_ce marginals come
     # from sparse vertices.
     rng = random.Random(17)
@@ -141,7 +159,7 @@ def test_presolve_keeps_the_decision_and_certificates():
         game = random_game(rng, max_actions=3 if k % 2 else 2)
         for p in (random_marginals(rng, game), random_ce(game, k).marginals()):
             verdict = correlated.test_ce_compatibility(game, p)
-            full = lp.solve_feasibility(build_ce_system(game, p))
+            full = lp.solve_feasibility(build_full_ce_system(game, p))
             assert isinstance(verdict, Compatible) == isinstance(full, lp.Feasible)
             seen.add((type(verdict), any(0 in row for row in p.probs)))
             if isinstance(verdict, Compatible):
@@ -161,7 +179,7 @@ def test_presolve_keeps_the_decision_and_certificates():
 
 
 def test_skewed_certificate_is_the_lifted_one(coordination, skewed_profile):
-    # R is off the support: its fee is the negative lift multiplier and its
+    # R is off the support: its fee is the negative fill value and its
     # kernel row, whose incentive rows were dropped, is the identity.
     verdict = correlated.test_ce_compatibility(coordination, skewed_profile)
     assert isinstance(verdict, Exploitable)
@@ -173,11 +191,9 @@ def test_skewed_certificate_is_the_lifted_one(coordination, skewed_profile):
 
 def test_lift_needs_a_negative_off_support_fee():
     # Pinned seeded instance: player 2's first action is unobserved, and
-    # the lifted certificate only passes the full system because that
-    # action's marginal row gets a strictly negative multiplier.
-    rng = random.Random(2)
-    game = random_game(rng)
-    p = random_marginals(rng, game)
+    # the scheme is only feasible because that action's fee is strictly
+    # negative.
+    game, p = _pinned_negative_fee_instance()
     assert game.shape == (2, 2) and p.support(1) == (1,)
     verdict = correlated.test_ce_compatibility(game, p)
     assert isinstance(verdict, Exploitable)
@@ -185,21 +201,67 @@ def test_lift_needs_a_negative_off_support_fee():
     assert verify_actionwise(game, p, verdict.scheme) == verdict.expected_profit > 0
 
 
+def _pinned_negative_fee_instance():
+    rng = random.Random(2)
+    game = random_game(rng)
+    return game, random_marginals(rng, game)
+
+
+def test_fee_fill_does_not_share_the_checkers_surplus(monkeypatch):
+    # The fill computes surplus on its own. Lower the checker's integer
+    # surplus by 1 at every profile outside the support product: the fee
+    # fitted tight at one of them must now fail the check. A fill that
+    # read `surplus_parts` (or `surplus_table`) would lower the fee too,
+    # and the corrupted check would pass.
+    game, p = _pinned_negative_fee_instance()
+    inside = _support_product(game, p)
+    original = games.surplus_parts
+
+    def corrupted(game_, kernel):
+        nums, dens = original(game_, kernel)
+        return [n if kept else n - d for n, d, kept in zip(nums, dens, inside)], dens
+
+    monkeypatch.setattr(games, "surplus_parts", corrupted)
+    monkeypatch.setattr(verify, "surplus_parts", corrupted)
+    with pytest.raises(RuntimeError):
+        correlated.test_ce_compatibility(game, p)
+
+
 def test_ce_system_is_built_once_per_request(
     monkeypatch, coordination, skewed_profile, mixed_equilibrium
 ):
+    # On either arm: one build, one `lp.LinearSystem` and one
+    # `lp.verify_outcome` call, the solver's own check of that system.
     calls = []
+    systems = []
+    checks = []
     original = correlated.build_ce_system
+    verify_outcome = lp.verify_outcome
 
     def counting(game, p):
         calls.append(p)
         return original(game, p)
 
+    class CountingSystem(lp.LinearSystem):
+        def __post_init__(self):
+            systems.append(self)
+            super().__post_init__()
+
+    def counting_check(system, outcome):
+        checks.append(system)
+        return verify_outcome(system, outcome)
+
     monkeypatch.setattr(correlated, "build_ce_system", counting)
+    monkeypatch.setattr(lp, "LinearSystem", CountingSystem)
+    monkeypatch.setattr(lp, "verify_outcome", counting_check)
     for p, arm in ((skewed_profile, Exploitable), (mixed_equilibrium, Compatible)):
         calls.clear()
+        systems.clear()
+        checks.clear()
         assert isinstance(correlated.test_ce_compatibility(coordination, p), arm)
         assert calls == [p]
+        assert len(systems) == len(checks) == 1
+        assert checks[0] is systems[0]
 
 
 def test_marginal_zero_probability_actions(coordination):

@@ -162,8 +162,10 @@ def test_certificate_reads_a_verdict_document_once(
     calls = []
     loads = dataio._loads
     monkeypatch.setattr(dataio, "_loads", lambda t: calls.append(t) or loads(t))
-    kind, scheme = dataio.parse_certificate(text, coordination)
-    assert (kind, scheme) == ("actionwise", verdict.scheme)
+    kind, payload = dataio.parse_certificate(text, coordination)
+    # the whole verdict, so the claimed income is checked too
+    assert (kind, payload) == ("actionwise", verdict)
+    assert payload.scheme == verdict.scheme
     assert calls == [text]
 
 

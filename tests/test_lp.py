@@ -162,17 +162,21 @@ def test_negative_rhs_ge_rows_on_both_arms():
 
 def test_ce_system_artificials_only_on_marginal_rows():
     # Every incentive row starts from its surplus column, so the only
-    # artificial columns belong to the sum(shape) marginal equalities.
+    # artificial columns belong to the kept marginal equalities: one per
+    # supported action, less the last one of every player after the first.
     rng = random.Random(7)
     for _ in range(6):
         game = random_game(rng)
-        sys_ = build_ce_system(game, random_marginals(rng, game))
+        p = random_marginals(rng, game)
+        sys_ = build_ce_system(game, p)
         simplex = lp._Simplex(sys_)
         with_art = [k for k, col in enumerate(simplex.art) if col is not None]
-        first_marginal = len(sys_.rows) - sum(game.shape)
+        marginal_rows = sum(len(p.support(i)) for i in range(game.num_players))
+        marginal_rows -= game.num_players - 1
+        first_marginal = len(sys_.rows) - marginal_rows
         assert first_marginal > 0
         assert with_art == list(range(first_marginal, len(sys_.rows)))
-        assert sum(simplex.is_art) == sum(game.shape)
+        assert sum(simplex.is_art) == marginal_rows
 
 
 # Denominators mix small values with distinct 21-bit primes, so row

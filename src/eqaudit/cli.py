@@ -71,8 +71,6 @@ def _run_batch(test, game, args) -> int:
     import json
     from concurrent.futures import ProcessPoolExecutor
 
-    if args.log:
-        raise DataFormatError("--log cannot be combined with a marginals directory")
     directory = Path(args.marginals)
     files = sorted(directory.glob("*.json"))
     if not files:
@@ -94,6 +92,8 @@ def _run_batch(test, game, args) -> int:
 
 
 def _cmd_test(test, args) -> int:
+    if args.log and args.marginals:
+        raise DataFormatError("--log cannot be combined with a marginals path")
     game = dataio.parse_game(_read(args.game))
     if args.marginals and Path(args.marginals).is_dir():
         return _run_batch(test, game, args)

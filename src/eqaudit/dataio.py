@@ -24,10 +24,12 @@ as malformed input.
 
 Play logs are CSV with one column per player (header row holds player
 ids). Columns may have different lengths; the histories are per player
-and never aligned across players. Like a per-player table, a log needs a
-column for every game player and no other: a header id that names no
-player is malformed, and so is a non-empty cell past the last header
-column. Empty cells are ignored.
+and never aligned across players. A parsed log maps each header id to
+its cells, and `empirical_marginals` reads it as a per-player table, by
+the same rule: a column for every game player and no other, so a header
+id that names no player is malformed. So is a non-empty cell past the
+last header column, and an action the player does not have. Empty cells
+are ignored.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ import io
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .correlated import ActionwiseScheme, Compatible, Exploitable
@@ -389,20 +390,6 @@ def emit_surplus(game: Game, values) -> str:
     )
 
 
-@dataclass(frozen=True)
-class PlayLog:
-    """Independently observed per-player action histories."""
-
-    players: tuple[str, ...]
-    sequences: tuple[tuple[str, ...], ...]
-
-    def sequence_for(self, player: str) -> tuple[str, ...]:
-        try:
-            return self.sequences[self.players.index(player)]
-        except ValueError:
-            raise KeyError(f"no history for player {player!r}") from None
-
-
 def _csv_rows(text: str):
     try:
         yield from csv.reader(io.StringIO(text))
@@ -410,10 +397,10 @@ def _csv_rows(text: str):
         raise DataFormatError(f"malformed play log: {exc}") from None
 
 
-def parse_play_log(text: str) -> PlayLog:
-    """Read a CSV play log: header row of player ids, one column per
-    player, empty cells ignored (histories may differ in length). A
-    non-empty cell past the header is malformed."""
+def parse_play_log(text: str) -> dict[str, list[str]]:
+    """Read a CSV play log into its cells per header id: header row of
+    player ids, one column per player, empty cells ignored (histories may
+    differ in length). A non-empty cell past the header is malformed."""
     reader = _csv_rows(text)
     try:
         header = next(reader)
@@ -433,28 +420,19 @@ def parse_play_log(text: str) -> PlayLog:
             if j >= len(header):
                 raise DataFormatError(f"play log row {line} has a cell past the header")
             columns[j].append(cell)
-    return PlayLog(tuple(header), tuple(tuple(c) for c in columns))
+    return dict(zip(header, columns))
 
 
-def empirical_marginals(game: Game, log: PlayLog) -> MarginalProfile:
-    """Exact per-player action frequencies from a play log, which must
-    have a column for every game player and no other."""
+def empirical_marginals(game: Game, log: dict[str, list[str]]) -> MarginalProfile:
+    """Exact per-player action frequencies from a parsed play log, which
+    is a per-player table: a column for every game player and no other."""
     rows = []
-    for i, player in enumerate(game.players):
-        try:
-            history = log.sequence_for(player)
-        except KeyError as exc:
-            raise DataFormatError(str(exc)) from None
+    histories = _parse_table(log, game.players, "play log", str)
+    for i, (player, history) in enumerate(zip(game.players, histories)):
         if not history:
             raise DataFormatError(f"empty history for player {player!r}")
         counts = [0] * len(game.actions[i])
         for label in history:
-            try:
-                counts[game.action_index(i, label)] += 1
-            except ValueError as exc:
-                raise DataFormatError(str(exc)) from None
+            counts[_checked(game.action_index, i, label)] += 1
         rows.append(tuple(Fraction(c, len(history)) for c in counts))
-    for player in log.players:
-        if player not in game.players:
-            raise DataFormatError(f"play log lists unknown player {player!r}")
     return MarginalProfile(tuple(rows))

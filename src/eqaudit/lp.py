@@ -4,8 +4,9 @@ A `LinearSystem` mixes `>=` and `==` rows over variables that are either
 sign-restricted to be nonnegative or free. `solve_feasibility` runs phase
 one of a two-phase simplex using Bland's entering and leaving rule, so it
 terminates on every input without any degeneracy tolerance. The tableau
-is exact and fraction-free: each row is a list of ints over one row
-denominator, and a pivot cross-multiplies and divides out the gcd, in the
+is exact and fraction-free: each row is a list of ints whose denominator
+is its own entry in its basic column, the objective is the last row, and
+a pivot cross-multiplies every other row and divides out its gcd, in the
 manner of Edmonds' and Bareiss' integer-preserving elimination. The
 starting basis is a slack start: a `>=` row whose right-hand side is at
 most zero (an incentive row, say) is already satisfied at the origin, so
@@ -134,14 +135,17 @@ class _Simplex:
     rows get a surplus column. A `>=` row whose right-hand side is at most
     zero is negated and starts with its own surplus column in the basis,
     at value `-rhs`. Every other row is sign-flipped so its right-hand side
-    is nonnegative and gets an artificial column for the starting basis.
-    Artificial columns never re-enter the basis; at the phase-one optimum
-    the reduced costs of the artificial and slack-started surplus columns
-    encode the dual multipliers.
+    is nonnegative and gets an artificial column for the starting basis;
+    the artificial columns are the block `first_art .. z - 1`, and they
+    never re-enter the basis. At the phase-one optimum the reduced cost of
+    the column each row started in encodes that row's dual multiplier.
 
-    Each tableau row, right-hand side last, is a list of ints over one
-    positive row denominator, with no factor common to all of them; so
-    is the objective row, whose last entry is minus the current cost.
+    Each tableau row, right-hand side last, is a list of ints with no
+    factor common to all of them, and its denominator is its own entry in
+    its basic column, which is positive and zero in every other row. The
+    objective is the last row, with basic column `z` (zero in every
+    constraint row) holding its denominator and with minus the current
+    cost as its right-hand side.
     """
 
     def __init__(self, system: LinearSystem):
@@ -166,7 +170,7 @@ class _Simplex:
                 self.surplus.append(None)
         # Row k starts from its surplus column when that column alone is a
         # feasible basic variable; every other row needs an artificial.
-        first_art = ncols
+        self.first_art = ncols
         self.art: list[int | None] = []
         for row in system.rows:
             if row.sense == GE and row.rhs <= 0:
@@ -174,31 +178,18 @@ class _Simplex:
             else:
                 self.art.append(ncols)
                 ncols += 1
-        self.ncols = ncols
-        self.is_art = [j >= first_art for j in range(ncols)]
+        self.z = ncols
 
-        # Scaling a row by the lcm of its denominators leaves entries whose
-        # gcd with that lcm is already 1.
         self.T: list[list[int]] = []
-        self.d: list[int] = []
         self.flip: list[int] = []
         self.basis: list[int] = []
         for k, row in enumerate(system.rows):
-            scale = lcm(row.rhs.denominator, *(c.denominator for c in row.coeffs))
             acol = self.art[k]
             sign = -1 if row.rhs < 0 or acol is None else 1
-            vec = [0] * (ncols + 1)
-            for j, c in enumerate(row.coeffs):
-                if c:
-                    v = sign * c.numerator * (scale // c.denominator)
-                    vec[self.plus[j]] = v
-                    mcol = self.minus[j]
-                    if mcol is not None:
-                        vec[mcol] = -v
+            vec, scale = self._place(row.coeffs, row.rhs, sign)
             scol = self.surplus[k]
             if scol is not None:
                 vec[scol] = -sign * scale
-            vec[ncols] = sign * row.rhs.numerator * (scale // row.rhs.denominator)
             if acol is None:
                 self.basis.append(scol)
             else:
@@ -206,46 +197,56 @@ class _Simplex:
                 self.basis.append(acol)
             self.flip.append(sign)
             self.T.append(vec)
-            self.d.append(scale)
-        self.objrow: list[int] = []
-        self.objden = 1
 
-    def _price(self, cost: list[int], den: int) -> None:
-        # Objective row for `cost / den` (rhs entry 0): eliminate every
-        # basic column from it.
-        self.objrow, self.objden = cost, den
+    def _place(self, coeffs, rhs: Fraction, sign: int) -> tuple[list[int], int]:
+        """`sign * (coeffs, rhs)` as a tableau row of ints over the lcm of
+        their denominators, and that lcm; the entries' gcd with it is 1."""
+        scale = lcm(rhs.denominator, *(c.denominator for c in coeffs))
+        vec = [0] * (self.z + 2)
+        for j, c in enumerate(coeffs):
+            if c:
+                v = sign * c.numerator * (scale // c.denominator)
+                vec[self.plus[j]] = v
+                mcol = self.minus[j]
+                if mcol is not None:
+                    vec[mcol] = -v
+        vec[-1] = sign * rhs.numerator * (scale // rhs.denominator)
+        return vec, scale
+
+    def _price(self, cost: list[int], den: int) -> Fraction:
+        """Minimize `cost / den` (right-hand side entry 0) from the current
+        basis and return the minimum."""
+        cost[self.z] = den
         for r, col in enumerate(self.basis):
-            if self.objrow[col]:
-                self.objrow, self.objden = _eliminate(
-                    self.objrow, self.objden, self.T[r], col
-                )
+            if cost[col]:
+                cost = _eliminate(cost, self.T[r], col)
+        self.T[len(self.basis):] = [cost]  # replaces or appends the last row
+        self._run()
+        objective = self.T[-1]
+        return Fraction(-objective[-1], objective[self.z])
 
     def _pivot(self, r: int, col: int) -> None:
+        # The pivot row already has no common factor; only the sign of its
+        # new denominator may need fixing.
         row = self.T[r]
         if row[col] < 0:
-            row = [-v for v in row]
-        g = gcd(*row)
-        if g != 1:
-            row = [v // g for v in row]
-        self.T[r] = row
-        self.d[r] = row[col]
+            row = self.T[r] = [-v for v in row]
         for r2, row2 in enumerate(self.T):
             if r2 != r and row2[col]:
-                self.T[r2], self.d[r2] = _eliminate(row2, self.d[r2], row, col)
-        if self.objrow[col]:
-            self.objrow, self.objden = _eliminate(self.objrow, self.objden, row, col)
+                self.T[r2] = _eliminate(row2, row, col)
         self.basis[r] = col
 
     def _run(self) -> None:
         # Bland: enter the lowest-index improving column, leave on the
         # minimum ratio breaking ties by lowest basic variable index. Row
         # denominators are positive and cancel in rhs/entry, so signs and
-        # ratios are read from the numerators alone.
+        # ratios are read from the numerators alone. The objective row has
+        # a negative entry in the entering column, so it never leaves.
         while True:
-            objrow = self.objrow
+            objective = self.T[-1]
             enter = -1
-            for j in range(self.ncols):
-                if objrow[j] < 0 and not self.is_art[j]:
+            for j in range(self.first_art):
+                if objective[j] < 0:
                     enter = j
                     break
             if enter < 0:
@@ -267,32 +268,27 @@ class _Simplex:
 
     def phase_one(self) -> Fraction:
         """Minimize the artificial total; returns the optimal value."""
-        cost = [0] * (self.ncols + 1)
-        for col in self.art:
-            if col is not None:
-                cost[col] = 1
-        self._price(cost, 1)
-        self._run()
-        return Fraction(-self.objrow[-1], self.objden)
+        cost = [0] * (self.z + 2)
+        cost[self.first_art : self.z] = [1] * (self.z - self.first_art)
+        return self._price(cost, 1)
 
     def farkas(self) -> tuple[Fraction, ...]:
-        # A slack-started row was negated and its surplus column carries
-        # cost 0 and entry +1 there, so that column's reduced cost is the
-        # row's multiplier. An artificial column k carries cost 1, so its
-        # reduced cost is 1 - y_k; undo the sign flip applied to its row.
+        # Row k's multiplier is y_k = flip_k * (c - r), where r is the
+        # reduced cost of the column the row started in and c that
+        # column's cost: 1 for an artificial, 0 for a surplus column.
+        objective = self.T[-1]
+        den = objective[self.z]
         out = []
-        den = self.objden
-        for k, acol in enumerate(self.art):
-            if acol is None:
-                out.append(Fraction(self.objrow[self.surplus[k]], den))
-            else:
-                out.append(Fraction(self.flip[k] * (den - self.objrow[acol]), den))
+        for k, sign in enumerate(self.flip):
+            col = self.surplus[k] if self.art[k] is None else self.art[k]
+            cost = den if col >= self.first_art else 0
+            out.append(Fraction(sign * (cost - objective[col]), den))
         return tuple(out)
 
     def point(self) -> tuple[Fraction, ...]:
-        xstd = [_ZERO] * self.ncols
-        for r, col in enumerate(self.basis):
-            xstd[col] = Fraction(self.T[r][-1], self.d[r])
+        xstd = [_ZERO] * self.z
+        for row, col in zip(self.T, self.basis):
+            xstd[col] = Fraction(row[-1], row[col])
         out = []
         for j in range(self.system.num_vars):
             v = xstd[self.plus[j]]
@@ -308,44 +304,32 @@ class _Simplex:
         # leave the feasible set. Swap each one for a structural column in
         # its row; a row with no structural entry left is redundant and can
         # never change again, so it is safe to keep.
-        for r in range(len(self.T)):
-            if not self.is_art[self.basis[r]]:
+        for r, col in enumerate(self.basis):
+            if col < self.first_art:
                 continue
             row = self.T[r]
-            for j in range(self.ncols):
-                if row[j] and not self.is_art[j]:
+            for j in range(self.first_art):
+                if row[j]:
                     self._pivot(r, j)
                     break
 
     def phase_two_max(self, objective) -> Fraction:
         self._purge_artificials()
-        objective = [as_fraction(c) for c in objective]
-        scale = lcm(*(c.denominator for c in objective))
-        cost = [0] * (self.ncols + 1)
-        for j, c in enumerate(objective):
-            if c:
-                v = c.numerator * (scale // c.denominator)
-                cost[self.plus[j]] = -v
-                mcol = self.minus[j]
-                if mcol is not None:
-                    cost[mcol] = v
-        self._price(cost, scale)
-        self._run()
-        return Fraction(self.objrow[-1], self.objden)
+        cost, scale = self._place([as_fraction(c) for c in objective], _ZERO, -1)
+        return -self._price(cost, scale)
 
 
-def _eliminate(row2: list[int], d2: int, row: list[int], col: int):
-    """Zero `col` in `row2 / d2` with `row`, which holds its own row
-    denominator there; returns the reduced result and its denominator."""
+def _eliminate(row2: list[int], row: list[int], col: int) -> list[int]:
+    """Zero `col` in `row2` with `row`, which holds its own denominator
+    there; `row2`'s basic entry is zero in `row`, so it scales by that
+    denominator and stays the denominator of the reduced result."""
     p = row[col]
     f = row2[col]
     new = [a * p - f * b for a, b in zip(row2, row)]
-    den = d2 * p
-    g = gcd(den, *new)
+    g = gcd(*new)
     if g != 1:
         new = [v // g for v in new]
-        den //= g
-    return new, den
+    return new
 
 
 def solve_feasibility(system: LinearSystem) -> FeasibilityOutcome:

@@ -29,7 +29,6 @@ from .games import (
     MarginalProfile,
     as_fraction,
     product_distribution,
-    surplus_table,
 )
 
 _ZERO = Fraction(0)
@@ -121,9 +120,11 @@ def test_nash_exploitability(game: Game, p: MarginalProfile) -> NashVerdict:
     """IsNash, or a profile-wise scheme built from the best deviation.
 
     The kernel is the identity except that player `i`, told `a`, plays
-    `b`; the fee at each profile is that kernel's surplus there, so the
-    scheme is feasible by construction. Its income under the product of
-    `p` is exactly the deviation's gain.
+    `b`; the fee is that kernel's surplus, `u_i(b, .) - u_i(a, .)` where
+    `i` plays `a` and 0 elsewhere, read from `i`'s payoffs along `i`'s
+    lines rather than from `surplus_parts`, which the checker uses. The
+    scheme is feasible by construction, and its income under the product
+    of `p` is exactly the deviation's gain.
     """
     deviation = _best_deviation(game, p)
     if deviation is None:
@@ -132,4 +133,8 @@ def test_nash_exploitability(game: Game, p: MarginalProfile) -> NashVerdict:
     rows = [list(r) for r in DeviationKernel.identity(game.shape).rows]
     rows[i][a] = rows[i][b]
     kernel = DeviationKernel(tuple(map(tuple, rows)))
-    return Exploitable(ProfilewiseScheme(surplus_table(game, kernel), kernel), gain)
+    pay, step = game.payoffs[i], game.strides[i]
+    fee = [_ZERO] * game.num_profiles
+    for start in game.line_starts(i):
+        fee[start + a * step] = pay[start + b * step] - pay[start + a * step]
+    return Exploitable(ProfilewiseScheme(fee, kernel), gain)

@@ -384,14 +384,21 @@ def test_batch_runs_the_oracle_cross_check(files, tmp_path, monkeypatch, capsys)
     assert captured.err.startswith("oracle disagreement: planted")
 
 
-def test_batch_rejects_log(files, tmp_path):
-    res = run_cli(
-        "test-ce", files["game.json"], _batch(tmp_path, 2), "--log", files["plays.csv"]
-    )
-    assert res.returncode == 2
-    assert res.stdout == ""
-    lines = res.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:")
+@pytest.mark.parametrize("marginals", ["directory", "file", "missing"])
+def test_batch_rejects_log(files, tmp_path, marginals):
+    # A marginals path and --log each name the profile, so neither may
+    # silently win, whether the path is a directory, a file or absent.
+    path = {
+        "directory": lambda: _batch(tmp_path, 2),
+        "file": lambda: files["skewed.json"],
+        "missing": lambda: str(tmp_path / "absent.json"),
+    }[marginals]()
+    for command in ("test-ce", "test-nash"):
+        res = run_cli(command, files["game.json"], path, "--log", files["plays.csv"])
+        assert res.returncode == 2
+        assert res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 def test_repeated_runs_byte_identical(files):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -176,7 +177,7 @@ def test_ce_system_artificials_only_on_marginal_rows():
         first_marginal = len(sys_.rows) - marginal_rows
         assert first_marginal > 0
         assert with_art == list(range(first_marginal, len(sys_.rows)))
-        assert sum(simplex.is_art) == marginal_rows
+        assert simplex.z - simplex.first_art == marginal_rows
 
 
 # Denominators mix small values with distinct 21-bit primes, so row
@@ -203,6 +204,35 @@ def _systems(draw):
 def test_solve_matches_the_fraction_tableau(sys_):
     # Same rational tableau, same Bland pivots: the same outcome exactly.
     assert lp.solve_feasibility(sys_) == fraction_simplex.solve(sys_)
+
+
+def _assert_tableau_invariants(simplex):
+    # Every row holds its own positive denominator in its basic column,
+    # which is zero in every other row, and has no common factor; the
+    # objective is the last row, with basic column `z`.
+    basis = simplex.basis + [simplex.z]
+    assert len(simplex.T) == len(basis)
+    for r, (row, col) in enumerate(zip(simplex.T, basis)):
+        assert row[col] > 0
+        assert all(other[col] == 0 for r2, other in enumerate(simplex.T) if r2 != r)
+        assert math.gcd(*row) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(_systems(), st.data())
+def test_every_row_holds_its_own_denominator(sys_, data):
+    simplex = lp._Simplex(sys_)
+    feasible = simplex.phase_one() == 0
+    _assert_tableau_invariants(simplex)
+    if feasible:
+        objective = data.draw(
+            st.lists(_rationals, min_size=sys_.num_vars, max_size=sys_.num_vars)
+        )
+        try:
+            simplex.phase_two_max(objective)
+        except ArithmeticError:  # unbounded: the tableau is still whole
+            pass
+        _assert_tableau_invariants(simplex)
 
 
 def _maximize_or_error(maximize, sys_, objective):

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 from conftest import duplicate_action, extend_marginals
 from eqaudit import lp
-from eqaudit import correlated, nash
+from eqaudit import correlated, games, nash
 from eqaudit.correlated import Compatible
 from eqaudit.games import DeviationKernel, MarginalProfile, surplus_table
 from eqaudit.nash import (
@@ -66,6 +66,26 @@ def test_skewed_certificate_moves_the_second_column(
         ),
         F(3),
     )
+
+
+def test_fee_is_not_read_from_the_checkers_surplus(
+    monkeypatch, coordination, skewed_profile
+):
+    # `verify_profilewise` compares each fee with `surplus_parts`; a fee
+    # built from it would agree with any error there, so an error at the
+    # profiles where an unobserved action is played must not reach it.
+    verdict = nash.test_nash_exploitability(coordination, skewed_profile)
+    parts = games.surplus_parts
+
+    def overstated(game, kernel):
+        nums, dens = parts(game, kernel)
+        for flat, profile in enumerate(game.profiles()):
+            if any(not skewed_profile.probs[i][a] for i, a in enumerate(profile)):
+                nums[flat] += dens[flat]
+        return nums, dens
+
+    monkeypatch.setattr(games, "surplus_parts", overstated)
+    assert nash.test_nash_exploitability(coordination, skewed_profile) == verdict
 
 
 def test_pure_miscoordination_exploitable(coordination):

@@ -3,8 +3,9 @@
 audits equilibrium-derived and random profiles, and re-verifies every
 certificate; every CE and Nash verdict also goes through
 `oracles.cross_check`, the `--oracle` check of the command line, and
-Nash verdicts are compared with the direct best-response check. Any
-disagreement raises.
+Nash verdicts are compared with `verify.verify_nash`, which checks the
+product of the profile against the incentive inequalities without the
+Nash test's best-response search. Any disagreement raises.
 
     python scripts/random_audit.py --games 50 --profiles 100 --seed 7
 """
@@ -15,9 +16,14 @@ import time
 
 from eqaudit import correlated, nash
 from eqaudit.correlated import Compatible
-from eqaudit.nash import IsNash, is_nash
+from eqaudit.nash import IsNash
 from eqaudit.oracles import cross_check, random_ce, random_game, random_marginals
-from eqaudit.verify import verify_actionwise, verify_profilewise, verify_witness
+from eqaudit.verify import (
+    verify_actionwise,
+    verify_nash,
+    verify_profilewise,
+    verify_witness,
+)
 
 
 def main():
@@ -59,7 +65,7 @@ def main():
         nash_verdict = nash.test_nash_exploitability(game, p)
         cross_check(game, p, nash_verdict)
         checked += 1
-        assert is_nash(game, p) == isinstance(nash_verdict, IsNash)
+        assert verify_nash(game, p) == isinstance(nash_verdict, IsNash)
         if isinstance(nash_verdict, IsNash):
             counts["nash"] += 1
         else:

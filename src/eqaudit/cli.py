@@ -24,12 +24,13 @@ from . import dataio, oracles
 from .correlated import Exploitable, test_ce_compatibility
 from .dataio import DataFormatError
 from .games import surplus_table
-from .nash import is_nash, test_nash_exploitability
+from .nash import test_nash_exploitability
 from .verify import (
     IncomeClaimError,
     SchemeViolation,
     verify_actionwise,
     verify_exploitable,
+    verify_nash,
     verify_profilewise,
     verify_witness,
 )
@@ -112,7 +113,7 @@ def _cmd_verify(args) -> int:
     if kind == "witness":
         doc["valid"] = verify_witness(game, p, payload)
     elif kind == "nash":
-        doc["valid"] = is_nash(game, p)
+        doc["valid"] = verify_nash(game, p)
     else:
         try:
             if isinstance(payload, Exploitable):

@@ -12,7 +12,9 @@ normalizing the Farkas multipliers of the infeasible coupling system.
 One coupling system is built per request, on the product of the
 supports: an action with observed frequency 0 forces zero mass on every
 profile that uses it. The outcome is read back without a solver and
-checked by `verify`. A witness is zero-extended to every profile.
+judged by `verify`, which also computes the income an exploitable
+verdict carries; this module does no income arithmetic. A witness is
+zero-extended to every profile.
 Multipliers become a kernel and fees; an unobserved action has no kept
 row, so its kernel row is the identity and its fee is the largest value
 at most 0 that keeps feasible every profile charged to it, a profile
@@ -182,21 +184,11 @@ def build_ce_system(game: Game, p: MarginalProfile) -> lp.LinearSystem:
     return lp.LinearSystem(len(cols), tuple(rows), (True,) * len(cols))
 
 
-def expected_fee_income(p: MarginalProfile, fees) -> Fraction:
-    """Expected total fee paid under `p`, summed across players."""
-    return sum(
-        (
-            prob * fee
-            for row, fee_row in zip(p.probs, fees)
-            for prob, fee in zip(row, fee_row)
-        ),
-        _ZERO,
-    )
-
-
-def normalize_dual(game: Game, p: MarginalProfile, multipliers) -> ActionwiseScheme:
+def normalize_dual(game: Game, p: MarginalProfile, multipliers) -> Exploitable:
     """Turn a Farkas certificate of `build_ce_system(game, p)` into a
-    transfer scheme with a row-stochastic kernel, and check it.
+    transfer scheme with a row-stochastic kernel, and return the checked
+    `Exploitable` verdict: the scheme and the income `verify_actionwise`
+    computes for it.
 
     Incentive-row multipliers become off-diagonal kernel mass and
     marginal-row multipliers become fees. Both are scaled by a common
@@ -240,12 +232,10 @@ def normalize_dual(game: Game, p: MarginalProfile, multipliers) -> ActionwiseSch
             paid = sum(fees[j][b] for j, b in enumerate(profile) if j not in off)
             fees[i][a] = min(fees[i][a], surplus(game, kernel, profile) - paid)
     scheme = ActionwiseScheme(tuple(map(tuple, fees)), kernel)
-    claim = Exploitable(scheme, expected_fee_income(p, scheme.fees))
-    try:
-        verify.verify_exploitable(game, p, claim)
-    except verify.SchemeViolation as exc:
-        raise ValueError(str(exc)) from None
-    return scheme
+    income = verify.verify_actionwise(game, p, scheme)
+    if income <= 0:
+        raise ValueError(f"scheme earns {income}, not a positive income")
+    return Exploitable(scheme, income)
 
 
 def test_ce_compatibility(game: Game, p: MarginalProfile) -> CeVerdict:
@@ -255,8 +245,8 @@ def test_ce_compatibility(game: Game, p: MarginalProfile) -> CeVerdict:
     the supports, and `lp.solve_feasibility` solves it. A feasible point
     is zero-extended to every profile and re-checked by
     `verify.verify_witness`; multipliers are read back by `normalize_dual`,
-    which re-checks the scheme. A certificate that fails its check raises
-    RuntimeError.
+    whose checked verdict, income included, is returned as it is. A
+    certificate that fails its check raises RuntimeError.
     """
     from . import verify  # verify imports this module
 
@@ -270,7 +260,6 @@ def test_ce_compatibility(game: Game, p: MarginalProfile) -> CeVerdict:
             raise RuntimeError("witness fails the marginal or incentive check")
         return Compatible(witness)
     try:
-        scheme = normalize_dual(game, p, outcome.multipliers)
+        return normalize_dual(game, p, outcome.multipliers)
     except ValueError as exc:
         raise RuntimeError(f"scheme read from the multipliers fails: {exc}") from None
-    return Exploitable(scheme, expected_fee_income(p, scheme.fees))

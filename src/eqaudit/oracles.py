@@ -1,15 +1,15 @@
 """Independent cross-checks of verdicts, and seeded test inputs.
 
 `cross_check`, the command-line `--oracle` check, takes a verdict of
-either test: it re-verifies the certificate (a witness, or the
-action-wise or profile-wise scheme of the one `Exploitable` verdict),
-runs the direct best-response check on Nash verdicts and, for
-compatibility, makes the `random_ce` round trip. Every step has bounded
-work. `random_ce` samples a vertex of the incentive polytope under a
-seeded objective and is checked against the direct incentive
-inequalities before returning. `random_game` and `random_marginals`
-generate small seeded inputs for the tests, the scripts and the
-benchmark.
+either test: it re-verifies the certificate with `verify` (a witness, or
+the action-wise or profile-wise scheme of the one `Exploitable`
+verdict), judges Nash status with `verify.verify_nash`, runs the direct
+best-response check on an IsNash verdict as well and, for compatibility,
+makes the `random_ce` round trip. Every step has bounded work.
+`random_ce` samples a vertex of the incentive polytope under a seeded
+objective and is checked against the direct incentive inequalities
+before returning. `random_game` and `random_marginals` generate small
+seeded inputs for the tests, the scripts and the benchmark.
 
 Everything here is deterministic given its seed; no wall-clock entropy.
 """
@@ -28,12 +28,13 @@ from .correlated import (
     is_correlated_equilibrium,
     test_ce_compatibility,
 )
-from .games import Game, JointDistribution, MarginalProfile, product_distribution
+from .games import Game, JointDistribution, MarginalProfile
 from .nash import IsNash, ProfilewiseScheme, is_nash
 from .verify import (
     IncomeClaimError,
     SchemeViolation,
     verify_exploitable,
+    verify_nash,
     verify_witness,
 )
 
@@ -100,15 +101,15 @@ def cross_check(game: Game, p: MarginalProfile, verdict, seed: int = 0) -> None:
     A compatible verdict must carry a witness that `verify_witness`
     accepts, and the `random_ce` round trip must hold: the marginals of
     the equilibrium sampled under `seed` must come back compatible. An
-    IsNash verdict must pass the direct best-response check, and the
-    product of its profile the incentive inequalities. An exploitable
-    verdict must pass `verify_exploitable`: its scheme is re-verified by
-    the checker of its kind, and its income must be positive and equal to
-    the verdict's; a profile-wise (Nash) verdict must also fail the
-    best-response check. The grid scans of the tests
-    (`tests/grid_oracles.py`) are not run here: their work has no bound,
-    and by weak duality neither can overturn a verified certificate. A
-    witness q gives every feasible scheme the income
+    IsNash verdict must pass the direct best-response check and
+    `verify_nash`, which checks the product of its profile against the
+    incentive inequalities. An exploitable verdict must pass
+    `verify_exploitable`: its scheme is re-verified by the checker of its
+    kind, and its income must be positive and equal to the verdict's; a
+    profile-wise (Nash) verdict must also fail `verify_nash`. The grid
+    scans of the tests (`tests/grid_oracles.py`) are not run here: their
+    work has no bound, and by weak duality neither can overturn a verified
+    certificate. A witness q gives every feasible scheme the income
     E_p[fees] = E_q[fees] <= E_q[surplus] <= 0, and a verified scheme with
     positive income rules out every witness in the same way."""
     if isinstance(verdict, Compatible):
@@ -122,12 +123,12 @@ def cross_check(game: Game, p: MarginalProfile, verdict, seed: int = 0) -> None:
     elif isinstance(verdict, IsNash):
         if not is_nash(game, p):
             raise OracleDisagreement("IsNash verdict fails the best-response check")
-        if not is_correlated_equilibrium(game, product_distribution(p)):
+        if not verify_nash(game, p):
             raise OracleDisagreement(
                 "product of an equilibrium profile fails the incentive inequalities"
             )
     elif isinstance(verdict, Exploitable):
-        if isinstance(verdict.scheme, ProfilewiseScheme) and is_nash(game, p):
+        if isinstance(verdict.scheme, ProfilewiseScheme) and verify_nash(game, p):
             raise OracleDisagreement("exploitable verdict on an equilibrium profile")
         try:
             verify_exploitable(game, p, verdict)

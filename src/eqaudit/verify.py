@@ -1,18 +1,19 @@
 """Self-contained checks for every certificate the analyzers emit.
 
-Each verifier re-derives its verdict from exact arithmetic over the game
-data; none of them calls the feasibility solver, so a solver bug cannot
-vouch for its own output. The scheme verifiers share payoff data with
-the producers, the game's integer view and `games.surplus_parts`, but
-never pivoting code: they compare each profile's surplus with its fee in
-integers, by cross-multiplying numerators and denominators, and build a
-Fraction only for the income and for a violation's shortfall. They
-return the exact expected fee income rather than a boolean: callers
-decide what sign they require, since zero-income schemes are legal
-objects. An infeasible scheme raises `SchemeViolation` carrying the
-first violating profile in row-major order. `verify_exploitable`, the
-one check of an exploitable verdict's claimed income, is where a sign is
-required: positive, and equal to the claim.
+This module is the one judge of a verdict, and the analyzers return the
+income it computes. No verifier calls the feasibility solver or the
+producers' code (`nash`'s best-response search, `correlated`'s coupling
+system and its read-back), so neither can vouch for its own output. The
+scheme verifiers share payoff data with the producers, the game's
+integer view and `games.surplus_parts`: they compare each profile's
+surplus with its fee in integers, by cross-multiplying numerators and
+denominators, and build a Fraction only for the income and for a
+violation's shortfall. They return the exact expected fee income rather
+than a boolean: callers decide what sign they require, since zero-income
+schemes are legal objects. An infeasible scheme raises `SchemeViolation`
+carrying the first violating profile in row-major order.
+`verify_exploitable`, the one check of an exploitable verdict's claimed
+income, is where a sign is required: positive, and equal to the claim.
 """
 
 from __future__ import annotations
@@ -21,11 +22,7 @@ import itertools
 from fractions import Fraction
 from math import lcm
 
-from .correlated import (
-    ActionwiseScheme,
-    expected_fee_income,
-    is_correlated_equilibrium,
-)
+from .correlated import ActionwiseScheme, is_correlated_equilibrium
 from .games import (
     DeviationKernel,
     Game,
@@ -38,7 +35,7 @@ from .games import (
 _ZERO = Fraction(0)
 
 
-class SchemeViolation(Exception):
+class SchemeViolation(ValueError):
     """A transfer scheme's pointwise inequality fails at some profile."""
 
     def __init__(self, profile, labels, shortfall):
@@ -71,6 +68,12 @@ def verify_witness(game: Game, p: MarginalProfile, q: JointDistribution) -> bool
     return is_correlated_equilibrium(game, q)
 
 
+def verify_nash(game: Game, p: MarginalProfile) -> bool:
+    """True iff the product of `p` satisfies every incentive inequality,
+    which holds exactly when every supported action is a best response."""
+    return is_correlated_equilibrium(game, product_distribution(p))
+
+
 def _check_fees(game: Game, kernel: DeviationKernel, fees) -> None:
     """Raise `SchemeViolation` at the first profile, row-major, whose fee,
     given as `(numerator, positive denominator)`, exceeds the surplus."""
@@ -95,7 +98,8 @@ def verify_actionwise(game: Game, p: MarginalProfile, scheme) -> Fraction:
     ]
     totals = map(sum, itertools.product(*scaled))
     _check_fees(game, scheme.kernel, ((total, scale) for total in totals))
-    return expected_fee_income(p, scheme.fees)
+    weighted = zip(itertools.chain(*p.probs), itertools.chain(*scaled))
+    return sum((w * n for w, n in weighted), _ZERO) / scale
 
 
 def verify_profilewise(game: Game, p: MarginalProfile, scheme) -> Fraction:

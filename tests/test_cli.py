@@ -130,7 +130,7 @@ def test_verify_witness_from_verdict_doc(files, tmp_path):
 def test_verify_nash_verdict_doc_without_the_solver(
     files, tmp_path, monkeypatch, capsys, marginals, valid
 ):
-    from eqaudit import cli, lp
+    from eqaudit import cli, lp, nash
 
     out = tmp_path / "verdict.json"
     argv = ["test-nash", files["game.json"], files["pure_tl.json"], "--out", str(out)]
@@ -138,11 +138,14 @@ def test_verify_nash_verdict_doc_without_the_solver(
     assert json.loads(out.read_text()) == {"verdict": "nash"}
 
     def explode(*_args, **_kwargs):  # pragma: no cover
-        raise AssertionError("verify called the solver")
+        raise AssertionError("verify called the solver or the Nash test")
 
     for name in ("solve_feasibility", "verify_outcome", "maximize"):
         monkeypatch.setattr(lp, name, explode)
     monkeypatch.setattr(lp._Simplex, "phase_one", explode)
+    # The verdict is judged without the code that produced it.
+    for name in ("_best_deviation", "expected_payoff"):
+        monkeypatch.setattr(nash, name, explode)
     capsys.readouterr()
     code = cli.main(["verify", files["game.json"], files[marginals], str(out)])
     captured = capsys.readouterr()

@@ -135,7 +135,7 @@ def test_normalize_dual_scale_invariance(coordination, skewed_profile):
     for scale in (F(1), F(5), F(1, 7)):
         scheme = normalize_dual(
             coordination, skewed_profile, tuple(scale * m for m in out.multipliers)
-        )
+        ).scheme
         assert verify_actionwise(coordination, skewed_profile, scheme) > 0
 
 

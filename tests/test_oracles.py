@@ -185,6 +185,16 @@ def test_cross_check_rejects_profilewise_exploitation_of_a_nash_profile(
         cross_check(coordination, mixed_equilibrium, verdict)
 
 
+def test_cross_check_judges_profilewise_exploitation_without_the_nash_test(
+    coordination, skewed_profile, monkeypatch
+):
+    # A best-response search that wrongly finds no deviation does not
+    # decide whether a profile-wise verdict holds.
+    verdict = nash.test_nash_exploitability(coordination, skewed_profile)
+    monkeypatch.setattr(nash, "_best_deviation", lambda game, p: None)
+    cross_check(coordination, skewed_profile, verdict)
+
+
 def _tampered(scheme):
     if isinstance(scheme, ActionwiseScheme):
         fees = [list(row) for row in scheme.fees]

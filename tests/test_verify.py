@@ -4,7 +4,9 @@ from math import prod
 
 import pytest
 
+import eqaudit.correlated
 import eqaudit.lp
+import eqaudit.nash
 from eqaudit.correlated import ActionwiseScheme
 from eqaudit.games import (
     DeviationKernel,
@@ -19,6 +21,8 @@ from eqaudit.nash import ProfilewiseScheme
 from eqaudit.verify import (
     SchemeViolation,
     verify_actionwise,
+    verify_exploitable,
+    verify_nash,
     verify_profilewise,
     verify_witness,
 )
@@ -137,14 +141,21 @@ def test_profilewise_first_violation_row_major(coordination, diagonal_profile):
 
 
 def test_verifiers_never_touch_the_solver(
-    coordination, skewed_profile, miscoordination_scheme, monkeypatch
+    coordination, skewed_profile, mixed_equilibrium, miscoordination_scheme, monkeypatch
 ):
+    nash_verdict = eqaudit.nash.test_nash_exploitability(coordination, skewed_profile)
+    ce_verdict = eqaudit.correlated.test_ce_compatibility(coordination, skewed_profile)
+
     def explode(*_args, **_kwargs):  # pragma: no cover
-        raise AssertionError("verifier called the solver")
+        raise AssertionError("verifier called the solver or a producer")
 
     monkeypatch.setattr(eqaudit.lp, "solve_feasibility", explode)
     monkeypatch.setattr(eqaudit.lp, "maximize", explode)
     monkeypatch.setattr(eqaudit.lp._Simplex, "phase_one", explode)
+    for name in ("_best_deviation", "expected_payoff"):
+        monkeypatch.setattr(eqaudit.nash, name, explode)
+    for name in ("incentive_coefficients", "build_ce_system", "normalize_dual"):
+        monkeypatch.setattr(eqaudit.correlated, name, explode)
     assert (
         verify_actionwise(coordination, skewed_profile, miscoordination_scheme)
         == F(7, 4)
@@ -153,6 +164,15 @@ def test_verifiers_never_touch_the_solver(
     probs[0] = probs[4] = F(1, 2)
     q = JointDistribution((2, 3), tuple(probs))
     assert verify_witness(coordination, q.marginals(), q)
+    assert (
+        verify_profilewise(coordination, skewed_profile, nash_verdict.scheme)
+        == nash_verdict.expected_profit
+        > 0
+    )
+    assert verify_nash(coordination, mixed_equilibrium)
+    assert not verify_nash(coordination, skewed_profile)
+    for verdict in (nash_verdict, ce_verdict):
+        assert verify_exploitable(coordination, skewed_profile, verdict) > 0
 
 
 def _random_rational(rng, low, high):

@@ -22,6 +22,10 @@ outside the support product being charged to the unobserved action of
 the lowest-index player who plays one there. That fee is computed with
 the Fraction reference `games.surplus`, never with the checker's integer
 `surplus_parts`, so producer and checker share no surplus arithmetic.
+`is_correlated_equilibrium`, the direct check behind `verify_witness`,
+reads the game's integer payoff view and puts the joint mass over one
+common denominator, so each incentive inequality is one integer
+comparison.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import TYPE_CHECKING, Iterator
 
 from . import lp
@@ -38,6 +43,7 @@ from .games import (
     JointDistribution,
     MarginalProfile,
     as_fraction,
+    common_denominator,
     surplus,
 )
 
@@ -127,19 +133,28 @@ def incentive_rows(game: Game) -> list[lp.Row]:
 
 
 def is_correlated_equilibrium(game: Game, q: JointDistribution) -> bool:
-    """Direct check of every incentive inequality, no solver involved."""
+    """Direct check of every incentive inequality, no solver involved.
+
+    The mass is put over the lcm of q's denominators and, per player, the
+    `Game.int_payoffs` of the lines that carry mass over the lcm of their
+    denominators, so each deviation pair is one integer comparison."""
     _check_joint(game, q)
-    starts = [game.line_starts(i) for i in range(game.num_players)]
-    for i, ai, aj in deviation_pairs(game):
-        payoff = game.payoffs[i]
-        step = game.strides[i]
-        shift = (aj - ai) * step
-        gain = _ZERO
-        for start in starts[i]:
-            flat = start + ai * step
-            if q.probs[flat]:
-                gain += q.probs[flat] * (payoff[flat] - payoff[flat + shift])
-        if gain < 0:
+    mass, _scale = common_denominator(q.probs)
+    for i, (k, step) in enumerate(zip(game.shape, game.strides)):
+        pay, pay_dens = game.int_payoffs[i]
+        lines = [range(start, start + k * step, step) for start in game.line_starts(i)]
+        lines = [line for line in lines if any(mass[f] for f in line)]
+        common = lcm(*(pay_dens[line[0]] for line in lines))
+        # told[a][b]: i's scaled payoff from playing b, summed over the
+        # mass of the profiles where i is told a.
+        told = [[0] * k for _ in range(k)]
+        for line in lines:
+            factor = common // pay_dens[line[0]]
+            values = [pay[f] * factor for f in line]
+            for a, f in enumerate(line):
+                if mass[f]:
+                    told[a] = [t + mass[f] * v for t, v in zip(told[a], values)]
+        if any(row[a] < max(row) for a, row in enumerate(told)):
             return False
     return True
 

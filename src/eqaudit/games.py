@@ -17,7 +17,10 @@ common denominator, the lcm of its own k_i payoff denominators, and every
 payoff on it an integer numerator. A tensor-wide common denominator would
 grow with the number of distinct denominators in the whole game; a
 line-local one grows only with those k_i. `surplus_parts` computes every
-profile's deviation surplus from that view as an unreduced integer ratio.
+profile's deviation surplus from that view as an unreduced integer ratio;
+`correlated.is_correlated_equilibrium` and `nash`'s best-response search
+read it too. `common_denominator` puts probabilities and fees over the
+lcm of their denominators in the same way.
 """
 
 from __future__ import annotations
@@ -41,6 +44,13 @@ def as_fraction(value) -> Fraction:
             "refusing float %r: pass an int, a Fraction, or a string" % (value,)
         )
     return Fraction(value)
+
+
+def common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of `values` over the lcm of their denominators,
+    and that lcm."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _fraction_tuple(values) -> tuple[Fraction, ...]:
@@ -152,9 +162,9 @@ class Game:
             dens = [1] * len(row)
             for start in self.line_starts(i):
                 line = range(start, start + self._shape[i] * step, step)
-                den = lcm(*(row[f].denominator for f in line))
-                for f in line:
-                    nums[f] = row[f].numerator * (den // row[f].denominator)
+                line_nums, den = common_denominator([row[f] for f in line])
+                for f, num in zip(line, line_nums):
+                    nums[f] = num
                     dens[f] = den
             view.append((tuple(nums), tuple(dens)))
         return tuple(view)

@@ -2,12 +2,22 @@
 
 A `LinearSystem` mixes `>=` and `==` rows over variables that are either
 sign-restricted to be nonnegative or free. `solve_feasibility` runs phase
-one of a two-phase simplex using Bland's entering and leaving rule, so it
-terminates on every input without any degeneracy tolerance. The tableau
-is exact and fraction-free: each row is a list of ints whose denominator
-is its own entry in its basic column, the objective is the last row, and
-a pivot cross-multiplies every other row and divides out its gcd, in the
-manner of Edmonds' and Bareiss' integer-preserving elimination. The
+one of a two-phase simplex. The entering column is Dantzig's, the most
+negative reduced cost. The leaving row has the minimum ratio, and ties
+go to the lexicographically smallest row of the columns basic when the
+run began, taken in row order and divided by the row's entry in the
+entering column. At that start every row, read over (right-hand side,
+those columns), is lexicographically positive, as its right-hand side is
+nonnegative and it holds its own basic entry; the lexicographic ratio
+test keeps that so, and it makes the objective row read over the same
+columns strictly increase lexicographically at every pivot, degenerate
+ones included. No basis can recur, so the simplex terminates on every
+input under any improving entering rule, with no degeneracy tolerance
+(Dantzig, Orden and Wolfe, 1955). The tableau is exact and
+fraction-free: each row is a list of ints whose denominator is its own
+entry in its basic column, the objective is the last row, and a pivot
+cross-multiplies every other row and divides out its gcd, in the manner
+of Edmonds' and Bareiss' integer-preserving elimination. The
 starting basis is a slack start: a `>=` row whose right-hand side is at
 most zero (an incentive row, say) is already satisfied at the origin, so
 its own surplus column is basic at first and the row needs no artificial
@@ -237,31 +247,38 @@ class _Simplex:
         self.basis[r] = col
 
     def _run(self) -> None:
-        # Bland: enter the lowest-index improving column, leave on the
-        # minimum ratio breaking ties by lowest basic variable index. Row
-        # denominators are positive and cancel in rhs/entry, so signs and
-        # ratios are read from the numerators alone. The objective row has
-        # a negative entry in the entering column, so it never leaves.
+        # Dantzig: enter the column with the most negative reduced cost,
+        # the lowest index among equals; the objective row has one
+        # denominator, so its numerators compare as they are. Leave on the
+        # minimum ratio, ties broken by the lexicographically smallest
+        # row, over the columns basic when the run started and in row
+        # order, divided by its entry in the entering column. Row
+        # denominators are positive and cancel in every such quotient, so
+        # signs, ratios and the lexicographic order are read from the
+        # numerators alone. The objective row has a negative entry in the
+        # entering column, so it never leaves.
+        start = self.basis[:]
         while True:
             objective = self.T[-1]
-            enter = -1
-            for j in range(self.first_art):
-                if objective[j] < 0:
-                    enter = j
-                    break
-            if enter < 0:
+            reduced = min(objective[: self.first_art], default=0)
+            if reduced >= 0:
                 return
+            enter = objective.index(reduced)
             leave = -1
             for r, row in enumerate(self.T):
                 a = row[enter]
                 if a > 0:
                     if leave >= 0:
-                        lhs, rhs = row[-1] * best_a, best_b * a
-                        if lhs > rhs or (
-                            lhs == rhs and self.basis[r] > self.basis[leave]
-                        ):
+                        best = self.T[leave]
+                        lhs, rhs = row[-1] * best[enter], best[-1] * a
+                        if lhs == rhs:
+                            for col in start:
+                                lhs, rhs = row[col] * best[enter], best[col] * a
+                                if lhs != rhs:
+                                    break
+                        if lhs > rhs:
                             continue
-                    best_b, best_a, leave = row[-1], a, r
+                    leave = r
             if leave < 0:
                 raise ArithmeticError("objective is unbounded")
             self._pivot(leave, enter)

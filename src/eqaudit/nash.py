@@ -11,15 +11,18 @@ deviation that gains most, and the fee is its surplus (compare Nau and
 McCardle, "Coherent behavior in noncooperative games", JET 1990). A
 non-equilibrium gets the same `Exploitable` verdict as the correlated
 test, imported from `correlated`, carrying a `ProfilewiseScheme`. The
-pinned LP `build_nash_system` is kept as a reference formulation only.
+best-response search, `_best_deviation`, and `expected_payoff` share one
+routine that reads the game's integer payoff view and weights each line
+by the integer product of the other players' scaled probabilities; the
+fee is read from the Fraction payoffs. The pinned LP `build_nash_system`
+is kept as a reference formulation only.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import lcm
 
 from . import lp
 from .correlated import Exploitable, incentive_rows
@@ -28,6 +31,7 @@ from .games import (
     Game,
     MarginalProfile,
     as_fraction,
+    common_denominator,
     product_distribution,
 )
 
@@ -58,40 +62,64 @@ class IsNash:
 NashVerdict = IsNash | Exploitable
 
 
+def _payoff_numerators(game: Game, p: MarginalProfile, i: int) -> tuple[list[int], int]:
+    """Player `i`'s expected payoff for each own action against the
+    independent mixture of everyone else, as integer numerators over one
+    common positive denominator.
+
+    Each other player's marginal row is scaled to integers by its lcm, so
+    every supported line of `i` gets one integer weight; the lines'
+    `Game.int_payoffs` are brought to the lcm of their denominators."""
+    lines = [(0, 1)]  # (flat index where i plays action 0, weight)
+    den = 1
+    for j, (row, step) in enumerate(zip(p.probs, game.strides)):
+        if j != i:
+            weights, scale = common_denominator(row)
+            den *= scale
+            lines = [
+                (base + a * step, weight * w)
+                for base, weight in lines
+                for a, w in enumerate(weights)
+                if w
+            ]
+    pay, pay_dens = game.int_payoffs[i]
+    common = lcm(*(pay_dens[base] for base, _ in lines))
+    step = game.strides[i]
+    totals = [0] * game.shape[i]
+    for base, weight in lines:
+        weight *= common // pay_dens[base]
+        line = pay[base : base + len(totals) * step : step]
+        totals = [t + weight * n for t, n in zip(totals, line)]
+    return totals, den * common
+
+
 def expected_payoff(game: Game, p: MarginalProfile, i: int, action: int) -> Fraction:
     """Player `i`'s expected payoff for playing `action` against the
     independent mixture of everyone else."""
-    # Per other player, (flat offset, probability) of each supported action.
-    support = [
-        [(a * step, w) for a, w in enumerate(row) if w]
-        for j, (row, step) in enumerate(zip(p.probs, game.strides))
-        if j != i
-    ]
-    payoff = game.payoffs[i]
-    origin = action * game.strides[i]
-    total = _ZERO
-    for combo in itertools.product(*support):
-        flat = origin + sum(offset for offset, _ in combo)
-        total += prod((w for _, w in combo), start=_ONE) * payoff[flat]
-    return total
+    totals, den = _payoff_numerators(game, p, i)
+    return Fraction(totals[action], den)
 
 
 def _best_deviation(game: Game, p: MarginalProfile):
     """`(gain, i, a, b)` for the most profitable switch of a supported
     action `a` of player `i` to `i`'s lowest-index best reply `b`, where
     gain = p_i(a) * (u_i(b, p_-i) - u_i(a, p_-i)); None when `p` is Nash.
-    Ties go to the lowest player, then the lowest action."""
+    Ties go to the lowest player, then the lowest action. Gains are
+    compared in integers within a player; a Fraction is built only for
+    each player's largest positive gain."""
     if p.shape != game.shape:
         raise ValueError("marginal profile shape does not match game")
     found = None
-    for i, k in enumerate(game.shape):
-        values = [expected_payoff(game, p, i, a) for a in range(k)]
+    for i, row in enumerate(p.probs):
+        values, den = _payoff_numerators(game, p, i)
         best = max(values)
-        reply = values.index(best)
-        for a in range(k):
-            gain = p.probs[i][a] * (best - values[a])
-            if gain > 0 and (found is None or gain > found[0]):
-                found = (gain, i, a, reply)
+        weights, scale = common_denominator(row)
+        gains = [w * (best - v) for w, v in zip(weights, values)]
+        top = max(gains)
+        if top > 0:
+            gain = Fraction(top, scale * den)
+            if found is None or gain > found[0]:
+                found = (gain, i, gains.index(top), values.index(best))
     return found
 
 

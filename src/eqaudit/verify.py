@@ -14,6 +14,12 @@ schemes are legal objects. An infeasible scheme raises `SchemeViolation`
 carrying the first violating profile in row-major order.
 `verify_exploitable`, the one check of an exploitable verdict's claimed
 income, is where a sign is required: positive, and equal to the claim.
+
+`verify_profilewise` takes its income as one integer sum over the
+support product of p. `verify_witness` sums q's marginals as integers
+over q's common denominator and cross-multiplies them with p; its
+incentive check, `correlated.is_correlated_equilibrium`, reads the
+integer payoff view too.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from .games import (
     Game,
     JointDistribution,
     MarginalProfile,
+    common_denominator,
     product_distribution,
     surplus_parts,
 )
@@ -62,8 +69,13 @@ def verify_witness(game: Game, p: MarginalProfile, q: JointDistribution) -> bool
     incentive inequality."""
     if q.shape != game.shape or p.shape != game.shape:
         raise ValueError("shapes do not match game")
-    for i in range(game.num_players):
-        if q.marginal(i) != p.probs[i]:
+    mass, scale = common_denominator(q.probs)
+    for row, k, step in zip(p.probs, game.shape, game.strides):
+        sums = [0] * k
+        for flat, m in enumerate(mass):
+            if m:
+                sums[flat // step % k] += m
+        if any(s * w.denominator != w.numerator * scale for s, w in zip(sums, row)):
             return False
     return is_correlated_equilibrium(game, q)
 
@@ -112,8 +124,19 @@ def verify_profilewise(game: Game, p: MarginalProfile, scheme) -> Fraction:
     _check_fees(
         game, scheme.kernel, ((fee.numerator, fee.denominator) for fee in scheme.fee)
     )
-    q = product_distribution(p)
-    return sum((qa * fa for qa, fa in zip(q.probs, scheme.fee)), _ZERO)
+    cells, den = [(0, 1)], 1  # (flat index, integer weight) over den
+    for row, step in zip(p.probs, game.strides):
+        weights, scale = common_denominator(row)
+        den *= scale
+        cells = [
+            (flat + a * step, weight * w)
+            for flat, weight in cells
+            for a, w in enumerate(weights)
+            if w
+        ]
+    fees, fee_den = common_denominator([scheme.fee[flat] for flat, _ in cells])
+    income = sum(weight * fee for (_, weight), fee in zip(cells, fees))
+    return Fraction(income, den * fee_den)
 
 
 def verify_exploitable(game: Game, p: MarginalProfile, verdict) -> Fraction:

@@ -1,8 +1,9 @@
 """Reference dense Fraction tableau for the exact simplex in `eqaudit.lp`.
 
 This is the rational tableau that `lp._Simplex` keeps as integer rows with
-row denominators. Both run the same Bland pivots over the same standard
-form, so `solve` and `maximize` here must return exactly what
+row denominators. Both run the same pivots over the same standard form,
+Dantzig entering with the lexicographic ratio test, so `solve` and
+`maximize` here must return exactly what
 `lp.solve_feasibility` and `lp.maximize` return. It lives in the tests so
 that the package carries one arithmetic core.
 """
@@ -124,29 +125,29 @@ class FractionSimplex:
         self.basis[r] = col
 
     def _run(self) -> None:
-        # Bland: enter the lowest-index improving column, leave on the
-        # minimum ratio breaking ties by lowest basic variable index.
+        # Dantzig: enter the column with the most negative reduced cost,
+        # the lowest index among equals. Leave on the minimum ratio, ties
+        # broken by the lexicographically smallest row, over the columns
+        # basic when the run started and in row order, divided by its
+        # entry in the entering column.
         objrow = self.objrow
+        start = self.basis[:]
         while True:
             enter = -1
             for j in range(self.ncols):
-                if objrow[j] < 0 and not self.is_art[j]:
-                    enter = j
-                    break
+                if not self.is_art[j] and objrow[j] < 0:
+                    if enter < 0 or objrow[j] < objrow[enter]:
+                        enter = j
             if enter < 0:
                 return
             leave = -1
-            best_ratio = None
+            best_key = None
             for r, row in enumerate(self.T):
                 a = row[enter]
                 if a > 0:
-                    ratio = self.b[r] / a
-                    if (
-                        best_ratio is None
-                        or ratio < best_ratio
-                        or (ratio == best_ratio and self.basis[r] < self.basis[leave])
-                    ):
-                        best_ratio = ratio
+                    key = [self.b[r] / a] + [row[col] / a for col in start]
+                    if best_key is None or key < best_key:
+                        best_key = key
                         leave = r
             if leave < 0:
                 raise ArithmeticError("objective is unbounded")

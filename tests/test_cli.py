@@ -144,7 +144,7 @@ def test_verify_nash_verdict_doc_without_the_solver(
         monkeypatch.setattr(lp, name, explode)
     monkeypatch.setattr(lp._Simplex, "phase_one", explode)
     # The verdict is judged without the code that produced it.
-    for name in ("_best_deviation", "expected_payoff"):
+    for name in ("_best_deviation", "expected_payoff", "_payoff_numerators"):
         monkeypatch.setattr(nash, name, explode)
     capsys.readouterr()
     code = cli.main(["verify", files["game.json"], files[marginals], str(out)])

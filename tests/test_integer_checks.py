@@ -1,0 +1,143 @@
+"""The integer incentive, best-response and income checks against their
+Fraction references in `fraction_checks`.
+
+Games have 1 to 3 players and payoff denominators up to 2**21;
+probability rows have denominators up to 2**21 and zero entries, and a
+duplicated action (`duplicate_action`) makes exact ties. Joint
+distributions come from both arms: a `random_ce` vertex, which passes
+every incentive inequality, and the same vertex with up to 1/N of mass
+shifted from one profile to another, which mostly fails them and moves
+the marginals.
+"""
+
+from fractions import Fraction as F
+from math import prod
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fraction_checks
+from conftest import duplicate_action
+from eqaudit import correlated, nash
+from eqaudit.games import (
+    DeviationKernel,
+    Game,
+    JointDistribution,
+    MarginalProfile,
+    product_distribution,
+    surplus_table,
+)
+from eqaudit.nash import ProfilewiseScheme
+from eqaudit.oracles import random_ce
+from eqaudit.verify import verify_profilewise, verify_witness
+
+# Small denominators mixed with distinct 21-bit primes, as in test_lp.
+_DENOMINATORS = (1, 1, 2, 3, 4, 6, 7, 12, 1048583, 1048589, 2097143, 2097133)
+_payoffs = st.builds(F, st.integers(-12, 12), st.sampled_from(_DENOMINATORS))
+
+
+@st.composite
+def _rows(draw, k):
+    """A probability row of length `k`: zeros, small weights and weights
+    up to 2**19, so the denominator is at most 2**21."""
+    weight = st.one_of(st.just(0), st.integers(1, 6), st.integers(1, 2**19))
+    weights = draw(st.lists(weight, min_size=k, max_size=k))
+    if not any(weights):
+        weights[draw(st.integers(0, k - 1))] = 1
+    return tuple(F(w, sum(weights)) for w in weights)
+
+
+@st.composite
+def _games_and_profiles(draw):
+    """A game and a marginal profile; half the time one action is
+    duplicated, its mass kept, split in two or moved to the copy."""
+    n = draw(st.integers(1, 3))
+    shape = [draw(st.integers(1, (4, 3, 2)[n - 1])) for _ in range(n)]
+    size = prod(shape)
+    game = Game(
+        tuple(f"P{i + 1}" for i in range(n)),
+        tuple(tuple("abcd"[:k]) for k in shape),
+        tuple(draw(st.lists(_payoffs, min_size=size, max_size=size)) for _ in range(n)),
+    )
+    probs = [draw(_rows(k)) for k in shape]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        a = draw(st.integers(0, shape[i] - 1))
+        game = duplicate_action(game, i, a)
+        kept = draw(st.sampled_from((F(1), F(1, 2), F(0)))) * probs[i][a]
+        probs[i] = probs[i][:a] + (kept,) + probs[i][a + 1 :] + (probs[i][a] - kept,)
+    return game, MarginalProfile(tuple(probs))
+
+
+@st.composite
+def _vertices(draw):
+    """A game, a `random_ce` vertex of it, and that vertex either as it is
+    or with min(mass, 1/N) moved from a supported profile to another."""
+    game, _p = draw(_games_and_profiles())
+    vertex = random_ce(game, draw(st.integers(0, 2**31)))
+    q = vertex
+    if game.num_profiles > 1 and draw(st.booleans()):
+        support = [flat for flat, v in enumerate(q.probs) if v]
+        src = draw(st.sampled_from(support))
+        dst = draw(st.sampled_from([f for f in range(game.num_profiles) if f != src]))
+        moved = min(q.probs[src], F(1, draw(st.integers(1, 2**21))))
+        probs = list(q.probs)
+        probs[src] -= moved
+        probs[dst] += moved
+        q = JointDistribution(game.shape, probs)
+    return game, vertex, q
+
+
+@settings(max_examples=120, deadline=None)
+@given(_vertices(), _games_and_profiles())
+def test_is_correlated_equilibrium_matches_the_fraction_check(vertices, other):
+    game, vertex, shifted = vertices
+    assert correlated.is_correlated_equilibrium(game, vertex)
+    for g, q in ((game, shifted), (other[0], product_distribution(other[1]))):
+        expected = fraction_checks.is_correlated_equilibrium(g, q)
+        assert correlated.is_correlated_equilibrium(g, q) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(_games_and_profiles())
+def test_best_deviation_matches_the_fraction_search(case):
+    game, p = case
+    assert nash._best_deviation(game, p) == fraction_checks.best_deviation(game, p)
+    for i, k in enumerate(game.shape):
+        for a in range(k):
+            expected = fraction_checks.expected_payoff(game, p, i, a)
+            assert nash.expected_payoff(game, p, i, a) == expected
+
+
+@settings(max_examples=120, deadline=None)
+@given(_vertices(), _games_and_profiles())
+def test_verify_witness_matches_the_fraction_check(vertices, other):
+    game, vertex, shifted = vertices
+    cases = [
+        (game, vertex.marginals(), vertex),
+        (game, vertex.marginals(), shifted),
+        (other[0], other[1], product_distribution(other[1])),
+    ]
+    if other[1].shape == game.shape:
+        cases.append((game, other[1], shifted))
+    for g, p, q in cases:
+        assert verify_witness(g, p, q) == fraction_checks.witness_holds(g, p, q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_games_and_profiles(), st.data())
+def test_profilewise_income_matches_the_product_distribution(case, data):
+    # Fees at most the surplus of a random kernel, less random amounts
+    # with large denominators, so the scheme is feasible.
+    game, p = case
+    kernel = DeviationKernel(
+        tuple(tuple(data.draw(_rows(k)) for _ in range(k)) for k in game.shape)
+    )
+    fee = [s - abs(data.draw(_payoffs)) for s in surplus_table(game, kernel)]
+    income = verify_profilewise(game, p, ProfilewiseScheme(fee, kernel))
+    assert income == fraction_checks.product_income(p, fee)
+    verdict = nash.test_nash_exploitability(game, p)
+    if isinstance(verdict, nash.Exploitable):
+        income = verify_profilewise(game, p, verdict.scheme)
+        assert income == fraction_checks.product_income(p, verdict.scheme.fee)
+        assert income == verdict.expected_profit

@@ -1,15 +1,18 @@
 import math
 import random
+from contextlib import contextmanager
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_simplex
-from eqaudit import lp
+from eqaudit import correlated, lp
 from eqaudit.correlated import build_ce_system
 from eqaudit.oracles import random_ce, random_game, random_marginals
+from test_golden_verdicts import CASES, _case
 
 
 def system(num_vars, rows, nonneg=None):
@@ -202,8 +205,75 @@ def _systems(draw):
 @settings(max_examples=300, deadline=None)
 @given(_systems())
 def test_solve_matches_the_fraction_tableau(sys_):
-    # Same rational tableau, same Bland pivots: the same outcome exactly.
+    # Same rational tableau, same Dantzig entering and lexicographic
+    # leaving: the same outcome exactly.
     assert lp.solve_feasibility(sys_) == fraction_simplex.solve(sys_)
+
+
+@st.composite
+def _degenerate_systems(draw):
+    # Every `>=` row has right-hand side 0, and rows are repeated or all
+    # zero, so ratio ties and zero pivots are the rule, not the exception.
+    n = draw(st.integers(1, 5))
+    zero_row = [F(0)] * n
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        coeffs = draw(
+            st.one_of(st.just(zero_row), st.lists(_rationals, min_size=n, max_size=n))
+        )
+        sense = draw(st.sampled_from((lp.GE, lp.EQ)))
+        rhs = 0 if sense == lp.GE else draw(st.sampled_from((F(0), F(1))))
+        rows.append(lp.Row(tuple(coeffs), sense, rhs))
+    rows += [rows[k] for k in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3))]
+    rows = draw(st.permutations(rows))
+    nonneg = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return lp.LinearSystem(n, tuple(rows), tuple(nonneg))
+
+
+@contextmanager
+def _counted_pivots(limit=None):
+    # Pivots per tableau class. A cycling rule would loop forever; with a
+    # `limit`, fail instead once either tableau has made more pivots.
+    counts = {lp._Simplex: 0, fraction_simplex.FractionSimplex: 0}
+
+    def counting(cls):
+        pivot = cls._pivot
+
+        def counted(self, r, col):
+            counts[cls] += 1
+            assert limit is None or counts[cls] <= limit, "no termination"
+            pivot(self, r, col)
+
+        return mock.patch.object(cls, "_pivot", counted)
+
+    with counting(lp._Simplex), counting(fraction_simplex.FractionSimplex):
+        yield counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(_degenerate_systems(), st.data())
+def test_degenerate_systems_terminate_and_match_the_fraction_tableau(sys_, data):
+    objective = data.draw(
+        st.lists(_rationals, min_size=sys_.num_vars, max_size=sys_.num_vars)
+    )
+    with _counted_pivots(limit=200):
+        assert lp.solve_feasibility(sys_) == fraction_simplex.solve(sys_)
+    with _counted_pivots(limit=200):
+        assert _maximize_or_error(lp.maximize, sys_, objective) == _maximize_or_error(
+            fraction_simplex.maximize, sys_, objective
+        )
+
+
+def test_golden_ce_cases_take_the_pinned_number_of_pivots():
+    # The total pivots of the 40 golden `test-ce` solves. A change that
+    # moves it changes the path of the simplex and must say so: Bland's
+    # rule took 292; Dantzig entering with the lexicographic ratio test
+    # takes 240.
+    cases = [_case(k) for k in range(CASES)]
+    with _counted_pivots() as counts:
+        for game, p in cases:
+            correlated.test_ce_compatibility(game, p)
+    assert counts[lp._Simplex] == 240
 
 
 def _assert_tableau_invariants(simplex):

@@ -11,8 +11,9 @@ normalizing the Farkas multipliers of the infeasible coupling system.
 
 One coupling system is built per request, on the product of the
 supports: an action with observed frequency 0 forces zero mass on every
-profile that uses it. The outcome is read back without a solver and
-judged by `verify`, which also computes the income an exploitable
+profile that uses it, and `incentive_rows` writes its rows directly over
+the columns of that product. The outcome is read back without a solver
+and judged by `verify`, which also computes the income an exploitable
 verdict carries; this module does no income arithmetic. A witness is
 zero-extended to every profile.
 Multipliers become a kernel and fees; an unobserved action has no kept
@@ -97,11 +98,6 @@ def _check_marginals(game: Game, p: MarginalProfile) -> None:
         raise ValueError("marginal profile shape does not match game")
 
 
-def _check_joint(game: Game, q: JointDistribution) -> None:
-    if q.shape != game.shape:
-        raise ValueError("joint distribution shape does not match game")
-
-
 def deviation_pairs(game: Game) -> Iterator[tuple[int, int, int]]:
     """(player, recommended action, replacement action) triples, in the
     fixed order used for incentive rows and their dual multipliers."""
@@ -112,24 +108,23 @@ def deviation_pairs(game: Game) -> Iterator[tuple[int, int, int]]:
                     yield i, ai, aj
 
 
-def incentive_coefficients(game: Game, i: int, ai: int, aj: int) -> list[Fraction]:
-    """Coefficients of the incentive row saying that, conditional on
-    player `i` being told `ai`, switching to `aj` does not pay."""
-    coeffs = [_ZERO] * game.num_profiles
-    payoff = game.payoffs[i]
-    step = game.strides[i]
-    for start in game.line_starts(i):
-        flat = start + ai * step
-        coeffs[flat] = payoff[flat] - payoff[start + aj * step]
-    return coeffs
-
-
-def incentive_rows(game: Game) -> list[lp.Row]:
-    """One `>= 0` row per `deviation_pairs` triple, in that order."""
-    return [
-        lp.ge(incentive_coefficients(game, i, ai, aj), 0)
-        for i, ai, aj in deviation_pairs(game)
-    ]
+def incentive_rows(game: Game, cols=None, pairs=None) -> list[lp.Row]:
+    """One `>= 0` row per `(i, ai, aj)` of `pairs`, over the `(flat index,
+    profile)` columns `cols`, saying that `i`, told `ai`, gains nothing by
+    playing `aj`. Defaults: every profile and every `deviation_pairs`."""
+    if cols is None:
+        cols = list(enumerate(game.profiles()))
+    if pairs is None:
+        pairs = deviation_pairs(game)
+    rows = []
+    for i, ai, aj in pairs:
+        pay, shift = game.payoffs[i], (aj - ai) * game.strides[i]
+        coeffs = [
+            pay[flat] - pay[flat + shift] if profile[i] == ai else _ZERO
+            for flat, profile in cols
+        ]
+        rows.append(lp.ge(coeffs))
+    return rows
 
 
 def is_correlated_equilibrium(game: Game, q: JointDistribution) -> bool:
@@ -138,7 +133,8 @@ def is_correlated_equilibrium(game: Game, q: JointDistribution) -> bool:
     The mass is put over the lcm of q's denominators and, per player, the
     `Game.int_payoffs` of the lines that carry mass over the lcm of their
     denominators, so each deviation pair is one integer comparison."""
-    _check_joint(game, q)
+    if q.shape != game.shape:
+        raise ValueError("joint distribution shape does not match game")
     mass, _scale = common_denominator(q.probs)
     for i, (k, step) in enumerate(zip(game.shape, game.strides)):
         pay, pay_dens = game.int_payoffs[i]
@@ -189,10 +185,7 @@ def build_ce_system(game: Game, p: MarginalProfile) -> lp.LinearSystem:
     """
     _check_marginals(game, p)
     _supports, cols, pairs, marginals = _kept(game, p)
-    rows = []
-    for i, ai, aj in pairs:
-        coeffs = incentive_coefficients(game, i, ai, aj)
-        rows.append(lp.ge([coeffs[flat] for flat, _profile in cols]))
+    rows = incentive_rows(game, cols, pairs)
     for i, a in marginals:
         indicator = [_ONE if profile[i] == a else _ZERO for _flat, profile in cols]
         rows.append(lp.eq(indicator, p.probs[i][a]))

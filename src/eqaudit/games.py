@@ -8,7 +8,8 @@ the boundary because a binary float silently rounds decimal input.
 Action profiles are plain tuples of per-player action indices. Flat
 (tensor) indexing is row-major over those tuples: player 0's index varies
 slowest, the last player's fastest. All file formats and tables in this
-package use that order.
+package use that order, and `flat_index` is its one indexer: a profile of
+the wrong length or with an action out of range raises ValueError.
 
 Fractions stay at the boundary; the hot loops run on integers. A line of
 player i is the k_i profiles that differ only in i's action, at flat
@@ -20,7 +21,8 @@ line-local one grows only with those k_i. `surplus_parts` computes every
 profile's deviation surplus from that view as an unreduced integer ratio;
 `correlated.is_correlated_equilibrium` and `nash`'s best-response search
 read it too. `common_denominator` puts probabilities and fees over the
-lcm of their denominators in the same way.
+lcm of their denominators in the same way, as `JointDistribution.marginals`
+does to sum every marginal in one integer pass.
 """
 
 from __future__ import annotations
@@ -57,6 +59,19 @@ def _fraction_tuple(values) -> tuple[Fraction, ...]:
     return tuple(as_fraction(v) for v in values)
 
 
+def flat_index(shape: Sequence[int], profile: Profile) -> int:
+    """Row-major index of `profile` in a tensor of `shape`; ValueError
+    unless it names one in-range action per player."""
+    if len(profile) != len(shape):
+        raise ValueError("profile length does not match player count")
+    flat = 0
+    for a, k in zip(profile, shape):
+        if not 0 <= a < k:
+            raise ValueError(f"action index {a} out of range for {k} actions")
+        flat = flat * k + a
+    return flat
+
+
 def replace(profile: Profile, i: int, action: int) -> Profile:
     """Return `profile` with player `i`'s action swapped for `action`."""
     return profile[:i] + (action,) + profile[i + 1 :]
@@ -90,7 +105,8 @@ class Game:
                 raise ValueError("every player needs at least one action")
             if len(set(labels)) != len(labels):
                 raise ValueError("duplicate action label for a player")
-        size = prod(len(labels) for labels in actions)
+        shape = tuple(len(labels) for labels in actions)
+        size = prod(shape)
         for who, row in zip(players, payoffs):
             if len(row) != size:
                 raise ValueError(
@@ -99,22 +115,13 @@ class Game:
         object.__setattr__(self, "players", players)
         object.__setattr__(self, "actions", actions)
         object.__setattr__(self, "payoffs", payoffs)
-        shape = tuple(len(labels) for labels in actions)
-        strides = []
-        acc = 1
-        for k in reversed(shape):
-            strides.append(acc)
-            acc *= k
-        object.__setattr__(self, "_shape", shape)
-        object.__setattr__(self, "strides", tuple(reversed(strides)))
+        strides = tuple(prod(shape[i + 1 :]) for i in range(len(shape)))
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "strides", strides)
 
     @property
     def num_players(self) -> int:
         return len(self.players)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self._shape
 
     @property
     def num_profiles(self) -> int:
@@ -125,22 +132,14 @@ class Game:
         return itertools.product(*(range(k) for k in self.shape))
 
     def flat_index(self, profile: Profile) -> int:
-        shape = self._shape
-        if len(profile) != len(shape):
-            raise ValueError("profile length does not match player count")
-        flat = 0
-        for a, k, stride in zip(profile, shape, self.strides):
-            if not 0 <= a < k:
-                raise ValueError(f"action index {a} out of range for {k} actions")
-            flat += a * stride
-        return flat
+        return flat_index(self.shape, profile)
 
     def line_starts(self, i: int) -> list[int]:
         """Flat index of the profile where player `i` plays action 0, for
         every line of `i`, in row-major order of the other players'
         actions."""
         step = self.strides[i]
-        block = step * self._shape[i]
+        block = step * self.shape[i]
         return [
             top + low
             for top in range(0, self.num_profiles, block)
@@ -161,7 +160,7 @@ class Game:
             nums = [0] * len(row)
             dens = [1] * len(row)
             for start in self.line_starts(i):
-                line = range(start, start + self._shape[i] * step, step)
+                line = range(start, start + self.shape[i] * step, step)
                 line_nums, den = common_denominator([row[f] for f in line])
                 for f, num in zip(line, line_nums):
                     nums[f] = num
@@ -234,37 +233,30 @@ class JointDistribution:
     def point_mass(cls, shape: Sequence[int], profile: Profile) -> "JointDistribution":
         shape = tuple(shape)
         probs = [Fraction(0)] * prod(shape)
-        flat = 0
-        for a, k in zip(profile, shape):
-            flat = flat * k + a
-        probs[flat] = Fraction(1)
+        probs[flat_index(shape, profile)] = Fraction(1)
         return cls(shape, tuple(probs))
 
     def profiles(self) -> Iterator[Profile]:
         return itertools.product(*(range(k) for k in self.shape))
 
     def prob(self, profile: Profile) -> Fraction:
-        flat = 0
-        for a, k in zip(profile, self.shape):
-            if not 0 <= a < k:
-                raise ValueError("action index out of range")
-            flat = flat * k + a
-        return self.probs[flat]
+        return self.probs[flat_index(self.shape, profile)]
 
     def marginal(self, i: int) -> tuple[Fraction, ...]:
         """Sum out everyone but player `i`."""
         if not 0 <= i < len(self.shape):
             raise ValueError(f"unknown player index {i}")
-        k = self.shape[i]
-        stride = prod(self.shape[i + 1 :])
-        sums = [Fraction(0)] * k
-        for flat, v in enumerate(self.probs):
-            if v:
-                sums[flat // stride % k] += v
-        return tuple(sums)
+        return self.marginals().probs[i]
 
     def marginals(self) -> MarginalProfile:
-        return MarginalProfile(tuple(self.marginal(i) for i in range(len(self.shape))))
+        """Every player's marginal, summed over q's common denominator."""
+        mass, scale = common_denominator(self.probs)
+        sums = [[0] * k for k in self.shape]
+        for profile, m in zip(self.profiles(), mass):
+            if m:
+                for row, a in zip(sums, profile):
+                    row[a] += m
+        return MarginalProfile([[Fraction(s, scale) for s in row] for row in sums])
 
 
 @dataclass(frozen=True)
@@ -285,10 +277,7 @@ class DeviationKernel:
             for a, row in enumerate(player_rows):
                 if len(row) != k:
                     raise ValueError(f"kernel for player {i} is not square")
-                if any(v < 0 for v in row):
-                    raise ValueError(f"kernel row ({i},{a}) has a negative entry")
-                if sum(row) != 1:
-                    raise ValueError(f"kernel row ({i},{a}) does not sum to 1")
+                _check_distribution(row, f"kernel row ({i},{a})")
         object.__setattr__(self, "rows", rows)
 
     @classmethod

@@ -14,8 +14,10 @@ test, imported from `correlated`, carrying a `ProfilewiseScheme`. The
 best-response search, `_best_deviation`, and `expected_payoff` share one
 routine that reads the game's integer payoff view and weights each line
 by the integer product of the other players' scaled probabilities; the
-fee is read from the Fraction payoffs. The pinned LP `build_nash_system`
-is kept as a reference formulation only.
+fee is read from the Fraction payoffs. `expected_payoff` raises
+ValueError on a profile of the wrong shape, an unknown player or an
+action out of range. The pinned LP `build_nash_system` is kept as a
+reference formulation only.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import lp
-from .correlated import Exploitable, incentive_rows
+from .correlated import Exploitable, _check_marginals, incentive_rows
 from .games import (
     DeviationKernel,
     Game,
@@ -95,7 +97,13 @@ def _payoff_numerators(game: Game, p: MarginalProfile, i: int) -> tuple[list[int
 
 def expected_payoff(game: Game, p: MarginalProfile, i: int, action: int) -> Fraction:
     """Player `i`'s expected payoff for playing `action` against the
-    independent mixture of everyone else."""
+    independent mixture of everyone else; ValueError on a bad index."""
+    _check_marginals(game, p)
+    if not 0 <= i < game.num_players:
+        raise ValueError(f"unknown player index {i}")
+    k = game.shape[i]
+    if not 0 <= action < k:
+        raise ValueError(f"action index {action} out of range for {k} actions")
     totals, den = _payoff_numerators(game, p, i)
     return Fraction(totals[action], den)
 
@@ -107,8 +115,7 @@ def _best_deviation(game: Game, p: MarginalProfile):
     Ties go to the lowest player, then the lowest action. Gains are
     compared in integers within a player; a Fraction is built only for
     each player's largest positive gain."""
-    if p.shape != game.shape:
-        raise ValueError("marginal profile shape does not match game")
+    _check_marginals(game, p)
     found = None
     for i, row in enumerate(p.probs):
         values, den = _payoff_numerators(game, p, i)
@@ -158,7 +165,10 @@ def test_nash_exploitability(game: Game, p: MarginalProfile) -> NashVerdict:
     if deviation is None:
         return IsNash()
     gain, i, a, b = deviation
-    rows = [list(r) for r in DeviationKernel.identity(game.shape).rows]
+    rows = [
+        [tuple(_ONE if c == r else _ZERO for c in range(k)) for r in range(k)]
+        for k in game.shape
+    ]
     rows[i][a] = rows[i][b]
     kernel = DeviationKernel(tuple(map(tuple, rows)))
     pay, step = game.payoffs[i], game.strides[i]

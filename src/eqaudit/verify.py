@@ -16,10 +16,11 @@ carrying the first violating profile in row-major order.
 income, is where a sign is required: positive, and equal to the claim.
 
 `verify_profilewise` takes its income as one integer sum over the
-support product of p. `verify_witness` sums q's marginals as integers
-over q's common denominator and cross-multiplies them with p; its
-incentive check, `correlated.is_correlated_equilibrium`, reads the
-integer payoff view too.
+support product of p. `verify_witness` compares p with
+`JointDistribution.marginals()`, shared model code that sums q's
+marginals as integers over q's common denominator; its incentive check,
+`correlated.is_correlated_equilibrium`, reads the integer payoff view
+too.
 """
 
 from __future__ import annotations
@@ -69,15 +70,7 @@ def verify_witness(game: Game, p: MarginalProfile, q: JointDistribution) -> bool
     incentive inequality."""
     if q.shape != game.shape or p.shape != game.shape:
         raise ValueError("shapes do not match game")
-    mass, scale = common_denominator(q.probs)
-    for row, k, step in zip(p.probs, game.shape, game.strides):
-        sums = [0] * k
-        for flat, m in enumerate(mass):
-            if m:
-                sums[flat // step % k] += m
-        if any(s * w.denominator != w.numerator * scale for s, w in zip(sums, row)):
-            return False
-    return is_correlated_equilibrium(game, q)
+    return q.marginals() == p and is_correlated_equilibrium(game, q)
 
 
 def verify_nash(game: Game, p: MarginalProfile) -> bool:

@@ -1,0 +1,162 @@
+"""Hostile-input fuzzing of the command line, in-process.
+
+Each example takes small valid documents (a 2x3 game, marginals, a kernel,
+schemes, verdicts and a witness), mutates one of them once and runs
+`cli.main` on it: `test-ce` with and without `--oracle`, `test-nash`,
+`verify` or `surplus`. A mutation swaps a value for another JSON value,
+drops or adds a key, or appends an entry. Whatever the input, `main` must
+return 0, 1 or 2 without letting an exception escape, a verdict must be one
+JSON document on stdout, and exit 2 must print exactly one `error:` line
+on stderr.
+"""
+
+import copy
+import io
+import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from eqaudit import cli, correlated, dataio, nash
+
+GAME = {
+    "players": ["P1", "P2"],
+    "actions": {"P1": ["T", "B"], "P2": ["L", "M", "R"]},
+    "payoffs": {
+        "P1": ["9", "0", "0", "0", "1", "0"],
+        "P2": ["9", "0", "0", "0", "1", "0"],
+    },
+}
+SKEWED = {"P1": ["1/2", "1/2"], "P2": ["1/4", "3/4", "0"]}
+KERNEL = {
+    "P1": [["1", "0"], ["0", "1"]],
+    "P2": [["1", "0", "0"], ["0", "1", "0"], ["1/2", "1/2", "0"]],
+}
+
+
+def _verdict(test, marginals) -> dict:
+    game = dataio.parse_game(json.dumps(GAME))
+    p = dataio.parse_marginals(json.dumps(marginals), game)
+    return json.loads(dataio.emit_verdict(game, test(game, p)))
+
+
+PURE_TL = {"P1": ["1", "0"], "P2": ["1", "0", "0"]}
+CE_EXPLOITABLE = _verdict(correlated.test_ce_compatibility, SKEWED)
+NASH_EXPLOITABLE = _verdict(nash.test_nash_exploitability, SKEWED)
+COMPATIBLE = _verdict(correlated.test_ce_compatibility, PURE_TL)
+# (marginals, a certificate for them)
+CERTIFICATES = (
+    (SKEWED, CE_EXPLOITABLE),
+    (SKEWED, NASH_EXPLOITABLE),
+    (SKEWED, CE_EXPLOITABLE["scheme"]),
+    (SKEWED, NASH_EXPLOITABLE["scheme"]),
+    (PURE_TL, COMPATIBLE),
+    (PURE_TL, {"witness": COMPATIBLE["witness"]}),
+    (PURE_TL, _verdict(nash.test_nash_exploitability, PURE_TL)),
+)
+
+# (command, extra flags, the documents its positional arguments read)
+COMMANDS = (
+    ("test-ce", (), (GAME, SKEWED)),
+    ("test-ce", ("--oracle",), (GAME, SKEWED)),
+    ("test-ce", ("--oracle",), (GAME, PURE_TL)),
+    ("test-nash", (), (GAME, SKEWED)),
+    ("test-nash", ("--oracle",), (GAME, PURE_TL)),
+    *(("verify", (), (GAME, p, cert)) for p, cert in CERTIFICATES),
+    ("surplus", (), (GAME, KERNEL)),
+)
+
+KEYS = st.sampled_from(["P1", "P2", "P3", "type", "verdict", "witness", "fee", ""])
+LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.just(0.5),
+    st.sampled_from(
+        ["", "x", "0", "1", "-1", "1/2", "2/3", "1/0", "0.25", "1e4301", "T", "L",
+         "actionwise", "profilewise", "exploitable", "compatible", "nash"]
+    ),
+)
+VALUES = st.recursive(
+    LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(KEYS, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(value, prefix=()):
+    """Every path from the root to a node of a JSON value, the root first."""
+    yield prefix
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated(draw, doc):
+    """`doc` with one node swapped, one key dropped or added, or one entry
+    appended."""
+    doc = copy.deepcopy(doc)
+    path = draw(st.sampled_from(list(_paths(doc))))
+    parent = None
+    node = doc
+    for key in path:
+        parent, node = node, node[key]
+    moves = ["swap"]
+    if isinstance(node, dict):
+        moves += ["drop", "add"] if node else ["add"]
+    if isinstance(node, list):
+        moves.append("append")
+    move = draw(st.sampled_from(moves))
+    if move == "swap":
+        value = draw(VALUES)
+        if parent is None:
+            return value
+        parent[path[-1]] = value
+    elif move == "drop":
+        del node[draw(st.sampled_from(sorted(node)))]
+    elif move == "add":
+        node[draw(KEYS)] = draw(VALUES)
+    else:
+        node.append(draw(VALUES))
+    return doc
+
+
+@st.composite
+def requests(draw):
+    command, flags, docs = draw(st.sampled_from(COMMANDS))
+    target = draw(st.integers(0, len(docs) - 1))
+    docs = list(docs)
+    docs[target] = draw(mutated(docs[target]))
+    return command, flags, docs
+
+
+@given(requests())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_hostile_documents_exit_cleanly(request):
+    command, flags, docs = request
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for k, doc in enumerate(docs):
+            path = Path(tmp) / f"{k}.json"
+            path.write_text(json.dumps(doc))
+            paths.append(str(path))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main([command, *paths, *flags])
+    assert code in (0, 1, 2), err.getvalue()
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert out.getvalue() == ""
+    else:
+        assert err.getvalue() == ""
+        json.loads(out.getvalue())

@@ -1,8 +1,9 @@
+import itertools
 from fractions import Fraction as F
 from math import lcm, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eqaudit.games import (
@@ -41,6 +42,19 @@ def test_game_validation():
         Game(("A", "B"), (("x",), ("y", "z")), (("1",), ("1", "2")))
     with pytest.raises(TypeError):
         Game(("A",), (("x",),), ((0.5,),))
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [(0,), (0, 1, 0), (0, 3), (2, 0), (-1, 0)],
+    ids=["short", "long", "last-out-of-range", "first-out-of-range", "negative"],
+)
+def test_joint_indexing_rejects_bad_profiles(profile):
+    q = JointDistribution((2, 3), (F(1, 6),) * 6)
+    with pytest.raises(ValueError):
+        q.prob(profile)
+    with pytest.raises(ValueError):
+        JointDistribution.point_mass((2, 3), profile)
 
 
 def test_marginal_of_point_mass():
@@ -138,14 +152,23 @@ def test_product_marginals_roundtrip(p):
 @st.composite
 def joint_distributions(draw):
     shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
-    # Mostly zero weights, as in point-mass and sparse witnesses.
+    # Mostly zero weights, as in point-mass and sparse witnesses; every
+    # profile that uses an unplayed action gets weight 0, so some marginal
+    # entries are 0.
+    unplayed = [draw(st.sets(st.integers(0, k - 1), max_size=k - 1)) for k in shape]
     weights = draw(
         st.lists(
             st.one_of(st.just(0), st.integers(1, 30)),
             min_size=prod(shape),
             max_size=prod(shape),
-        ).filter(any)
+        )
     )
+    profiles = itertools.product(*(range(k) for k in shape))
+    weights = [
+        0 if any(a in off for a, off in zip(profile, unplayed)) else w
+        for profile, w in zip(profiles, weights)
+    ]
+    assume(any(weights))
     denominators = draw(
         st.lists(st.integers(1, 9), min_size=len(weights), max_size=len(weights))
     )
@@ -157,11 +180,12 @@ def joint_distributions(draw):
 @given(joint_distributions())
 @settings(max_examples=80, deadline=None)
 def test_marginal_matches_profile_sum(q):
+    marginals = q.marginals()
     for i, k in enumerate(q.shape):
         expected = [F(0)] * k
         for profile in q.profiles():
             expected[profile[i]] += q.prob(profile)
-        assert q.marginal(i) == tuple(expected)
+        assert q.marginal(i) == marginals.probs[i] == tuple(expected)
 
 
 @given(st.fractions(min_value=0, max_value=1, max_denominator=10))

@@ -154,7 +154,7 @@ def test_verifiers_never_touch_the_solver(
     monkeypatch.setattr(eqaudit.lp._Simplex, "phase_one", explode)
     for name in ("_best_deviation", "expected_payoff", "_payoff_numerators"):
         monkeypatch.setattr(eqaudit.nash, name, explode)
-    for name in ("incentive_coefficients", "build_ce_system", "normalize_dual"):
+    for name in ("incentive_rows", "build_ce_system", "normalize_dual"):
         monkeypatch.setattr(eqaudit.correlated, name, explode)
     assert (
         verify_actionwise(coordination, skewed_profile, miscoordination_scheme)

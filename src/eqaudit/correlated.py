@@ -12,11 +12,13 @@ normalizing the Farkas multipliers of the infeasible coupling system.
 One coupling system is built per request, on the product of the
 supports: an action with observed frequency 0 forces zero mass on every
 profile that uses it, and `incentive_rows` writes its rows directly over
-the columns of that product. The outcome is read back without a solver
+the columns of that product, each coefficient one integer difference of
+the game's integer payoff view. The outcome is read back without a solver
 and judged by `verify`, which also computes the income an exploitable
 verdict carries; this module does no income arithmetic. A witness is
 zero-extended to every profile.
-Multipliers become a kernel and fees; an unobserved action has no kept
+Multipliers become a kernel and fees, scaled in integers over their
+common denominator; an unobserved action has no kept
 row, so its kernel row is the identity and its fee is the largest value
 at most 0 that keeps feasible every profile charged to it, a profile
 outside the support product being charged to the unobserved action of
@@ -111,16 +113,22 @@ def deviation_pairs(game: Game) -> Iterator[tuple[int, int, int]]:
 def incentive_rows(game: Game, cols=None, pairs=None) -> list[lp.Row]:
     """One `>= 0` row per `(i, ai, aj)` of `pairs`, over the `(flat index,
     profile)` columns `cols`, saying that `i`, told `ai`, gains nothing by
-    playing `aj`. Defaults: every profile and every `deviation_pairs`."""
+    playing `aj`. Defaults: every profile and every `deviation_pairs`.
+
+    Both profiles of a coefficient lie on one line of `i`, so it is read
+    from `Game.int_payoffs` as one integer difference over their shared
+    denominator."""
     if cols is None:
         cols = list(enumerate(game.profiles()))
     if pairs is None:
         pairs = deviation_pairs(game)
     rows = []
     for i, ai, aj in pairs:
-        pay, shift = game.payoffs[i], (aj - ai) * game.strides[i]
+        (pay, dens), shift = game.int_payoffs[i], (aj - ai) * game.strides[i]
         coeffs = [
-            pay[flat] - pay[flat + shift] if profile[i] == ai else _ZERO
+            Fraction(pay[flat] - pay[flat + shift], dens[flat])
+            if profile[i] == ai
+            else _ZERO
             for flat, profile in cols
         ]
         rows.append(lp.ge(coeffs))
@@ -216,23 +224,24 @@ def normalize_dual(game: Game, p: MarginalProfile, multipliers) -> Exploitable:
     if len(multipliers) != len(pairs) + len(marginals):
         raise ValueError("multipliers do not match the coupling system "
                          "of this game and profile")
+    # Over the multipliers' common denominator D, with S the largest sum of
+    # a row's off-diagonal numerators, every entry and fee is its numerator
+    # over T = max(D, S), which scales them by D/S when S > D, and each
+    # diagonal entry is T less its row's sum, over T.
+    nums, den = common_denominator(multipliers)
     shape = game.shape
-    off_diag = [[[_ZERO] * k for _ in range(k)] for k in shape]
-    for (i, ai, aj), y in zip(pairs, multipliers):
+    off_diag = [[[0] * k for _ in range(k)] for k in shape]
+    for (i, ai, aj), y in zip(pairs, nums):
         off_diag[i][ai][aj] = y
-    max_row_sum = max(
-        (sum(row) for player_rows in off_diag for row in player_rows),
-        default=_ZERO,
-    )
-    scale = _ONE if max_row_sum <= 1 else _ONE / max_row_sum
+    total = max(den, *(sum(row) for player_rows in off_diag for row in player_rows))
     for player_rows in off_diag:
         for ai, row in enumerate(player_rows):
-            row[:] = [scale * v for v in row]
-            row[ai] = _ONE - sum(row)
+            row[ai] = total - sum(row)
+            row[:] = [Fraction(v, total) for v in row]
     kernel = DeviationKernel(off_diag)
     fees = [[_ZERO] * k for k in shape]
-    for (i, a), y in zip(marginals, multipliers[len(pairs) :]):
-        fees[i][a] = scale * y
+    for (i, a), y in zip(marginals, nums[len(pairs) :]):
+        fees[i][a] = Fraction(y, total)
     for profile in game.profiles():
         off = [i for i, a in enumerate(profile) if a not in supports[i]]
         if off:

@@ -22,7 +22,9 @@ profile's deviation surplus from that view as an unreduced integer ratio;
 `correlated.is_correlated_equilibrium` and `nash`'s best-response search
 read it too. `common_denominator` puts probabilities and fees over the
 lcm of their denominators in the same way, as `JointDistribution.marginals`
-does to sum every marginal in one integer pass.
+does to sum every marginal in one integer pass and as the validation of
+every distribution (a marginal row, a joint distribution, a kernel row)
+does to check that its numerators sum to that lcm.
 """
 
 from __future__ import annotations
@@ -187,9 +189,10 @@ class Game:
 
 
 def _check_distribution(values: Sequence[Fraction], what: str) -> None:
-    if any(v < 0 for v in values):
+    if any(v.numerator < 0 for v in values):
         raise ValueError(f"{what} has a negative entry")
-    if sum(values) != 1:
+    nums, den = common_denominator(values)
+    if sum(nums) != den:
         raise ValueError(f"{what} does not sum to 1")
 
 
@@ -222,6 +225,8 @@ class JointDistribution:
 
     def __post_init__(self):
         shape = tuple(int(k) for k in self.shape)
+        if any(k < 1 for k in shape):
+            raise ValueError("every player needs at least one action")
         probs = _fraction_tuple(self.probs)
         if len(probs) != prod(shape):
             raise ValueError("joint distribution length does not match shape")
@@ -279,18 +284,6 @@ class DeviationKernel:
                     raise ValueError(f"kernel for player {i} is not square")
                 _check_distribution(row, f"kernel row ({i},{a})")
         object.__setattr__(self, "rows", rows)
-
-    @classmethod
-    def identity(cls, shape: Sequence[int]) -> "DeviationKernel":
-        zero, one = Fraction(0), Fraction(1)
-        return cls(
-            tuple(
-                tuple(
-                    tuple(one if b == a else zero for b in range(k)) for a in range(k)
-                )
-                for k in shape
-            )
-        )
 
     @property
     def shape(self) -> tuple[int, ...]:

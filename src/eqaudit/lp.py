@@ -27,7 +27,8 @@ to zero, the phase-one dual multipliers are returned as a Farkas
 certificate: nonnegative on inequality rows, free on equality rows,
 combining the rows into `y.A <= 0` on nonnegative variables (`= 0` on
 free ones) while `y.b > 0`. `verify_outcome` checks either arm by direct
-substitution, in Fractions and with no code shared with the tableau.
+substitution, in integers over common denominators that it computes
+itself from the rows, with no code shared with the tableau.
 
 `maximize` exposes phase two for callers that need a vertex of a feasible
 system under a linear objective; feasibility testing itself never uses it.
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .games import as_fraction
+from .games import as_fraction, common_denominator
 
 GE = ">="
 EQ = "=="
@@ -101,41 +102,61 @@ FeasibilityOutcome = Feasible | Infeasible
 
 
 def verify_outcome(system: LinearSystem, outcome: FeasibilityOutcome) -> bool:
-    """Check either arm against the system by direct substitution."""
+    """Check either arm against the system by direct substitution.
+
+    The check runs on integers: the outcome is put over the lcm of its
+    denominators and each row over the lcm of its own, computed here from
+    `row.coeffs` and `row.rhs` and from nothing the tableau holds."""
     if isinstance(outcome, Feasible):
-        x = outcome.point
-        if len(x) != system.num_vars:
+        if len(outcome.point) != system.num_vars:
             return False
-        if any(system.nonneg[j] and x[j] < 0 for j in range(system.num_vars)):
+        x, den = common_denominator(outcome.point)
+        if any(nonneg and v < 0 for nonneg, v in zip(system.nonneg, x)):
             return False
         for row in system.rows:
-            value = sum(c * v for c, v in zip(row.coeffs, x) if c)
-            if row.sense == GE:
-                if value < row.rhs:
-                    return False
-            elif value != row.rhs:
+            terms, rhs, _scale = _integer_row(row)
+            value = sum(c * x[j] for j, c in terms)
+            rhs *= den
+            if value < rhs if row.sense == GE else value != rhs:
                 return False
         return True
     if isinstance(outcome, Infeasible):
-        y = outcome.multipliers
-        if len(y) != len(system.rows):
+        if len(outcome.multipliers) != len(system.rows):
             return False
+        y, _den = common_denominator(outcome.multipliers)
         if any(yk < 0 for yk, row in zip(y, system.rows) if row.sense == GE):
             return False
-        combined = [_ZERO] * system.num_vars
-        for yk, row in zip(y, system.rows):
-            if yk:
-                for j, c in enumerate(row.coeffs):
-                    if c:
-                        combined[j] += yk * c
-        for j, total in enumerate(combined):
-            if system.nonneg[j]:
-                if total > 0:
-                    return False
-            elif total != 0:
-                return False
-        return sum(yk * row.rhs for yk, row in zip(y, system.rows)) > 0
+        # Row k over its own scale L_k; all of them over M = lcm of the L_k
+        # of the rows that y uses, so y_k * row_k is y_k * (M / L_k) * row_k.
+        used = [(yk, *_integer_row(row)) for yk, row in zip(y, system.rows) if yk]
+        combined = [0] * system.num_vars
+        total = 0  # y.b
+        scale = lcm(*(s for _yk, _terms, _rhs, s in used))
+        for yk, terms, rhs, s in used:
+            factor = yk * (scale // s)
+            for j, c in terms:
+                combined[j] += factor * c
+            total += factor * rhs
+        if any(
+            value > 0 if nonneg else value != 0
+            for nonneg, value in zip(system.nonneg, combined)
+        ):
+            return False
+        return total > 0
     raise TypeError(f"not a feasibility outcome: {outcome!r}")
+
+
+def _integer_row(row: Row) -> tuple[list[tuple[int, int]], int, int]:
+    """The nonzero coefficients of `row` as `(column, numerator)` and its
+    right-hand side numerator, over the lcm of their denominators, and
+    that lcm."""
+    terms = [(j, c) for j, c in enumerate(row.coeffs) if c]
+    scale = lcm(row.rhs.denominator, *(c.denominator for _j, c in terms))
+    return (
+        [(j, c.numerator * (scale // c.denominator)) for j, c in terms],
+        row.rhs.numerator * (scale // row.rhs.denominator),
+        scale,
+    )
 
 
 class _Simplex:
@@ -339,9 +360,15 @@ class _Simplex:
 def _eliminate(row2: list[int], row: list[int], col: int) -> list[int]:
     """Zero `col` in `row2` with `row`, which holds its own denominator
     there; `row2`'s basic entry is zero in `row`, so it scales by that
-    denominator and stays the denominator of the reduced result."""
+    denominator and stays the denominator of the reduced result. Both
+    multipliers are divided by their gcd first; the result is divided by
+    its own gcd, so it is the same row either way, from smaller products."""
     p = row[col]
     f = row2[col]
+    g = gcd(p, f)
+    if g != 1:
+        p //= g
+        f //= g
     new = [a * p - f * b for a, b in zip(row2, row)]
     g = gcd(*new)
     if g != 1:

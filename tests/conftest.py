@@ -50,6 +50,16 @@ def matching_pennies() -> Game:
     )
 
 
+def identity_kernel(shape) -> DeviationKernel:
+    """The kernel under which every player plays as told."""
+    return DeviationKernel(
+        tuple(
+            tuple(tuple(F(int(b == a)) for b in range(k)) for a in range(k))
+            for k in shape
+        )
+    )
+
+
 @pytest.fixture
 def halfhalf_kernel(coordination) -> DeviationKernel:
     """Identity everywhere except the dominated column, which is sent to

@@ -5,8 +5,11 @@ the plain Fraction forms of `correlated.is_correlated_equilibrium`,
 `nash.expected_payoff` and `nash._best_deviation`, which compute over
 common integer denominators; `witness_holds` and `product_income` are
 what `verify.verify_witness` and the income of `verify.verify_profilewise`
-must return. The integer code must agree with them exactly. They live in
-the tests so that the package carries one arithmetic core.
+must return. `verify_outcome`, `check_distribution` and `normalize_dual`
+are the Fraction forms of `lp.verify_outcome`, `games._check_distribution`
+and `correlated.normalize_dual`. The integer code must agree with them
+exactly. They live in the tests so that the package carries one
+arithmetic core.
 """
 
 from __future__ import annotations
@@ -15,8 +18,16 @@ import itertools
 from fractions import Fraction
 from math import prod
 
-from eqaudit.correlated import deviation_pairs
-from eqaudit.games import Game, JointDistribution, MarginalProfile, product_distribution
+from eqaudit import lp, verify
+from eqaudit.correlated import ActionwiseScheme, Exploitable, _kept, deviation_pairs
+from eqaudit.games import (
+    DeviationKernel,
+    Game,
+    JointDistribution,
+    MarginalProfile,
+    product_distribution,
+    surplus,
+)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -80,3 +91,77 @@ def product_income(p: MarginalProfile, fee) -> Fraction:
     """Expected fee under the product distribution of `p`."""
     q = product_distribution(p)
     return sum((qa * fa for qa, fa in zip(q.probs, fee)), _ZERO)
+
+
+def verify_outcome(system: lp.LinearSystem, outcome) -> bool:
+    """Either arm substituted into the system, in Fractions."""
+    if isinstance(outcome, lp.Feasible):
+        x = outcome.point
+        if len(x) != system.num_vars:
+            return False
+        if any(system.nonneg[j] and x[j] < 0 for j in range(system.num_vars)):
+            return False
+        for row in system.rows:
+            value = sum(c * v for c, v in zip(row.coeffs, x) if c)
+            if row.sense == lp.GE:
+                if value < row.rhs:
+                    return False
+            elif value != row.rhs:
+                return False
+        return True
+    if isinstance(outcome, lp.Infeasible):
+        y = outcome.multipliers
+        if len(y) != len(system.rows):
+            return False
+        if any(yk < 0 for yk, row in zip(y, system.rows) if row.sense == lp.GE):
+            return False
+        combined = [_ZERO] * system.num_vars
+        for yk, row in zip(y, system.rows):
+            if yk:
+                for j, c in enumerate(row.coeffs):
+                    if c:
+                        combined[j] += yk * c
+        for j, total in enumerate(combined):
+            if system.nonneg[j]:
+                if total > 0:
+                    return False
+            elif total != 0:
+                return False
+        return sum(yk * row.rhs for yk, row in zip(y, system.rows)) > 0
+    raise TypeError(f"not a feasibility outcome: {outcome!r}")
+
+
+def check_distribution(values, what: str) -> None:
+    """Raise ValueError unless `values` is a probability row."""
+    if any(v < 0 for v in values):
+        raise ValueError(f"{what} has a negative entry")
+    if sum(values) != 1:
+        raise ValueError(f"{what} does not sum to 1")
+
+
+def normalize_dual(game: Game, p: MarginalProfile, multipliers) -> Exploitable:
+    """Multipliers of the coupling system read back as a scheme, scaled
+    and filled in Fractions, and checked by `verify_actionwise`."""
+    supports, _cols, pairs, marginals = _kept(game, p)
+    multipliers = tuple(multipliers)
+    off_diag = [[[_ZERO] * k for _ in range(k)] for k in game.shape]
+    for (i, ai, aj), y in zip(pairs, multipliers):
+        off_diag[i][ai][aj] = y
+    max_row_sum = max(sum(row) for player_rows in off_diag for row in player_rows)
+    scale = _ONE if max_row_sum <= 1 else _ONE / max_row_sum
+    for player_rows in off_diag:
+        for ai, row in enumerate(player_rows):
+            row[:] = [scale * v for v in row]
+            row[ai] = _ONE - sum(row)
+    kernel = DeviationKernel(off_diag)
+    fees = [[_ZERO] * k for k in game.shape]
+    for (i, a), y in zip(marginals, multipliers[len(pairs) :]):
+        fees[i][a] = scale * y
+    for profile in game.profiles():
+        off = [i for i, a in enumerate(profile) if a not in supports[i]]
+        if off:
+            i, a = off[0], profile[off[0]]
+            paid = sum(fees[j][b] for j, b in enumerate(profile) if j not in off)
+            fees[i][a] = min(fees[i][a], surplus(game, kernel, profile) - paid)
+    scheme = ActionwiseScheme(tuple(map(tuple, fees)), kernel)
+    return Exploitable(scheme, verify.verify_actionwise(game, p, scheme))

@@ -4,13 +4,18 @@ Each example takes small valid documents (a 2x3 game, marginals, a kernel,
 schemes, verdicts and a witness), mutates one of them once and runs
 `cli.main` on it: `test-ce` with and without `--oracle`, `test-nash`,
 `verify` or `surplus`. A mutation swaps a value for another JSON value,
-drops or adds a key, or appends an entry. Whatever the input, `main` must
-return 0, 1 or 2 without letting an exception escape, a verdict must be one
-JSON document on stdout, and exit 2 must print exactly one `error:` line
-on stderr.
+drops or adds a key, or appends an entry. Play logs are mutated as bytes
+and read by `marginals` and by `test-ce` and `test-nash` with `--log`: a
+NUL byte, a UTF-8 byte order mark, a stray quote, CR-only line ends, a
+cell past the header, a field over the csv module's size limit, or a
+snippet inserted or bytes dropped anywhere. Whatever the input, `main`
+must return 0, 1 or 2 without letting an exception escape, a verdict must
+be one JSON document on stdout, and exit 2 must print exactly one
+`error:` line on stderr.
 """
 
 import copy
+import csv
 import io
 import json
 import tempfile
@@ -160,3 +165,97 @@ def test_hostile_documents_exit_cleanly(request):
     else:
         assert err.getvalue() == ""
         json.loads(out.getvalue())
+
+
+def _run(argv):
+    """`cli.main(argv)`, checked against the exit-code contract."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2), err.getvalue()
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert out.getvalue() == ""
+    else:
+        assert err.getvalue() == ""
+        json.loads(out.getvalue())
+    return code
+
+
+# A play log of GAME: the header row, then one action label per player and
+# round; P2 has one round fewer.
+LOG = b"P1,P2\nT,L\nB,M\nT,L\nB,\n"
+# (command, flags): each reads GAME and the log.
+LOG_COMMANDS = (
+    ("marginals", ()),
+    ("test-ce", ("--log",)),
+    ("test-ce", ("--oracle", "--log")),
+    ("test-nash", ("--log",)),
+)
+SNIPPETS = st.sampled_from(
+    [b",", b"\n", b"\r", b"\r\n", b'"', b'""', b" ", b"\t", b"\x00", b"\xef\xbb\xbf",
+     b"\xff", b"T", b"R", b"P1", b"P3", b"T,L,B"]
+)
+
+
+@st.composite
+def mutated_log(draw):
+    """LOG with one to three byte-level mutations."""
+    log = LOG
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(log)))
+        move = draw(
+            st.sampled_from(("nul", "bom", "quote", "cr", "past", "huge", "insert", "drop"))
+        )
+        if move == "nul":
+            log = log[:at] + b"\x00" + log[at:]
+        elif move == "bom":
+            log = b"\xef\xbb\xbf" + log
+        elif move == "quote":
+            log = log[:at] + b'"' + log[at:]
+        elif move == "cr":
+            log = log.replace(b"\r\n", b"\n").replace(b"\n", b"\r")
+        elif move == "past":
+            lines = log.split(b"\n")
+            k = draw(st.integers(0, len(lines) - 1))
+            lines[k] += b",T"
+            log = b"\n".join(lines)
+        elif move == "huge":
+            field = b"T" * (csv.field_size_limit() + 1)
+            if draw(st.booleans()):
+                field = b'"' + field + b'"'
+            log = log[:at] + field + log[at:]
+        elif move == "insert":
+            log = log[:at] + draw(SNIPPETS) + log[at:]
+        else:
+            log = log[:at] + log[at + draw(st.integers(1, 4)) :]
+    return log
+
+
+@given(st.sampled_from(LOG_COMMANDS), mutated_log())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_hostile_play_logs_exit_cleanly(command, log):
+    command, flags = command
+    with tempfile.TemporaryDirectory() as tmp:
+        game_path, log_path = Path(tmp) / "game.json", Path(tmp) / "log.csv"
+        game_path.write_text(json.dumps(GAME))
+        log_path.write_bytes(log)
+        _run([command, str(game_path), *flags, str(log_path)])
+
+
+def test_the_play_log_and_its_mutations_reach_every_exit():
+    # The base log is valid, and the mutations keep some logs readable.
+    with tempfile.TemporaryDirectory() as tmp:
+        game_path, log_path = Path(tmp) / "game.json", Path(tmp) / "log.csv"
+        game_path.write_text(json.dumps(GAME))
+        for log, expected in ((LOG, 0), (LOG.replace(b"\n", b"\r"), 0),
+                              (LOG + b"T,L,B\n", 2), (b"P1,P2\nT,\x00\n", 2),
+                              (b"P1,P2\nT,L\nB," + b"M" * (csv.field_size_limit() + 1), 2)):
+            log_path.write_bytes(log)
+            assert _run(["marginals", str(game_path), str(log_path)]) == expected
+        codes = set()
+        for log in (b"P1,P2\nT,L\n", b"P1,P2\nB,R\n"):
+            log_path.write_bytes(log)
+            codes.add(_run(["test-ce", str(game_path), "--log", str(log_path)]))
+        assert codes == {0, 1}

@@ -1,0 +1,106 @@
+"""The exact arithmetic around the CE solve makes no Fraction arithmetic.
+
+`lp.verify_outcome`, `games._check_distribution`,
+`correlated.incentive_rows` and `lp._Simplex.phase_one` run on integers
+over common denominators and only build Fractions, never add, subtract,
+multiply or divide them. These tests patch those operators on the
+`Fraction` class to count calls made while one of the four functions is
+running, and run the golden `test-ce` cases through them. They also make
+the tableau's row builder and elimination raise while `verify_outcome`
+runs, so that the check is shown to share no code with the solver.
+"""
+
+from collections import Counter
+from fractions import Fraction as F
+
+import pytest
+
+from eqaudit import correlated, games, lp
+from test_golden_verdicts import CASES, _case
+
+OPERATORS = (
+    "__add__", "__radd__", "__sub__", "__rsub__",
+    "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+)
+WATCHED = (
+    (lp, "verify_outcome"),
+    (games, "_check_distribution"),
+    (correlated, "incentive_rows"),
+    (lp._Simplex, "phase_one"),
+)
+
+
+@pytest.fixture
+def watched(monkeypatch):
+    """Names of the watched functions now running, innermost last; the
+    Fraction operations counted per innermost one; and calls per name."""
+    active, ops, calls = [], Counter(), Counter()
+    for name in OPERATORS:
+        def counted(self, other, _original=getattr(F, name)):
+            if active:
+                ops[active[-1]] += 1
+            return _original(self, other)
+
+        monkeypatch.setattr(F, name, counted)
+    for owner, name in WATCHED:
+        def wrapper(*args, _original=getattr(owner, name), _name=name, **kwargs):
+            active.append(_name)
+            calls[_name] += 1
+            try:
+                return _original(*args, **kwargs)
+            finally:
+                active.pop()
+
+        monkeypatch.setattr(owner, name, wrapper)
+    return active, ops, calls
+
+
+@pytest.fixture(scope="module")
+def cases():
+    # Built before any patching: `_case` runs `random_ce`, which solves too.
+    return [_case(k) for k in range(CASES)]
+
+
+def _verdicts(cases):
+    return [correlated.test_ce_compatibility(game, p) for game, p in cases]
+
+
+def test_the_counter_counts(watched):
+    active, ops, _calls = watched
+    active.append("probe")
+    assert (F(1, 2) + F(1, 3) - 1) * 6 / 2 == F(-1, 2)
+    active.pop()
+    F(1, 2) * 2  # outside every watched function: not counted
+    assert ops == {"probe": 4}
+
+
+def test_hot_path_makes_no_fraction_arithmetic(cases, watched):
+    _active, ops, calls = watched
+    verdicts = _verdicts(cases)
+    kinds = {type(v) for v in verdicts}
+    assert kinds == {correlated.Compatible, correlated.Exploitable}
+    assert set(calls) == {name for _owner, name in WATCHED}
+    assert not ops
+
+
+def test_verify_outcome_never_reaches_the_tableau(cases, watched, monkeypatch):
+    active, _ops, calls = watched
+    expected = _verdicts(cases)
+    reached = Counter()
+
+    def guarded(owner, name):
+        original = getattr(owner, name)
+
+        def guard(*args, **kwargs):
+            reached[name] += 1
+            if "verify_outcome" in active:
+                raise AssertionError(f"verify_outcome reached {name}")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, guard)
+
+    guarded(lp._Simplex, "_place")
+    guarded(lp, "_eliminate")
+    assert _verdicts(cases) == expected
+    assert reached["_place"] and reached["_eliminate"]
+    assert calls["verify_outcome"] == 2 * CASES

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import identity_kernel
 from eqaudit.games import (
     DeviationKernel,
     Game,
@@ -57,6 +58,17 @@ def test_joint_indexing_rejects_bad_profiles(profile):
         JointDistribution.point_mass((2, 3), profile)
 
 
+@pytest.mark.parametrize(
+    "shape, probs",
+    [((-1, -1), [1]), ((0,), []), ((2, 0), []), ((-2, 3), [0] * 5 + [1])],
+    ids=["both-negative", "zero", "one-zero", "negative-times-positive"],
+)
+def test_joint_distribution_rejects_non_positive_shape(shape, probs):
+    # Each of these has as many entries as the product of its shape.
+    with pytest.raises(ValueError, match="at least one action"):
+        JointDistribution(shape, probs)
+
+
 def test_marginal_of_point_mass():
     q = JointDistribution.point_mass((2, 3), (0, 0))
     assert q.marginal(1) == (F(1), F(0), F(0))
@@ -106,7 +118,7 @@ def test_surplus_tables(coordination, halfhalf_kernel, column_swap_kernel):
 
 
 def test_identity_kernel_zero_surplus(coordination):
-    kernel = DeviationKernel.identity(coordination.shape)
+    kernel = identity_kernel(coordination.shape)
     assert set(surplus_table(coordination, kernel)) == {F(0)}
 
 

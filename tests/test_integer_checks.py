@@ -1,5 +1,7 @@
-"""The integer incentive, best-response and income checks against their
-Fraction references in `fraction_checks`.
+"""The integer incentive, best-response and income checks, the
+distribution check, the coupling system's incentive rows and the
+read-back of its multipliers against their Fraction references in
+`fraction_checks`.
 
 Games have 1 to 3 players and payoff denominators up to 2**21;
 probability rows have denominators up to 2**21 and zero entries, and a
@@ -13,14 +15,15 @@ the marginals.
 from fractions import Fraction as F
 from math import prod
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fraction_checks
 from conftest import duplicate_action
-from eqaudit import correlated, nash
+from eqaudit import correlated, lp, nash
 from eqaudit.games import (
     DeviationKernel,
+    _check_distribution,
     Game,
     JointDistribution,
     MarginalProfile,
@@ -141,3 +144,71 @@ def test_profilewise_income_matches_the_product_distribution(case, data):
         income = verify_profilewise(game, p, verdict.scheme)
         assert income == fraction_checks.product_income(p, verdict.scheme.fee)
         assert income == verdict.expected_profit
+
+
+def _distribution_error(check, values):
+    try:
+        check(values, "row")
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def _candidate_rows(draw):
+    """Probability rows, and rows with one entry moved by +-1/N, negated
+    or replaced by a random rational, or no entries, so every outcome of
+    the check occurs."""
+    k = draw(st.integers(1, 6))
+    values = list(draw(_rows(k)))
+    move = draw(st.sampled_from(("none", "shift", "negate", "swap", "empty")))
+    j = draw(st.integers(0, k - 1))
+    if move == "shift":
+        values[j] += draw(st.sampled_from((1, -1))) * F(1, draw(st.integers(1, 2**21)))
+    elif move == "negate":
+        values[j] = -values[j]
+    elif move == "swap":
+        values[j] = draw(_payoffs)
+    elif move == "empty":
+        values = []
+    return tuple(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_candidate_rows())
+def test_check_distribution_matches_the_fraction_check(values):
+    expected = _distribution_error(fraction_checks.check_distribution, values)
+    assert _distribution_error(_check_distribution, values) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(_games_and_profiles())
+def test_incentive_rows_match_payoff_differences(case):
+    # Row by row, over every profile and over the kept columns alike, each
+    # coefficient is pay[f] - pay[f + shift] where i is told ai, else 0.
+    game, p = case
+    _supports, kept_cols, kept_pairs, _marginals = correlated._kept(game, p)
+    every = (list(enumerate(game.profiles())), list(correlated.deviation_pairs(game)))
+    for cols, pairs in (every, (kept_cols, kept_pairs)):
+        rows = correlated.incentive_rows(game, cols, pairs)
+        assert len(rows) == len(pairs)
+        for (i, ai, aj), row in zip(pairs, rows):
+            pay, shift = game.payoffs[i], (aj - ai) * game.strides[i]
+            expected = tuple(
+                pay[f] - pay[f + shift] if profile[i] == ai else F(0)
+                for f, profile in cols
+            )
+            assert (row.coeffs, row.sense, row.rhs) == (expected, lp.GE, F(0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_games_and_profiles(), st.sampled_from((F(1, 2**21), F(1), F(2**21))))
+def test_normalize_dual_matches_the_fraction_read_back(case, factor):
+    # Any positive multiple of a Farkas certificate is one too; small and
+    # large factors reach both sides of the row-sum scaling.
+    game, p = case
+    outcome = lp.solve_feasibility(correlated.build_ce_system(game, p))
+    assume(isinstance(outcome, lp.Infeasible))
+    y = [factor * v for v in outcome.multipliers]
+    expected = fraction_checks.normalize_dual(game, p, y)
+    assert correlated.normalize_dual(game, p, y) == expected

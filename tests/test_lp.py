@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraction_checks
 import fraction_simplex
 from eqaudit import correlated, lp
 from eqaudit.correlated import build_ce_system
@@ -365,3 +366,62 @@ def test_verify_outcome_works_without_the_solver(monkeypatch):
     y = infeasible.multipliers
     assert not lp.verify_outcome(infeasible_sys, lp.Infeasible((F(0),) + y[1:]))
     assert not lp.verify_outcome(infeasible_sys, lp.Infeasible((-y[0],) + y[1:]))
+
+
+@st.composite
+def _tampered(draw, values):
+    """`values` with one entry shifted by +-1/N, its sign flipped or set
+    to 0, for N up to 2**21."""
+    values = list(values)
+    if not values:
+        return values
+    k = draw(st.integers(0, len(values) - 1))
+    move = draw(st.sampled_from(("shift", "flip", "zero")))
+    if move == "shift":
+        values[k] += draw(st.sampled_from((1, -1))) * F(1, draw(st.integers(1, 2**21)))
+    elif move == "flip":
+        values[k] = -values[k]
+    else:
+        values[k] = F(0)
+    return values
+
+
+def _outcomes(sys_, data):
+    """The solver's outcome, tampered copies of it, a vector of the other
+    arm and a vector of the wrong length."""
+    out = lp.solve_feasibility(sys_)
+    if isinstance(out, lp.Feasible):
+        arm, other, values = lp.Feasible, lp.Infeasible, out.point
+    else:
+        arm, other, values = lp.Infeasible, lp.Feasible, out.multipliers
+    outcomes = [out]
+    outcomes += [arm(tuple(data.draw(_tampered(values)))) for _ in range(3)]
+    size = len(sys_.rows) if other is lp.Infeasible else sys_.num_vars
+    outcomes.append(other(tuple(data.draw(st.lists(_rationals, min_size=size, max_size=size)))))
+    outcomes.append(arm(tuple(values) + (F(0),)))
+    return outcomes
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_systems(), _degenerate_systems()), st.data())
+def test_verify_outcome_matches_the_fraction_check(sys_, data):
+    # The integer check and its Fraction reference agree on the solver's
+    # outcome of either arm and on every tampered one.
+    for outcome in _outcomes(sys_, data):
+        expected = fraction_checks.verify_outcome(sys_, outcome)
+        assert lp.verify_outcome(sys_, outcome) == expected
+
+
+def test_verify_outcome_check_sees_both_arms_and_rejections():
+    # The agreement test means something only if its cases reach both arms
+    # and both answers of each.
+    seen = set()
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(_systems(), st.data())
+    def record(sys_, data):
+        for outcome in _outcomes(sys_, data):
+            seen.add((type(outcome), fraction_checks.verify_outcome(sys_, outcome)))
+
+    record()
+    assert seen == {(arm, ok) for arm in (lp.Feasible, lp.Infeasible) for ok in (True, False)}

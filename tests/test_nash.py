@@ -3,11 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import duplicate_action, extend_marginals
+from conftest import duplicate_action, extend_marginals, identity_kernel
 from eqaudit import lp
 from eqaudit import correlated, games, nash
 from eqaudit.correlated import Compatible
-from eqaudit.games import DeviationKernel, MarginalProfile, surplus_table
+from eqaudit.games import MarginalProfile, surplus_table
 from eqaudit.nash import (
     Exploitable,
     IsNash,
@@ -149,7 +149,7 @@ def test_certificate_is_the_largest_best_response_gap():
         if isinstance(verdict, IsNash):
             continue
         exploited += 1
-        identity = DeviationKernel.identity(game.shape).rows
+        identity = identity_kernel(game.shape).rows
         moved = [
             (i, a)
             for i, k in enumerate(game.shape)

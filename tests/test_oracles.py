@@ -3,9 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import identity_kernel
 from eqaudit import correlated, nash, oracles
 from eqaudit.correlated import ActionwiseScheme, Compatible, Exploitable
-from eqaudit.games import DeviationKernel, Game, MarginalProfile, product_distribution
+from eqaudit.games import Game, MarginalProfile, product_distribution
 from eqaudit.nash import IsNash, ProfilewiseScheme
 from eqaudit.oracles import (
     OracleDisagreement,
@@ -229,7 +230,7 @@ def test_cross_check_rejects_a_wrong_income(coordination, skewed_profile, test):
 
 def test_cross_check_rejects_a_zero_income_scheme(coordination, skewed_profile):
     # Zero fees under the identity kernel are feasible and earn nothing.
-    identity = DeviationKernel.identity(coordination.shape)
+    identity = identity_kernel(coordination.shape)
     zero = ActionwiseScheme(((F(0),) * 2, (F(0),) * 3), identity)
     with pytest.raises(OracleDisagreement, match="income does not check out"):
         cross_check(coordination, skewed_profile, Exploitable(zero, F(0)))

@@ -4,6 +4,7 @@ from math import prod
 
 import pytest
 
+from conftest import identity_kernel
 import eqaudit.correlated
 import eqaudit.lp
 import eqaudit.nash
@@ -84,7 +85,7 @@ def test_actionwise_income_miscoordination(
 def test_actionwise_zero_scheme(coordination, diagonal_profile):
     scheme = ActionwiseScheme(
         ((F(0), F(0)), (F(0), F(0), F(0))),
-        DeviationKernel.identity(coordination.shape),
+        identity_kernel(coordination.shape),
     )
     assert verify_actionwise(coordination, diagonal_profile, scheme) == 0
 
@@ -116,7 +117,7 @@ def test_actionwise_violation_carries_profile(coordination, halfhalf_kernel):
 
 def test_profilewise_zero_scheme(coordination, diagonal_profile):
     scheme = ProfilewiseScheme(
-        (F(0),) * 6, DeviationKernel.identity(coordination.shape)
+        (F(0),) * 6, identity_kernel(coordination.shape)
     )
     assert verify_profilewise(coordination, diagonal_profile, scheme) == 0
 
@@ -133,7 +134,7 @@ def test_profilewise_first_violation_row_major(coordination, diagonal_profile):
     fee[1] = F(1)  # (T,M)
     fee[3] = F(1)  # (B,L)
     scheme = ProfilewiseScheme(
-        tuple(fee), DeviationKernel.identity(coordination.shape)
+        tuple(fee), identity_kernel(coordination.shape)
     )
     with pytest.raises(SchemeViolation) as err:
         verify_profilewise(coordination, diagonal_profile, scheme)

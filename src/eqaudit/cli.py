@@ -37,8 +37,9 @@ from .verify import (
 
 
 def _read(path: str) -> str:
+    """The file at `path`, decoded as UTF-8 whatever the locale."""
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from None
 

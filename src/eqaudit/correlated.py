@@ -12,8 +12,11 @@ normalizing the Farkas multipliers of the infeasible coupling system.
 One coupling system is built per request, on the product of the
 supports: an action with observed frequency 0 forces zero mass on every
 profile that uses it, and `incentive_rows` writes its rows directly over
-the columns of that product, each coefficient one integer difference of
-the game's integer payoff view. The outcome is read back without a solver
+the columns of that product as integer `lp.Row`s, each numerator one
+integer difference of the game's integer payoff view over the lcm of the
+row's line denominators; a marginal row is its indicator times the
+observed frequency's denominator, with its numerator on the right. No
+Fraction is built per coefficient. The outcome is read back without a solver
 and judged by `verify`, which also computes the income an exploitable
 verdict carries; this module does no income arithmetic. A witness is
 zero-extended to every profile.
@@ -54,7 +57,6 @@ if TYPE_CHECKING:
     from .nash import ProfilewiseScheme
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -117,7 +119,8 @@ def incentive_rows(game: Game, cols=None, pairs=None) -> list[lp.Row]:
 
     Both profiles of a coefficient lie on one line of `i`, so it is read
     from `Game.int_payoffs` as one integer difference over their shared
-    denominator."""
+    denominator, and the row is put over the lcm of its lines'
+    denominators."""
     if cols is None:
         cols = list(enumerate(game.profiles()))
     if pairs is None:
@@ -125,13 +128,14 @@ def incentive_rows(game: Game, cols=None, pairs=None) -> list[lp.Row]:
     rows = []
     for i, ai, aj in pairs:
         (pay, dens), shift = game.int_payoffs[i], (aj - ai) * game.strides[i]
-        coeffs = [
-            Fraction(pay[flat] - pay[flat + shift], dens[flat])
+        scale = lcm(*(dens[flat] for flat, profile in cols if profile[i] == ai))
+        nums = [
+            (pay[flat] - pay[flat + shift]) * (scale // dens[flat])
             if profile[i] == ai
-            else _ZERO
+            else 0
             for flat, profile in cols
         ]
-        rows.append(lp.ge(coeffs))
+        rows.append(lp.Row.over(nums, lp.GE, 0, scale))
     return rows
 
 
@@ -195,8 +199,9 @@ def build_ce_system(game: Game, p: MarginalProfile) -> lp.LinearSystem:
     _supports, cols, pairs, marginals = _kept(game, p)
     rows = incentive_rows(game, cols, pairs)
     for i, a in marginals:
-        indicator = [_ONE if profile[i] == a else _ZERO for _flat, profile in cols]
-        rows.append(lp.eq(indicator, p.probs[i][a]))
+        q = p.probs[i][a]
+        nums = [q.denominator if profile[i] == a else 0 for _flat, profile in cols]
+        rows.append(lp.Row.over(nums, lp.EQ, q.numerator, q.denominator))
     return lp.LinearSystem(len(cols), tuple(rows), (True,) * len(cols))
 
 

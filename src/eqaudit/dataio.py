@@ -400,8 +400,9 @@ def _csv_rows(text: str):
 def parse_play_log(text: str) -> dict[str, list[str]]:
     """Read a CSV play log into its cells per header id: header row of
     player ids, one column per player, empty cells ignored (histories may
-    differ in length). A non-empty cell past the header is malformed."""
-    reader = _csv_rows(text)
+    differ in length). A non-empty cell past the header is malformed. One
+    leading byte order mark, as spreadsheet exports write, is dropped."""
+    reader = _csv_rows(text.removeprefix("\ufeff"))
     try:
         header = next(reader)
     except StopIteration:

@@ -1,7 +1,10 @@
 """Exact rational linear feasibility with constructive infeasibility proofs.
 
 A `LinearSystem` mixes `>=` and `==` rows over variables that are either
-sign-restricted to be nonnegative or free. `solve_feasibility` runs phase
+sign-restricted to be nonnegative or free. A `Row` holds integers: its
+numerators and right-hand side over one positive denominator, with no
+factor common to all of them, so each row has one form; its Fraction
+coefficients are read-only views. `solve_feasibility` runs phase
 one of a two-phase simplex. The entering column is Dantzig's, the most
 negative reduced cost. The leaving row has the minimum ratio, and ties
 go to the lexicographically smallest row of the columns basic when the
@@ -16,8 +19,10 @@ input under any improving entering rule, with no degeneracy tolerance
 (Dantzig, Orden and Wolfe, 1955). The tableau is exact and
 fraction-free: each row is a list of ints whose denominator is its own
 entry in its basic column, the objective is the last row, and a pivot
-cross-multiplies every other row and divides out its gcd, in the manner
-of Edmonds' and Bareiss' integer-preserving elimination. The
+cross-multiplies every other row at the pivot row's nonzero columns and
+divides out its gcd, in the manner of Edmonds' and Bareiss'
+integer-preserving elimination. A system row enters the tableau as its
+numerators, with no denominator to clear. The
 starting basis is a slack start: a `>=` row whose right-hand side is at
 most zero (an incentive row, say) is already satisfied at the origin, so
 its own surplus column is basic at first and the row needs no artificial
@@ -27,8 +32,8 @@ to zero, the phase-one dual multipliers are returned as a Farkas
 certificate: nonnegative on inequality rows, free on equality rows,
 combining the rows into `y.A <= 0` on nonnegative variables (`= 0` on
 free ones) while `y.b > 0`. `verify_outcome` checks either arm by direct
-substitution, in integers over common denominators that it computes
-itself from the rows, with no code shared with the tableau.
+substitution, in integers, reading each row's numerators and denominator
+as the system defines them, with no code shared with the tableau.
 
 `maximize` exposes phase two for callers that need a vertex of a feasible
 system under a linear objective; feasibility testing itself never uses it.
@@ -48,17 +53,53 @@ EQ = "=="
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Row:
-    coeffs: tuple[Fraction, ...]
-    sense: str
-    rhs: Fraction
+    """One row `coeffs . x  sense  rhs` of a linear system, held in
+    integers: numerators `nums` and `rhs_num` over one positive
+    denominator `den`, with `gcd(*nums, rhs_num, den) == 1`, so a row has
+    one form however it was written. `Row(coeffs, sense, rhs)` takes
+    ints, Fractions or 'n/d' strings; `Row.over` takes the integers.
+    `coeffs` and `rhs` read the row back as Fractions."""
 
-    def __post_init__(self):
-        if self.sense not in (GE, EQ):
+    nums: tuple[int, ...]
+    sense: str
+    rhs_num: int
+    den: int
+
+    def __init__(self, coeffs, sense: str, rhs):
+        nums, den = common_denominator([as_fraction(v) for v in (*coeffs, rhs)])
+        self._hold(nums, sense, den)
+
+    @classmethod
+    def over(cls, nums, sense: str, rhs_num: int, den: int) -> Row:
+        """The row `nums . x  sense  rhs_num`, all over `den` > 0, divided
+        by the gcd of its integers."""
+        row = cls.__new__(cls)
+        row._hold([*nums, rhs_num], sense, den)
+        return row
+
+    def _hold(self, values: list[int], sense: str, den: int) -> None:
+        if sense not in (GE, EQ):
             raise ValueError(f"row sense must be {GE!r} or {EQ!r}")
-        object.__setattr__(self, "coeffs", tuple(as_fraction(c) for c in self.coeffs))
-        object.__setattr__(self, "rhs", as_fraction(self.rhs))
+        if den <= 0:
+            raise ValueError("row denominator must be positive")
+        g = gcd(*values, den)
+        if g != 1:
+            values = [v // g for v in values]
+            den //= g
+        # Frozen: fill the fields past the dataclass's __setattr__.
+        vars(self).update(
+            nums=tuple(values[:-1]), sense=sense, rhs_num=values[-1], den=den
+        )
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.nums)
+
+    @property
+    def rhs(self) -> Fraction:
+        return Fraction(self.rhs_num, self.den)
 
 
 def ge(coeffs, rhs=0) -> Row:
@@ -81,8 +122,8 @@ class LinearSystem:
         if len(nonneg) != self.num_vars:
             raise ValueError("nonneg mask length does not match variable count")
         for k, row in enumerate(rows):
-            if len(row.coeffs) != self.num_vars:
-                raise ValueError(f"row {k} has {len(row.coeffs)} coefficients, "
+            if len(row.nums) != self.num_vars:
+                raise ValueError(f"row {k} has {len(row.nums)} coefficients, "
                                  f"expected {self.num_vars}")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "nonneg", nonneg)
@@ -105,8 +146,9 @@ def verify_outcome(system: LinearSystem, outcome: FeasibilityOutcome) -> bool:
     """Check either arm against the system by direct substitution.
 
     The check runs on integers: the outcome is put over the lcm of its
-    denominators and each row over the lcm of its own, computed here from
-    `row.coeffs` and `row.rhs` and from nothing the tableau holds."""
+    denominators, and each row is read as the system defines it, its
+    numerators over its own denominator; nothing the tableau holds is
+    read."""
     if isinstance(outcome, Feasible):
         if len(outcome.point) != system.num_vars:
             return False
@@ -114,9 +156,8 @@ def verify_outcome(system: LinearSystem, outcome: FeasibilityOutcome) -> bool:
         if any(nonneg and v < 0 for nonneg, v in zip(system.nonneg, x)):
             return False
         for row in system.rows:
-            terms, rhs, _scale = _integer_row(row)
-            value = sum(c * x[j] for j, c in terms)
-            rhs *= den
+            value = sum(c * v for c, v in zip(row.nums, x) if c)
+            rhs = row.rhs_num * den
             if value < rhs if row.sense == GE else value != rhs:
                 return False
         return True
@@ -126,17 +167,18 @@ def verify_outcome(system: LinearSystem, outcome: FeasibilityOutcome) -> bool:
         y, _den = common_denominator(outcome.multipliers)
         if any(yk < 0 for yk, row in zip(y, system.rows) if row.sense == GE):
             return False
-        # Row k over its own scale L_k; all of them over M = lcm of the L_k
-        # of the rows that y uses, so y_k * row_k is y_k * (M / L_k) * row_k.
-        used = [(yk, *_integer_row(row)) for yk, row in zip(y, system.rows) if yk]
+        # Row k is nums_k / den_k; all of them over M = lcm of the den_k of
+        # the rows that y uses, so y_k * row_k is y_k * (M / den_k) * nums_k.
+        used = [(yk, row) for yk, row in zip(y, system.rows) if yk]
         combined = [0] * system.num_vars
         total = 0  # y.b
-        scale = lcm(*(s for _yk, _terms, _rhs, s in used))
-        for yk, terms, rhs, s in used:
-            factor = yk * (scale // s)
-            for j, c in terms:
-                combined[j] += factor * c
-            total += factor * rhs
+        scale = lcm(*(row.den for _yk, row in used))
+        for yk, row in used:
+            factor = yk * (scale // row.den)
+            for j, c in enumerate(row.nums):
+                if c:
+                    combined[j] += factor * c
+            total += factor * row.rhs_num
         if any(
             value > 0 if nonneg else value != 0
             for nonneg, value in zip(system.nonneg, combined)
@@ -144,19 +186,6 @@ def verify_outcome(system: LinearSystem, outcome: FeasibilityOutcome) -> bool:
             return False
         return total > 0
     raise TypeError(f"not a feasibility outcome: {outcome!r}")
-
-
-def _integer_row(row: Row) -> tuple[list[tuple[int, int]], int, int]:
-    """The nonzero coefficients of `row` as `(column, numerator)` and its
-    right-hand side numerator, over the lcm of their denominators, and
-    that lcm."""
-    terms = [(j, c) for j, c in enumerate(row.coeffs) if c]
-    scale = lcm(row.rhs.denominator, *(c.denominator for _j, c in terms))
-    return (
-        [(j, c.numerator * (scale // c.denominator)) for j, c in terms],
-        row.rhs.numerator * (scale // row.rhs.denominator),
-        scale,
-    )
 
 
 class _Simplex:
@@ -204,7 +233,7 @@ class _Simplex:
         self.first_art = ncols
         self.art: list[int | None] = []
         for row in system.rows:
-            if row.sense == GE and row.rhs <= 0:
+            if row.sense == GE and row.rhs_num <= 0:
                 self.art.append(None)
             else:
                 self.art.append(ncols)
@@ -216,33 +245,32 @@ class _Simplex:
         self.basis: list[int] = []
         for k, row in enumerate(system.rows):
             acol = self.art[k]
-            sign = -1 if row.rhs < 0 or acol is None else 1
-            vec, scale = self._place(row.coeffs, row.rhs, sign)
+            sign = -1 if row.rhs_num < 0 or acol is None else 1
+            vec = self._place(row.nums, row.rhs_num, sign)
             scol = self.surplus[k]
             if scol is not None:
-                vec[scol] = -sign * scale
+                vec[scol] = -sign * row.den
             if acol is None:
                 self.basis.append(scol)
             else:
-                vec[acol] = scale
+                vec[acol] = row.den
                 self.basis.append(acol)
             self.flip.append(sign)
             self.T.append(vec)
 
-    def _place(self, coeffs, rhs: Fraction, sign: int) -> tuple[list[int], int]:
-        """`sign * (coeffs, rhs)` as a tableau row of ints over the lcm of
-        their denominators, and that lcm; the entries' gcd with it is 1."""
-        scale = lcm(rhs.denominator, *(c.denominator for c in coeffs))
+    def _place(self, nums, rhs_num: int, sign: int) -> list[int]:
+        """`sign * (nums, rhs_num)`, a row's numerators, as a tableau row;
+        their gcd with the row's denominator is 1."""
         vec = [0] * (self.z + 2)
-        for j, c in enumerate(coeffs):
+        for j, c in enumerate(nums):
             if c:
-                v = sign * c.numerator * (scale // c.denominator)
+                v = sign * c
                 vec[self.plus[j]] = v
                 mcol = self.minus[j]
                 if mcol is not None:
                     vec[mcol] = -v
-        vec[-1] = sign * rhs.numerator * (scale // rhs.denominator)
-        return vec, scale
+        vec[-1] = sign * rhs_num
+        return vec
 
     def _price(self, cost: list[int], den: int) -> Fraction:
         """Minimize `cost / den` (right-hand side entry 0) from the current
@@ -250,7 +278,9 @@ class _Simplex:
         cost[self.z] = den
         for r, col in enumerate(self.basis):
             if cost[col]:
-                cost = _eliminate(cost, self.T[r], col)
+                row = self.T[r]
+                terms = [(j, v) for j, v in enumerate(row) if v]
+                cost = _eliminate(cost, col, row[col], terms)
         self.T[len(self.basis):] = [cost]  # replaces or appends the last row
         self._run()
         objective = self.T[-1]
@@ -262,9 +292,10 @@ class _Simplex:
         row = self.T[r]
         if row[col] < 0:
             row = self.T[r] = [-v for v in row]
+        p, terms = row[col], [(j, v) for j, v in enumerate(row) if v]
         for r2, row2 in enumerate(self.T):
             if r2 != r and row2[col]:
-                self.T[r2] = _eliminate(row2, row, col)
+                self.T[r2] = _eliminate(row2, col, p, terms)
         self.basis[r] = col
 
     def _run(self) -> None:
@@ -353,23 +384,29 @@ class _Simplex:
 
     def phase_two_max(self, objective) -> Fraction:
         self._purge_artificials()
-        cost, scale = self._place([as_fraction(c) for c in objective], _ZERO, -1)
-        return -self._price(cost, scale)
+        objective = Row(objective, GE, 0)
+        return -self._price(self._place(objective.nums, 0, -1), objective.den)
 
 
-def _eliminate(row2: list[int], row: list[int], col: int) -> list[int]:
-    """Zero `col` in `row2` with `row`, which holds its own denominator
-    there; `row2`'s basic entry is zero in `row`, so it scales by that
-    denominator and stays the denominator of the reduced result. Both
-    multipliers are divided by their gcd first; the result is divided by
-    its own gcd, so it is the same row either way, from smaller products."""
-    p = row[col]
+def _eliminate(
+    row2: list[int], col: int, p: int, terms: list[tuple[int, int]]
+) -> list[int]:
+    """Zero `col` in `row2` with the pivot row, given by its nonzero
+    `(column, entry)` pairs `terms` and its entry `p` at `col`, which is
+    its own denominator; `row2`'s basic entry is zero in the pivot row, so
+    it scales by that denominator and stays the denominator of the reduced
+    result. Both multipliers are divided by their gcd first, so `row2` is
+    often copied unscaled; only the pivot row's nonzero columns change.
+    The result is divided by its own gcd, so it is the same row either
+    way, from smaller products."""
     f = row2[col]
     g = gcd(p, f)
     if g != 1:
         p //= g
         f //= g
-    new = [a * p - f * b for a, b in zip(row2, row)]
+    new = row2[:] if p == 1 else [a * p for a in row2]
+    for j, b in terms:
+        new[j] -= f * b
     g = gcd(*new)
     if g != 1:
         new = [v // g for v in new]

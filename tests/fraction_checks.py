@@ -7,16 +7,17 @@ common integer denominators; `witness_holds` and `product_income` are
 what `verify.verify_witness` and the income of `verify.verify_profilewise`
 must return. `verify_outcome`, `check_distribution` and `normalize_dual`
 are the Fraction forms of `lp.verify_outcome`, `games._check_distribution`
-and `correlated.normalize_dual`. The integer code must agree with them
-exactly. They live in the tests so that the package carries one
-arithmetic core.
+and `correlated.normalize_dual`, and `eliminate` is the dense form of the
+tableau's sparse elimination step, `lp._eliminate`. The package code must
+agree with them exactly. They live in the tests so that the package
+carries one arithmetic core.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 from eqaudit import lp, verify
 from eqaudit.correlated import ActionwiseScheme, Exploitable, _kept, deviation_pairs
@@ -165,3 +166,19 @@ def normalize_dual(game: Game, p: MarginalProfile, multipliers) -> Exploitable:
             fees[i][a] = min(fees[i][a], surplus(game, kernel, profile) - paid)
     scheme = ActionwiseScheme(tuple(map(tuple, fees)), kernel)
     return Exploitable(scheme, verify.verify_actionwise(game, p, scheme))
+
+
+def eliminate(row2: list[int], row: list[int], col: int) -> list[int]:
+    """Zero `col` in `row2` with the pivot row `row`, cross-multiplying
+    every column, then divide out the gcd of the result."""
+    p = row[col]
+    f = row2[col]
+    g = gcd(p, f)
+    if g != 1:
+        p //= g
+        f //= g
+    new = [a * p - f * b for a, b in zip(row2, row)]
+    g = gcd(*new)
+    if g != 1:
+        new = [v // g for v in new]
+    return new

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import subprocess
 import sys
@@ -35,12 +36,13 @@ PAPERLIKE_SCHEME = (
 PLAYS = "P1,P2\nT,L\nB,M\n,M\n,M\n"
 
 
-def run_cli(*args, timeout=None):
+def run_cli(*args, timeout=None, env=None):
     return subprocess.run(
         [sys.executable, "-m", "eqaudit", *args],
         capture_output=True,
         text=True,
         timeout=timeout,
+        env=env,
     )
 
 
@@ -211,6 +213,29 @@ def test_marginals_command(files):
         "P1": ["1/2", "1/2"],
         "P2": ["1/4", "3/4", "0"],
     }
+
+
+def test_inputs_are_utf8_whatever_the_locale(tmp_path):
+    # Under the C locale, with neither UTF-8 mode nor locale coercion,
+    # Python's default text encoding is ASCII; input files are still read
+    # as UTF-8, and a file that is not UTF-8 is malformed input.
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    paths = {}
+    for name, text in (("game.json", GAME_DOC), ("pure_tl.json", PURE_TL), ("plays.csv", PLAYS)):
+        paths[name] = tmp_path / name
+        paths[name].write_bytes(text.replace("P1", "\u00c41").encode("utf-8"))
+    paths["bad.json"] = tmp_path / "bad.json"
+    paths["bad.json"].write_bytes(PURE_TL.encode().replace(b"P1", b"\xff1"))
+    res = run_cli("test-ce", paths["game.json"], paths["pure_tl.json"], env=env)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["verdict"] == "compatible"
+    res = run_cli("marginals", paths["game.json"], paths["plays.csv"], env=env)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["\u00c41"] == ["1/2", "1/2"]
+    res = run_cli("test-ce", paths["game.json"], paths["bad.json"], env=env)
+    assert res.returncode == 2 and res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 def test_malformed_input_exit_two(files, tmp_path):

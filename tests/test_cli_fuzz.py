@@ -259,3 +259,23 @@ def test_the_play_log_and_its_mutations_reach_every_exit():
             log_path.write_bytes(log)
             codes.add(_run(["test-ce", str(game_path), "--log", str(log_path)]))
         assert codes == {0, 1}
+
+
+def test_one_leading_byte_order_mark_is_dropped(capsys):
+    # Spreadsheet exports start a CSV with one; a mark anywhere else is
+    # part of a cell and so still malformed.
+    bom = b"\xef\xbb\xbf"
+    with tempfile.TemporaryDirectory() as tmp:
+        game_path, log_path = Path(tmp) / "game.json", Path(tmp) / "log.csv"
+        game_path.write_text(json.dumps(GAME))
+        argv = ["marginals", str(game_path), str(log_path)]
+        outputs = []
+        for log in (LOG, bom + LOG):
+            log_path.write_bytes(log)
+            assert cli.main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        for log in (bom + bom + LOG, LOG.replace(b"P2", bom + b"P2"),
+                    LOG.replace(b"B,M", b"B," + bom + b"M"), LOG + bom):
+            log_path.write_bytes(log)
+            assert _run(argv) == 2

@@ -1,13 +1,15 @@
 """The exact arithmetic around the CE solve makes no Fraction arithmetic.
 
 `lp.verify_outcome`, `games._check_distribution`,
-`correlated.incentive_rows` and `lp._Simplex.phase_one` run on integers
-over common denominators and only build Fractions, never add, subtract,
-multiply or divide them. These tests patch those operators on the
-`Fraction` class to count calls made while one of the four functions is
-running, and run the golden `test-ce` cases through them. They also make
-the tableau's row builder and elimination raise while `verify_outcome`
-runs, so that the check is shown to share no code with the solver.
+`correlated.incentive_rows`, `correlated.build_ce_system`,
+`lp._Simplex.__init__` and `lp._Simplex.phase_one` run on integers over
+common denominators and only build Fractions, never add, subtract,
+multiply or divide them; `build_ce_system` builds none at all. These
+tests patch those operators and the constructor on the `Fraction` class
+to count calls made while one of the six functions is running, and run
+the golden `test-ce` cases through them. They also make the tableau's
+row builder and elimination raise while `verify_outcome` runs, so that
+the check is shown to share no code with the solver.
 """
 
 from collections import Counter
@@ -26,6 +28,8 @@ WATCHED = (
     (lp, "verify_outcome"),
     (games, "_check_distribution"),
     (correlated, "incentive_rows"),
+    (correlated, "build_ce_system"),
+    (lp._Simplex, "__init__"),
     (lp._Simplex, "phase_one"),
 )
 
@@ -33,8 +37,9 @@ WATCHED = (
 @pytest.fixture
 def watched(monkeypatch):
     """Names of the watched functions now running, innermost last; the
-    Fraction operations counted per innermost one; and calls per name."""
-    active, ops, calls = [], Counter(), Counter()
+    Fraction operations counted per innermost one; calls per name; and
+    Fractions constructed while each name is running, at any depth."""
+    active, ops, calls, made = [], Counter(), Counter(), Counter()
     for name in OPERATORS:
         def counted(self, other, _original=getattr(F, name)):
             if active:
@@ -42,6 +47,12 @@ def watched(monkeypatch):
             return _original(self, other)
 
         monkeypatch.setattr(F, name, counted)
+
+    def constructed(cls, *args, _original=F.__new__, **kwargs):
+        made.update(set(active))
+        return _original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", constructed)
     for owner, name in WATCHED:
         def wrapper(*args, _original=getattr(owner, name), _name=name, **kwargs):
             active.append(_name)
@@ -52,7 +63,7 @@ def watched(monkeypatch):
                 active.pop()
 
         monkeypatch.setattr(owner, name, wrapper)
-    return active, ops, calls
+    return active, ops, calls, made
 
 
 @pytest.fixture(scope="module")
@@ -66,25 +77,32 @@ def _verdicts(cases):
 
 
 def test_the_counter_counts(watched):
-    active, ops, _calls = watched
+    active, ops, _calls, made = watched
     active.append("probe")
     assert (F(1, 2) + F(1, 3) - 1) * 6 / 2 == F(-1, 2)
     active.pop()
     F(1, 2) * 2  # outside every watched function: not counted
     assert ops == {"probe": 4}
+    made.clear()
+    active.append("probe")
+    F(1, 2), F(3)
+    active.pop()
+    F(1, 2)
+    assert made == {"probe": 2}
 
 
 def test_hot_path_makes_no_fraction_arithmetic(cases, watched):
-    _active, ops, calls = watched
+    _active, ops, calls, made = watched
     verdicts = _verdicts(cases)
     kinds = {type(v) for v in verdicts}
     assert kinds == {correlated.Compatible, correlated.Exploitable}
     assert set(calls) == {name for _owner, name in WATCHED}
     assert not ops
+    assert made["build_ce_system"] == 0
 
 
 def test_verify_outcome_never_reaches_the_tableau(cases, watched, monkeypatch):
-    active, _ops, calls = watched
+    active, _ops, calls, _made = watched
     expected = _verdicts(cases)
     reached = Counter()
 

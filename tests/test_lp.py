@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from contextlib import contextmanager
@@ -190,6 +191,45 @@ _DENOMINATORS = (1, 1, 2, 3, 4, 6, 7, 12, 1048583, 1048589, 2097143, 2097133)
 _rationals = st.builds(F, st.integers(-6, 6), st.sampled_from(_DENOMINATORS))
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_rationals, max_size=6),
+    st.sampled_from((lp.GE, lp.EQ)),
+    _rationals,
+    st.sampled_from((1, 2, 3, 12, 2**21 + 7, 2**64)),
+)
+def test_a_row_has_one_integer_form(coeffs, sense, rhs, k):
+    # Whichever constructor builds it and whatever common factor its
+    # integers carry, a row reduces to the same fields, reads back the
+    # Fractions it was given and compares and hashes by its integers.
+    row = lp.Row(coeffs, sense, rhs)
+    assert row.coeffs == tuple(coeffs) and row.rhs == rhs
+    assert row.den > 0 and math.gcd(*row.nums, row.rhs_num, row.den) == 1
+    over = lp.Row.over([k * c for c in row.nums], sense, k * row.rhs_num, k * row.den)
+    assert (over.nums, over.sense, over.rhs_num, over.den) == (
+        row.nums, row.sense, row.rhs_num, row.den
+    )
+    assert over == row and hash(over) == hash(row)
+    assert lp.Row([str(c) for c in coeffs], sense, str(rhs)) == row
+
+
+def test_a_row_rejects_a_bad_sense_and_cannot_change():
+    for sense in ("<=", ">", "="):
+        with pytest.raises(ValueError):
+            lp.Row([1], sense, 0)
+        with pytest.raises(ValueError):
+            lp.Row.over([1], sense, 0, 1)
+    for den in (0, -1):
+        with pytest.raises(ValueError):
+            lp.Row.over([1], lp.GE, 0, den)
+    row = lp.ge([F(1, 2), 3], F(1, 3))
+    assert (row.nums, row.rhs_num, row.den) == ((3, 18), 2, 6)
+    for name in ("nums", "sense", "rhs_num", "den", "coeffs", "rhs", "extra"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(row, name, 1)
+    assert (row.nums, row.rhs_num, row.den) == ((3, 18), 2, 6)
+
+
 @st.composite
 def _systems(draw):
     n = draw(st.integers(1, 5))
@@ -275,6 +315,78 @@ def test_golden_ce_cases_take_the_pinned_number_of_pivots():
         for game, p in cases:
             correlated.test_ce_compatibility(game, p)
     assert counts[lp._Simplex] == 240
+
+
+@contextmanager
+def _dense_pivot_check():
+    # After every pivot the tableau must equal the parent tableau with the
+    # pivot row sign-fixed and every other row that has an entry in the
+    # pivot column reduced by the dense reference step.
+    pivot = lp._Simplex._pivot
+    pivots = [0]
+
+    def checked(self, r, col):
+        before = [row[:] for row in self.T]
+        pivot(self, r, col)
+        row = before[r] if before[r][col] > 0 else [-v for v in before[r]]
+        assert self.T == [
+            row if r2 == r else fraction_checks.eliminate(row2, row, col) if row2[col] else row2
+            for r2, row2 in enumerate(before)
+        ]
+        pivots[0] += 1
+
+    with mock.patch.object(lp._Simplex, "_pivot", checked):
+        yield pivots
+
+
+_entries = st.one_of(st.just(0), st.integers(-(2**40), 2**40))
+
+
+@st.composite
+def _elimination_cases(draw):
+    """A pivot row holding its own positive denominator at `col` and a row
+    whose basic column the pivot row does not use, with zero and negative
+    entries, each scaled by a factor that may give a large gcd."""
+    n = draw(st.integers(2, 12))
+    col, basic = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    row = draw(st.lists(_entries, min_size=n, max_size=n))
+    row2 = draw(st.lists(_entries, min_size=n, max_size=n))
+    row[col] = draw(st.integers(1, 2**40))
+    row[basic] = 0
+    row2[basic] = draw(st.integers(1, 2**40))
+    factors = st.sampled_from((1, 2, 6, 2**31 - 1, 2**61 - 1, 2**89 - 1))
+    k, k2 = draw(factors), draw(factors)
+    return [k * v for v in row], [k2 * v for v in row2], col
+
+
+@settings(max_examples=500, deadline=None)
+@given(_elimination_cases())
+def test_the_sparse_step_matches_the_dense_one(case):
+    row, row2, col = case
+    original = row2[:]
+    terms = [(j, v) for j, v in enumerate(row) if v]
+    new = lp._eliminate(row2, col, row[col], terms)
+    assert new == fraction_checks.eliminate(row2, row, col)
+    assert new[col] == 0 and row2 == original
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_systems(), _degenerate_systems()), st.data())
+def test_every_pivot_matches_the_dense_step(sys_, data):
+    objective = data.draw(
+        st.lists(_rationals, min_size=sys_.num_vars, max_size=sys_.num_vars)
+    )
+    with _dense_pivot_check():
+        lp.solve_feasibility(sys_)
+        _maximize_or_error(lp.maximize, sys_, objective)
+
+
+def test_every_golden_pivot_matches_the_dense_step():
+    cases = [_case(k) for k in range(CASES)]
+    with _dense_pivot_check() as pivots:
+        for game, p in cases:
+            correlated.test_ce_compatibility(game, p)
+    assert pivots[0] == 240
 
 
 def _assert_tableau_invariants(simplex):

@@ -10,7 +10,7 @@ rationals.
 """
 
 from . import correlated, dataio, games, lp, nash, oracles, verify
-from .correlated import is_correlated_equilibrium, test_ce_compatibility
+from .correlated import test_ce_compatibility
 from .games import (
     DeviationKernel,
     Game,
@@ -21,7 +21,12 @@ from .games import (
     surplus_table,
 )
 from .nash import is_nash, test_nash_exploitability
-from .verify import verify_actionwise, verify_profilewise, verify_witness
+from .verify import (
+    is_correlated_equilibrium,
+    verify_actionwise,
+    verify_profilewise,
+    verify_witness,
+)
 
 __version__ = "0.1.0"
 

@@ -21,17 +21,16 @@ import sys
 from pathlib import Path
 
 from . import dataio, oracles
-from .correlated import Exploitable, test_ce_compatibility
+from .correlated import test_ce_compatibility
 from .dataio import DataFormatError
-from .games import surplus_table
+from .games import Exploitable, surplus_table
 from .nash import test_nash_exploitability
 from .verify import (
     IncomeClaimError,
     SchemeViolation,
-    verify_actionwise,
     verify_exploitable,
     verify_nash,
-    verify_profilewise,
+    verify_scheme,
     verify_witness,
 )
 
@@ -119,10 +118,8 @@ def _cmd_verify(args) -> int:
         try:
             if isinstance(payload, Exploitable):
                 income = verify_exploitable(game, p, payload)
-            elif kind == "actionwise":
-                income = verify_actionwise(game, p, payload)
             else:
-                income = verify_profilewise(game, p, payload)
+                income = verify_scheme(game, p, payload)
         except SchemeViolation as exc:
             doc.update(valid=False, violation=list(exc.labels))
         except IncomeClaimError as exc:

@@ -28,23 +28,23 @@ outside the support product being charged to the unobserved action of
 the lowest-index player who plays one there. That fee is computed with
 the Fraction reference `games.surplus`, never with the checker's integer
 `surplus_parts`, so producer and checker share no surplus arithmetic.
-`is_correlated_equilibrium`, the direct check behind `verify_witness`,
-reads the game's integer payoff view and puts the joint mass over one
-common denominator, so each incentive inequality is one integer
-comparison.
+The verdict and scheme types come from `games`, and the direct incentive
+check, `is_correlated_equilibrium`, from the judge, `verify`.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from . import lp
 from .games import (
+    ActionwiseScheme,
+    Compatible,
     DeviationKernel,
+    Exploitable,
     Game,
     JointDistribution,
     MarginalProfile,
@@ -53,46 +53,10 @@ from .games import (
     surplus,
 )
 
-if TYPE_CHECKING:
-    from .nash import ProfilewiseScheme
+# `is_correlated_equilibrium` is re-exported: perfbench/workloads.py reads it here.
+from .verify import is_correlated_equilibrium, verify_actionwise, verify_witness
 
 _ZERO = Fraction(0)
-
-
-@dataclass(frozen=True)
-class ActionwiseScheme:
-    """Per-player fees indexed by own action, plus a deviation kernel.
-
-    Feasibility means: at every action profile, total utility plus total
-    fees is at most the total utility after each player unilaterally
-    follows their kernel row. Equivalently the fee sum never exceeds the
-    aggregate deviation surplus.
-    """
-
-    fees: tuple[tuple[Fraction, ...], ...]
-    kernel: DeviationKernel
-
-    def __post_init__(self):
-        fees = tuple(tuple(as_fraction(v) for v in row) for row in self.fees)
-        if tuple(len(row) for row in fees) != self.kernel.shape:
-            raise ValueError("fee table shape does not match kernel")
-        object.__setattr__(self, "fees", fees)
-
-
-@dataclass(frozen=True)
-class Compatible:
-    witness: JointDistribution
-
-
-@dataclass(frozen=True)
-class Exploitable:
-    """Either test's verdict on exploitable play: a feasible scheme with
-    positive expected income, action-wise from `test_ce_compatibility` and
-    profile-wise from `nash.test_nash_exploitability`."""
-
-    scheme: ActionwiseScheme | ProfilewiseScheme
-    expected_profit: Fraction
-
 
 CeVerdict = Compatible | Exploitable
 
@@ -137,34 +101,6 @@ def incentive_rows(game: Game, cols=None, pairs=None) -> list[lp.Row]:
         ]
         rows.append(lp.Row.over(nums, lp.GE, 0, scale))
     return rows
-
-
-def is_correlated_equilibrium(game: Game, q: JointDistribution) -> bool:
-    """Direct check of every incentive inequality, no solver involved.
-
-    The mass is put over the lcm of q's denominators and, per player, the
-    `Game.int_payoffs` of the lines that carry mass over the lcm of their
-    denominators, so each deviation pair is one integer comparison."""
-    if q.shape != game.shape:
-        raise ValueError("joint distribution shape does not match game")
-    mass, _scale = common_denominator(q.probs)
-    for i, (k, step) in enumerate(zip(game.shape, game.strides)):
-        pay, pay_dens = game.int_payoffs[i]
-        lines = [range(start, start + k * step, step) for start in game.line_starts(i)]
-        lines = [line for line in lines if any(mass[f] for f in line)]
-        common = lcm(*(pay_dens[line[0]] for line in lines))
-        # told[a][b]: i's scaled payoff from playing b, summed over the
-        # mass of the profiles where i is told a.
-        told = [[0] * k for _ in range(k)]
-        for line in lines:
-            factor = common // pay_dens[line[0]]
-            values = [pay[f] * factor for f in line]
-            for a, f in enumerate(line):
-                if mass[f]:
-                    told[a] = [t + mass[f] * v for t, v in zip(told[a], values)]
-        if any(row[a] < max(row) for a, row in enumerate(told)):
-            return False
-    return True
 
 
 def _kept(game: Game, p: MarginalProfile):
@@ -221,8 +157,6 @@ def normalize_dual(game: Game, p: MarginalProfile, multipliers) -> Exploitable:
     the module docstring). Raises ValueError unless the scheme is feasible
     at every profile and its expected income under `p` is positive.
     """
-    from . import verify  # verify imports this module
-
     _check_marginals(game, p)
     supports, _cols, pairs, marginals = _kept(game, p)
     multipliers = tuple(as_fraction(m) for m in multipliers)
@@ -254,7 +188,7 @@ def normalize_dual(game: Game, p: MarginalProfile, multipliers) -> Exploitable:
             paid = sum(fees[j][b] for j, b in enumerate(profile) if j not in off)
             fees[i][a] = min(fees[i][a], surplus(game, kernel, profile) - paid)
     scheme = ActionwiseScheme(tuple(map(tuple, fees)), kernel)
-    income = verify.verify_actionwise(game, p, scheme)
+    income = verify_actionwise(game, p, scheme)
     if income <= 0:
         raise ValueError(f"scheme earns {income}, not a positive income")
     return Exploitable(scheme, income)
@@ -270,15 +204,13 @@ def test_ce_compatibility(game: Game, p: MarginalProfile) -> CeVerdict:
     whose checked verdict, income included, is returned as it is. A
     certificate that fails its check raises RuntimeError.
     """
-    from . import verify  # verify imports this module
-
     outcome = lp.solve_feasibility(build_ce_system(game, p))
     if isinstance(outcome, lp.Feasible):
         probs = [_ZERO] * game.num_profiles
         for (flat, _profile), v in zip(_kept(game, p)[1], outcome.point):
             probs[flat] = v
         witness = JointDistribution(game.shape, probs)
-        if not verify.verify_witness(game, p, witness):
+        if not verify_witness(game, p, witness):
             raise RuntimeError("witness fails the marginal or incentive check")
         return Compatible(witness)
     try:

@@ -41,9 +41,17 @@ import re
 import sys
 from fractions import Fraction
 
-from .correlated import ActionwiseScheme, Compatible, Exploitable
-from .games import DeviationKernel, Game, JointDistribution, MarginalProfile
-from . import nash
+from .games import (
+    ActionwiseScheme,
+    Compatible,
+    DeviationKernel,
+    Exploitable,
+    Game,
+    IsNash,
+    JointDistribution,
+    MarginalProfile,
+    ProfilewiseScheme,
+)
 
 
 class DataFormatError(ValueError):
@@ -266,7 +274,7 @@ def _scheme_doc(game: Game, scheme) -> dict:
             "fees": _table_doc(game.players, scheme.fees),
             "kernel": _kernel_doc(game, scheme.kernel),
         }
-    if isinstance(scheme, nash.ProfilewiseScheme):
+    if isinstance(scheme, ProfilewiseScheme):
         return {
             "type": "profilewise",
             "fee": [rational_str(v) for v in scheme.fee],
@@ -289,7 +297,7 @@ def _parse_scheme_doc(doc, game: Game):
         return ActionwiseScheme(fees, kernel)
     if kind == "profilewise":
         fee = _profile_values(_require(doc, "fee"), game, "'fee'")
-        return nash.ProfilewiseScheme(fee, kernel)
+        return ProfilewiseScheme(fee, kernel)
     raise DataFormatError(f"unknown scheme type {kind!r}")
 
 
@@ -326,7 +334,7 @@ def emit_verdict(game: Game, verdict) -> str:
             "expected_profit": rational_str(verdict.expected_profit),
             "scheme": _scheme_doc(game, verdict.scheme),
         }
-    elif isinstance(verdict, nash.IsNash):
+    elif isinstance(verdict, IsNash):
         doc = {"verdict": "nash"}
     else:
         raise TypeError(f"not a verdict: {verdict!r}")
@@ -338,7 +346,7 @@ def _verdict_from_doc(doc: dict, game: Game):
     if kind == "compatible":
         return Compatible(_joint_values(game, _require(doc, "witness")))
     if kind == "nash":
-        return nash.IsNash()
+        return IsNash()
     if kind == "exploitable":
         scheme = _parse_scheme_doc(_require(doc, "scheme"), game)
         return Exploitable(scheme, parse_rational(_require(doc, "expected_profit")))

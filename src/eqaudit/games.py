@@ -3,7 +3,10 @@
 Payoffs, probabilities and fees are `fractions.Fraction` throughout, so
 every equilibrium check in this package is exact: a profile either is or
 is not an equilibrium, with no tolerance anywhere. Floats are rejected at
-the boundary because a binary float silently rounds decimal input.
+the boundary because a binary float silently rounds decimal input. The
+certificates and verdicts (`ActionwiseScheme`, `ProfilewiseScheme`,
+`Compatible`, `IsNash`, `Exploitable`) are model types too, so the judge
+in `verify` needs nothing but this module.
 
 Action profiles are plain tuples of per-player action indices. Flat
 (tensor) indexing is row-major over those tuples: player 0's index varies
@@ -19,7 +22,7 @@ payoff on it an integer numerator. A tensor-wide common denominator would
 grow with the number of distinct denominators in the whole game; a
 line-local one grows only with those k_i. `surplus_parts` computes every
 profile's deviation surplus from that view as an unreduced integer ratio;
-`correlated.is_correlated_equilibrium` and `nash`'s best-response search
+`verify.is_correlated_equilibrium` and `nash`'s best-response search
 read it too. `common_denominator` puts probabilities and fees over the
 lcm of their denominators in the same way, as `JointDistribution.marginals`
 does to sum every marginal in one integer pass and as the validation of
@@ -362,3 +365,59 @@ def surplus_parts(game: Game, kernel: DeviationKernel) -> tuple[list[int], list[
 def surplus_table(game: Game, kernel: DeviationKernel) -> tuple[Fraction, ...]:
     """`surplus` at every profile, row-major."""
     return tuple(map(Fraction, *surplus_parts(game, kernel)))
+
+
+@dataclass(frozen=True)
+class ActionwiseScheme:
+    """Per-player fees indexed by own action, plus a deviation kernel.
+
+    Feasibility means: at every action profile, total utility plus total
+    fees is at most the total utility after each player unilaterally
+    follows their kernel row. Equivalently the fee sum never exceeds the
+    aggregate deviation surplus.
+    """
+
+    fees: tuple[tuple[Fraction, ...], ...]
+    kernel: DeviationKernel
+
+    def __post_init__(self):
+        fees = tuple(tuple(as_fraction(v) for v in row) for row in self.fees)
+        if tuple(len(row) for row in fees) != self.kernel.shape:
+            raise ValueError("fee table shape does not match kernel")
+        object.__setattr__(self, "fees", fees)
+
+
+@dataclass(frozen=True)
+class ProfilewiseScheme:
+    """An aggregate fee per full action profile plus a deviation kernel.
+
+    Feasible when the fee at each profile is at most the aggregate
+    deviation surplus there.
+    """
+
+    fee: tuple[Fraction, ...]
+    kernel: DeviationKernel
+
+    def __post_init__(self):
+        object.__setattr__(self, "fee", tuple(as_fraction(v) for v in self.fee))
+
+
+@dataclass(frozen=True)
+class Compatible:
+    witness: JointDistribution
+
+
+@dataclass(frozen=True)
+class IsNash:
+    pass
+
+
+@dataclass(frozen=True)
+class Exploitable:
+    """Either test's verdict on exploitable play: a feasible scheme with
+    positive expected income, action-wise from
+    `correlated.test_ce_compatibility` and profile-wise from
+    `nash.test_nash_exploitability`."""
+
+    scheme: ActionwiseScheme | ProfilewiseScheme
+    expected_profit: Fraction

@@ -10,7 +10,7 @@ distribution. No solver is needed: the kernel makes the one unilateral
 deviation that gains most, and the fee is its surplus (compare Nau and
 McCardle, "Coherent behavior in noncooperative games", JET 1990). A
 non-equilibrium gets the same `Exploitable` verdict as the correlated
-test, imported from `correlated`, carrying a `ProfilewiseScheme`. The
+test, a `games` type, carrying a `ProfilewiseScheme`. The
 best-response search, `_best_deviation`, and `expected_payoff` share one
 routine that reads the game's integer payoff view and weights each line
 by the integer product of the other players' scaled probabilities; the
@@ -22,44 +22,24 @@ reference formulation only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from . import lp
-from .correlated import Exploitable, _check_marginals, incentive_rows
+from .correlated import _check_marginals, incentive_rows
 from .games import (
     DeviationKernel,
+    Exploitable,
     Game,
+    IsNash,
     MarginalProfile,
-    as_fraction,
+    ProfilewiseScheme,
     common_denominator,
     product_distribution,
 )
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-@dataclass(frozen=True)
-class ProfilewiseScheme:
-    """An aggregate fee per full action profile plus a deviation kernel.
-
-    Feasible when the fee at each profile is at most the aggregate
-    deviation surplus there.
-    """
-
-    fee: tuple[Fraction, ...]
-    kernel: DeviationKernel
-
-    def __post_init__(self):
-        object.__setattr__(self, "fee", tuple(as_fraction(v) for v in self.fee))
-
-
-@dataclass(frozen=True)
-class IsNash:
-    pass
-
 
 NashVerdict = IsNash | Exploitable
 

@@ -21,18 +21,21 @@ from fractions import Fraction
 from math import prod
 
 from . import lp
-from .correlated import (
+from .correlated import incentive_rows, test_ce_compatibility
+from .games import (
     Compatible,
     Exploitable,
-    incentive_rows,
-    is_correlated_equilibrium,
-    test_ce_compatibility,
+    Game,
+    IsNash,
+    JointDistribution,
+    MarginalProfile,
+    ProfilewiseScheme,
 )
-from .games import Game, JointDistribution, MarginalProfile
-from .nash import IsNash, ProfilewiseScheme, is_nash
+from .nash import is_nash
 from .verify import (
     IncomeClaimError,
     SchemeViolation,
+    is_correlated_equilibrium,
     verify_exploitable,
     verify_nash,
     verify_witness,

@@ -1,26 +1,26 @@
 """Self-contained checks for every certificate the analyzers emit.
 
 This module is the one judge of a verdict, and the analyzers return the
-income it computes. No verifier calls the feasibility solver or the
-producers' code (`nash`'s best-response search, `correlated`'s coupling
-system and its read-back), so neither can vouch for its own output. The
-scheme verifiers share payoff data with the producers, the game's
-integer view and `games.surplus_parts`: they compare each profile's
-surplus with its fee in integers, by cross-multiplying numerators and
-denominators, and build a Fraction only for the income and for a
-violation's shortfall. They return the exact expected fee income rather
-than a boolean: callers decide what sign they require, since zero-income
-schemes are legal objects. An infeasible scheme raises `SchemeViolation`
-carrying the first violating profile in row-major order.
-`verify_exploitable`, the one check of an exploitable verdict's claimed
-income, is where a sign is required: positive, and equal to the claim.
+income it computes. It imports `games` alone, so no verifier can reach
+the feasibility solver or the producers' code (`nash`'s best-response
+search, `correlated`'s coupling system and its read-back), and neither
+can vouch for its own output. The scheme verifiers share payoff data
+with the producers, the game's integer view and `games.surplus_parts`:
+they compare each profile's surplus with its fee in integers, by
+cross-multiplying numerators and denominators, and build a Fraction only
+for the income and for a violation's shortfall. They return the exact
+expected fee income rather than a boolean: callers decide what sign they
+require, since zero-income schemes are legal objects. An infeasible
+scheme raises `SchemeViolation` carrying the first violating profile in
+row-major order. `verify_exploitable`, the one check of an exploitable
+verdict's claimed income, is where a sign is required: positive, and
+equal to the claim.
 
 `verify_profilewise` takes its income as one integer sum over the
 support product of p. `verify_witness` compares p with
 `JointDistribution.marginals()`, shared model code that sums q's
 marginals as integers over q's common denominator; its incentive check,
-`correlated.is_correlated_equilibrium`, reads the integer payoff view
-too.
+`is_correlated_equilibrium`, reads the integer payoff view too.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ import itertools
 from fractions import Fraction
 from math import lcm
 
-from .correlated import ActionwiseScheme, is_correlated_equilibrium
 from .games import (
+    ActionwiseScheme,
     DeviationKernel,
     Game,
     JointDistribution,
@@ -63,6 +63,34 @@ class IncomeClaimError(ValueError):
     def __init__(self, income, claimed):
         self.income = income
         super().__init__(f"scheme earns {income}, not the claimed {claimed}")
+
+
+def is_correlated_equilibrium(game: Game, q: JointDistribution) -> bool:
+    """Direct check of every incentive inequality, no solver involved.
+
+    The mass is put over the lcm of q's denominators and, per player, the
+    `Game.int_payoffs` of the lines that carry mass over the lcm of their
+    denominators, so each deviation pair is one integer comparison."""
+    if q.shape != game.shape:
+        raise ValueError("joint distribution shape does not match game")
+    mass, _scale = common_denominator(q.probs)
+    for i, (k, step) in enumerate(zip(game.shape, game.strides)):
+        pay, pay_dens = game.int_payoffs[i]
+        lines = [range(start, start + k * step, step) for start in game.line_starts(i)]
+        lines = [line for line in lines if any(mass[f] for f in line)]
+        common = lcm(*(pay_dens[line[0]] for line in lines))
+        # told[a][b]: i's scaled payoff from playing b, summed over the
+        # mass of the profiles where i is told a.
+        told = [[0] * k for _ in range(k)]
+        for line in lines:
+            factor = common // pay_dens[line[0]]
+            values = [pay[f] * factor for f in line]
+            for a, f in enumerate(line):
+                if mass[f]:
+                    told[a] = [t + mass[f] * v for t, v in zip(told[a], values)]
+        if any(row[a] < max(row) for a, row in enumerate(told)):
+            return False
+    return True
 
 
 def verify_witness(game: Game, p: MarginalProfile, q: JointDistribution) -> bool:
@@ -132,14 +160,18 @@ def verify_profilewise(game: Game, p: MarginalProfile, scheme) -> Fraction:
     return Fraction(income, den * fee_den)
 
 
+def verify_scheme(game: Game, p: MarginalProfile, scheme) -> Fraction:
+    """Check a scheme with the checker of its kind and return its income."""
+    if isinstance(scheme, ActionwiseScheme):
+        return verify_actionwise(game, p, scheme)
+    return verify_profilewise(game, p, scheme)
+
+
 def verify_exploitable(game: Game, p: MarginalProfile, verdict) -> Fraction:
-    """Check an `Exploitable` verdict's scheme with the checker of its kind
-    and return its income; raise `IncomeClaimError` unless that income is
+    """Check an `Exploitable` verdict's scheme with `verify_scheme` and
+    return its income; raise `IncomeClaimError` unless that income is
     positive and equal to `verdict.expected_profit`."""
-    if isinstance(verdict.scheme, ActionwiseScheme):
-        income = verify_actionwise(game, p, verdict.scheme)
-    else:
-        income = verify_profilewise(game, p, verdict.scheme)
+    income = verify_scheme(game, p, verdict.scheme)
     if not 0 < income == verdict.expected_profit:
         raise IncomeClaimError(income, verdict.expected_profit)
     return income

@@ -1,0 +1,130 @@
+"""The package's modules form layers: the model (`games`) at the bottom,
+the solver, the judge and the file formats on it, the producers above
+them. The judge (`verify`) loads nothing but the model, so a certificate
+is checked without the code that made it."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "eqaudit"
+
+ALLOWED = {
+    "games": set(),
+    "lp": {"games"},
+    "verify": {"games"},
+    "dataio": {"games"},
+    "correlated": {"games", "lp", "verify"},
+    "nash": {"games", "lp", "correlated"},
+    "oracles": {"games", "lp", "correlated", "nash", "verify"},
+}
+
+
+def _package_imports(node):
+    """The package modules one import statement names, or an empty list."""
+    if isinstance(node, ast.ImportFrom):
+        if node.level == 0:
+            parts = (node.module or "").split(".")
+            if parts[0] != "eqaudit":
+                return []
+            return parts[1:2] or [alias.name for alias in node.names]
+        if node.level == 1:
+            if node.module:
+                return [node.module.split(".")[0]]
+            return [alias.name for alias in node.names]
+        return []
+    if isinstance(node, ast.Import):
+        return [
+            alias.name.split(".")[1]
+            for alias in node.names
+            if alias.name.startswith("eqaudit.")
+        ]
+    return []
+
+
+def _is_type_checking(test) -> bool:
+    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
+        isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
+    )
+
+
+def _scan(tree):
+    """(top-level imports, imports nested in a function or a
+    TYPE_CHECKING block) of one module, as sets of module names."""
+    top, nested = set(), set()
+
+    def visit(node, hidden):
+        names = _package_imports(node)
+        (nested if hidden else top).update(names)
+        for child in ast.iter_child_nodes(node):
+            visit(
+                child,
+                hidden
+                or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+                or (isinstance(node, ast.If) and _is_type_checking(node.test)),
+            )
+
+    visit(tree, False)
+    return top, nested
+
+
+def _graph():
+    """Every package module's package imports, deferred ones included,
+    and, separately, its deferred ones."""
+    graph, nested = {}, {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        top, hidden = _scan(ast.parse(path.read_text(encoding="utf-8")))
+        graph[path.stem] = (top | hidden) - {path.stem}
+        nested[path.stem] = hidden
+    return graph, nested
+
+
+def test_each_module_imports_only_lower_layers():
+    graph = _graph()[0]
+    assert set(ALLOWED) <= set(graph)
+    wrong = {
+        module: sorted(graph[module] - allowed)
+        for module, allowed in ALLOWED.items()
+        if graph[module] - allowed
+    }
+    assert wrong == {}
+
+
+def test_no_package_import_is_deferred():
+    nested = _graph()[1]
+    assert {module: names for module, names in nested.items() if names} == {}
+
+
+def test_import_graph_is_acyclic():
+    graph = _graph()[0]
+    done, active = set(), []
+
+    def visit(module):
+        assert module not in active, f"import cycle: {active + [module]}"
+        if module in done:
+            return
+        active.append(module)
+        for target in sorted(graph.get(module, ())):
+            visit(target)
+        active.pop()
+        done.add(module)
+
+    for module in sorted(graph):
+        visit(module)
+
+
+def test_the_scan_sees_every_import_form():
+    source = (
+        "from . import lp, nash\n"
+        "from .games import Game\n"
+        "import eqaudit.verify\n"
+        "from eqaudit import dataio\n"
+        "from eqaudit.correlated import x\n"
+        "import json\n"
+        "def f():\n"
+        "    from . import oracles\n"
+        "if TYPE_CHECKING:\n"
+        "    from .cli import main\n"
+    )
+    top, nested = _scan(ast.parse(source))
+    assert top == {"lp", "nash", "games", "verify", "dataio", "correlated"}
+    assert nested == {"oracles", "cli"}

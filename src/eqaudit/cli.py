@@ -43,19 +43,13 @@ def _read(path: str) -> str:
         raise DataFormatError(f"cannot read {path}: {exc}") from None
 
 
-def _write_output(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _load_profile(args, game) -> "dataio.MarginalProfile":
-    if args.log:
-        return dataio.empirical_marginals(game, dataio.parse_play_log(_read(args.log)))
-    if not args.marginals:
+def _load_profile(game, marginals, log) -> "dataio.MarginalProfile":
+    """The marginals of the play log `log` or, if it is None, of a file."""
+    if log is not None:
+        return dataio.empirical_marginals(game, dataio.parse_play_log(_read(log)))
+    if not marginals:
         raise DataFormatError("provide a marginals file or --log")
-    return dataio.parse_marginals(_read(args.marginals), game)
+    return dataio.parse_marginals(_read(marginals), game)
 
 
 def _audit(test, game, p, oracle: bool, seed: int):
@@ -68,7 +62,7 @@ def _audit(test, game, p, oracle: bool, seed: int):
     return dataio.emit_verdict(game, verdict), isinstance(verdict, Exploitable)
 
 
-def _run_batch(test, game, args) -> int:
+def _run_batch(test, game, args) -> tuple[str, bool]:
     import json
     from concurrent.futures import ProcessPoolExecutor
 
@@ -88,25 +82,18 @@ def _run_batch(test, game, args) -> int:
     combined = {
         "results": {f.name: json.loads(doc) for f, (doc, _) in zip(files, results)}
     }
-    _write_output(dataio.canonical_json(combined), args.out)
-    return 1 if any(flag for _, flag in results) else 0
+    return dataio.canonical_json(combined), any(flag for _, flag in results)
 
 
-def _cmd_test(test, args) -> int:
-    if args.log and args.marginals:
-        raise DataFormatError("--log cannot be combined with a marginals path")
-    game = dataio.parse_game(_read(args.game))
+def _cmd_test(test, args, game) -> tuple[str, bool]:
     if args.marginals and Path(args.marginals).is_dir():
         return _run_batch(test, game, args)
-    doc, exploitable = _audit(
-        test, game, _load_profile(args, game), args.oracle, args.seed
-    )
-    _write_output(doc, args.out)
-    return 1 if exploitable else 0
+    # An empty --log counts as no log.
+    p = _load_profile(game, args.marginals, args.log or None)
+    return _audit(test, game, p, args.oracle, args.seed)
 
 
-def _cmd_verify(args) -> int:
-    game = dataio.parse_game(_read(args.game))
+def _cmd_verify(args, game) -> tuple[str, bool]:
     p = dataio.parse_marginals(_read(args.marginals), game)
     kind, payload = dataio.parse_certificate(_read(args.certificate), game)
     doc = {"kind": kind, "valid": True}
@@ -126,22 +113,16 @@ def _cmd_verify(args) -> int:
             doc.update(valid=False, expected_profit=dataio.rational_str(exc.income))
         else:
             doc["expected_profit"] = dataio.rational_str(income)
-    _write_output(dataio.canonical_json(doc), args.out)
-    return 0 if doc["valid"] else 1
+    return dataio.canonical_json(doc), not doc["valid"]
 
 
-def _cmd_surplus(args) -> int:
-    game = dataio.parse_game(_read(args.game))
+def _cmd_surplus(args, game) -> tuple[str, bool]:
     kernel = dataio.parse_kernel(_read(args.kernel), game)
-    _write_output(dataio.emit_surplus(game, surplus_table(game, kernel)), args.out)
-    return 0
+    return dataio.emit_surplus(game, surplus_table(game, kernel)), False
 
 
-def _cmd_marginals(args) -> int:
-    game = dataio.parse_game(_read(args.game))
-    p = dataio.empirical_marginals(game, dataio.parse_play_log(_read(args.log)))
-    _write_output(dataio.emit_marginals(game, p), args.out)
-    return 0
+def _cmd_marginals(args, game) -> tuple[str, bool]:
+    return dataio.emit_marginals(game, _load_profile(game, None, args.log)), False
 
 
 def _positive_int(text: str) -> int:
@@ -151,6 +132,29 @@ def _positive_int(text: str) -> int:
     return value
 
 
+# (name, help, positionals, handler); a positional ending in "?" is optional.
+_COMMANDS = (
+    ("test-ce", "compatibility with correlated play", "game marginals?",
+     lambda args, game: _cmd_test(test_ce_compatibility, args, game)),
+    ("test-nash", "Nash equilibrium test", "game marginals?",
+     lambda args, game: _cmd_test(test_nash_exploitability, args, game)),
+    ("verify", "check a witness or scheme document", "game marginals certificate",
+     _cmd_verify),
+    ("surplus", "deviation-surplus table for a kernel", "game kernel", _cmd_surplus),
+    ("marginals", "empirical marginals from a play log", "game log", _cmd_marginals),
+)
+# Every subcommand takes --out; the test-* ones take the rest as well.
+_FLAGS = (
+    ("--out", {"help": "write the result document here instead of stdout"}),
+    ("--oracle", {"action": "store_true", "help": "run independent cross-checks "
+                  "and fail loudly on disagreement"}),
+    ("--jobs", {"type": _positive_int, "default": 1,
+                "help": "workers for batch directories of marginals files"}),
+    ("--seed", {"type": int, "default": 0, "help": "seed for oracle sampling"}),
+    ("--log", {"help": "derive marginals from a CSV play log instead"}),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eqaudit",
@@ -158,66 +162,29 @@ def build_parser() -> argparse.ArgumentParser:
         "correlated or Nash equilibrium play, with exact certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, with_profile=True):
-        p.add_argument("--out", help="write the result document here instead of stdout")
-        if with_profile:
-            p.add_argument(
-                "--oracle",
-                action="store_true",
-                help="run independent cross-checks and fail loudly on disagreement",
-            )
-            p.add_argument(
-                "--jobs",
-                type=_positive_int,
-                default=1,
-                help="workers for batch directories of marginals files",
-            )
-            p.add_argument(
-                "--seed", type=int, default=0, help="seed for oracle sampling"
-            )
-            p.add_argument(
-                "--log", help="derive marginals from a CSV play log instead"
-            )
-
-    ce = sub.add_parser("test-ce", help="compatibility with correlated play")
-    ce.add_argument("game")
-    ce.add_argument("marginals", nargs="?")
-    add_common(ce)
-    ce.set_defaults(func=lambda a: _cmd_test(test_ce_compatibility, a))
-
-    ne = sub.add_parser("test-nash", help="Nash equilibrium test")
-    ne.add_argument("game")
-    ne.add_argument("marginals", nargs="?")
-    add_common(ne)
-    ne.set_defaults(func=lambda a: _cmd_test(test_nash_exploitability, a))
-
-    vf = sub.add_parser("verify", help="check a witness or scheme document")
-    vf.add_argument("game")
-    vf.add_argument("marginals")
-    vf.add_argument("certificate")
-    add_common(vf, with_profile=False)
-    vf.set_defaults(func=_cmd_verify)
-
-    sp = sub.add_parser("surplus", help="deviation-surplus table for a kernel")
-    sp.add_argument("game")
-    sp.add_argument("kernel")
-    add_common(sp, with_profile=False)
-    sp.set_defaults(func=_cmd_surplus)
-
-    mg = sub.add_parser("marginals", help="empirical marginals from a play log")
-    mg.add_argument("game")
-    mg.add_argument("log")
-    add_common(mg, with_profile=False)
-    mg.set_defaults(func=_cmd_marginals)
-
+    for name, text, positionals, handler in _COMMANDS:
+        cmd = sub.add_parser(name, help=text)
+        for arg in positionals.split():
+            cmd.add_argument(arg.rstrip("?"), nargs="?" if "?" in arg else None)
+        for flag, options in _FLAGS if name.startswith("test-") else _FLAGS[:1]:
+            cmd.add_argument(flag, **options)
+        # Every command has `log` and `marginals`, set or None.
+        cmd.set_defaults(func=handler, log=None, marginals=None)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.log and args.marginals:
+            raise DataFormatError("--log cannot be combined with a marginals path")
+        # A handler returns its result document and whether to exit 1.
+        text, negative = args.func(args, dataio.parse_game(_read(args.game)))
+        if args.out:
+            Path(args.out).write_text(text)
+        else:
+            sys.stdout.write(text)
+        return int(negative)
     except oracles.OracleDisagreement as exc:
         print(f"oracle disagreement: {exc}", file=sys.stderr)
         return 3

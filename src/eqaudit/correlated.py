@@ -49,6 +49,7 @@ from .games import (
     JointDistribution,
     MarginalProfile,
     as_fraction,
+    check_shape,
     common_denominator,
     surplus,
 )
@@ -59,11 +60,6 @@ from .verify import is_correlated_equilibrium, verify_actionwise, verify_witness
 _ZERO = Fraction(0)
 
 CeVerdict = Compatible | Exploitable
-
-
-def _check_marginals(game: Game, p: MarginalProfile) -> None:
-    if p.shape != game.shape:
-        raise ValueError("marginal profile shape does not match game")
 
 
 def deviation_pairs(game: Game) -> Iterator[tuple[int, int, int]]:
@@ -131,7 +127,7 @@ def build_ce_system(game: Game, p: MarginalProfile) -> lp.LinearSystem:
     player after the first. Player 0's rows already force the total mass
     to 1, so no separate normalization row is added.
     """
-    _check_marginals(game, p)
+    check_shape(game, p)
     _supports, cols, pairs, marginals = _kept(game, p)
     rows = incentive_rows(game, cols, pairs)
     for i, a in marginals:
@@ -157,7 +153,7 @@ def normalize_dual(game: Game, p: MarginalProfile, multipliers) -> Exploitable:
     the module docstring). Raises ValueError unless the scheme is feasible
     at every profile and its expected income under `p` is positive.
     """
-    _check_marginals(game, p)
+    check_shape(game, p)
     supports, _cols, pairs, marginals = _kept(game, p)
     multipliers = tuple(as_fraction(m) for m in multipliers)
     if len(multipliers) != len(pairs) + len(marginals):

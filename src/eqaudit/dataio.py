@@ -9,8 +9,8 @@ default int-string digit limit) in magnitude: "1e4300" is read, "1e4301"
 and "1e-1000000" are malformed, because the cost of building such a
 number grows faster than its exponent. Bare JSON number literals follow
 the same rules as strings: 1e4301 is malformed, and so is an integer of
-more than 4300 digits, bare or inside a string. The error for a
-malformed rational string quotes its first 40 characters at most.
+more than 4300 digits, bare or inside a string. An error line quotes at
+most 40 characters of an input value (`games.quoted`).
 Payoff tensors, joint
 distributions and fee tables are flat lists in row-major profile order:
 players in declaration order, actions in declaration order, last
@@ -51,6 +51,7 @@ from .games import (
     JointDistribution,
     MarginalProfile,
     ProfilewiseScheme,
+    quoted,
 )
 
 
@@ -80,11 +81,10 @@ def _exponent_too_large(text: str) -> bool:
 def parse_rational(value) -> Fraction:
     """Exact rational from an int, decimal string, or 'n/d' string."""
     if isinstance(value, str):
-        shown = value if len(value) <= 40 else value[:40] + "…"
         plain = _PLAIN_RATIONAL.fullmatch(value)
         if not plain and _exponent_too_large(value):
             raise DataFormatError(
-                f"malformed rational {shown!r}: "
+                f"malformed rational {quoted(value)}: "
                 f"exponent magnitude over {MAX_EXPONENT}"
             )
         try:
@@ -94,19 +94,19 @@ def parse_rational(value) -> Fraction:
             return Fraction(value)
         except ZeroDivisionError:
             raise DataFormatError(
-                f"malformed rational {shown!r}: zero denominator"
+                f"malformed rational {quoted(value)}: zero denominator"
             ) from None
         except ValueError:
             if _has_long_digit_run(value):  # more than int() converts
                 raise _digit_limit_error() from None
-            raise DataFormatError(f"malformed rational {shown!r}") from None
+            raise DataFormatError(f"malformed rational {quoted(value)}") from None
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise DataFormatError(f"not a number: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
-    raise DataFormatError(f"cannot read a rational from {value!r}")
+    raise DataFormatError(f"cannot read a rational from {quoted(value)}")
 
 
 def rational_str(value: Fraction) -> str:
@@ -182,17 +182,18 @@ def _parse_table(doc, players, what: str, item, sizes=None) -> tuple:
     doc = _object(doc, what)
     rows = []
     for i, player in enumerate(players):
+        who = quoted(player)
         if player not in doc:
-            raise DataFormatError(f"no {what} for player {player!r}")
+            raise DataFormatError(f"no {what} for player {who}")
         row = doc[player]
         if not isinstance(row, list):
-            raise DataFormatError(f"{what} for {player!r} must be a list")
+            raise DataFormatError(f"{what} for {who} must be a list")
         if sizes is not None and len(row) != sizes[i]:
-            raise DataFormatError(f"{what} for {player!r} must list {sizes[i]} entries")
+            raise DataFormatError(f"{what} for {who} must list {sizes[i]} entries")
         rows.append(tuple(map(item, row)))
     if len(doc) > len(players):  # every player has an entry, so a key is extra
         unknown = min(doc.keys() - set(players))
-        raise DataFormatError(f"{what} listed for unknown player {unknown!r}")
+        raise DataFormatError(f"{what} listed for unknown player {quoted(unknown)}")
     return tuple(rows)
 
 
@@ -298,7 +299,7 @@ def _parse_scheme_doc(doc, game: Game):
     if kind == "profilewise":
         fee = _profile_values(_require(doc, "fee"), game, "'fee'")
         return ProfilewiseScheme(fee, kernel)
-    raise DataFormatError(f"unknown scheme type {kind!r}")
+    raise DataFormatError(f"unknown scheme type {quoted(kind)}")
 
 
 def parse_scheme(text: str, game: Game):
@@ -350,7 +351,7 @@ def _verdict_from_doc(doc: dict, game: Game):
     if kind == "exploitable":
         scheme = _parse_scheme_doc(_require(doc, "scheme"), game)
         return Exploitable(scheme, parse_rational(_require(doc, "expected_profit")))
-    raise DataFormatError(f"unknown verdict {kind!r}")
+    raise DataFormatError(f"unknown verdict {quoted(kind)}")
 
 
 def parse_verdict(text: str, game: Game):
@@ -439,7 +440,7 @@ def empirical_marginals(game: Game, log: dict[str, list[str]]) -> MarginalProfil
     histories = _parse_table(log, game.players, "play log", str)
     for i, (player, history) in enumerate(zip(game.players, histories)):
         if not history:
-            raise DataFormatError(f"empty history for player {player!r}")
+            raise DataFormatError(f"empty history for player {quoted(player)}")
         counts = [0] * len(game.actions[i])
         for label in history:
             counts[_checked(game.action_index, i, label)] += 1

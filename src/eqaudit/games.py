@@ -28,6 +28,8 @@ lcm of their denominators in the same way, as `JointDistribution.marginals`
 does to sum every marginal in one integer pass and as the validation of
 every distribution (a marginal row, a joint distribution, a kernel row)
 does to check that its numerators sum to that lcm.
+`independent_play` is the one integer walk over independent play, and
+`check_shape` the one test that an object has the game's shape.
 """
 
 from __future__ import annotations
@@ -58,6 +60,13 @@ def common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
     and that lcm."""
     den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def quoted(value) -> str:
+    """`repr` of `value` for an error line, with at most 40 of its characters."""
+    text = value if isinstance(value, str) else repr(value)
+    shown = text if len(text) <= 40 else text[:40] + "…"
+    return repr(shown) if isinstance(value, str) else shown
 
 
 def _fraction_tuple(values) -> tuple[Fraction, ...]:
@@ -112,10 +121,10 @@ class Game:
                 raise ValueError("duplicate action label for a player")
         shape = tuple(len(labels) for labels in actions)
         size = prod(shape)
-        for who, row in zip(players, payoffs):
+        for who, row in zip(map(quoted, players), payoffs):
             if len(row) != size:
                 raise ValueError(
-                    f"payoff tensor for {who!r} has {len(row)} entries, expected {size}"
+                    f"payoff tensor for {who} has {len(row)} entries, expected {size}"
                 )
         object.__setattr__(self, "players", players)
         object.__setattr__(self, "actions", actions)
@@ -187,7 +196,7 @@ class Game:
             return self.actions[i].index(label)
         except ValueError:
             raise ValueError(
-                f"unknown action {label!r} for player {self.players[i]!r}"
+                f"unknown action {quoted(label)} for player {quoted(self.players[i])}"
             ) from None
 
 
@@ -293,12 +302,37 @@ class DeviationKernel:
         return tuple(len(player_rows) for player_rows in self.rows)
 
 
+def check_shape(game: Game, *parts) -> None:
+    """ValueError unless each of `parts` (a marginal profile, a joint
+    distribution or a kernel) has the game's shape."""
+    for part in parts:
+        if part.shape != game.shape:
+            raise ValueError(f"{type(part).__name__} shape does not match game")
+
+
+def independent_play(shape, rows) -> tuple[list[tuple[int, int]], int]:
+    """Row-major `(flat index, integer weight)` of every profile of `shape`
+    that players playing `rows[j]` independently reach, and the weights'
+    one denominator. A row `(1,)` pins a player to action 0."""
+    cells, den = [(0, 1)], 1
+    for row, k in zip(rows, shape):
+        weights, scale = common_denominator(row)
+        den *= scale
+        cells = [
+            (flat * k + a, weight * w)
+            for flat, weight in cells
+            for a, w in enumerate(weights)
+            if w
+        ]
+    return cells, den
+
+
 def product_distribution(p: MarginalProfile) -> JointDistribution:
     """Independent joint distribution with marginals `p`."""
-    probs = tuple(
-        prod(p.probs[i][a] for i, a in enumerate(profile))
-        for profile in itertools.product(*(range(k) for k in p.shape))
-    )
+    probs = [Fraction(0)] * prod(p.shape)
+    cells, den = independent_play(p.shape, p.probs)
+    for flat, weight in cells:
+        probs[flat] = Fraction(weight, den)
     return JointDistribution(p.shape, probs)
 
 
@@ -309,8 +343,7 @@ def surplus(game: Game, kernel: DeviationKernel, profile: Profile) -> Fraction:
     This is the single-profile reference definition, in plain Fraction
     arithmetic; `surplus_parts` and `surplus_table` compute the same values
     at every profile from the integer payoff view."""
-    if kernel.shape != game.shape:
-        raise ValueError("kernel shape does not match game")
+    check_shape(game, kernel)
     total = Fraction(0)
     for i in range(game.num_players):
         row = kernel.rows[i][profile[i]]
@@ -332,8 +365,7 @@ def surplus_parts(game: Game, kernel: DeviationKernel) -> tuple[list[int], list[
     A zero term is skipped; a term whose denominator equals the profile's
     running one adds its numerator, any other is cross-multiplied in.
     """
-    if kernel.shape != game.shape:
-        raise ValueError("kernel shape does not match game")
+    check_shape(game, kernel)
     nums = [0] * game.num_profiles
     dens = [1] * game.num_profiles
     for i, (player_rows, (pay, pay_dens)) in enumerate(

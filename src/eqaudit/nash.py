@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import lp
-from .correlated import _check_marginals, incentive_rows
+from .correlated import incentive_rows
 from .games import (
     DeviationKernel,
     Exploitable,
@@ -34,7 +34,9 @@ from .games import (
     IsNash,
     MarginalProfile,
     ProfilewiseScheme,
+    check_shape,
     common_denominator,
+    independent_play,
     product_distribution,
 )
 
@@ -49,21 +51,10 @@ def _payoff_numerators(game: Game, p: MarginalProfile, i: int) -> tuple[list[int
     independent mixture of everyone else, as integer numerators over one
     common positive denominator.
 
-    Each other player's marginal row is scaled to integers by its lcm, so
-    every supported line of `i` gets one integer weight; the lines'
-    `Game.int_payoffs` are brought to the lcm of their denominators."""
-    lines = [(0, 1)]  # (flat index where i plays action 0, weight)
-    den = 1
-    for j, (row, step) in enumerate(zip(p.probs, game.strides)):
-        if j != i:
-            weights, scale = common_denominator(row)
-            den *= scale
-            lines = [
-                (base + a * step, weight * w)
-                for base, weight in lines
-                for a, w in enumerate(weights)
-                if w
-            ]
+    `games.independent_play` with `i` pinned to action 0 weights each line
+    of `i`; the lines' `Game.int_payoffs` are put over one lcm."""
+    rows = p.probs[:i] + ((1,),) + p.probs[i + 1 :]
+    lines, den = independent_play(game.shape, rows)
     pay, pay_dens = game.int_payoffs[i]
     common = lcm(*(pay_dens[base] for base, _ in lines))
     step = game.strides[i]
@@ -78,7 +69,7 @@ def _payoff_numerators(game: Game, p: MarginalProfile, i: int) -> tuple[list[int
 def expected_payoff(game: Game, p: MarginalProfile, i: int, action: int) -> Fraction:
     """Player `i`'s expected payoff for playing `action` against the
     independent mixture of everyone else; ValueError on a bad index."""
-    _check_marginals(game, p)
+    check_shape(game, p)
     if not 0 <= i < game.num_players:
         raise ValueError(f"unknown player index {i}")
     k = game.shape[i]
@@ -95,7 +86,7 @@ def _best_deviation(game: Game, p: MarginalProfile):
     Ties go to the lowest player, then the lowest action. Gains are
     compared in integers within a player; a Fraction is built only for
     each player's largest positive gain."""
-    _check_marginals(game, p)
+    check_shape(game, p)
     found = None
     for i, row in enumerate(p.probs):
         values, den = _payoff_numerators(game, p, i)
@@ -122,6 +113,7 @@ def is_nash(game: Game, p: MarginalProfile) -> bool:
 def build_nash_system(game: Game, p: MarginalProfile) -> lp.LinearSystem:
     """Incentive system with the joint distribution pinned, entry by
     entry, to the product of `p`. Feasible exactly when `p` is Nash."""
+    check_shape(game, p)
     q = product_distribution(p)
     rows = incentive_rows(game)
     for flat in range(game.num_profiles):

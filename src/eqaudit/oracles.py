@@ -71,11 +71,13 @@ def random_ce(game: Game, seed: int) -> JointDistribution:
 
 
 def random_game(rng: random.Random, max_players: int = 3, max_actions: int = 3) -> Game:
-    """A small random game with uniform small-rational payoffs."""
+    """A small random game with uniform small-rational payoffs; a player
+    has 2 to `max_actions` actions, labelled by consecutive characters
+    from "a"."""
     n = rng.randint(2, max_players)
     players = tuple(f"P{i + 1}" for i in range(n))
     actions = tuple(
-        tuple("abc"[: rng.randint(2, max_actions)]) for _ in range(n)
+        tuple(map(chr, range(97, 97 + rng.randint(2, max_actions)))) for _ in range(n)
     )
     size = prod(len(a) for a in actions)
     payoffs = tuple(

@@ -17,7 +17,7 @@ verdict's claimed income, is where a sign is required: positive, and
 equal to the claim.
 
 `verify_profilewise` takes its income as one integer sum over the
-support product of p. `verify_witness` compares p with
+profiles that `games.independent_play` reaches under p. `verify_witness` compares p with
 `JointDistribution.marginals()`, shared model code that sums q's
 marginals as integers over q's common denominator; its incentive check,
 `is_correlated_equilibrium`, reads the integer payoff view too.
@@ -35,7 +35,9 @@ from .games import (
     Game,
     JointDistribution,
     MarginalProfile,
+    check_shape,
     common_denominator,
+    independent_play,
     product_distribution,
     surplus_parts,
 )
@@ -71,8 +73,7 @@ def is_correlated_equilibrium(game: Game, q: JointDistribution) -> bool:
     The mass is put over the lcm of q's denominators and, per player, the
     `Game.int_payoffs` of the lines that carry mass over the lcm of their
     denominators, so each deviation pair is one integer comparison."""
-    if q.shape != game.shape:
-        raise ValueError("joint distribution shape does not match game")
+    check_shape(game, q)
     mass, _scale = common_denominator(q.probs)
     for i, (k, step) in enumerate(zip(game.shape, game.strides)):
         pay, pay_dens = game.int_payoffs[i]
@@ -96,8 +97,7 @@ def is_correlated_equilibrium(game: Game, q: JointDistribution) -> bool:
 def verify_witness(game: Game, p: MarginalProfile, q: JointDistribution) -> bool:
     """True iff `q` has exactly the marginals `p` and satisfies every
     incentive inequality."""
-    if q.shape != game.shape or p.shape != game.shape:
-        raise ValueError("shapes do not match game")
+    check_shape(game, q, p)
     return q.marginals() == p and is_correlated_equilibrium(game, q)
 
 
@@ -122,8 +122,7 @@ def _check_fees(game: Game, kernel: DeviationKernel, fees) -> None:
 def verify_actionwise(game: Game, p: MarginalProfile, scheme) -> Fraction:
     """Check an action-wise scheme pointwise and return its expected
     fee income under `p`."""
-    if scheme.kernel.shape != game.shape or p.shape != game.shape:
-        raise ValueError("scheme shape does not match game")
+    check_shape(game, scheme.kernel, p)
     scale = lcm(*(fee.denominator for row in scheme.fees for fee in row))
     scaled = [
         [fee.numerator * (scale // fee.denominator) for fee in row]
@@ -138,23 +137,13 @@ def verify_actionwise(game: Game, p: MarginalProfile, scheme) -> Fraction:
 def verify_profilewise(game: Game, p: MarginalProfile, scheme) -> Fraction:
     """Check a profile-wise scheme pointwise and return its expected fee
     income under the product distribution of `p`."""
-    if scheme.kernel.shape != game.shape or p.shape != game.shape:
-        raise ValueError("scheme shape does not match game")
+    check_shape(game, scheme.kernel, p)
     if len(scheme.fee) != game.num_profiles:
         raise ValueError("fee table length does not match game")
     _check_fees(
         game, scheme.kernel, ((fee.numerator, fee.denominator) for fee in scheme.fee)
     )
-    cells, den = [(0, 1)], 1  # (flat index, integer weight) over den
-    for row, step in zip(p.probs, game.strides):
-        weights, scale = common_denominator(row)
-        den *= scale
-        cells = [
-            (flat + a * step, weight * w)
-            for flat, weight in cells
-            for a, w in enumerate(weights)
-            if w
-        ]
+    cells, den = independent_play(game.shape, p.probs)
     fees, fee_den = common_denominator([scheme.fee[flat] for flat, _ in cells])
     income = sum(weight * fee for (_, weight), fee in zip(cells, fees))
     return Fraction(income, den * fee_den)

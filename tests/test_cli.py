@@ -643,3 +643,94 @@ def test_result_over_the_digit_limit_exits_two(files, tmp_path):
     assert res.stderr.splitlines() == [
         "error: the result has a rational over the 4300-digit output limit"
     ]
+
+
+
+LONG = "x" * 100_000
+LONG_GAME = GAME_DOC.replace('"P1"', json.dumps(LONG))
+# Per error site that quotes an input value: the files that differ from
+# game.json = GAME_DOC, m.json = SKEWED and k.json = HALFHALF_KERNEL, and
+# the arguments, which name those files.
+LONG_VALUE_CASES = {
+    "rational-from-list": (
+        {"m.json": SKEWED.replace('"1/2"', json.dumps([LONG]), 1)},
+        ["test-ce", "game.json", "m.json"],
+    ),
+    "rational-from-object": (
+        {"m.json": SKEWED.replace('"1/2"', json.dumps({LONG: 1}), 1)},
+        ["test-ce", "game.json", "m.json"],
+    ),
+    "unknown-player": (
+        {"m.json": SKEWED.replace("{", "{" + json.dumps(LONG) + ': ["1"], ', 1)},
+        ["test-nash", "game.json", "m.json"],
+    ),
+    "play-log-header": (
+        {"plays.csv": PLAYS.replace("P1,P2", "P1,P2," + LONG, 1)},
+        ["marginals", "game.json", "plays.csv"],
+    ),
+    "unknown-verdict": (
+        {"c.json": json.dumps({"verdict": LONG})},
+        ["verify", "game.json", "m.json", "c.json"],
+    ),
+    "unknown-scheme-type": (
+        {"c.json": json.dumps({"type": LONG, "kernel": json.loads(HALFHALF_KERNEL)})},
+        ["verify", "game.json", "m.json", "c.json"],
+    ),
+    "unknown-action": (
+        {"plays.csv": PLAYS.replace("T,L", LONG + ",L", 1)},
+        ["test-ce", "game.json", "--log", "plays.csv"],
+    ),
+    "missing-player": ({"game.json": LONG_GAME}, ["test-ce", "game.json", "m.json"]),
+    "empty-history": (
+        {"game.json": LONG_GAME, "plays.csv": LONG + ",P2\n,L\n"},
+        ["marginals", "game.json", "plays.csv"],
+    ),
+    "payoff-length": (
+        {"game.json": LONG_GAME.replace('"9", ', "", 1)},
+        ["surplus", "game.json", "k.json"],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "written, argv", LONG_VALUE_CASES.values(), ids=LONG_VALUE_CASES.keys()
+)
+def test_an_error_line_quotes_at_most_40_characters_of_a_value(
+    tmp_path, capsys, written, argv
+):
+    from eqaudit import cli
+
+    texts = {"game.json": GAME_DOC, "m.json": SKEWED, "k.json": HALFHALF_KERNEL}
+    texts.update(written)
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    assert cli.main([str(tmp_path / a) if a in texts else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines[:1]
+    assert len(lines[0].encode()) < 200, lines[0][:300]
+    assert "x" * 41 not in lines[0] and "…" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [("test-ce", "test_ce_compatibility"), ("test-nash", "test_nash_exploitability")],
+)
+def test_an_audit_command_calls_its_test_as_the_module_holds_it_now(
+    files, monkeypatch, capsys, command, name
+):
+    # The benchmark's tracer replaces module attributes after import, and a
+    # batch pool pickles the test by name, so the command table must not
+    # keep the function object it saw at import.
+    from eqaudit import cli
+
+    original, seen = getattr(cli, name), []
+
+    def spy(game, p):
+        seen.append(p)
+        return original(game, p)
+
+    monkeypatch.setattr(cli, name, spy)
+    assert cli.main([command, files["game.json"], files["pure_tl.json"]]) == 0
+    assert len(seen) == 1

@@ -128,3 +128,55 @@ def test_the_scan_sees_every_import_form():
     top, nested = _scan(ast.parse(source))
     assert top == {"lp", "nash", "games", "verify", "dataio", "correlated"}
     assert nested == {"oracles", "cli"}
+
+
+def _private_reads(tree):
+    """`module.name` for every underscore name that one module imports
+    from a package module or reads off a package module it imported."""
+    found, modules = set(), set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ImportFrom) and _package_imports(node)):
+            continue
+        if node.module in (None, "eqaudit"):  # `from . import lp` binds modules
+            modules.update(alias.asname or alias.name for alias in node.names)
+        else:
+            module = _package_imports(node)[0]
+            found.update(
+                f"{module}.{alias.name}"
+                for alias in node.names
+                if alias.name.startswith("_")
+            )
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and node.attr.startswith("_")
+        ):
+            found.add(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_module_reads_another_modules_private_names():
+    found = {
+        path.stem: sorted(_private_reads(ast.parse(path.read_text(encoding="utf-8"))))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {module: names for module, names in found.items() if names} == {}
+
+
+def test_the_private_scan_sees_imports_and_attribute_reads():
+    source = (
+        "from . import lp\n"
+        "from .games import Game, _strides\n"
+        "from eqaudit.correlated import _check\n"
+        "from __future__ import annotations\n"
+        "lp._Simplex\n"
+        "lp.solve\n"
+        "Game._hidden\n"
+    )
+    assert _private_reads(ast.parse(source)) == {
+        "games._strides",
+        "correlated._check",
+        "lp._Simplex",
+    }

@@ -116,6 +116,21 @@ def test_oracles_agree_with_analyzer():
     assert scanned >= 5  # the corpus must actually exercise the checks
 
 
+
+@pytest.mark.parametrize("max_actions", [2, 3, 6, 30])
+def test_random_game_draws_up_to_max_actions(max_actions):
+    rng = random.Random(max_actions)
+    counts = set()
+    for _ in range(200):
+        game = random_game(rng, max_players=2, max_actions=max_actions)
+        for labels in game.actions:
+            counts.add(len(labels))
+            # The first three labels are "a", "b", "c", as they always were.
+            assert labels[:3] == tuple("abc")[: len(labels)]
+            assert len(set(labels)) == len(labels)
+    assert counts == set(range(2, max_actions + 1))
+
+
 # --- cross_check: the `--oracle` check for verdicts of both tests ----------
 
 

@@ -88,8 +88,7 @@ def _run_batch(test, game, args) -> tuple[str, bool]:
 def _cmd_test(test, args, game) -> tuple[str, bool]:
     if args.marginals and Path(args.marginals).is_dir():
         return _run_batch(test, game, args)
-    # An empty --log counts as no log.
-    p = _load_profile(game, args.marginals, args.log or None)
+    p = _load_profile(game, args.marginals, args.log)
     return _audit(test, game, p, args.oracle, args.seed)
 
 
@@ -176,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.log and args.marginals:
+        if args.log is not None and args.marginals is not None:
             raise DataFormatError("--log cannot be combined with a marginals path")
         # A handler returns its result document and whether to exit 1.
         text, negative = args.func(args, dataio.parse_game(_read(args.game)))

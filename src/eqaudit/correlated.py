@@ -16,10 +16,13 @@ the columns of that product as integer `lp.Row`s, each numerator one
 integer difference of the game's integer payoff view over the lcm of the
 row's line denominators; a marginal row is its indicator times the
 observed frequency's denominator, with its numerator on the right. No
-Fraction is built per coefficient. The outcome is read back without a solver
-and judged by `verify`, which also computes the income an exploitable
-verdict carries; this module does no income arithmetic. A witness is
-zero-extended to every profile.
+Fraction is built per coefficient. Its incentive rows are generated as
+cutting planes (Papadimitriou and Roughgarden, JACM 2008): a round solves
+only the rows violated so far, and the multipliers of an infeasible one,
+with 0 on every row left out, certify the whole system. The outcome is
+read back without a solver and judged by `verify`, which also computes
+the income an exploitable verdict carries; this module does no income
+arithmetic. A witness is zero-extended to every profile.
 Multipliers become a kernel and fees, scaled in integers over their
 common denominator; an unobserved action has no kept
 row, so its kernel row is the identity and its fee is the largest value
@@ -51,6 +54,7 @@ from .games import (
     as_fraction,
     check_shape,
     common_denominator,
+    independent_play,
     surplus,
 )
 
@@ -194,22 +198,48 @@ def test_ce_compatibility(game: Game, p: MarginalProfile) -> CeVerdict:
     """Decide compatibility and return the matching certificate.
 
     `build_ce_system` builds the one coupling system, on the product of
-    the supports, and `lp.solve_feasibility` solves it. A feasible point
-    is zero-extended to every profile and re-checked by
-    `verify.verify_witness`; multipliers are read back by `normalize_dual`,
-    whose checked verdict, income included, is returned as it is. A
-    certificate that fails its check raises RuntimeError.
+    the supports. Each round, `lp.solve_feasibility` solves its marginal
+    rows and the incentive rows active so far, in the system's order:
+    those that independent play at `p` violates, then also those that
+    each feasible round's point violates. Each round adds a row, so the
+    loop ends. A point that violates none is zero-extended to every
+    profile and re-checked by `verify.verify_witness`. The multipliers of
+    an infeasible round, with 0 on every row left out, are read back by
+    `normalize_dual`, whose checked verdict, income included, is returned
+    as it is. A certificate that fails its check raises RuntimeError.
     """
-    outcome = lp.solve_feasibility(build_ce_system(game, p))
-    if isinstance(outcome, lp.Feasible):
-        probs = [_ZERO] * game.num_profiles
-        for (flat, _profile), v in zip(_kept(game, p)[1], outcome.point):
-            probs[flat] = v
-        witness = JointDistribution(game.shape, probs)
-        if not verify_witness(game, p, witness):
-            raise RuntimeError("witness fails the marginal or incentive check")
-        return Compatible(witness)
+    system = build_ce_system(game, p)
+    # The incentive rows, `>= 0` ones, come first; the marginal rows are `==`.
+    split = sum(row.sense == lp.GE for row in system.rows)
+    marginal = range(split, len(system.rows))
+
+    def violated(x):  # over any positive denominator; incentive rhs are 0
+        return [k for k, row in enumerate(system.rows[:split])
+                if sum(c * v for c, v in zip(row.nums, x) if c) < 0]
+
+    # `independent_play` walks the support product in the system's column order.
+    cells = independent_play(game.shape, p.probs)[0]
+    active = violated([w for _flat, w in cells])
+    while True:
+        kept = [*active, *marginal]
+        outcome = lp.solve_feasibility(lp.LinearSystem(
+            system.num_vars, tuple(system.rows[k] for k in kept), system.nonneg
+        ))
+        if isinstance(outcome, lp.Infeasible):
+            break
+        failing = violated(common_denominator(outcome.point)[0])
+        if not failing:
+            probs = [_ZERO] * game.num_profiles
+            for (flat, _weight), v in zip(cells, outcome.point):
+                probs[flat] = v
+            witness = JointDistribution(game.shape, probs)
+            if not verify_witness(game, p, witness):
+                raise RuntimeError("witness fails the marginal or incentive check")
+            return Compatible(witness)
+        active = sorted(active + failing)
+    padded = dict(zip(kept, outcome.multipliers))
+    multipliers = [padded.get(k, _ZERO) for k in range(len(system.rows))]
     try:
-        return normalize_dual(game, p, outcome.multipliers)
+        return normalize_dual(game, p, multipliers)
     except ValueError as exc:
         raise RuntimeError(f"scheme read from the multipliers fails: {exc}") from None

@@ -429,6 +429,26 @@ def test_batch_rejects_log(files, tmp_path, marginals):
         assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "marginals, log",
+    [("directory", ""), ("file", ""), ("empty", "plays.csv")],
+    ids=["empty-log-directory", "empty-log-file", "empty-path-log"],
+)
+def test_an_empty_log_or_path_is_still_given(files, tmp_path, marginals, log):
+    # An empty `--log ""` or marginals path `""` still names a source, so
+    # the pair is rejected like any other rather than read as one alone.
+    path = {
+        "directory": lambda: _batch(tmp_path, 2),
+        "file": lambda: files["skewed.json"],
+        "empty": lambda: "",
+    }[marginals]()
+    log = files[log] if log else ""
+    res = run_cli("test-ce", files["game.json"], path, "--log", log)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == "error: --log cannot be combined with a marginals path\n"
+
+
 def test_repeated_runs_byte_identical(files):
     for args in (
         ("test-ce", files["game.json"], files["skewed.json"]),

@@ -10,6 +10,7 @@ from conftest import (
     permute_marginals,
 )
 from full_ce_system import build_full_ce_system
+from test_benchmark_inputs import _workloads_module
 from eqaudit import games, lp, verify
 from eqaudit import correlated
 from eqaudit.correlated import (
@@ -227,20 +228,37 @@ def test_fee_fill_does_not_share_the_checkers_surplus(monkeypatch):
         correlated.test_ce_compatibility(game, p)
 
 
+@pytest.fixture
+def rounds(monkeypatch):
+    """The build of each request and the `(system, outcome)` of each of
+    its rounds of row generation, in order."""
+    built, solved = [], []
+    build, solve = correlated.build_ce_system, lp.solve_feasibility
+
+    def recorded_build(game, p):
+        built.append(build(game, p))
+        solved.clear()
+        return built[-1]
+
+    def recorded_solve(system):
+        solved.append((system, solve(system)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(correlated, "build_ce_system", recorded_build)
+    monkeypatch.setattr(lp, "solve_feasibility", recorded_solve)
+    return built, solved
+
+
 def test_ce_system_is_built_once_per_request(
-    monkeypatch, coordination, skewed_profile, mixed_equilibrium
+    rounds, monkeypatch, coordination, skewed_profile, mixed_equilibrium
 ):
-    # On either arm: one build, one `lp.LinearSystem` and one
-    # `lp.verify_outcome` call, the solver's own check of that system.
-    calls = []
+    # On either arm: one build, then one `lp.LinearSystem` per round of
+    # row generation, and one `lp.verify_outcome` call per solved
+    # subsystem, the solver's own check of the system it just solved.
+    built, solved = rounds
     systems = []
     checks = []
-    original = correlated.build_ce_system
     verify_outcome = lp.verify_outcome
-
-    def counting(game, p):
-        calls.append(p)
-        return original(game, p)
 
     class CountingSystem(lp.LinearSystem):
         def __post_init__(self):
@@ -251,17 +269,78 @@ def test_ce_system_is_built_once_per_request(
         checks.append(system)
         return verify_outcome(system, outcome)
 
-    monkeypatch.setattr(correlated, "build_ce_system", counting)
     monkeypatch.setattr(lp, "LinearSystem", CountingSystem)
     monkeypatch.setattr(lp, "verify_outcome", counting_check)
     for p, arm in ((skewed_profile, Exploitable), (mixed_equilibrium, Compatible)):
-        calls.clear()
+        built.clear()
         systems.clear()
         checks.clear()
         assert isinstance(correlated.test_ce_compatibility(coordination, p), arm)
-        assert calls == [p]
-        assert len(systems) == len(checks) == 1
-        assert checks[0] is systems[0]
+        subsystems = [id(system) for system, _outcome in solved]
+        assert len(built) == 1 and subsystems
+        assert [id(system) for system in checks] == subsystems
+        assert [id(system) for system in systems] == [id(built[0]), *subsystems]
+
+
+def test_an_infeasible_round_pads_to_a_certificate_of_the_whole_system(rounds):
+    # The rows a round solves are rows of the built system, in its order;
+    # multipliers of 0 on every other row must give a Farkas certificate
+    # that the whole system, built afresh, accepts.
+    built, solved = rounds
+    rng = random.Random(29)
+    seen = set()
+    for _ in range(60):
+        game = random_game(rng)
+        p = random_marginals(rng, game)
+        verdict = correlated.test_ce_compatibility(game, p)
+        system, outcome = solved[-1]
+        if isinstance(verdict, Compatible):
+            assert isinstance(outcome, lp.Feasible)
+            continue
+        assert isinstance(outcome, lp.Infeasible)
+        where = {id(row): k for k, row in enumerate(built[-1].rows)}
+        kept = [where[id(row)] for row in system.rows]
+        assert kept == sorted(kept)
+        multipliers = [F(0)] * len(built[-1].rows)
+        for k, y in zip(kept, outcome.multipliers):
+            multipliers[k] = y
+        full = build_ce_system(game, p)
+        assert lp.verify_outcome(full, lp.Infeasible(tuple(multipliers)))
+        seen.add((game.num_players, len(kept) < len(full.rows)))
+    assert {(2, True), (3, True)} <= seen
+
+
+def test_an_exploitable_case_can_end_in_one_round(rounds, coordination, skewed_profile):
+    # Independent play at the skewed marginals already violates rows that
+    # admit no coupling: the first round is infeasible.
+    _built, solved = rounds
+    verdict = correlated.test_ce_compatibility(coordination, skewed_profile)
+    assert isinstance(verdict, Exploitable)
+    assert len(solved) == 1
+    assert isinstance(solved[0][1], lp.Infeasible)
+
+
+def _workload_case(seed, shape):
+    workloads = _workloads_module()
+    rng = random.Random(seed)
+    game = workloads.make_game(rng, shape)
+    return game, workloads.random_profile(rng, game)
+
+
+@pytest.mark.parametrize("seed, expected_rounds", [(2, 3), (5, 4)])
+def test_feasible_three_player_cases_take_several_rounds(rounds, seed, expected_rounds):
+    # Benchmark-style 4x4x4 games with random marginals: compatible, as
+    # the unreduced system confirms, after rounds that each add rows.
+    _built, solved = rounds
+    game, p = _workload_case(seed, (4, 4, 4))
+    verdict = correlated.test_ce_compatibility(game, p)
+    assert isinstance(verdict, Compatible)
+    assert verify_witness(game, p, verdict.witness)
+    assert len(solved) == expected_rounds
+    assert all(isinstance(outcome, lp.Feasible) for _system, outcome in solved)
+    sizes = [len(system.rows) for system, _outcome in solved]
+    assert sizes == sorted(set(sizes))
+    assert isinstance(lp.solve_feasibility(build_full_ce_system(game, p)), lp.Feasible)
 
 
 def test_marginal_zero_probability_actions(coordination):

@@ -20,6 +20,9 @@ import pytest
 from eqaudit import correlated, games, lp
 from test_golden_verdicts import CASES, _case
 
+# Rounds of row generation, so solves, over the golden `test-ce` cases.
+ROUNDS = 42
+
 OPERATORS = (
     "__add__", "__radd__", "__sub__", "__rsub__",
     "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
@@ -119,6 +122,10 @@ def test_verify_outcome_never_reaches_the_tableau(cases, watched, monkeypatch):
 
     guarded(lp._Simplex, "_place")
     guarded(lp, "_eliminate")
+    guarded(lp, "solve_feasibility")
     assert _verdicts(cases) == expected
     assert reached["_place"] and reached["_eliminate"]
-    assert calls["verify_outcome"] == 2 * CASES
+    # One solve per round of row generation, each checked once by the
+    # solver, over two passes of the cases.
+    assert reached["solve_feasibility"] == ROUNDS
+    assert calls["verify_outcome"] == 2 * ROUNDS

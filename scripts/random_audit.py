@@ -38,7 +38,7 @@ def main():
         p = q.marginals()
         verdict = correlated.test_ce_compatibility(game, p)
         assert isinstance(verdict, Compatible), "equilibrium marginals misjudged"
-        cross_check(game, p, verdict, seed=idx)
+        cross_check(game, p, verdict)
         checked += 1
     print(f"{args.games} equilibrium-derived profiles: all compatible")
 
@@ -47,7 +47,7 @@ def main():
         game = games[rng.randrange(len(games))]
         p = random_marginals(rng, game)
         verdict = correlated.test_ce_compatibility(game, p)
-        cross_check(game, p, verdict, seed=k)
+        cross_check(game, p, verdict)
         checked += 1
         counts["compatible" if isinstance(verdict, Compatible) else "exploitable"] += 1
         nash_verdict = nash.test_nash_exploitability(game, p)

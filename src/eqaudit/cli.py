@@ -52,13 +52,13 @@ def _load_profile(game, marginals, log) -> "dataio.MarginalProfile":
     return dataio.parse_marginals(_read(marginals), game)
 
 
-def _audit(test, game, p, oracle: bool, seed: int):
+def _audit(test, game, p, oracle: bool):
     """Run `test` (`test_ce_compatibility` or `test_nash_exploitability`)
     on one profile, cross-check the verdict when `oracle` is set, and
     return the verdict document and whether the profile is exploitable."""
     verdict = test(game, p)
     if oracle:
-        oracles.cross_check(game, p, verdict, seed=seed)
+        oracles.cross_check(game, p, verdict)
     return dataio.emit_verdict(game, verdict), isinstance(verdict, Exploitable)
 
 
@@ -71,7 +71,7 @@ def _run_batch(test, game, args) -> tuple[str, bool]:
     if not files:
         raise DataFormatError(f"no .json marginals files in {directory}")
     profiles = [dataio.parse_marginals(_read(str(f)), game) for f in files]
-    tasks = [(test, game, p, args.oracle, args.seed) for p in profiles]
+    tasks = [(test, game, p, args.oracle) for p in profiles]
     # The pool forks all its workers up front, so size it by what can run.
     workers = min(args.jobs, len(files), os.cpu_count() or 1)
     if workers > 1:
@@ -89,7 +89,7 @@ def _cmd_test(test, args, game) -> tuple[str, bool]:
     if args.marginals and Path(args.marginals).is_dir():
         return _run_batch(test, game, args)
     p = _load_profile(game, args.marginals, args.log)
-    return _audit(test, game, p, args.oracle, args.seed)
+    return _audit(test, game, p, args.oracle)
 
 
 def _cmd_verify(args, game) -> tuple[str, bool]:
@@ -149,7 +149,6 @@ _FLAGS = (
                   "and fail loudly on disagreement"}),
     ("--jobs", {"type": _positive_int, "default": 1,
                 "help": "workers for batch directories of marginals files"}),
-    ("--seed", {"type": int, "default": 0, "help": "seed for oracle sampling"}),
     ("--log", {"help": "derive marginals from a CSV play log instead"}),
 )
 

@@ -183,6 +183,7 @@ class Game:
         return tuple(view)
 
     def profile_labels(self, profile: Profile) -> tuple[str, ...]:
+        self.flat_index(profile)
         return tuple(self.actions[i][a] for i, a in enumerate(profile))
 
     def utility(self, i: int, profile: Profile) -> Fraction:
@@ -344,6 +345,7 @@ def surplus(game: Game, kernel: DeviationKernel, profile: Profile) -> Fraction:
     arithmetic; `surplus_parts` and `surplus_table` compute the same values
     at every profile from the integer payoff view."""
     check_shape(game, kernel)
+    game.flat_index(profile)
     total = Fraction(0)
     for i in range(game.num_players):
         row = kernel.rows[i][profile[i]]

@@ -35,8 +35,9 @@ free ones) while `y.b > 0`. `verify_outcome` checks either arm by direct
 substitution, in integers, reading each row's numerators and denominator
 as the system defines them, with no code shared with the tableau.
 
-`maximize` exposes phase two for callers that need a vertex of a feasible
-system under a linear objective; feasibility testing itself never uses it.
+`maximize` exposes phase two, a vertex under a linear objective, for one
+caller: `oracles.random_ce`, the input generator of the tests, scripts
+and benchmark. Feasibility testing and `--oracle` never use it.
 """
 
 from __future__ import annotations

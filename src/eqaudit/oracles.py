@@ -3,9 +3,9 @@
 `cross_check`, the command-line `--oracle` check, takes a verdict of
 either test: it re-verifies the certificate with `verify` (a witness, or
 the action-wise or profile-wise scheme of the one `Exploitable`
-verdict), judges Nash status with `verify.verify_nash`, runs the direct
-best-response check on an IsNash verdict as well and, for compatibility,
-makes the `random_ce` round trip. Every step has bounded work.
+verdict), judges Nash status with `verify.verify_nash` and runs the
+direct best-response check on an IsNash verdict as well. It calls no
+solver. Every step has bounded work.
 `random_ce` samples a vertex of the incentive polytope under a seeded
 objective and is checked against the direct incentive inequalities
 before returning. `random_game` and `random_marginals` generate small
@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import prod
 
 from . import lp
-from .correlated import incentive_rows, test_ce_compatibility
+from .correlated import incentive_rows
 from .games import (
     Compatible,
     Exploitable,
@@ -99,32 +99,26 @@ def random_marginals(rng: random.Random, game: Game) -> MarginalProfile:
     return MarginalProfile(tuple(rows))
 
 
-def cross_check(game: Game, p: MarginalProfile, verdict, seed: int = 0) -> None:
+def cross_check(game: Game, p: MarginalProfile, verdict) -> None:
     """Raise OracleDisagreement if a verdict of either test contradicts the
     independent checks. Used by the command-line `--oracle` flag.
 
     A compatible verdict must carry a witness that `verify_witness`
-    accepts, and the `random_ce` round trip must hold: the marginals of
-    the equilibrium sampled under `seed` must come back compatible. An
-    IsNash verdict must pass the direct best-response check and
+    accepts. An IsNash verdict must pass the direct best-response check and
     `verify_nash`, which checks the product of its profile against the
     incentive inequalities. An exploitable verdict must pass
     `verify_exploitable`: its scheme is re-verified by the checker of its
     kind, and its income must be positive and equal to the verdict's; a
-    profile-wise (Nash) verdict must also fail `verify_nash`. The grid
-    scans of the tests (`tests/grid_oracles.py`) are not run here: their
-    work has no bound, and by weak duality neither can overturn a verified
-    certificate. A witness q gives every feasible scheme the income
+    profile-wise (Nash) verdict must also fail `verify_nash`.
+
+    Nothing is re-solved: by weak duality no second CE test and no grid
+    scan (`tests/grid_oracles.py`, whose work has no bound) can overturn a
+    verified certificate. A witness q gives every feasible scheme the income
     E_p[fees] = E_q[fees] <= E_q[surplus] <= 0, and a verified scheme with
     positive income rules out every witness in the same way."""
     if isinstance(verdict, Compatible):
         if not verify_witness(game, p, verdict.witness):
             raise OracleDisagreement("compatible verdict carries a bad witness")
-        sampled = random_ce(game, seed)
-        if not isinstance(test_ce_compatibility(game, sampled.marginals()), Compatible):
-            raise OracleDisagreement(
-                "marginals of a sampled equilibrium judged incompatible"
-            )
     elif isinstance(verdict, IsNash):
         if not is_nash(game, p):
             raise OracleDisagreement("IsNash verdict fails the best-response check")

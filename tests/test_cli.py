@@ -249,9 +249,7 @@ def test_malformed_input_exit_two(files, tmp_path):
 
 
 def test_oracle_flag_passes_on_both_arms(files):
-    ok = run_cli(
-        "test-ce", files["game.json"], files["pure_tl.json"], "--oracle", "--seed", "4"
-    )
+    ok = run_cli("test-ce", files["game.json"], files["pure_tl.json"], "--oracle")
     assert ok.returncode == 0
     bad = run_cli("test-ce", files["game.json"], files["skewed.json"], "--oracle")
     assert bad.returncode == 1
@@ -280,11 +278,20 @@ def test_oracle_is_bounded_on_a_sparse_three_player_game(tmp_path):
     marginals_path.write_text(dataio.emit_marginals(game, p))
     plain = run_cli("test-ce", str(game_path), str(marginals_path))
     checked = run_cli(
-        "test-ce", str(game_path), str(marginals_path), "--oracle", "--seed", "3",
-        timeout=30,
+        "test-ce", str(game_path), str(marginals_path), "--oracle", timeout=30,
     )
     assert plain.returncode == checked.returncode == 0
     assert checked.stdout == plain.stdout
+
+
+def test_seed_flag_is_gone(files):
+    # --oracle samples nothing, so there is no seed to take.
+    res = run_cli(
+        "test-ce", files["game.json"], files["pure_tl.json"], "--oracle", "--seed", "4"
+    )
+    assert res.returncode == 2
+    assert "unrecognized arguments: --seed 4" in res.stderr
+    assert "--seed" not in run_cli("test-ce", "--help").stdout
 
 
 @pytest.mark.parametrize(

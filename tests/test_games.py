@@ -34,6 +34,19 @@ def test_utility_rejects_bad_indices(coordination):
         coordination.utility(0, (0,))
 
 
+@pytest.mark.parametrize(
+    "profile",
+    [(5, 0), (-1, 0), (0,), (0, 1, 0)],
+    ids=["too-large", "negative", "short", "long"],
+)
+def test_profile_readers_reject_bad_profiles(coordination, profile):
+    kernel = identity_kernel(coordination.shape)
+    with pytest.raises(ValueError):
+        surplus(coordination, kernel, profile)
+    with pytest.raises(ValueError):
+        coordination.profile_labels(profile)
+
+
 def test_game_validation():
     with pytest.raises(ValueError):
         Game(("A",), (("x", "x"),), (("1", "2"),))

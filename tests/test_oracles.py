@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import identity_kernel
-from eqaudit import correlated, nash, oracles
+from eqaudit import correlated, lp, nash, oracles
 from eqaudit.correlated import ActionwiseScheme, Compatible, Exploitable
 from eqaudit.games import Game, MarginalProfile, product_distribution
 from eqaudit.nash import IsNash, ProfilewiseScheme
@@ -147,7 +147,7 @@ def test_cross_check_accepts_true_verdicts():
             p = random_ce(game, trial).marginals()
         for test in (correlated.test_ce_compatibility, nash.test_nash_exploitability):
             verdict = test(game, p)
-            cross_check(game, p, verdict, seed=trial)
+            cross_check(game, p, verdict)
             seen.add(type(getattr(verdict, "scheme", verdict)).__name__)
     assert seen >= {"Compatible", "ActionwiseScheme", "ProfilewiseScheme"}
 
@@ -166,17 +166,38 @@ def test_cross_check_rejects_a_bad_witness(coordination, diagonal_profile):
         cross_check(coordination, diagonal_profile, verdict)
 
 
-def test_cross_check_rejects_a_failed_round_trip(
-    coordination, diagonal_profile, skewed_profile, monkeypatch
+def test_cross_check_calls_no_solver(
+    coordination, skewed_profile, mixed_equilibrium, monkeypatch
 ):
-    verdict = correlated.test_ce_compatibility(coordination, diagonal_profile)
-    cross_check(coordination, diagonal_profile, verdict)
-    # A sampler that returns a distribution whose marginals are incompatible.
-    monkeypatch.setattr(
-        oracles, "random_ce", lambda game, seed: product_distribution(skewed_profile)
-    )
-    with pytest.raises(OracleDisagreement, match="judged incompatible"):
-        cross_check(coordination, diagonal_profile, verdict)
+    """Every verdict kind is judged by the verifiers alone."""
+    game = random_game(random.Random(12))
+    sampled = random_ce(game, 0).marginals()
+    cases = [
+        (game, sampled, correlated.test_ce_compatibility(game, sampled)),
+        (coordination, skewed_profile,
+         correlated.test_ce_compatibility(coordination, skewed_profile)),
+        (coordination, skewed_profile,
+         nash.test_nash_exploitability(coordination, skewed_profile)),
+        (coordination, mixed_equilibrium,
+         nash.test_nash_exploitability(coordination, mixed_equilibrium)),
+    ]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("cross_check reached a solver")
+
+    for owner, name in [
+        (lp, "solve_feasibility"),
+        (lp, "maximize"),
+        (lp._Simplex, "phase_one"),
+        (correlated, "test_ce_compatibility"),
+        (oracles, "random_ce"),
+    ]:
+        monkeypatch.setattr(owner, name, forbidden)
+    kinds = set()
+    for game, p, verdict in cases:
+        cross_check(game, p, verdict)
+        kinds.add(type(getattr(verdict, "scheme", verdict)).__name__)
+    assert kinds == {"Compatible", "ActionwiseScheme", "ProfilewiseScheme", "IsNash"}
 
 
 def test_cross_check_rejects_is_nash_on_a_non_equilibrium(coordination, skewed_profile):

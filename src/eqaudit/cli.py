@@ -16,6 +16,7 @@ one `Exploitable` verdict, and `--oracle` passes it to
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -23,7 +24,7 @@ from pathlib import Path
 from . import dataio, oracles
 from .correlated import test_ce_compatibility
 from .dataio import DataFormatError
-from .games import Exploitable, surplus_table
+from .games import Exploitable, quoted, surplus_table
 from .nash import test_nash_exploitability
 from .verify import (
     IncomeClaimError,
@@ -125,9 +126,14 @@ def _cmd_marginals(args, game) -> tuple[str, bool]:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:  # not an integer: the same error line as below 1
+        value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise argparse.ArgumentTypeError(
+            f"must be an integer of at least 1, got {quoted(text)}"
+        )
     return value
 
 
@@ -171,8 +177,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process. Its handlers look the test functions up in this
+# module when called, so a later rebinding of them still takes effect.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.log is not None and args.marginals is not None:
             raise DataFormatError("--log cannot be combined with a marginals path")

@@ -11,6 +11,9 @@ number grows faster than its exponent. Bare JSON number literals follow
 the same rules as strings: 1e4301 is malformed, and so is an integer of
 more than 4300 digits, bare or inside a string. An error line quotes at
 most 40 characters of an input value (`games.quoted`).
+Game payoffs are the same rationals, read straight into the game's
+integer view (`Game.from_ratios`): an integer or a plain "n" or "n/d"
+string makes no Fraction on the way.
 Payoff tensors, joint
 distributions and fee tables are flat lists in row-major profile order:
 players in declaration order, actions in declaration order, last
@@ -214,16 +217,37 @@ def _rational_row(values) -> tuple[Fraction, ...]:
     return tuple(map(parse_rational, values))
 
 
+def _ratio(value) -> tuple[int, int]:
+    """`parse_rational(value)` as an integer pair `(numerator,
+    denominator)` with a positive denominator. An int and a plain "n" or
+    "n/d" string make no Fraction; every other value, and every error, is
+    `parse_rational`'s."""
+    if type(value) is int:
+        return value, 1
+    plain = _PLAIN_RATIONAL.fullmatch(value) if isinstance(value, str) else None
+    if plain:
+        num, den = plain.groups()
+        try:
+            num, den = int(num), int(den or 1)
+        except ValueError:  # more digits than int() converts
+            pass
+        else:
+            if den:
+                return num, den
+    value = parse_rational(value)
+    return value.numerator, value.denominator
+
+
 def parse_game(text: str) -> Game:
     """Read a game document: players, per-player action lists, and one
-    row-major payoff list per player."""
+    row-major payoff list per player, read straight into `Game.int_payoffs`."""
     doc = _loads(text)
     players = _require(doc, "players")
     if not isinstance(players, list) or not all(isinstance(p, str) for p in players):
         raise DataFormatError("'players' must be a list of strings")
     actions = _parse_table(_require(doc, "actions"), players, "actions", _label)
-    payoffs = _parse_table(_require(doc, "payoffs"), players, "payoffs", parse_rational)
-    return _checked(Game, tuple(players), actions, payoffs)
+    ratios = _parse_table(_require(doc, "payoffs"), players, "payoffs", _ratio)
+    return _checked(Game.from_ratios, tuple(players), actions, ratios)
 
 
 def emit_game(game: Game) -> str:

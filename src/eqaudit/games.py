@@ -1,12 +1,12 @@
 """Core data model for finite simultaneous-move games.
 
-Payoffs, probabilities and fees are `fractions.Fraction` throughout, so
-every equilibrium check in this package is exact: a profile either is or
-is not an equilibrium, with no tolerance anywhere. Floats are rejected at
-the boundary because a binary float silently rounds decimal input. The
-certificates and verdicts (`ActionwiseScheme`, `ProfilewiseScheme`,
-`Compatible`, `IsNash`, `Exploitable`) are model types too, so the judge
-in `verify` needs nothing but this module.
+Payoffs, probabilities and fees are `fractions.Fraction` in every public
+value, so every equilibrium check in this package is exact: a profile
+either is or is not an equilibrium, with no tolerance anywhere. Floats
+are rejected at the boundary because a binary float silently rounds
+decimal input. The certificates and verdicts (`ActionwiseScheme`,
+`ProfilewiseScheme`, `Compatible`, `IsNash`, `Exploitable`) are model
+types too, so the judge in `verify` needs nothing but this module.
 
 Action profiles are plain tuples of per-player action indices. Flat
 (tensor) indexing is row-major over those tuples: player 0's index varies
@@ -14,14 +14,19 @@ slowest, the last player's fastest. All file formats and tables in this
 package use that order, and `flat_index` is its one indexer: a profile of
 the wrong length or with an action out of range raises ValueError.
 
-Fractions stay at the boundary; the hot loops run on integers. A line of
-player i is the k_i profiles that differ only in i's action, at flat
-indices `start + a * strides[i]`. `Game.int_payoffs` gives each line one
-common denominator, the lcm of its own k_i payoff denominators, and every
-payoff on it an integer numerator. A tensor-wide common denominator would
-grow with the number of distinct denominators in the whole game; a
-line-local one grows only with those k_i. `surplus_parts` computes every
-profile's deviation surplus from that view as an unreduced integer ratio;
+A game stores its payoffs as integers, and the hot loops run on them. A
+line of player i is the k_i profiles that differ only in i's action, at
+flat indices `start + a * strides[i]`. `Game.int_payoffs` gives each line
+one common denominator, the lcm of its own k_i payoff denominators, and
+every payoff on it an integer numerator. A tensor-wide common denominator
+would grow with the number of distinct denominators in the whole game; a
+line-local one grows only with those k_i. This view is canonical, so it
+also decides equality and hashing. `Game.from_ratios` builds it straight
+from integer pairs, as `dataio.parse_game` does, and the Fraction
+`Game.payoffs` is then a read-only view made on first read. A game built
+from Fractions keeps them as that view and derives the integer one on
+first read. `surplus_parts` computes every profile's deviation surplus
+from the integer view as an unreduced integer ratio;
 `verify.is_correlated_equilibrium` and `nash`'s best-response search
 read it too. `common_denominator` puts probabilities and fees over the
 lcm of their denominators in the same way, as `JointDistribution.marginals`
@@ -35,10 +40,10 @@ does to check that its numerators sum to that lcm.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Iterator, Sequence
 
 Profile = tuple[int, ...]
@@ -91,23 +96,35 @@ def replace(profile: Profile, i: int, action: int) -> Profile:
     return profile[:i] + (action,) + profile[i + 1 :]
 
 
-@dataclass(frozen=True)
 class Game:
     """A finite normal-form game with exact rational payoffs.
 
     `payoffs[i][k]` is player `i`'s payoff at the k-th action profile in
     row-major order. Player and action identity is positional; labels are
-    only used by the file formats and the CLI.
+    only used by the file formats and the CLI. A game is immutable, and
+    two games are equal when their players, actions and payoff values are.
     """
 
-    players: tuple[str, ...]
-    actions: tuple[tuple[str, ...], ...]
-    payoffs: tuple[tuple[Fraction, ...], ...]
+    def __init__(self, players, actions, payoffs):
+        payoffs = tuple(_fraction_tuple(row) for row in payoffs)
+        self._check(players, actions, payoffs)
+        vars(self)["payoffs"] = payoffs
 
-    def __post_init__(self):
-        players = tuple(self.players)
-        actions = tuple(tuple(labels) for labels in self.actions)
-        payoffs = tuple(_fraction_tuple(row) for row in self.payoffs)
+    @classmethod
+    def from_ratios(cls, players, actions, ratios) -> "Game":
+        """The game whose payoff `payoffs[i][k]` is `n / d` for the integer
+        pair `ratios[i][k] == (n, d)`, where `d > 0`. Builds `int_payoffs`
+        straight from the pairs, with no Fraction."""
+        game = cls.__new__(cls)
+        ratios = tuple(map(tuple, ratios))
+        game._check(players, actions, ratios)
+        vars(game)["int_payoffs"] = game._line_view(ratios)
+        return game
+
+    def _check(self, players, actions, payoffs) -> None:
+        """Validate the game and set its players, actions, shape and strides."""
+        players = tuple(players)
+        actions = tuple(tuple(labels) for labels in actions)
         if not players:
             raise ValueError("game needs at least one player")
         if len(set(players)) != len(players):
@@ -126,12 +143,34 @@ class Game:
                 raise ValueError(
                     f"payoff tensor for {who} has {len(row)} entries, expected {size}"
                 )
-        object.__setattr__(self, "players", players)
-        object.__setattr__(self, "actions", actions)
-        object.__setattr__(self, "payoffs", payoffs)
         strides = tuple(prod(shape[i + 1 :]) for i in range(len(shape)))
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "strides", strides)
+        vars(self).update(
+            players=players, actions=actions, shape=shape, strides=strides
+        )
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def _key(self):
+        # The line-local view is canonical: equal payoffs give equal views.
+        return self.players, self.actions, self.int_payoffs
+
+    def __repr__(self):
+        return (
+            f"Game(players={self.players!r}, actions={self.actions!r}, "
+            f"payoffs={self.payoffs!r})"
+        )
 
     @property
     def num_players(self) -> int:
@@ -166,19 +205,36 @@ class Game:
         `payoffs[i][flat] == numerators[flat] / denominators[flat]`.
 
         The profiles on one line of `i` share their denominator, the lcm
-        of that line's payoff denominators. Computed once per game.
-        """
+        of that line's payoff denominators. This is the game's payoff
+        store; a game built from Fractions derives it on first read."""
+        return self._line_view(
+            [[(v.numerator, v.denominator) for v in row] for row in self.payoffs]
+        )
+
+    @cached_property
+    def payoffs(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The payoffs as Fractions, read from `int_payoffs` on first use."""
+        return tuple(tuple(map(Fraction, *row)) for row in self.int_payoffs)
+
+    def _line_view(self, ratios):
+        """`int_payoffs` from per-player `(numerator, denominator)` pairs
+        with positive denominators: one lcm and one gcd per line. Over the
+        lcm D of a line's denominators, the gcd of D and the numerators is
+        D over the lcm of the reduced denominators, so dividing by it gives
+        the same view however the pairs were reduced."""
         view = []
-        for i, row in enumerate(self.payoffs):
+        for i, row in enumerate(ratios):
             step = self.strides[i]
             nums = [0] * len(row)
             dens = [1] * len(row)
             for start in self.line_starts(i):
-                line = range(start, start + self.shape[i] * step, step)
-                line_nums, den = common_denominator([row[f] for f in line])
-                for f, num in zip(line, line_nums):
-                    nums[f] = num
-                    dens[f] = den
+                line = slice(start, start + self.shape[i] * step, step)
+                pairs = row[line]
+                den = lcm(*(d for _, d in pairs))
+                line_nums = [n * (den // d) for n, d in pairs]
+                common = gcd(den, *line_nums)
+                nums[line] = [n // common for n in line_nums]
+                dens[line] = [den // common] * len(pairs)
             view.append((tuple(nums), tuple(dens)))
         return tuple(view)
 

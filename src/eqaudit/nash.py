@@ -14,7 +14,7 @@ test, a `games` type, carrying a `ProfilewiseScheme`. The
 best-response search, `_best_deviation`, and `expected_payoff` share one
 routine that reads the game's integer payoff view and weights each line
 by the integer product of the other players' scaled probabilities; the
-fee is read from the Fraction payoffs. `expected_payoff` raises
+fee is read from that view too. `expected_payoff` raises
 ValueError on a profile of the wrong shape, an unknown player or an
 action out of range. The pinned LP `build_nash_system` is kept as a
 reference formulation only.
@@ -143,8 +143,10 @@ def test_nash_exploitability(game: Game, p: MarginalProfile) -> NashVerdict:
     ]
     rows[i][a] = rows[i][b]
     kernel = DeviationKernel(tuple(map(tuple, rows)))
-    pay, step = game.payoffs[i], game.strides[i]
+    (pay, dens), step = game.int_payoffs[i], game.strides[i]
     fee = [_ZERO] * game.num_profiles
-    for start in game.line_starts(i):
-        fee[start + a * step] = pay[start + b * step] - pay[start + a * step]
+    for start in game.line_starts(i):  # both profiles share the line's denominator
+        fee[start + a * step] = Fraction(
+            pay[start + b * step] - pay[start + a * step], dens[start]
+        )
     return Exploitable(ProfilewiseScheme(fee, kernel), gain)

@@ -393,14 +393,77 @@ def test_batch_pool_is_bounded(
     assert len(json.loads(capsys.readouterr().out)["results"]) == files_count
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("jobs", ["0", "-3", "abc", "2.5", ""])
 def test_jobs_below_one_exits_two(files, capsys, jobs):
+    # A value that is not an integer is refused the same way.
     from eqaudit import cli
 
     with pytest.raises(SystemExit) as exc:
         cli.main(["test-ce", files["game.json"], files["skewed.json"], "--jobs", jobs])
     assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"error: argument --jobs: must be an integer of at least 1, got {jobs!r}\n"
+    )
+
+
+def test_one_process_serves_commands_as_fresh_processes_do(files, capsys):
+    # `cli.main` keeps one parser per process; a run after a refused one
+    # must not differ from the same run in a process of its own.
+    from eqaudit import cli
+
+    runs = [
+        ["verify", files["game.json"], files["skewed.json"], files["scheme.json"]],
+        ["test-ce", files["game.json"], files["skewed.json"]],
+        ["test-ce", files["game.json"], files["skewed.json"], "--jobs", "abc"],
+        ["surplus", files["game.json"], files["halfhalf.json"]],
+        ["test-nash", files["game.json"], files["pure_tm.json"]],
+    ]
+    for argv in runs:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = run_cli(*argv)
+        assert (code, captured.out, captured.err) == (
+            fresh.returncode,
+            fresh.stdout,
+            fresh.stderr,
+        )
+
+
+def test_main_builds_its_parser_once(files, monkeypatch, capsys):
+    import argparse
+
+    from eqaudit import cli
+
+    argv = ["surplus", files["game.json"], files["halfhalf.json"]]
+    assert cli.main(argv) == 0
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert cli.main(argv) == 0 and cli.main(argv) == 0
+    assert built == []
+    capsys.readouterr()
+
+
+def test_a_parsed_game_pickles_with_its_integer_view(files):
+    # The --jobs pool sends the parsed game to its workers by pickle.
+    import pickle
+
+    from eqaudit import dataio
+
+    game = dataio.parse_game(Path(files["game.json"]).read_text())
+    copy = pickle.loads(pickle.dumps(game))
+    assert copy == game and hash(copy) == hash(game)
+    assert copy.int_payoffs == game.int_payoffs
+    assert copy.payoffs == game.payoffs
 
 
 def test_batch_runs_the_oracle_cross_check(files, tmp_path, monkeypatch, capsys):

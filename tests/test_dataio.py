@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from eqaudit import dataio
 from eqaudit import correlated, nash
 from eqaudit.correlated import ActionwiseScheme, Compatible, Exploitable
 from eqaudit.dataio import DataFormatError
-from eqaudit.games import JointDistribution
+from eqaudit.games import Game, JointDistribution
 from eqaudit.nash import IsNash, ProfilewiseScheme
 from eqaudit.verify import verify_actionwise
 
@@ -277,3 +278,71 @@ def test_parse_rational_bounds_the_exponent():
     for text in ("1e4301", "1e-1000000", "1e1000000", "2.5e+1_000_000", "1e" + "9" * 5000):
         with pytest.raises(DataFormatError):
             dataio.parse_rational(text)
+
+
+def _payoff_doc(*literals: str) -> str:
+    """A 1x2 game document whose player payoffs are the JSON `literals`."""
+    return (
+        '{"players": ["A"], "actions": {"A": ["x", "y"]}, '
+        '"payoffs": {"A": [%s]}}' % ", ".join(literals)
+    )
+
+
+# JSON payoff literals that a game document accepts: the plain spellings
+# take a fast path into the integer view, the rest are read as
+# `parse_rational` reads them.
+ACCEPTED_PAYOFFS = [
+    '"6/10"', '"-0"', '"0/7"', '" 1/2"', '"0.1"', '"1e3"', '"25E-4300"', '"1_0"',
+    '"\u0661/\u0662"', "7", "-2.5", '"%s"' % ("9" * 4300),
+]
+REJECTED_PAYOFFS = [
+    '"1/0"', '"1/+2"', '"0x10"', '"1e4301"', '"%s"' % ("9" * 4301), "true",
+]
+
+
+@pytest.mark.parametrize("literal", ACCEPTED_PAYOFFS, ids=lambda s: s[:12])
+def test_parse_game_reads_payoffs_as_parse_rational_does(literal):
+    parsed = dataio.parse_game(_payoff_doc(literal, '"3/4"'))
+    value = json.loads(literal, parse_float=F)
+    built = Game(("A",), (("x", "y"),), ((dataio.parse_rational(value), F(3, 4)),))
+    assert parsed == built and hash(parsed) == hash(built)
+    assert parsed.int_payoffs == built.int_payoffs
+    assert parsed.payoffs == built.payoffs
+
+
+@pytest.mark.parametrize("literal", REJECTED_PAYOFFS, ids=lambda s: s[:12])
+def test_parse_game_rejects_payoffs_as_parse_rational_does(literal):
+    with pytest.raises(DataFormatError) as expected:
+        dataio.parse_rational(json.loads(literal))
+    with pytest.raises(DataFormatError) as got:
+        dataio.parse_game(_payoff_doc('"1"', literal))
+    assert str(got.value) == str(expected.value)
+
+
+def test_parse_game_reports_the_first_bad_payoff():
+    with pytest.raises(DataFormatError, match="zero denominator"):
+        dataio.parse_game(_payoff_doc('"1/0"', '"0x10"'))
+    with pytest.raises(DataFormatError, match="'0x10'"):
+        dataio.parse_game(_payoff_doc('"0x10"', '"1/0"'))
+
+
+@st.composite
+def small_games(draw):
+    shape = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    size = prod(shape)
+    payoff = st.fractions(max_denominator=12) | st.integers(-50, 50)
+    return Game(
+        tuple(f"P{i}" for i in range(len(shape))),
+        tuple(tuple(f"a{j}" for j in range(k)) for k in shape),
+        tuple(
+            tuple(draw(st.lists(payoff, min_size=size, max_size=size))) for _ in shape
+        ),
+    )
+
+
+@given(small_games())
+@settings(max_examples=60, deadline=None)
+def test_game_wire_roundtrip_keeps_the_integer_view(game):
+    parsed = dataio.parse_game(dataio.emit_game(game))
+    assert parsed == game and hash(parsed) == hash(game)
+    assert parsed.int_payoffs == game.int_payoffs

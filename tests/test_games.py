@@ -288,6 +288,24 @@ def test_surplus_table_matches_definition(case):
     assert surplus_table(game, kernel) == expected
 
 
+@given(games_and_kernels(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_integer_pairs_give_the_same_game_however_reduced(case, data):
+    # `Game.from_ratios` reduces each line as a whole, so payoff pairs
+    # scaled by any positive factors give the same game and integer view.
+    game, _ = case
+    size = game.num_profiles
+    factors = st.lists(st.integers(1, 12), min_size=size, max_size=size)
+    ratios = [
+        [(v.numerator * c, v.denominator * c) for v, c in zip(row, data.draw(factors))]
+        for row in game.payoffs
+    ]
+    built = Game.from_ratios(game.players, game.actions, ratios)
+    assert built == game and hash(built) == hash(game)
+    assert built.int_payoffs == game.int_payoffs
+    assert built.payoffs == game.payoffs
+
+
 def _primes_above(start, count):
     """The first `count` primes above `start`, by a sieve over a window."""
     width = 64 * count

@@ -28,9 +28,11 @@ common denominator; an unobserved action has no kept
 row, so its kernel row is the identity and its fee is the largest value
 at most 0 that keeps feasible every profile charged to it, a profile
 outside the support product being charged to the unobserved action of
-the lowest-index player who plays one there. That fee is computed with
-the Fraction reference `games.surplus`, never with the checker's integer
-`surplus_parts`, so producer and checker share no surplus arithmetic.
+the lowest-index player who plays one there. That fee is computed here,
+from the game's integer payoff view and the kernel's integer numerators
+over their common denominator, never with the checker's `surplus_parts`
+or `surplus_table`, so producer and checker share no surplus arithmetic,
+and no Fraction payoff view of a parsed game is built.
 The verdict and scheme types come from `games`, and the direct incentive
 check, `is_correlated_equilibrium`, from the judge, `verify`.
 """
@@ -55,7 +57,6 @@ from .games import (
     check_shape,
     common_denominator,
     independent_play,
-    surplus,
 )
 
 # `is_correlated_equilibrium` is re-exported: perfbench/workloads.py reads it here.
@@ -103,6 +104,15 @@ def incentive_rows(game: Game, cols=None, pairs=None) -> list[lp.Row]:
     return rows
 
 
+def _product(shape, choices) -> list[tuple[int, tuple[int, ...]]]:
+    """`(flat index, profile)` of every profile of `shape` whose player j
+    plays an action of `choices[j]`, in row-major order."""
+    flats = [0]
+    for actions, k in zip(choices, shape):
+        flats = [flat * k + a for flat in flats for a in actions]
+    return list(zip(flats, itertools.product(*choices)))
+
+
 def _kept(game: Game, p: MarginalProfile):
     """What `build_ce_system` keeps of the coupling system, for the build
     and the read-back alike: the supports, the profiles of their product
@@ -110,7 +120,7 @@ def _kept(game: Game, p: MarginalProfile):
     triples whose recommended action is supported, in that order, and the
     `(player, action)` of each marginal row."""
     supports = [p.support(i) for i in range(game.num_players)]
-    cols = [(game.flat_index(s), s) for s in itertools.product(*supports)]
+    cols = _product(game.shape, supports)
     pairs = [t for t in deviation_pairs(game) if t[1] in supports[t[0]]]
     marginals = [
         (i, a)
@@ -141,6 +151,26 @@ def build_ce_system(game: Game, p: MarginalProfile) -> lp.LinearSystem:
     return lp.LinearSystem(len(cols), tuple(rows), (True,) * len(cols))
 
 
+def _surplus_over(game: Game, weights, flat, profile) -> tuple[int, int]:
+    """The deviation surplus at `profile`, whose flat index is `flat`,
+    under the kernel whose rows are `weights` over one denominator T, as
+    integers `(n, d)` with surplus `n / (T * d)`.
+
+    Player i's term is sum_b w_ab * (n_b - n_a) / (T * d_i), over i's line
+    through `profile` with integer payoffs n and denominator d_i, because
+    each kernel row sums to T. d is the lcm of the d_i."""
+    terms = []
+    for i, (a, (pay, dens), step) in enumerate(
+        zip(profile, game.int_payoffs, game.strides)
+    ):
+        here, line = pay[flat], flat - a * step
+        gain = sum(w * (pay[line + b * step] - here)
+                   for b, w in enumerate(weights[i][a]) if w)
+        terms.append((gain, dens[flat]))
+    den = lcm(*(d for _gain, d in terms))
+    return sum(gain * (den // d) for gain, d in terms), den
+
+
 def normalize_dual(game: Game, p: MarginalProfile, multipliers) -> Exploitable:
     """Turn a Farkas certificate of `build_ce_system(game, p)` into a
     transfer scheme with a row-stochastic kernel, and return the checked
@@ -169,24 +199,39 @@ def normalize_dual(game: Game, p: MarginalProfile, multipliers) -> Exploitable:
     # diagonal entry is T less its row's sum, over T.
     nums, den = common_denominator(multipliers)
     shape = game.shape
-    off_diag = [[[0] * k for _ in range(k)] for k in shape]
+    weights = [[[0] * k for _ in range(k)] for k in shape]
     for (i, ai, aj), y in zip(pairs, nums):
-        off_diag[i][ai][aj] = y
-    total = max(den, *(sum(row) for player_rows in off_diag for row in player_rows))
-    for player_rows in off_diag:
+        weights[i][ai][aj] = y
+    total = max(den, *(sum(row) for player_rows in weights for row in player_rows))
+    for player_rows in weights:
         for ai, row in enumerate(player_rows):
             row[ai] = total - sum(row)
-            row[:] = [Fraction(v, total) for v in row]
-    kernel = DeviationKernel(off_diag)
-    fees = [[_ZERO] * k for k in shape]
+    kernel = DeviationKernel(
+        [[[Fraction(v, total) if v else _ZERO for v in row] for row in rows]
+         for rows in weights]
+    )
+    fee_nums = [[0] * k for k in shape]
     for (i, a), y in zip(marginals, nums[len(pairs) :]):
-        fees[i][a] = Fraction(y, total)
-    for profile in game.profiles():
-        off = [i for i, a in enumerate(profile) if a not in supports[i]]
-        if off:
-            i, a = off[0], profile[off[0]]
-            paid = sum(fees[j][b] for j, b in enumerate(profile) if j not in off)
-            fees[i][a] = min(fees[i][a], surplus(game, kernel, profile) - paid)
+        fee_nums[i][a] = y
+    fees = [[Fraction(y, total) if y else _ZERO for y in row] for row in fee_nums]
+    # The profiles charged to i's unobserved action a: i plays a, and every
+    # lower-index player an observed action. Its fee starts at 0 and is
+    # lowered, as an integer ratio, to each of their caps below it.
+    for i, (k, support) in enumerate(zip(shape, supports)):
+        for a in range(k):
+            if a in support:
+                continue
+            low, low_den = 0, 1
+            charged = (*supports[:i], (a,), *map(range, shape[i + 1 :]))
+            for flat, profile in _product(shape, charged):
+                paid = sum(
+                    fee_nums[j][b] for j, b in enumerate(profile) if b in supports[j]
+                )
+                gain, gain_den = _surplus_over(game, weights, flat, profile)
+                cap, cap_den = gain - paid * gain_den, total * gain_den
+                if cap * low_den < low * cap_den:
+                    low, low_den = cap, cap_den
+            fees[i][a] = Fraction(low, low_den)
     scheme = ActionwiseScheme(tuple(map(tuple, fees)), kernel)
     income = verify_actionwise(game, p, scheme)
     if income <= 0:

@@ -12,8 +12,10 @@ the same rules as strings: 1e4301 is malformed, and so is an integer of
 more than 4300 digits, bare or inside a string. An error line quotes at
 most 40 characters of an input value (`games.quoted`).
 Game payoffs are the same rationals, read straight into the game's
-integer view (`Game.from_ratios`): an integer or a plain "n" or "n/d"
-string makes no Fraction on the way.
+integer view (`Game.from_ratios`) one player's row at a time: a row of
+plain "n" and "n/d" strings is matched and converted as a whole and makes
+no Fraction, and any other row is read value by value, as
+`parse_rational` reads it, so the first bad value is the one reported.
 Payoff tensors, joint
 distributions and fee tables are flat lists in row-major profile order:
 players in declaration order, actions in declaration order, last
@@ -67,6 +69,9 @@ MAX_EXPONENT = 4300
 # The form `rational_str` emits: an optional '-', ASCII digits, and
 # optionally '/' and ASCII digits.
 _PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+# A row of "n/d" values with nonzero denominators, joined by ','.
+_RATIO = r"-?[0-9]+/0*[1-9][0-9]*"
+_RATIO_ROW = re.compile(f"{_RATIO}(?:,{_RATIO})*")
 # The exponent of a decimal literal as `Fraction` reads it.
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
@@ -178,10 +183,10 @@ def _checked(cls, *args):
         raise DataFormatError(str(exc)) from None
 
 
-def _parse_table(doc, players, what: str, item, sizes=None) -> tuple:
+def _parse_table(doc, players, what: str, read, sizes=None) -> tuple:
     """Read a per-player table: a JSON object with one list per player in
     `players`, of length `sizes[i]` when `sizes` is given, and no other
-    key. Each list entry is read with `item`."""
+    key. Each list is read with `read`, such as `_each(item)`."""
     doc = _object(doc, what)
     rows = []
     for i, player in enumerate(players):
@@ -193,7 +198,7 @@ def _parse_table(doc, players, what: str, item, sizes=None) -> tuple:
             raise DataFormatError(f"{what} for {who} must be a list")
         if sizes is not None and len(row) != sizes[i]:
             raise DataFormatError(f"{what} for {who} must list {sizes[i]} entries")
-        rows.append(tuple(map(item, row)))
+        rows.append(read(row))
     if len(doc) > len(players):  # every player has an entry, so a key is extra
         unknown = min(doc.keys() - set(players))
         raise DataFormatError(f"{what} listed for unknown player {quoted(unknown)}")
@@ -205,6 +210,11 @@ def _table_doc(players, rows, item=rational_str) -> dict:
     return {player: [item(v) for v in row] for player, row in zip(players, rows)}
 
 
+def _each(item):
+    """A row reader that reads every entry with `item`."""
+    return lambda row: tuple(map(item, row))
+
+
 def _label(value) -> str:
     if not isinstance(value, str):
         raise DataFormatError("action labels must be strings")
@@ -212,30 +222,34 @@ def _label(value) -> str:
 
 
 def _rational_row(values) -> tuple[Fraction, ...]:
+    """`parse_rational` of every entry of a list: a kernel row, or the row of
+    a marginal or fee table."""
     if not isinstance(values, list):
         raise DataFormatError("kernel rows must be lists")
     return tuple(map(parse_rational, values))
 
 
-def _ratio(value) -> tuple[int, int]:
-    """`parse_rational(value)` as an integer pair `(numerator,
-    denominator)` with a positive denominator. An int and a plain "n" or
-    "n/d" string make no Fraction; every other value, and every error, is
-    `parse_rational`'s."""
-    if type(value) is int:
-        return value, 1
-    plain = _PLAIN_RATIONAL.fullmatch(value) if isinstance(value, str) else None
-    if plain:
-        num, den = plain.groups()
+def _ratio_row(row) -> tuple[tuple[int, int], ...]:
+    """`parse_rational` of each entry of `row`, as integer pairs
+    `(numerator, denominator)` with positive denominators. A row of plain
+    "n" and "n/d" strings is matched as a whole, each "n" read as "n/1",
+    and converted with `int`, making no Fraction. Any other row (a value
+    that is not a string, is not plain, has a zero denominator or has more
+    digits than `int` converts) is read value by value, so it keeps
+    `parse_rational`'s values and its first error."""
+    try:
+        text = ",".join([v if "/" in v else v + "/1" for v in row])
+    except TypeError:  # a value that is not a string
+        text = ""
+    # A ',' inside a value would add an entry, so the count must match.
+    if _RATIO_ROW.fullmatch(text) and text.count(",") == len(row) - 1:
         try:
-            num, den = int(num), int(den or 1)
+            ints = list(map(int, text.replace("/", ",").split(",")))
         except ValueError:  # more digits than int() converts
             pass
         else:
-            if den:
-                return num, den
-    value = parse_rational(value)
-    return value.numerator, value.denominator
+            return tuple(zip(ints[::2], ints[1::2]))
+    return tuple((v.numerator, v.denominator) for v in map(parse_rational, row))
 
 
 def parse_game(text: str) -> Game:
@@ -245,8 +259,8 @@ def parse_game(text: str) -> Game:
     players = _require(doc, "players")
     if not isinstance(players, list) or not all(isinstance(p, str) for p in players):
         raise DataFormatError("'players' must be a list of strings")
-    actions = _parse_table(_require(doc, "actions"), players, "actions", _label)
-    ratios = _parse_table(_require(doc, "payoffs"), players, "payoffs", _ratio)
+    actions = _parse_table(_require(doc, "actions"), players, "actions", _each(_label))
+    ratios = _parse_table(_require(doc, "payoffs"), players, "payoffs", _ratio_row)
     return _checked(Game.from_ratios, tuple(players), actions, ratios)
 
 
@@ -264,7 +278,7 @@ def parse_marginals(text: str, game: Game) -> MarginalProfile:
     """Read one distribution per player, keyed by player id, values in
     action declaration order."""
     doc = _loads(text)
-    rows = _parse_table(doc, game.players, "marginals", parse_rational, game.shape)
+    rows = _parse_table(doc, game.players, "marginals", _rational_row, game.shape)
     return _checked(MarginalProfile, rows)
 
 
@@ -273,7 +287,7 @@ def emit_marginals(game: Game, p: MarginalProfile) -> str:
 
 
 def _parse_kernel_doc(doc, game: Game) -> DeviationKernel:
-    rows = _parse_table(doc, game.players, "kernel", _rational_row, game.shape)
+    rows = _parse_table(doc, game.players, "kernel", _each(_rational_row), game.shape)
     return _checked(DeviationKernel, rows)
 
 
@@ -317,7 +331,7 @@ def _parse_scheme_doc(doc, game: Game):
     kernel = _parse_kernel_doc(_require(doc, "kernel"), game)
     if kind == "actionwise":
         fees = _parse_table(
-            _require(doc, "fees"), game.players, "fees", parse_rational, game.shape
+            _require(doc, "fees"), game.players, "fees", _rational_row, game.shape
         )
         return ActionwiseScheme(fees, kernel)
     if kind == "profilewise":
@@ -461,7 +475,7 @@ def empirical_marginals(game: Game, log: dict[str, list[str]]) -> MarginalProfil
     """Exact per-player action frequencies from a parsed play log, which
     is a per-player table: a column for every game player and no other."""
     rows = []
-    histories = _parse_table(log, game.players, "play log", str)
+    histories = _parse_table(log, game.players, "play log", tuple)
     for i, (player, history) in enumerate(zip(game.players, histories)):
         if not history:
             raise DataFormatError(f"empty history for player {quoted(player)}")

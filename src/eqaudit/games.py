@@ -26,9 +26,11 @@ from integer pairs, as `dataio.parse_game` does, and the Fraction
 `Game.payoffs` is then a read-only view made on first read. A game built
 from Fractions keeps them as that view and derives the integer one on
 first read. `surplus_parts` computes every profile's deviation surplus
-from the integer view as an unreduced integer ratio;
-`verify.is_correlated_equilibrium` and `nash`'s best-response search
-read it too. `common_denominator` puts probabilities and fees over the
+from the integer view as an unreduced integer ratio, a column at a time:
+for each player and recommended action, one pass over all of that
+player's lines per nonzero kernel weight. `verify.is_correlated_equilibrium`,
+`nash`'s best-response search and `correlated`'s fee fill read the
+integer view too. `common_denominator` puts probabilities and fees over the
 lcm of their denominators in the same way, as `JointDistribution.marginals`
 does to sum every marginal in one integer pass and as the validation of
 every distribution (a marginal row, a joint distribution, a kernel row)
@@ -420,30 +422,52 @@ def surplus_parts(game: Game, kernel: DeviationKernel) -> tuple[list[int], list[
     Player i's kernel rows are scaled to integers by the lcm L of their
     denominators. On a line of i with integer payoffs n and denominator d,
     the term of recommended action a is (sum_b L*r_ab*n_b - L*n_a) / (L*d).
-    A zero term is skipped; a term whose denominator equals the profile's
-    running one adds its numerator, any other is cross-multiplied in.
+    The terms of one a on every line of i are formed together, one list
+    pass per nonzero weight over the column of the b it weighs: the payoff
+    where i plays b, one entry per line. Then they are merged line by
+    line: a zero term is skipped; a term whose denominator equals the
+    profile's running one adds its numerator, any other is cross-multiplied
+    in.
     """
     check_shape(game, kernel)
-    nums = [0] * game.num_profiles
-    dens = [1] * game.num_profiles
+    size = game.num_profiles
+    nums = [0] * size
+    dens = [1] * size
     for i, (player_rows, (pay, pay_dens)) in enumerate(
         zip(kernel.rows, game.int_payoffs)
     ):
-        scale = lcm(*(w.denominator for row in player_rows for w in row))
-        step = game.strides[i]
-        # Per recommended action: (flat offset of b, nonzero L*r_ab - L*[a == b]).
-        moves = []
+        k, step = len(player_rows), game.strides[i]
+        # columns[b]: i's payoff where i plays b, one per line, in the order
+        # of `line_starts(i)`; for the last player and player 0, a slice.
+        if step == 1:
+            starts = range(0, size, k)
+            columns = [pay[b::k] for b in range(k)]
+        elif step * k == size:
+            starts = range(step)
+            columns = [pay[b * step : (b + 1) * step] for b in range(k)]
+        else:
+            starts = game.line_starts(i)
+            columns = [[pay[s + b * step] for s in starts] for b in range(k)]
+        scale = lcm(*[w.denominator for row in player_rows for w in row])
+        line_dens = [scale * pay_dens[start] for start in starts]
         for a, row in enumerate(player_rows):
             weights = [w.numerator * (scale // w.denominator) for w in row]
             weights[a] -= scale
-            moves.append([(b * step, w) for b, w in enumerate(weights) if w])
-        for start in game.line_starts(i):
-            den = scale * pay_dens[start]
-            for a, terms in enumerate(moves):
-                gain = sum(w * pay[start + offset] for offset, w in terms)
+            gains = None
+            for w, column in zip(weights, columns):
+                if not w:
+                    continue
+                if gains is None:
+                    gains = [w * x for x in column]
+                else:
+                    gains = [g + w * x for g, x in zip(gains, column)]
+            if gains is None:
+                continue
+            offset = a * step
+            for start, gain, den in zip(starts, gains, line_dens):
                 if not gain:
                     continue
-                flat = start + a * step
+                flat = start + offset
                 if dens[flat] == den:
                     nums[flat] += gain
                 else:

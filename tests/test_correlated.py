@@ -11,7 +11,7 @@ from conftest import (
 )
 from full_ce_system import build_full_ce_system
 from test_benchmark_inputs import _workloads_module
-from eqaudit import games, lp, verify
+from eqaudit import dataio, games, lp, verify
 from eqaudit import correlated
 from eqaudit.correlated import (
     Compatible,
@@ -226,6 +226,18 @@ def test_fee_fill_does_not_share_the_checkers_surplus(monkeypatch):
     monkeypatch.setattr(verify, "surplus_parts", corrupted)
     with pytest.raises(RuntimeError):
         correlated.test_ce_compatibility(game, p)
+
+
+def test_fee_fill_reads_only_the_integer_view(coordination, skewed_profile):
+    # R is off the support, so its fee is filled from the surplus at the
+    # profiles charged to it. On a parsed game that fill, and the check of
+    # the scheme, read `int_payoffs` alone: no Fraction payoff view is built.
+    game = dataio.parse_game(dataio.emit_game(coordination))
+    assert "payoffs" not in vars(game)
+    verdict = correlated.test_ce_compatibility(game, skewed_profile)
+    assert "payoffs" not in vars(game)
+    assert verdict == correlated.test_ce_compatibility(coordination, skewed_profile)
+    assert verdict.scheme.fees[1][2] == F(-1)
 
 
 @pytest.fixture

@@ -326,6 +326,73 @@ def test_parse_game_reports_the_first_bad_payoff():
         dataio.parse_game(_payoff_doc('"0x10"', '"1/0"'))
 
 
+# Payoff rows that mix plain strings with other spellings and with bad
+# values. A row that is not all plain strings is read value by value.
+MIXED_ROWS = [
+    ['"1"', "2", '"3/4"', '"-5"'],
+    ['"1"', '"0.5"', '"3/4"', '"-5/6"'],
+    ['"1/2"', "0.25", '"3"', '"4"'],
+    ['"1/2"', '"1e3"', '"7"', '"-2/3"'],
+    ['"1"', "2E2", '"3"', '"4"'],
+    ['"1"', '" 2"', '"+3"', '"0004/0006"'],
+    ['"1"', '"2"', '"3"', "true"],
+    ['"1"', "false", '"x"', '"4"'],
+    ['"1"', '"2"', '"x"', '"1/0"'],
+    ['"1"', '"2"', '"1/00"', '"x"'],
+    ['"1"', '"2,3"', '"4"', '"5"'],
+    ['"1"', '"1/2,3/4"', '"5"', '"6"'],
+    ['"1"', '"2"', '""', '"4"'],
+    ['"1"', '"2/"', '"3"', '"4"'],
+    ['"1"', '"\u0663"', '"3"', '"4"'],
+    ['"1"', "null", '"3"', '"4"'],
+    ['"1"', "[2]", '"3"', '"4"'],
+    ['"1"', '"2"', '"%s"' % ("9" * 4301), '"1/0"'],
+    ['"1"', '"2"', '"1/%s"' % ("7" * 4301), '"4"'],
+    ['"1"', '"2"', '"3"', '"1e4301"'],
+]
+
+
+def _row_by_value(literals):
+    """The game a row of JSON payoff literals gives when every value is
+    read with `parse_rational`, or the first value's error line."""
+    values = json.loads(
+        "[%s]" % ", ".join(literals), parse_float=dataio.parse_rational, parse_int=int
+    )
+    try:
+        payoffs = [dataio.parse_rational(v) for v in values]
+    except DataFormatError as exc:
+        return str(exc)
+    return Game(("A",), (tuple(f"a{j}" for j in range(len(values))),), (payoffs,))
+
+
+@pytest.mark.parametrize("literals", MIXED_ROWS, ids=lambda row: ",".join(row)[:24])
+def test_mixed_payoff_rows_read_as_value_by_value(literals):
+    actions = ", ".join(f'"a{j}"' for j in range(len(literals)))
+    text = (
+        '{"players": ["A"], "actions": {"A": [%s]}, "payoffs": {"A": [%s]}}'
+        % (actions, ", ".join(literals))
+    )
+    expected = _row_by_value(literals)
+    if isinstance(expected, str):
+        with pytest.raises(DataFormatError) as got:
+            dataio.parse_game(text)
+        assert str(got.value) == expected
+    else:
+        parsed = dataio.parse_game(text)
+        assert parsed == expected and parsed.int_payoffs == expected.int_payoffs
+        assert parsed.payoffs == expected.payoffs
+
+
+def test_a_plain_row_does_not_hide_a_later_players_bad_value():
+    doc = json.loads(GAME_DOC)
+    doc["payoffs"]["P2"][4] = "1/0"
+    with pytest.raises(DataFormatError, match="zero denominator"):
+        dataio.parse_game(json.dumps(doc))
+    doc["payoffs"]["P1"][5] = "x"
+    with pytest.raises(DataFormatError, match="'x'"):
+        dataio.parse_game(json.dumps(doc))
+
+
 @st.composite
 def small_games(draw):
     shape = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))

@@ -259,8 +259,8 @@ def _reference_surplus(game, kernel, profile):
 
 
 @st.composite
-def games_and_kernels(draw):
-    shape = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+def games_and_kernels(draw, shapes=st.lists(st.integers(1, 4), min_size=1, max_size=3)):
+    shape = draw(shapes)
     size = prod(shape)
     payoff = st.fractions(min_value=-50, max_value=50, max_denominator=30)
     payoffs = [draw(st.lists(payoff, min_size=size, max_size=size)) for _ in shape]
@@ -284,6 +284,54 @@ def games_and_kernels(draw):
 @settings(max_examples=80, deadline=None)
 def test_surplus_table_matches_definition(case):
     game, kernel = case
+    expected = tuple(_reference_surplus(game, kernel, a) for a in game.profiles())
+    assert surplus_table(game, kernel) == expected
+
+
+# Four and five players, with up to 36 profiles; most shapes have a
+# player with one action.
+MANY_PLAYERS = st.lists(st.integers(1, 3), min_size=4, max_size=5).filter(
+    lambda shape: prod(shape) <= 36
+)
+
+
+@given(games_and_kernels(MANY_PLAYERS))
+@settings(max_examples=60, deadline=None)
+def test_surplus_table_matches_definition_with_many_players(case):
+    # Every player's columns are read the general way once a game has a
+    # player other than the first and the last. A game built from integer
+    # pairs, as a parsed one is, must give the same table as one built
+    # from Fractions; its pairs are left unreduced here.
+    game, kernel = case
+    parsed = Game.from_ratios(
+        game.players,
+        game.actions,
+        [
+            [(v.numerator * (1 + f % 3), v.denominator * (1 + f % 3))
+             for f, v in enumerate(row)]
+            for row in game.payoffs
+        ],
+    )
+    table = surplus_table(parsed, kernel)
+    assert "payoffs" not in vars(parsed)
+    expected = tuple(_reference_surplus(game, kernel, a) for a in game.profiles())
+    assert table == surplus_table(game, kernel) == expected
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1, 1), (2, 1, 1, 3), (1, 2, 1, 2, 1)])
+def test_surplus_table_with_one_action_players(shape):
+    # One-action players have no deviation and one line per profile.
+    size = prod(shape)
+    payoffs = [[F((7 * f + 3 * i) % 11 - 5, 1 + f % 4) for f in range(size)]
+               for i in range(len(shape))]
+    game = Game(
+        tuple(f"P{i}" for i in range(len(shape))),
+        tuple(tuple(f"a{x}" for x in range(k)) for k in shape),
+        payoffs,
+    )
+    kernel = DeviationKernel(
+        [[[F(1, k)] * k for _ in range(k)] for k in shape]
+    )
     expected = tuple(_reference_surplus(game, kernel, a) for a in game.profiles())
     assert surplus_table(game, kernel) == expected
 

@@ -180,3 +180,23 @@ def test_the_private_scan_sees_imports_and_attribute_reads():
         "correlated._check",
         "lp._Simplex",
     }
+
+
+def test_the_producer_does_not_read_the_checkers_surplus():
+    # `correlated` fills unobserved fees with its own surplus arithmetic, so
+    # a fault in the checker's `surplus_parts` cannot also shape the scheme
+    # it checks. No import, name, attribute or string in `correlated` may
+    # name the checker's surplus functions.
+    checker = {"surplus_parts", "surplus_table"}
+    tree = ast.parse((PACKAGE / "correlated.py").read_text(encoding="utf-8"))
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            named.update(alias.name.rpartition(".")[2] for alias in node.names)
+        elif isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            named.add(node.value)
+    assert named & checker == set()

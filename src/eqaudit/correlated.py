@@ -22,9 +22,12 @@ only the rows violated so far, and the multipliers of an infeasible one,
 with 0 on every row left out, certify the whole system. The outcome is
 read back without a solver and judged by `verify`, which also computes
 the income an exploitable verdict carries; this module does no income
-arithmetic. A witness is zero-extended to every profile.
+arithmetic. A witness is zero-extended to every profile, as integer pairs
+over the point's common denominator (`JointDistribution.from_ratios`).
 Multipliers become a kernel and fees, scaled in integers over their
-common denominator; an unobserved action has no kept
+common denominator, and the kernel's integer weights go over that
+denominator straight to `DeviationKernel.from_ratios`, which checks in
+integers that every row sums to 1; an unobserved action has no kept
 row, so its kernel row is the identity and its fee is the largest value
 at most 0 that keeps feasible every profile charged to it, a profile
 outside the support product being charged to the unobserved action of
@@ -206,9 +209,8 @@ def normalize_dual(game: Game, p: MarginalProfile, multipliers) -> Exploitable:
     for player_rows in weights:
         for ai, row in enumerate(player_rows):
             row[ai] = total - sum(row)
-    kernel = DeviationKernel(
-        [[[Fraction(v, total) if v else _ZERO for v in row] for row in rows]
-         for rows in weights]
+    kernel = DeviationKernel.from_ratios(
+        [[[(v, total) for v in row] for row in rows] for rows in weights]
     )
     fee_nums = [[0] * k for k in shape]
     for (i, a), y in zip(marginals, nums[len(pairs) :]):
@@ -272,12 +274,13 @@ def test_ce_compatibility(game: Game, p: MarginalProfile) -> CeVerdict:
         ))
         if isinstance(outcome, lp.Infeasible):
             break
-        failing = violated(common_denominator(outcome.point)[0])
+        point, den = common_denominator(outcome.point)
+        failing = violated(point)
         if not failing:
-            probs = [_ZERO] * game.num_profiles
-            for (flat, _weight), v in zip(cells, outcome.point):
-                probs[flat] = v
-            witness = JointDistribution(game.shape, probs)
+            ratios = [(0, 1)] * game.num_profiles
+            for (flat, _weight), v in zip(cells, point):
+                ratios[flat] = (v, den)
+            witness = JointDistribution.from_ratios(game.shape, ratios)
             if not verify_witness(game, p, witness):
                 raise RuntimeError("witness fails the marginal or incentive check")
             return Compatible(witness)

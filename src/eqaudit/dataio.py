@@ -11,11 +11,15 @@ number grows faster than its exponent. Bare JSON number literals follow
 the same rules as strings: 1e4301 is malformed, and so is an integer of
 more than 4300 digits, bare or inside a string. An error line quotes at
 most 40 characters of an input value (`games.quoted`).
-Game payoffs are the same rationals, read straight into the game's
-integer view (`Game.from_ratios`) one player's row at a time: a row of
-plain "n" and "n/d" strings is matched and converted as a whole and makes
-no Fraction, and any other row is read value by value, as
+Every rational table (payoffs, witnesses, kernel rows, fee tables,
+marginals) is read by one row reader, `_ratio_row`, into integer pairs:
+a row of plain "n" and "n/d" strings is matched and converted as a whole
+and makes no Fraction, and any other row is read value by value, as
 `parse_rational` reads it, so the first bad value is the one reported.
+Payoffs, witnesses, kernels and profile-wise fees go straight into the
+integer constructors (`Game.from_ratios`, `JointDistribution.from_ratios`,
+`DeviationKernel.from_ratios`, `ProfilewiseScheme.from_ratios`), which
+validate in integers; marginals and action-wise fees become Fractions.
 Payoff tensors, joint
 distributions and fee tables are flat lists in row-major profile order:
 players in declaration order, actions in declaration order, last
@@ -221,14 +225,6 @@ def _label(value) -> str:
     return value
 
 
-def _rational_row(values) -> tuple[Fraction, ...]:
-    """`parse_rational` of every entry of a list: a kernel row, or the row of
-    a marginal or fee table."""
-    if not isinstance(values, list):
-        raise DataFormatError("kernel rows must be lists")
-    return tuple(map(parse_rational, values))
-
-
 def _ratio_row(row) -> tuple[tuple[int, int], ...]:
     """`parse_rational` of each entry of `row`, as integer pairs
     `(numerator, denominator)` with positive denominators. A row of plain
@@ -250,6 +246,17 @@ def _ratio_row(row) -> tuple[tuple[int, int], ...]:
         else:
             return tuple(zip(ints[::2], ints[1::2]))
     return tuple((v.numerator, v.denominator) for v in map(parse_rational, row))
+
+
+def _kernel_row(row) -> tuple[tuple[int, int], ...]:
+    if not isinstance(row, list):
+        raise DataFormatError("kernel rows must be lists")
+    return _ratio_row(row)
+
+
+def _fraction_row(row) -> tuple[Fraction, ...]:
+    """`_ratio_row` of a marginal or action-wise fee row, as Fractions."""
+    return tuple(Fraction(n, d) for n, d in _ratio_row(row))
 
 
 def parse_game(text: str) -> Game:
@@ -278,7 +285,7 @@ def parse_marginals(text: str, game: Game) -> MarginalProfile:
     """Read one distribution per player, keyed by player id, values in
     action declaration order."""
     doc = _loads(text)
-    rows = _parse_table(doc, game.players, "marginals", _rational_row, game.shape)
+    rows = _parse_table(doc, game.players, "marginals", _fraction_row, game.shape)
     return _checked(MarginalProfile, rows)
 
 
@@ -287,8 +294,8 @@ def emit_marginals(game: Game, p: MarginalProfile) -> str:
 
 
 def _parse_kernel_doc(doc, game: Game) -> DeviationKernel:
-    rows = _parse_table(doc, game.players, "kernel", _each(_rational_row), game.shape)
-    return _checked(DeviationKernel, rows)
+    rows = _parse_table(doc, game.players, "kernel", _each(_kernel_row), game.shape)
+    return _checked(DeviationKernel.from_ratios, rows)
 
 
 def parse_kernel(text: str, game: Game) -> DeviationKernel:
@@ -331,12 +338,12 @@ def _parse_scheme_doc(doc, game: Game):
     kernel = _parse_kernel_doc(_require(doc, "kernel"), game)
     if kind == "actionwise":
         fees = _parse_table(
-            _require(doc, "fees"), game.players, "fees", _rational_row, game.shape
+            _require(doc, "fees"), game.players, "fees", _fraction_row, game.shape
         )
         return ActionwiseScheme(fees, kernel)
     if kind == "profilewise":
         fee = _profile_values(_require(doc, "fee"), game, "'fee'")
-        return ProfilewiseScheme(fee, kernel)
+        return ProfilewiseScheme.from_ratios(fee, kernel)
     raise DataFormatError(f"unknown scheme type {quoted(kind)}")
 
 
@@ -346,18 +353,17 @@ def parse_scheme(text: str, game: Game):
     return _parse_scheme_doc(_loads(text), game)
 
 
-def _profile_values(values, game: Game, what: str) -> tuple[Fraction, ...]:
+def _profile_values(values, game: Game, what: str) -> tuple[tuple[int, int], ...]:
     if not isinstance(values, list) or len(values) != game.num_profiles:
         raise DataFormatError(
             f"{what} must list {game.num_profiles} values in row-major order"
         )
-    return tuple(map(parse_rational, values))
+    return _ratio_row(values)
 
 
 def _joint_values(game: Game, values) -> JointDistribution:
-    return _checked(
-        JointDistribution, game.shape, _profile_values(values, game, "witness")
-    )
+    ratios = _profile_values(values, game, "witness")
+    return _checked(JointDistribution.from_ratios, game.shape, ratios)
 
 
 def emit_verdict(game: Game, verdict) -> str:

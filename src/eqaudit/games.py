@@ -20,23 +20,33 @@ flat indices `start + a * strides[i]`. `Game.int_payoffs` gives each line
 one common denominator, the lcm of its own k_i payoff denominators, and
 every payoff on it an integer numerator. A tensor-wide common denominator
 would grow with the number of distinct denominators in the whole game; a
-line-local one grows only with those k_i. This view is canonical, so it
-also decides equality and hashing. `Game.from_ratios` builds it straight
-from integer pairs, as `dataio.parse_game` does, and the Fraction
-`Game.payoffs` is then a read-only view made on first read. A game built
-from Fractions keeps them as that view and derives the integer one on
-first read. `surplus_parts` computes every profile's deviation surplus
-from the integer view as an unreduced integer ratio, a column at a time:
-for each player and recommended action, one pass over all of that
-player's lines per nonzero kernel weight. `verify.is_correlated_equilibrium`,
+line-local one grows only with those k_i. The view is reduced a column
+at a time: a column of player i holds one entry per line, where i plays
+one action, so every line's lcm and gcd are one `map` over the columns.
+`Game.from_ratios` builds it straight from integer pairs, as
+`dataio.parse_game` does, and the Fraction `Game.payoffs` is then a
+read-only view made on first read. A game built from Fractions keeps
+them as that view and derives the integer one on first read.
+
+Witnesses, kernels and profile-wise fee tables are held the same way:
+`JointDistribution.int_probs` (numerators over one denominator),
+`DeviationKernel.int_rows` (each row over its own lcm) and
+`ProfilewiseScheme.int_fee` (one reduced pair per profile). Each type has
+a `from_ratios` constructor that validates in integers (positive
+denominators, non-negative entries, rows that sum to their lcm,
+squareness, lengths), and its Fraction field (`probs`, `rows`, `fee`) is
+a read-only view made on first read. Every integer store is canonical,
+so it alone decides equality, hashing and pickling (`_Frozen`).
+
+`surplus_parts` computes every profile's deviation surplus from the
+integer views as an unreduced integer ratio, a column at a time: for
+each player and recommended action, one pass over all of that player's
+lines per nonzero kernel weight. `verify.is_correlated_equilibrium`,
 `nash`'s best-response search and `correlated`'s fee fill read the
-integer view too. `common_denominator` puts probabilities and fees over the
-lcm of their denominators in the same way, as `JointDistribution.marginals`
-does to sum every marginal in one integer pass and as the validation of
-every distribution (a marginal row, a joint distribution, a kernel row)
-does to check that its numerators sum to that lcm.
-`independent_play` is the one integer walk over independent play, and
-`check_shape` the one test that an object has the game's shape.
+integer payoffs too, and `JointDistribution.marginals` sums every
+marginal in one integer pass over `int_probs`. `independent_play` is the
+one integer walk over independent play, and `check_shape` the one test
+that an object has the game's shape.
 """
 
 from __future__ import annotations
@@ -46,6 +56,7 @@ from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
+from operator import floordiv, mul
 from typing import Iterator, Sequence
 
 Profile = tuple[int, ...]
@@ -98,33 +109,121 @@ def replace(profile: Profile, i: int, action: int) -> Profile:
     return profile[:i] + (action,) + profile[i + 1 :]
 
 
-class Game:
+class _Frozen:
+    """Base of the model types that keep an integer store.
+
+    `_KEY` names the attributes that make up the canonical value: the
+    integer store and whatever fixes its shape. Equality, hashing and
+    pickling read those alone. Every other attribute, a Fraction view
+    among them, is a `cached_property` made on first read, so a pickle
+    never carries one. `repr` shows the public fields, `_FIELDS`."""
+
+    _KEY: tuple[str, ...] = ()
+    _FIELDS: tuple[str, ...] = ()
+
+    @classmethod
+    def from_ratios(cls, *args):
+        """The object the constructor would build, with every rational
+        value given as an integer pair `(n, d)` for `n / d`, where `d > 0`.
+        Builds the integer store straight from the pairs, with no Fraction,
+        and validates it in integers with the constructor's messages."""
+        obj = cls.__new__(cls)
+        obj._store(*args)
+        return obj
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._KEY)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __getstate__(self):
+        return dict(zip(self._KEY, self._key()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
+        return f"{type(self).__name__}({fields})"
+
+
+def _distribution(ratios, what: str) -> tuple[tuple[int, ...], int]:
+    """A distribution's integer pairs `(n, d)` as numerators over one
+    denominator, the lcm of their reduced denominators, however the pairs
+    were reduced: over the lcm D of the d, the gcd of D and the numerators
+    is D over that lcm. ValueError unless every d is positive and the
+    entries are non-negative and sum to 1."""
+    nums, dens = zip(*ratios) if ratios else ((), ())
+    if min(dens, default=1) <= 0:
+        raise ValueError(f"{what} has a non-positive denominator")
+    if min(nums, default=0) < 0:
+        raise ValueError(f"{what} has a negative entry")
+    den = lcm(*dens)
+    scaled = tuple(map(mul, nums, map(floordiv, itertools.repeat(den), dens)))
+    if sum(scaled) != den:
+        raise ValueError(f"{what} does not sum to 1")
+    common = gcd(den, *scaled)
+    if common != 1:
+        scaled = tuple(map(floordiv, scaled, itertools.repeat(common)))
+    return scaled, den // common
+
+
+def _pairs(values: Sequence[Fraction]) -> list[tuple[int, int]]:
+    return [(v.numerator, v.denominator) for v in values]
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def _fractions(nums, dens) -> tuple[Fraction, ...]:
+    """The Fractions `n / d`, one shared object for every 0 and every 1:
+    a Fraction view of a sparse witness, kernel or fee table is mostly
+    those."""
+    return tuple(
+        _ZERO if not n else _ONE if n == d else Fraction(n, d)
+        for n, d in zip(nums, dens)
+    )
+
+
+def _check_distribution(values: Sequence[Fraction], what: str) -> None:
+    _distribution(_pairs(values), what)
+
+
+class Game(_Frozen):
     """A finite normal-form game with exact rational payoffs.
 
     `payoffs[i][k]` is player `i`'s payoff at the k-th action profile in
     row-major order. Player and action identity is positional; labels are
     only used by the file formats and the CLI. A game is immutable, and
     two games are equal when their players, actions and payoff values are.
+    `Game.from_ratios(players, actions, ratios)` takes each payoff as
+    `ratios[i][k] == (n, d)` and builds `int_payoffs` from the pairs.
     """
+
+    _KEY = ("players", "actions", "int_payoffs")
+    _FIELDS = ("players", "actions", "payoffs")
 
     def __init__(self, players, actions, payoffs):
         payoffs = tuple(_fraction_tuple(row) for row in payoffs)
         self._check(players, actions, payoffs)
         vars(self)["payoffs"] = payoffs
 
-    @classmethod
-    def from_ratios(cls, players, actions, ratios) -> "Game":
-        """The game whose payoff `payoffs[i][k]` is `n / d` for the integer
-        pair `ratios[i][k] == (n, d)`, where `d > 0`. Builds `int_payoffs`
-        straight from the pairs, with no Fraction."""
-        game = cls.__new__(cls)
+    def _store(self, players, actions, ratios) -> None:
         ratios = tuple(map(tuple, ratios))
-        game._check(players, actions, ratios)
-        vars(game)["int_payoffs"] = game._line_view(ratios)
-        return game
+        self._check(players, actions, ratios)
+        vars(self)["int_payoffs"] = self._line_view(ratios)
 
     def _check(self, players, actions, payoffs) -> None:
-        """Validate the game and set its players, actions, shape and strides."""
+        """Validate the game and set its players and actions."""
         players = tuple(players)
         actions = tuple(tuple(labels) for labels in actions)
         if not players:
@@ -138,41 +237,21 @@ class Game:
                 raise ValueError("every player needs at least one action")
             if len(set(labels)) != len(labels):
                 raise ValueError("duplicate action label for a player")
-        shape = tuple(len(labels) for labels in actions)
-        size = prod(shape)
+        vars(self).update(players=players, actions=actions)
+        size = self.num_profiles
         for who, row in zip(map(quoted, players), payoffs):
             if len(row) != size:
                 raise ValueError(
                     f"payoff tensor for {who} has {len(row)} entries, expected {size}"
                 )
-        strides = tuple(prod(shape[i + 1 :]) for i in range(len(shape)))
-        vars(self).update(
-            players=players, actions=actions, shape=shape, strides=strides
-        )
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+    @cached_property
+    def shape(self) -> tuple[int, ...]:
+        return tuple(map(len, self.actions))
 
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def _key(self):
-        # The line-local view is canonical: equal payoffs give equal views.
-        return self.players, self.actions, self.int_payoffs
-
-    def __repr__(self):
-        return (
-            f"Game(players={self.players!r}, actions={self.actions!r}, "
-            f"payoffs={self.payoffs!r})"
-        )
+    @cached_property
+    def strides(self) -> tuple[int, ...]:
+        return tuple(prod(self.shape[i + 1 :]) for i in range(len(self.shape)))
 
     @property
     def num_players(self) -> int:
@@ -201,6 +280,35 @@ class Game:
             for low in range(step)
         ]
 
+    def _columns(self, i: int, values: Sequence) -> list[Sequence]:
+        """`values`, one entry per profile in row-major order, cut into one
+        column per action `b` of player `i`: the entries where `i` plays
+        `b`, one per line of `i` in `line_starts` order. For the last
+        player and for player 0 a column is one slice. For any other,
+        `values` is cut into runs of `strides[i]` profiles that share
+        `i`'s action, and every k-th run from run `b` is joined."""
+        k, step = self.shape[i], self.strides[i]
+        if step == 1:
+            return [values[b::k] for b in range(k)]
+        if step * k == len(values):
+            return [values[b * step : (b + 1) * step] for b in range(k)]
+        runs = list(zip(*[iter(values)] * step))
+        return [list(itertools.chain.from_iterable(runs[b::k])) for b in range(k)]
+
+    def _scatter(self, i: int, columns: Sequence[Sequence]) -> list:
+        """The inverse of `_columns`: one column per action of player `i`
+        joined back into one row-major list."""
+        k, step = self.shape[i], self.strides[i]
+        if step == 1:
+            flat = [0] * self.num_profiles
+            for b, column in enumerate(columns):
+                flat[b::k] = column
+            return flat
+        if step * k == self.num_profiles:
+            return list(itertools.chain.from_iterable(columns))
+        runs = zip(*(zip(*[iter(column)] * step) for column in columns))
+        return list(itertools.chain.from_iterable(itertools.chain.from_iterable(runs)))
+
     @cached_property
     def int_payoffs(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
         """Per player `i`, `(numerators, denominators)` with
@@ -209,9 +317,7 @@ class Game:
         The profiles on one line of `i` share their denominator, the lcm
         of that line's payoff denominators. This is the game's payoff
         store; a game built from Fractions derives it on first read."""
-        return self._line_view(
-            [[(v.numerator, v.denominator) for v in row] for row in self.payoffs]
-        )
+        return self._line_view(list(map(_pairs, self.payoffs)))
 
     @cached_property
     def payoffs(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -219,25 +325,35 @@ class Game:
         return tuple(tuple(map(Fraction, *row)) for row in self.int_payoffs)
 
     def _line_view(self, ratios):
-        """`int_payoffs` from per-player `(numerator, denominator)` pairs
-        with positive denominators: one lcm and one gcd per line. Over the
-        lcm D of a line's denominators, the gcd of D and the numerators is
-        D over the lcm of the reduced denominators, so dividing by it gives
-        the same view however the pairs were reduced."""
+        """`int_payoffs` from per-player `(numerator, denominator)` pairs, a
+        column at a time (`_columns`): every line's lcm D in one
+        `map(lcm, ...)` over the denominator columns, and the gcd of D and
+        the numerators over it in one `map(gcd, ...)`. That gcd is D over
+        the lcm of the reduced denominators, so dividing by it gives the
+        same view however the pairs were reduced. ValueError unless every
+        denominator is positive."""
         view = []
         for i, row in enumerate(ratios):
-            step = self.strides[i]
-            nums = [0] * len(row)
-            dens = [1] * len(row)
-            for start in self.line_starts(i):
-                line = slice(start, start + self.shape[i] * step, step)
-                pairs = row[line]
-                den = lcm(*(d for _, d in pairs))
-                line_nums = [n * (den // d) for n, d in pairs]
-                common = gcd(den, *line_nums)
-                nums[line] = [n // common for n in line_nums]
-                dens[line] = [den // common] * len(pairs)
-            view.append((tuple(nums), tuple(dens)))
+            nums, dens = zip(*row)
+            if min(dens) <= 0:
+                raise ValueError(
+                    f"payoff tensor for {quoted(self.players[i])} "
+                    "has a non-positive denominator"
+                )
+            den_columns = self._columns(i, dens)
+            lcms = list(map(lcm, *den_columns))
+            scaled = [
+                list(map(mul, column, map(floordiv, lcms, den_column)))
+                for column, den_column in zip(self._columns(i, nums), den_columns)
+            ]
+            gcds = list(map(gcd, lcms, *scaled))
+            if gcds.count(1) != len(gcds):  # a line not yet in lowest terms
+                lcms = list(map(floordiv, lcms, gcds))
+                scaled = [list(map(floordiv, column, gcds)) for column in scaled]
+            view.append((
+                tuple(self._scatter(i, scaled)),
+                tuple(self._scatter(i, [lcms] * len(scaled))),
+            ))
         return tuple(view)
 
     def profile_labels(self, profile: Profile) -> tuple[str, ...]:
@@ -257,14 +373,6 @@ class Game:
             raise ValueError(
                 f"unknown action {quoted(label)} for player {quoted(self.players[i])}"
             ) from None
-
-
-def _check_distribution(values: Sequence[Fraction], what: str) -> None:
-    if any(v.numerator < 0 for v in values):
-        raise ValueError(f"{what} has a negative entry")
-    nums, den = common_denominator(values)
-    if sum(nums) != den:
-        raise ValueError(f"{what} does not sum to 1")
 
 
 @dataclass(frozen=True)
@@ -287,30 +395,45 @@ class MarginalProfile:
         return tuple(a for a, v in enumerate(self.probs[i]) if v > 0)
 
 
-@dataclass(frozen=True)
-class JointDistribution:
-    """An exact distribution over full action profiles, stored row-major."""
+class JointDistribution(_Frozen):
+    """An exact distribution over full action profiles, stored row-major.
 
-    shape: tuple[int, ...]
-    probs: tuple[Fraction, ...]
+    Its store, `int_probs`, is `(numerators, denominator)`: every
+    probability over the lcm of their denominators. `probs` is the
+    Fraction view; built from Fractions, a distribution keeps them as it.
+    `JointDistribution.from_ratios(shape, ratios)` takes the probability
+    at flat index `k` as `ratios[k] == (n, d)`."""
 
-    def __post_init__(self):
-        shape = tuple(int(k) for k in self.shape)
+    _KEY = ("shape", "int_probs")
+    _FIELDS = ("shape", "probs")
+
+    def __init__(self, shape, probs):
+        probs = _fraction_tuple(probs)
+        self._store(shape, _pairs(probs))
+        vars(self)["probs"] = probs
+
+    def _store(self, shape, ratios) -> None:
+        shape = tuple(int(k) for k in shape)
         if any(k < 1 for k in shape):
             raise ValueError("every player needs at least one action")
-        probs = _fraction_tuple(self.probs)
-        if len(probs) != prod(shape):
+        if len(ratios) != prod(shape):
             raise ValueError("joint distribution length does not match shape")
-        _check_distribution(probs, "joint distribution")
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "probs", probs)
+        vars(self).update(
+            shape=shape, int_probs=_distribution(ratios, "joint distribution")
+        )
+
+    @cached_property
+    def probs(self) -> tuple[Fraction, ...]:
+        """The probabilities as Fractions, read from `int_probs` on first use."""
+        nums, den = self.int_probs
+        return _fractions(nums, itertools.repeat(den))
 
     @classmethod
     def point_mass(cls, shape: Sequence[int], profile: Profile) -> "JointDistribution":
         shape = tuple(shape)
-        probs = [Fraction(0)] * prod(shape)
-        probs[flat_index(shape, profile)] = Fraction(1)
-        return cls(shape, tuple(probs))
+        ratios = [(0, 1)] * prod(shape)
+        ratios[flat_index(shape, profile)] = (1, 1)
+        return cls.from_ratios(shape, ratios)
 
     def profiles(self) -> Iterator[Profile]:
         return itertools.product(*(range(k) for k in self.shape))
@@ -325,8 +448,8 @@ class JointDistribution:
         return self.marginals().probs[i]
 
     def marginals(self) -> MarginalProfile:
-        """Every player's marginal, summed over q's common denominator."""
-        mass, scale = common_denominator(self.probs)
+        """Every player's marginal, summed in integers over `int_probs`."""
+        mass, scale = self.int_probs
         sums = [[0] * k for k in self.shape]
         for profile, m in zip(self.profiles(), mass):
             if m:
@@ -335,30 +458,50 @@ class JointDistribution:
         return MarginalProfile([[Fraction(s, scale) for s in row] for row in sums])
 
 
-@dataclass(frozen=True)
-class DeviationKernel:
+class DeviationKernel(_Frozen):
     """Per-player row-stochastic maps from a recommended action to a
     replacement distribution. `rows[i][a][b]` is the probability that
-    player `i`, told to play `a`, plays `b` instead."""
+    player `i`, told to play `a`, plays `b` instead.
 
-    rows: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    Its store, `int_rows[i][a]`, is `(numerators, denominator)`: row
+    `(i, a)` over the lcm of its denominators. `rows` is the Fraction
+    view; built from Fractions, a kernel keeps them as it.
+    `DeviationKernel.from_ratios(ratios)` takes `rows[i][a][b]` as
+    `ratios[i][a][b] == (n, d)`."""
 
-    def __post_init__(self):
+    _KEY = ("int_rows",)
+    _FIELDS = ("rows",)
+
+    def __init__(self, rows):
         rows = tuple(
-            tuple(_fraction_tuple(row) for row in player_rows)
-            for player_rows in self.rows
+            tuple(_fraction_tuple(row) for row in player_rows) for player_rows in rows
         )
-        for i, player_rows in enumerate(rows):
+        self._store([[_pairs(row) for row in player_rows] for player_rows in rows])
+        vars(self)["rows"] = rows
+
+    def _store(self, ratios) -> None:
+        store = []
+        for i, player_rows in enumerate(ratios):
             k = len(player_rows)
+            rows = []
             for a, row in enumerate(player_rows):
                 if len(row) != k:
                     raise ValueError(f"kernel for player {i} is not square")
-                _check_distribution(row, f"kernel row ({i},{a})")
-        object.__setattr__(self, "rows", rows)
+                rows.append(_distribution(row, f"kernel row ({i},{a})"))
+            store.append(tuple(rows))
+        vars(self)["int_rows"] = tuple(store)
+
+    @cached_property
+    def rows(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+        """The entries as Fractions, read from `int_rows` on first use."""
+        return tuple(
+            tuple(_fractions(nums, itertools.repeat(den)) for nums, den in player_rows)
+            for player_rows in self.int_rows
+        )
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return tuple(len(player_rows) for player_rows in self.rows)
+        return tuple(map(len, self.int_rows))
 
 
 def check_shape(game: Game, *parts) -> None:
@@ -388,11 +531,11 @@ def independent_play(shape, rows) -> tuple[list[tuple[int, int]], int]:
 
 def product_distribution(p: MarginalProfile) -> JointDistribution:
     """Independent joint distribution with marginals `p`."""
-    probs = [Fraction(0)] * prod(p.shape)
+    ratios = [(0, 1)] * prod(p.shape)
     cells, den = independent_play(p.shape, p.probs)
     for flat, weight in cells:
-        probs[flat] = Fraction(weight, den)
-    return JointDistribution(p.shape, probs)
+        ratios[flat] = (weight, den)
+    return JointDistribution.from_ratios(p.shape, ratios)
 
 
 def surplus(game: Game, kernel: DeviationKernel, profile: Profile) -> Fraction:
@@ -419,39 +562,30 @@ def surplus_parts(game: Game, kernel: DeviationKernel) -> tuple[list[int], list[
     """`surplus` at every profile, row-major, as unreduced integer
     numerators and positive integer denominators.
 
-    Player i's kernel rows are scaled to integers by the lcm L of their
+    Player i's kernel rows, `int_rows`, are put over the lcm L of their
     denominators. On a line of i with integer payoffs n and denominator d,
     the term of recommended action a is (sum_b L*r_ab*n_b - L*n_a) / (L*d).
     The terms of one a on every line of i are formed together, one list
     pass per nonzero weight over the column of the b it weighs: the payoff
-    where i plays b, one entry per line. Then they are merged line by
-    line: a zero term is skipped; a term whose denominator equals the
-    profile's running one adds its numerator, any other is cross-multiplied
-    in.
+    where i plays b, one entry per line (`Game._columns`). Then they are
+    merged line by line: a zero term is skipped; a term whose denominator
+    equals the profile's running one adds its numerator, any other is
+    cross-multiplied in.
     """
     check_shape(game, kernel)
     size = game.num_profiles
     nums = [0] * size
     dens = [1] * size
     for i, (player_rows, (pay, pay_dens)) in enumerate(
-        zip(kernel.rows, game.int_payoffs)
+        zip(kernel.int_rows, game.int_payoffs)
     ):
-        k, step = len(player_rows), game.strides[i]
-        # columns[b]: i's payoff where i plays b, one per line, in the order
-        # of `line_starts(i)`; for the last player and player 0, a slice.
-        if step == 1:
-            starts = range(0, size, k)
-            columns = [pay[b::k] for b in range(k)]
-        elif step * k == size:
-            starts = range(step)
-            columns = [pay[b * step : (b + 1) * step] for b in range(k)]
-        else:
-            starts = game.line_starts(i)
-            columns = [[pay[s + b * step] for s in starts] for b in range(k)]
-        scale = lcm(*[w.denominator for row in player_rows for w in row])
+        step = game.strides[i]
+        starts = game.line_starts(i)
+        columns = game._columns(i, pay)
+        scale = lcm(*[den for _, den in player_rows])
         line_dens = [scale * pay_dens[start] for start in starts]
-        for a, row in enumerate(player_rows):
-            weights = [w.numerator * (scale // w.denominator) for w in row]
+        for a, (row, den) in enumerate(player_rows):
+            weights = [w * (scale // den) for w in row]
             weights[a] -= scale
             gains = None
             for w, column in zip(weights, columns):
@@ -501,19 +635,37 @@ class ActionwiseScheme:
         object.__setattr__(self, "fees", fees)
 
 
-@dataclass(frozen=True)
-class ProfilewiseScheme:
+class ProfilewiseScheme(_Frozen):
     """An aggregate fee per full action profile plus a deviation kernel.
 
     Feasible when the fee at each profile is at most the aggregate
-    deviation surplus there.
+    deviation surplus there. Its store, `int_fee`, is `(numerators,
+    denominators)`, each fee a reduced integer pair. `fee` is the
+    Fraction view; built from Fractions, a scheme keeps them as it.
+    `ProfilewiseScheme.from_ratios(ratios, kernel)` takes `fee[k]` as
+    `ratios[k] == (n, d)`.
     """
 
-    fee: tuple[Fraction, ...]
-    kernel: DeviationKernel
+    _KEY = ("int_fee", "kernel")
+    _FIELDS = ("fee", "kernel")
 
-    def __post_init__(self):
-        object.__setattr__(self, "fee", tuple(as_fraction(v) for v in self.fee))
+    def __init__(self, fee, kernel: DeviationKernel):
+        fee = tuple(as_fraction(v) for v in fee)
+        self._store(_pairs(fee), kernel)
+        vars(self)["fee"] = fee
+
+    def _store(self, ratios, kernel: DeviationKernel) -> None:
+        nums, dens = zip(*ratios) if ratios else ((), ())
+        if min(dens, default=1) <= 0:
+            raise ValueError("fee table has a non-positive denominator")
+        common = list(map(gcd, nums, dens))
+        nums, dens = map(floordiv, nums, common), map(floordiv, dens, common)
+        vars(self).update(int_fee=(tuple(nums), tuple(dens)), kernel=kernel)
+
+    @cached_property
+    def fee(self) -> tuple[Fraction, ...]:
+        """The fees as Fractions, read from `int_fee` on first use."""
+        return _fractions(*self.int_fee)
 
 
 @dataclass(frozen=True)

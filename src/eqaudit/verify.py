@@ -16,11 +16,14 @@ row-major order. `verify_exploitable`, the one check of an exploitable
 verdict's claimed income, is where a sign is required: positive, and
 equal to the claim.
 
+The verifiers read the integer stores of what they check and never make
+a Fraction view: `JointDistribution.int_probs`, `DeviationKernel.int_rows`
+(through `surplus_parts`) and `ProfilewiseScheme.int_fee`.
 `verify_profilewise` takes its income as one integer sum over the
-profiles that `games.independent_play` reaches under p. `verify_witness` compares p with
-`JointDistribution.marginals()`, shared model code that sums q's
-marginals as integers over q's common denominator; its incentive check,
-`is_correlated_equilibrium`, reads the integer payoff view too.
+profiles that `games.independent_play` reaches under p. `verify_witness`
+compares p with `JointDistribution.marginals()`, shared model code that
+sums q's marginals as integers over q's one denominator; its incentive
+check, `is_correlated_equilibrium`, reads the integer payoff view too.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from .games import (
     JointDistribution,
     MarginalProfile,
     check_shape,
-    common_denominator,
     independent_play,
     product_distribution,
     surplus_parts,
@@ -70,11 +72,12 @@ class IncomeClaimError(ValueError):
 def is_correlated_equilibrium(game: Game, q: JointDistribution) -> bool:
     """Direct check of every incentive inequality, no solver involved.
 
-    The mass is put over the lcm of q's denominators and, per player, the
-    `Game.int_payoffs` of the lines that carry mass over the lcm of their
-    denominators, so each deviation pair is one integer comparison."""
+    The mass is q's integer store, `JointDistribution.int_probs`, and, per
+    player, the `Game.int_payoffs` of the lines that carry mass are put
+    over the lcm of their denominators, so each deviation pair is one
+    integer comparison."""
     check_shape(game, q)
-    mass, _scale = common_denominator(q.probs)
+    mass, _scale = q.int_probs
     for i, (k, step) in enumerate(zip(game.shape, game.strides)):
         pay, pay_dens = game.int_payoffs[i]
         lines = [range(start, start + k * step, step) for start in game.line_starts(i)]
@@ -138,14 +141,15 @@ def verify_profilewise(game: Game, p: MarginalProfile, scheme) -> Fraction:
     """Check a profile-wise scheme pointwise and return its expected fee
     income under the product distribution of `p`."""
     check_shape(game, scheme.kernel, p)
-    if len(scheme.fee) != game.num_profiles:
+    fees, fee_dens = scheme.int_fee
+    if len(fees) != game.num_profiles:
         raise ValueError("fee table length does not match game")
-    _check_fees(
-        game, scheme.kernel, ((fee.numerator, fee.denominator) for fee in scheme.fee)
-    )
+    _check_fees(game, scheme.kernel, zip(fees, fee_dens))
     cells, den = independent_play(game.shape, p.probs)
-    fees, fee_den = common_denominator([scheme.fee[flat] for flat, _ in cells])
-    income = sum(weight * fee for (_, weight), fee in zip(cells, fees))
+    fee_den = lcm(*(fee_dens[flat] for flat, _ in cells))
+    income = sum(
+        weight * fees[flat] * (fee_den // fee_dens[flat]) for flat, weight in cells
+    )
     return Fraction(income, den * fee_den)
 
 

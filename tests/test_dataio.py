@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import identity_kernel
 from eqaudit import dataio
-from eqaudit import correlated, nash
+from eqaudit import correlated, nash, verify
 from eqaudit.correlated import ActionwiseScheme, Compatible, Exploitable
 from eqaudit.dataio import DataFormatError
-from eqaudit.games import Game, JointDistribution
+from eqaudit.games import DeviationKernel, Game, JointDistribution, MarginalProfile
 from eqaudit.nash import IsNash, ProfilewiseScheme
 from eqaudit.verify import verify_actionwise
 
@@ -413,3 +414,131 @@ def test_game_wire_roundtrip_keeps_the_integer_view(game):
     parsed = dataio.parse_game(dataio.emit_game(game))
     assert parsed == game and hash(parsed) == hash(game)
     assert parsed.int_payoffs == game.int_payoffs
+
+
+# A one-player game with four actions, so a witness, a profile-wise fee
+# table, a kernel row, a marginal row and an action-wise fee row are each
+# one list of four values.
+FOUR_ACTIONS = (
+    '{"players": ["A"], "actions": {"A": ["a0", "a1", "a2", "a3"]}, '
+    '"payoffs": {"A": ["1", "2", "3", "4"]}}'
+)
+_UNIT_ROWS = ['["0", "1", "0", "0"]', '["0", "0", "1", "0"]', '["0", "0", "0", "1"]']
+_IDENTITY = '{"A": [["1", "0", "0", "0"], %s]}' % ", ".join(_UNIT_ROWS)
+
+
+# For each table, how a document reads a row (JSON text) and how the same
+# values, read one by one with `parse_rational`, build the object.
+TABLE_READERS = {
+    "witness": (
+        lambda row, game: dataio.parse_certificate('{"witness": %s}' % row, game)[1],
+        lambda values, game: JointDistribution(game.shape, values),
+    ),
+    "profilewise-fee": (
+        lambda row, game: dataio.parse_scheme(
+            '{"type": "profilewise", "fee": %s, "kernel": %s}' % (row, _IDENTITY), game
+        ),
+        lambda values, game: ProfilewiseScheme(values, identity_kernel(game.shape)),
+    ),
+    "actionwise-fees": (
+        lambda row, game: dataio.parse_scheme(
+            '{"type": "actionwise", "fees": {"A": %s}, "kernel": %s}'
+            % (row, _IDENTITY),
+            game,
+        ),
+        lambda values, game: ActionwiseScheme((values,), identity_kernel(game.shape)),
+    ),
+    "kernel": (
+        lambda row, game: dataio.parse_kernel(
+            '{"A": [%s, %s]}' % (row, ", ".join(_UNIT_ROWS)), game
+        ),
+        lambda values, game: DeviationKernel(
+            ((values, *identity_kernel(game.shape).rows[0][1:]),)
+        ),
+    ),
+    "marginals": (
+        lambda row, game: dataio.parse_marginals('{"A": %s}' % row, game),
+        lambda values, game: MarginalProfile((values,)),
+    ),
+}
+
+# Rows of four JSON literals: plain strings, which are read as a whole,
+# and rows with another spelling or a bad value, which are read value by
+# value; some are not distributions, so the model type rejects them.
+TABLE_ROWS = [
+    ['"1/4"', '"1/4"', '"1/4"', '"1/4"'],
+    ['"2/8"', '"3/4"', '"0"', '"0/5"'],
+    ['"1/4"', "0", '"1/4"', '"1/2"'],
+    ['"1/4"', "0.25", '"1/4"', '"1/4"'],
+    ['"1/4"', '"0.25"', '"25e-2"', '"1/4"'],
+    ['"1/4"', "2.5E-1", '"1/4"', '"1/4"'],
+    ['"1/4"', '"1/4"', '"١/٤"', '"1/4"'],
+    ['"1/4"', "true", '"1/4"', '"1/4"'],
+    ['"1/4"', '"1/4"', '"1/0"', '"x"'],
+    ['"1/4"', '"0,1"', '"1/4"', '"1/2"'],
+    ['"1/4"', '"1/4,1/4"', '"1/4"', '"1/4"'],
+    ['"1/4"', '"%s"' % ("9" * 4301), '"1/4"', '"1/0"'],
+    ['"1/4"', '"1/%s"' % ("7" * 4301), '"1/4"', '"1/4"'],
+    ['"1/4"', "null", '"1/4"', '"1/4"'],
+    ['"1/2"', '"1/2"', '"1/2"', '"-1/2"'],
+    ['"1/2"', '"1/3"', '"0"', '"0"'],
+]
+
+
+def _table_by_value(literals, build, game):
+    """The object the values give when each is read with `parse_rational`,
+    or the first error line."""
+    values = json.loads(
+        "[%s]" % ", ".join(literals), parse_float=dataio.parse_rational, parse_int=int
+    )
+    try:
+        return build(tuple(dataio.parse_rational(v) for v in values), game)
+    except ValueError as exc:  # a DataFormatError or the model's own check
+        return str(exc)
+
+
+@pytest.mark.parametrize("table", sorted(TABLE_READERS))
+@pytest.mark.parametrize("literals", TABLE_ROWS, ids=lambda row: ",".join(row)[:24])
+def test_table_rows_read_as_value_by_value(table, literals):
+    read, build = TABLE_READERS[table]
+    game = dataio.parse_game(FOUR_ACTIONS)
+    expected = _table_by_value(literals, build, game)
+    row = "[%s]" % ", ".join(literals)
+    if isinstance(expected, str):
+        with pytest.raises(DataFormatError) as got:
+            read(row, game)
+        assert str(got.value) == expected
+    else:
+        got = read(row, game)
+        assert got == expected and hash(got) == hash(expected)
+        assert repr(got) == repr(expected)
+
+
+def test_kernel_rows_must_still_be_lists():
+    game = dataio.parse_game(FOUR_ACTIONS)
+    with pytest.raises(DataFormatError, match="kernel rows must be lists"):
+        dataio.parse_kernel('{"A": ["1", %s]}' % ", ".join(_UNIT_ROWS), game)
+
+
+def test_the_verify_path_builds_no_fraction_view(
+    coordination, diagonal_profile, skewed_profile
+):
+    # Parsed witnesses, kernels and fee tables are held as integers, and
+    # the verifiers read those alone.
+    game = dataio.parse_game(dataio.emit_game(coordination))
+    text = dataio.emit_marginals(coordination, diagonal_profile)
+    p = dataio.parse_marginals(text, game)
+    text = dataio.canonical_json({"witness": ["1/2", "0", "0", "0", "1/2", "0"]})
+    kind, q = dataio.parse_certificate(text, game)
+    assert kind == "witness" and verify.verify_witness(game, p, q)
+    text = dataio.emit_marginals(coordination, skewed_profile)
+    p = dataio.parse_marginals(text, game)
+    verdict = nash.test_nash_exploitability(coordination, skewed_profile)
+    text = dataio.emit_verdict(coordination, verdict)
+    kind, parsed = dataio.parse_certificate(text, game)
+    assert kind == "profilewise"
+    assert verify.verify_exploitable(game, p, parsed) == verdict.expected_profit
+    scheme = parsed.scheme
+    assert "probs" not in vars(q)
+    assert "fee" not in vars(scheme) and "rows" not in vars(scheme.kernel)
+    assert "payoffs" not in vars(game)

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 from fractions import Fraction as F
 from math import lcm, prod
 
@@ -12,6 +13,7 @@ from eqaudit.games import (
     Game,
     JointDistribution,
     MarginalProfile,
+    ProfilewiseScheme,
     product_distribution,
     replace,
     surplus,
@@ -336,8 +338,17 @@ def test_surplus_table_with_one_action_players(shape):
     assert surplus_table(game, kernel) == expected
 
 
-@given(games_and_kernels(), st.data())
-@settings(max_examples=60, deadline=None)
+# Shapes of up to three players, the many-player shapes (whose middle
+# players' columns are runs of slices) and shapes with one-action players.
+ALL_SHAPES = st.one_of(
+    st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    MANY_PLAYERS,
+    st.sampled_from([(1, 1, 1, 1), (2, 1, 1, 3), (1, 2, 1, 2, 1), (1, 4), (3, 1)]),
+)
+
+
+@given(games_and_kernels(ALL_SHAPES), st.data())
+@settings(max_examples=120, deadline=None)
 def test_integer_pairs_give_the_same_game_however_reduced(case, data):
     # `Game.from_ratios` reduces each line as a whole, so payoff pairs
     # scaled by any positive factors give the same game and integer view.
@@ -352,6 +363,130 @@ def test_integer_pairs_give_the_same_game_however_reduced(case, data):
     assert built == game and hash(built) == hash(game)
     assert built.int_payoffs == game.int_payoffs
     assert built.payoffs == game.payoffs
+
+
+def test_integer_pairs_need_positive_denominators():
+    for bad in (0, -2):
+        with pytest.raises(ValueError, match="'A' has a non-positive denominator"):
+            Game.from_ratios(("A",), (("x", "y"),), (((1, 2), (1, bad)),))
+
+
+def _unreduced(data, values):
+    """Each Fraction of `values` as an integer pair scaled by a drawn factor."""
+    size = len(values)
+    factors = data.draw(st.lists(st.integers(1, 9), min_size=size, max_size=size))
+    return [(v.numerator * c, v.denominator * c) for v, c in zip(values, factors)]
+
+
+def _probability_row(data, k):
+    weights = data.draw(st.lists(st.integers(0, 7), min_size=k, max_size=k).filter(any))
+    return tuple(F(w, sum(weights)) for w in weights)
+
+
+def _same_value(built, expected, view):
+    """`built` equals `expected` in `==`, `hash` and the Fraction field
+    `view`, and so do their pickles, which do not carry that view."""
+    copies = [pickle.loads(pickle.dumps(x)) for x in (built, expected)]
+    assert all(view not in vars(copy) for copy in copies)
+    for got in (built, *copies):
+        assert got == expected and hash(got) == hash(expected)
+        assert getattr(got, view) == getattr(expected, view)
+        assert repr(got) == repr(expected)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_joint_distribution_from_integer_pairs(data):
+    q = data.draw(joint_distributions())
+    built = JointDistribution.from_ratios(q.shape, _unreduced(data, q.probs))
+    assert "probs" not in vars(built)
+    _same_value(built, q, "probs")
+    assert built.int_probs == q.int_probs
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_kernel_from_integer_pairs(data):
+    shape = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    rows = [[_probability_row(data, k) for _ in range(k)] for k in shape]
+    kernel = DeviationKernel(rows)
+    built = DeviationKernel.from_ratios(
+        [[_unreduced(data, row) for row in player_rows] for player_rows in rows]
+    )
+    assert "rows" not in vars(built)
+    _same_value(built, kernel, "rows")
+    assert built.int_rows == kernel.int_rows and built.shape == kernel.shape
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_profilewise_scheme_from_integer_pairs(data):
+    size = data.draw(st.integers(1, 12))
+    fees = st.fractions(-9, 9, max_denominator=12)
+    fee = data.draw(st.lists(fees, min_size=size, max_size=size))
+    kernel = identity_kernel((size,))
+    scheme = ProfilewiseScheme(fee, kernel)
+    built = ProfilewiseScheme.from_ratios(_unreduced(data, fee), kernel)
+    assert "fee" not in vars(built)
+    _same_value(built, scheme, "fee")
+    assert built.int_fee == scheme.int_fee
+
+
+def _rejection(build, *args):
+    with pytest.raises(ValueError) as exc:
+        build(*args)
+    return str(exc.value)
+
+
+def _kernel_pairs(rows):
+    return [[[(2 * v.numerator, 2 * v.denominator) for v in row] for row in player_rows]
+            for player_rows in rows]
+
+
+# Each is rejected by the Fraction constructor and, as unreduced pairs, by
+# the integer one with the same message.
+BAD_JOINTS = [
+    ((2,), (F(2), F(-1))),
+    ((2,), (F(1, 2), F(1, 3))),
+    ((2, 2), (F(1, 2), F(1, 2))),
+    ((0,), ()),
+]
+BAD_KERNELS = [
+    (((F(1), F(0)),),),
+    (((F(1),),), ((F(1, 2), F(1, 2)), (F(0), F(1), F(0)))),
+    (((F(2), F(-1)), (F(0), F(1))),),
+    (((F(1, 2), F(1, 4)), (F(0), F(1))),),
+    (((F(1),),), ((F(0), F(1)), (F(1, 3), F(1, 3)))),
+]
+
+
+@pytest.mark.parametrize("shape, probs", BAD_JOINTS)
+def test_joint_distribution_constructors_reject_alike(shape, probs):
+    pairs = [(2 * v.numerator, 2 * v.denominator) for v in probs]
+    expected = _rejection(JointDistribution, shape, probs)
+    assert _rejection(JointDistribution.from_ratios, shape, pairs) == expected
+
+
+@pytest.mark.parametrize("rows", BAD_KERNELS)
+def test_kernel_constructors_reject_alike(rows):
+    expected = _rejection(DeviationKernel, rows)
+    assert _rejection(DeviationKernel.from_ratios, _kernel_pairs(rows)) == expected
+
+
+def test_integer_constructors_need_positive_denominators():
+    kernel = identity_kernel((2,))
+    for bad in (0, -2):
+        assert _rejection(JointDistribution.from_ratios, (2,), [(1, 2), (1, bad)]) == (
+            "joint distribution has a non-positive denominator"
+        )
+        rows = [[[(1, 1), (0, 1)], [(0, bad), (1, 1)]]]
+        assert _rejection(DeviationKernel.from_ratios, rows) == (
+            "kernel row (0,1) has a non-positive denominator"
+        )
+        fee = [(1, 1), (1, bad)]
+        assert _rejection(ProfilewiseScheme.from_ratios, fee, kernel) == (
+            "fee table has a non-positive denominator"
+        )
 
 
 def _primes_above(start, count):

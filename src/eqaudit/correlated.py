@@ -15,19 +15,20 @@ profile that uses it, and `incentive_rows` writes its rows directly over
 the columns of that product as integer `lp.Row`s, each numerator one
 integer difference of the game's integer payoff view over the lcm of the
 row's line denominators; a marginal row is its indicator times the
-observed frequency's denominator, with its numerator on the right. No
-Fraction is built per coefficient. Its incentive rows are generated as
-cutting planes (Papadimitriou and Roughgarden, JACM 2008): a round solves
-only the rows violated so far, and the multipliers of an infeasible one,
-with 0 on every row left out, certify the whole system. The outcome is
-read back without a solver and judged by `verify`, which also computes
-the income an exploitable verdict carries; this module does no income
-arithmetic. A witness is zero-extended to every profile, as integer pairs
-over the point's common denominator (`JointDistribution.from_ratios`).
-Multipliers become a kernel and fees, scaled in integers over their
-common denominator, and the kernel's integer weights go over that
-denominator straight to `DeviationKernel.from_ratios`, which checks in
-integers that every row sums to 1; an unobserved action has no kept
+denominator of the observed frequencies (`MarginalProfile.int_rows`),
+with the frequency's numerator on the right. No Fraction is built per
+coefficient. Its incentive rows are generated as cutting planes
+(Papadimitriou and Roughgarden, JACM 2008): a round solves only the rows
+violated so far, and the multipliers of an infeasible one, with 0 on
+every row left out, certify the whole system. The outcome is read back
+without a solver and judged by `verify`, which also computes the income
+an exploitable verdict carries; this module does no income arithmetic.
+A witness is the integer point (`lp.Feasible.nums`) zero-extended to
+every profile (`JointDistribution.from_ratios`). Multipliers become a
+kernel and fees, scaled in integers over their common denominator, and
+go over that denominator straight to `DeviationKernel.from_ratios`,
+which checks in integers that every row sums to 1, and to
+`ActionwiseScheme.from_ratios`; an unobserved action has no kept
 row, so its kernel row is the identity and its fee is the largest value
 at most 0 that keeps feasible every profile charged to it, a profile
 outside the support product being charged to the unobserved action of
@@ -64,8 +65,6 @@ from .games import (
 
 # `is_correlated_equilibrium` is re-exported: perfbench/workloads.py reads it here.
 from .verify import is_correlated_equilibrium, verify_actionwise, verify_witness
-
-_ZERO = Fraction(0)
 
 CeVerdict = Compatible | Exploitable
 
@@ -148,9 +147,9 @@ def build_ce_system(game: Game, p: MarginalProfile) -> lp.LinearSystem:
     _supports, cols, pairs, marginals = _kept(game, p)
     rows = incentive_rows(game, cols, pairs)
     for i, a in marginals:
-        q = p.probs[i][a]
-        nums = [q.denominator if profile[i] == a else 0 for _flat, profile in cols]
-        rows.append(lp.Row.over(nums, lp.EQ, q.numerator, q.denominator))
+        freqs, den = p.int_rows[i]
+        nums = [den if profile[i] == a else 0 for _flat, profile in cols]
+        rows.append(lp.Row.over(nums, lp.EQ, freqs[a], den))
     return lp.LinearSystem(len(cols), tuple(rows), (True,) * len(cols))
 
 
@@ -215,7 +214,7 @@ def normalize_dual(game: Game, p: MarginalProfile, multipliers) -> Exploitable:
     fee_nums = [[0] * k for k in shape]
     for (i, a), y in zip(marginals, nums[len(pairs) :]):
         fee_nums[i][a] = y
-    fees = [[Fraction(y, total) if y else _ZERO for y in row] for row in fee_nums]
+    fees = [[(y, total) for y in row] for row in fee_nums]
     # The profiles charged to i's unobserved action a: i plays a, and every
     # lower-index player an observed action. Its fee starts at 0 and is
     # lowered, as an integer ratio, to each of their caps below it.
@@ -233,8 +232,8 @@ def normalize_dual(game: Game, p: MarginalProfile, multipliers) -> Exploitable:
                 cap, cap_den = gain - paid * gain_den, total * gain_den
                 if cap * low_den < low * cap_den:
                     low, low_den = cap, cap_den
-            fees[i][a] = Fraction(low, low_den)
-    scheme = ActionwiseScheme(tuple(map(tuple, fees)), kernel)
+            fees[i][a] = (low, low_den)
+    scheme = ActionwiseScheme.from_ratios(fees, kernel)
     income = verify_actionwise(game, p, scheme)
     if income <= 0:
         raise ValueError(f"scheme earns {income}, not a positive income")
@@ -265,7 +264,7 @@ def test_ce_compatibility(game: Game, p: MarginalProfile) -> CeVerdict:
                 if sum(c * v for c, v in zip(row.nums, x) if c) < 0]
 
     # `independent_play` walks the support product in the system's column order.
-    cells = independent_play(game.shape, p.probs)[0]
+    cells = independent_play(game.shape, p.int_rows)[0]
     active = violated([w for _flat, w in cells])
     while True:
         kept = [*active, *marginal]
@@ -274,7 +273,7 @@ def test_ce_compatibility(game: Game, p: MarginalProfile) -> CeVerdict:
         ))
         if isinstance(outcome, lp.Infeasible):
             break
-        point, den = common_denominator(outcome.point)
+        point, den = outcome.nums, outcome.den
         failing = violated(point)
         if not failing:
             ratios = [(0, 1)] * game.num_profiles
@@ -285,8 +284,8 @@ def test_ce_compatibility(game: Game, p: MarginalProfile) -> CeVerdict:
                 raise RuntimeError("witness fails the marginal or incentive check")
             return Compatible(witness)
         active = sorted(active + failing)
-    padded = dict(zip(kept, outcome.multipliers))
-    multipliers = [padded.get(k, _ZERO) for k in range(len(system.rows))]
+    y, den = dict(zip(kept, outcome.nums)), outcome.den
+    multipliers = [Fraction(y.get(k, 0), den) for k in range(len(system.rows))]
     try:
         return normalize_dual(game, p, multipliers)
     except ValueError as exc:

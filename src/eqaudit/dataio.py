@@ -14,12 +14,11 @@ most 40 characters of an input value (`games.quoted`).
 Every rational table (payoffs, witnesses, kernel rows, fee tables,
 marginals) is read by one row reader, `_ratio_row`, into integer pairs:
 a row of plain "n" and "n/d" strings is matched and converted as a whole
-and makes no Fraction, and any other row is read value by value, as
-`parse_rational` reads it, so the first bad value is the one reported.
-Payoffs, witnesses, kernels and profile-wise fees go straight into the
-integer constructors (`Game.from_ratios`, `JointDistribution.from_ratios`,
-`DeviationKernel.from_ratios`, `ProfilewiseScheme.from_ratios`), which
-validate in integers; marginals and action-wise fees become Fractions.
+and makes no Fraction (a row of "n" alone, as a witness is, with no
+rewrite), and any other row is read value by value, as `parse_rational`
+reads it, so the first bad value is the one reported. Every table, play
+log frequencies included, goes straight into the `from_ratios`
+constructor of its model type, which validates in integers.
 Payoff tensors, joint
 distributions and fee tables are flat lists in row-major profile order:
 players in declaration order, actions in declaration order, last
@@ -76,6 +75,8 @@ _PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 # A row of "n/d" values with nonzero denominators, joined by ','.
 _RATIO = r"-?[0-9]+/0*[1-9][0-9]*"
 _RATIO_ROW = re.compile(f"{_RATIO}(?:,{_RATIO})*")
+# A row of "n" values, joined by ','.
+_INT_ROW = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
 # The exponent of a decimal literal as `Fraction` reads it.
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
@@ -228,23 +229,29 @@ def _label(value) -> str:
 def _ratio_row(row) -> tuple[tuple[int, int], ...]:
     """`parse_rational` of each entry of `row`, as integer pairs
     `(numerator, denominator)` with positive denominators. A row of plain
-    "n" and "n/d" strings is matched as a whole, each "n" read as "n/1",
-    and converted with `int`, making no Fraction. Any other row (a value
-    that is not a string, is not plain, has a zero denominator or has more
-    digits than `int` converts) is read value by value, so it keeps
-    `parse_rational`'s values and its first error."""
+    "n" strings, or of plain "n" and "n/d" strings with each "n" read as
+    "n/1", is matched as a whole and converted with `int`, making no
+    Fraction. Any other row (a value that is not a string, is not plain,
+    has a zero denominator or has more digits than `int` converts) is read
+    value by value, so it keeps `parse_rational`'s values and its first
+    error."""
     try:
-        text = ",".join([v if "/" in v else v + "/1" for v in row])
+        text = ",".join(row)
     except TypeError:  # a value that is not a string
         text = ""
+    ratios = "/" in text
+    if ratios:
+        text = ",".join([v if "/" in v else v + "/1" for v in row])
     # A ',' inside a value would add an entry, so the count must match.
-    if _RATIO_ROW.fullmatch(text) and text.count(",") == len(row) - 1:
+    whole = (_RATIO_ROW if ratios else _INT_ROW).fullmatch(text)
+    if whole and text.count(",") == len(row) - 1:
         try:
             ints = list(map(int, text.replace("/", ",").split(",")))
         except ValueError:  # more digits than int() converts
             pass
         else:
-            return tuple(zip(ints[::2], ints[1::2]))
+            pairs = zip(ints[::2], ints[1::2]) if ratios else zip(ints, [1] * len(ints))
+            return tuple(pairs)
     return tuple((v.numerator, v.denominator) for v in map(parse_rational, row))
 
 
@@ -252,11 +259,6 @@ def _kernel_row(row) -> tuple[tuple[int, int], ...]:
     if not isinstance(row, list):
         raise DataFormatError("kernel rows must be lists")
     return _ratio_row(row)
-
-
-def _fraction_row(row) -> tuple[Fraction, ...]:
-    """`_ratio_row` of a marginal or action-wise fee row, as Fractions."""
-    return tuple(Fraction(n, d) for n, d in _ratio_row(row))
 
 
 def parse_game(text: str) -> Game:
@@ -285,8 +287,8 @@ def parse_marginals(text: str, game: Game) -> MarginalProfile:
     """Read one distribution per player, keyed by player id, values in
     action declaration order."""
     doc = _loads(text)
-    rows = _parse_table(doc, game.players, "marginals", _fraction_row, game.shape)
-    return _checked(MarginalProfile, rows)
+    rows = _parse_table(doc, game.players, "marginals", _ratio_row, game.shape)
+    return _checked(MarginalProfile.from_ratios, rows)
 
 
 def emit_marginals(game: Game, p: MarginalProfile) -> str:
@@ -338,9 +340,9 @@ def _parse_scheme_doc(doc, game: Game):
     kernel = _parse_kernel_doc(_require(doc, "kernel"), game)
     if kind == "actionwise":
         fees = _parse_table(
-            _require(doc, "fees"), game.players, "fees", _fraction_row, game.shape
+            _require(doc, "fees"), game.players, "fees", _ratio_row, game.shape
         )
-        return ActionwiseScheme(fees, kernel)
+        return ActionwiseScheme.from_ratios(fees, kernel)
     if kind == "profilewise":
         fee = _profile_values(_require(doc, "fee"), game, "'fee'")
         return ProfilewiseScheme.from_ratios(fee, kernel)
@@ -488,5 +490,5 @@ def empirical_marginals(game: Game, log: dict[str, list[str]]) -> MarginalProfil
         counts = [0] * len(game.actions[i])
         for label in history:
             counts[_checked(game.action_index, i, label)] += 1
-        rows.append(tuple(Fraction(c, len(history)) for c in counts))
-    return MarginalProfile(tuple(rows))
+        rows.append([(c, len(history)) for c in counts])
+    return MarginalProfile.from_ratios(rows)

@@ -23,30 +23,30 @@ would grow with the number of distinct denominators in the whole game; a
 line-local one grows only with those k_i. The view is reduced a column
 at a time: a column of player i holds one entry per line, where i plays
 one action, so every line's lcm and gcd are one `map` over the columns.
-`Game.from_ratios` builds it straight from integer pairs, as
-`dataio.parse_game` does, and the Fraction `Game.payoffs` is then a
-read-only view made on first read. A game built from Fractions keeps
-them as that view and derives the integer one on first read.
 
-Witnesses, kernels and profile-wise fee tables are held the same way:
-`JointDistribution.int_probs` (numerators over one denominator),
-`DeviationKernel.int_rows` (each row over its own lcm) and
-`ProfilewiseScheme.int_fee` (one reduced pair per profile). Each type has
-a `from_ratios` constructor that validates in integers (positive
+Every model type is held so, as a canonical integer store: the game's
+line view, `MarginalProfile.int_rows` and `DeviationKernel.int_rows`
+(each row over its own lcm), `JointDistribution.int_probs` (over one
+denominator), `ActionwiseScheme.int_fees` (each player's fees over their
+lcm) and `ProfilewiseScheme.int_fee` (one reduced pair per profile).
+Each type's `from_ratios` takes the constructor's arguments with every
+rational an integer pair `(n, d)` and validates in integers (positive
 denominators, non-negative entries, rows that sum to their lcm,
-squareness, lengths), and its Fraction field (`probs`, `rows`, `fee`) is
-a read-only view made on first read. Every integer store is canonical,
-so it alone decides equality, hashing and pickling (`_Frozen`).
+squareness, lengths); `dataio` and the analyzers build with it. Its
+Fraction field (`payoffs`, `probs`, `rows`, `fees`, `fee`) is a
+read-only view made on first read; built from Fractions, an object keeps
+them as that view. The store alone decides equality, hashing and
+pickling (`_Frozen`).
 
 `surplus_parts` computes every profile's deviation surplus from the
 integer views as an unreduced integer ratio, a column at a time: for
 each player and recommended action, one pass over all of that player's
-lines per nonzero kernel weight. `verify.is_correlated_equilibrium`,
-`nash`'s best-response search and `correlated`'s fee fill read the
-integer payoffs too, and `JointDistribution.marginals` sums every
-marginal in one integer pass over `int_probs`. `independent_play` is the
-one integer walk over independent play, and `check_shape` the one test
-that an object has the game's shape.
+lines per nonzero kernel weight. The checkers, `nash`'s best-response
+search and `correlated`'s fee fill read the integer payoffs too, and
+`JointDistribution.marginals` sums every marginal in one integer pass.
+`independent_play` is the one integer walk over independent play, on
+`MarginalProfile.int_rows`, and `check_shape` the one test that an
+object has the game's shape.
 """
 
 from __future__ import annotations
@@ -156,25 +156,31 @@ class _Frozen:
         return f"{type(self).__name__}({fields})"
 
 
-def _distribution(ratios, what: str) -> tuple[tuple[int, ...], int]:
-    """A distribution's integer pairs `(n, d)` as numerators over one
-    denominator, the lcm of their reduced denominators, however the pairs
-    were reduced: over the lcm D of the d, the gcd of D and the numerators
-    is D over that lcm. ValueError unless every d is positive and the
-    entries are non-negative and sum to 1."""
+def _over_lcm(ratios, what: str) -> tuple[tuple[int, ...], int]:
+    """Integer pairs `(n, d)` as numerators over one denominator, the lcm
+    of their reduced denominators, however the pairs were reduced: over
+    the lcm D of the d, the gcd of D and the numerators is D over that
+    lcm. ValueError unless every d is positive."""
     nums, dens = zip(*ratios) if ratios else ((), ())
     if min(dens, default=1) <= 0:
         raise ValueError(f"{what} has a non-positive denominator")
-    if min(nums, default=0) < 0:
-        raise ValueError(f"{what} has a negative entry")
     den = lcm(*dens)
     scaled = tuple(map(mul, nums, map(floordiv, itertools.repeat(den), dens)))
-    if sum(scaled) != den:
-        raise ValueError(f"{what} does not sum to 1")
     common = gcd(den, *scaled)
     if common != 1:
         scaled = tuple(map(floordiv, scaled, itertools.repeat(common)))
     return scaled, den // common
+
+
+def _distribution(ratios, what: str) -> tuple[tuple[int, ...], int]:
+    """`_over_lcm` of a distribution's pairs; ValueError unless the
+    entries are non-negative and sum to 1."""
+    nums, den = _over_lcm(ratios, what)
+    if min(nums, default=0) < 0:
+        raise ValueError(f"{what} has a negative entry")
+    if sum(nums) != den:
+        raise ValueError(f"{what} does not sum to 1")
+    return nums, den
 
 
 def _pairs(values: Sequence[Fraction]) -> list[tuple[int, int]]:
@@ -194,8 +200,9 @@ def _fractions(nums, dens) -> tuple[Fraction, ...]:
     )
 
 
-def _check_distribution(values: Sequence[Fraction], what: str) -> None:
-    _distribution(_pairs(values), what)
+def _row_views(rows) -> tuple[tuple[Fraction, ...], ...]:
+    """The Fraction view of `(numerators, denominator)` rows."""
+    return tuple(_fractions(nums, itertools.repeat(den)) for nums, den in rows)
 
 
 class Game(_Frozen):
@@ -375,34 +382,42 @@ class Game(_Frozen):
             ) from None
 
 
-@dataclass(frozen=True)
-class MarginalProfile:
-    """One exact probability distribution per player over own actions."""
+class MarginalProfile(_Frozen):
+    """One exact probability distribution per player over own actions,
+    stored as `int_rows[i]`, player i's `(numerators, denominator)`."""
 
-    probs: tuple[tuple[Fraction, ...], ...]
+    _KEY = ("int_rows",)
+    _FIELDS = ("probs",)
 
-    def __post_init__(self):
-        probs = tuple(_fraction_tuple(row) for row in self.probs)
-        for k, row in enumerate(probs):
-            _check_distribution(row, f"marginal distribution of player {k}")
-        object.__setattr__(self, "probs", probs)
+    def __init__(self, probs):
+        probs = tuple(map(_fraction_tuple, probs))
+        self._store(list(map(_pairs, probs)))
+        vars(self)["probs"] = probs
+
+    def _store(self, ratios) -> None:
+        vars(self)["int_rows"] = tuple(
+            _distribution(row, f"marginal distribution of player {k}")
+            for k, row in enumerate(ratios)
+        )
+
+    @cached_property
+    def probs(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The probabilities as Fractions, read from `int_rows` on first use."""
+        return _row_views(self.int_rows)
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return tuple(len(row) for row in self.probs)
+        return tuple(len(nums) for nums, _den in self.int_rows)
 
     def support(self, i: int) -> tuple[int, ...]:
-        return tuple(a for a, v in enumerate(self.probs[i]) if v > 0)
+        if not 0 <= i < len(self.int_rows):
+            raise ValueError(f"unknown player index {i}")
+        return tuple(a for a, n in enumerate(self.int_rows[i][0]) if n)
 
 
 class JointDistribution(_Frozen):
-    """An exact distribution over full action profiles, stored row-major.
-
-    Its store, `int_probs`, is `(numerators, denominator)`: every
-    probability over the lcm of their denominators. `probs` is the
-    Fraction view; built from Fractions, a distribution keeps them as it.
-    `JointDistribution.from_ratios(shape, ratios)` takes the probability
-    at flat index `k` as `ratios[k] == (n, d)`."""
+    """An exact distribution over full action profiles, stored row-major
+    as `int_probs`, `(numerators, denominator)`."""
 
     _KEY = ("shape", "int_probs")
     _FIELDS = ("shape", "probs")
@@ -455,19 +470,14 @@ class JointDistribution(_Frozen):
             if m:
                 for row, a in zip(sums, profile):
                     row[a] += m
-        return MarginalProfile([[Fraction(s, scale) for s in row] for row in sums])
+        return MarginalProfile.from_ratios([[(s, scale) for s in row] for row in sums])
 
 
 class DeviationKernel(_Frozen):
     """Per-player row-stochastic maps from a recommended action to a
     replacement distribution. `rows[i][a][b]` is the probability that
-    player `i`, told to play `a`, plays `b` instead.
-
-    Its store, `int_rows[i][a]`, is `(numerators, denominator)`: row
-    `(i, a)` over the lcm of its denominators. `rows` is the Fraction
-    view; built from Fractions, a kernel keeps them as it.
-    `DeviationKernel.from_ratios(ratios)` takes `rows[i][a][b]` as
-    `ratios[i][a][b] == (n, d)`."""
+    player `i`, told to play `a`, plays `b` instead. Row `(i, a)` is
+    stored as `int_rows[i][a]`, `(numerators, denominator)`."""
 
     _KEY = ("int_rows",)
     _FIELDS = ("rows",)
@@ -494,10 +504,7 @@ class DeviationKernel(_Frozen):
     @cached_property
     def rows(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
         """The entries as Fractions, read from `int_rows` on first use."""
-        return tuple(
-            tuple(_fractions(nums, itertools.repeat(den)) for nums, den in player_rows)
-            for player_rows in self.int_rows
-        )
+        return tuple(map(_row_views, self.int_rows))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -515,10 +522,10 @@ def check_shape(game: Game, *parts) -> None:
 def independent_play(shape, rows) -> tuple[list[tuple[int, int]], int]:
     """Row-major `(flat index, integer weight)` of every profile of `shape`
     that players playing `rows[j]` independently reach, and the weights'
-    one denominator. A row `(1,)` pins a player to action 0."""
+    one denominator. A row is `(numerators, denominator)`, as in
+    `MarginalProfile.int_rows`; `((1,), 1)` pins a player to action 0."""
     cells, den = [(0, 1)], 1
-    for row, k in zip(rows, shape):
-        weights, scale = common_denominator(row)
+    for (weights, scale), k in zip(rows, shape):
         den *= scale
         cells = [
             (flat * k + a, weight * w)
@@ -532,7 +539,7 @@ def independent_play(shape, rows) -> tuple[list[tuple[int, int]], int]:
 def product_distribution(p: MarginalProfile) -> JointDistribution:
     """Independent joint distribution with marginals `p`."""
     ratios = [(0, 1)] * prod(p.shape)
-    cells, den = independent_play(p.shape, p.probs)
+    cells, den = independent_play(p.shape, p.int_rows)
     for flat, weight in cells:
         ratios[flat] = (weight, den)
     return JointDistribution.from_ratios(p.shape, ratios)
@@ -615,35 +622,42 @@ def surplus_table(game: Game, kernel: DeviationKernel) -> tuple[Fraction, ...]:
     return tuple(map(Fraction, *surplus_parts(game, kernel)))
 
 
-@dataclass(frozen=True)
-class ActionwiseScheme:
+class ActionwiseScheme(_Frozen):
     """Per-player fees indexed by own action, plus a deviation kernel.
 
     Feasibility means: at every action profile, total utility plus total
     fees is at most the total utility after each player unilaterally
     follows their kernel row. Equivalently the fee sum never exceeds the
-    aggregate deviation surplus.
+    aggregate deviation surplus. Fees are stored as `int_fees[i]`, player
+    i's `(numerators, denominator)`.
     """
 
-    fees: tuple[tuple[Fraction, ...], ...]
-    kernel: DeviationKernel
+    _KEY = ("int_fees", "kernel")
+    _FIELDS = ("fees", "kernel")
 
-    def __post_init__(self):
-        fees = tuple(tuple(as_fraction(v) for v in row) for row in self.fees)
-        if tuple(len(row) for row in fees) != self.kernel.shape:
+    def __init__(self, fees, kernel: DeviationKernel):
+        fees = tuple(map(_fraction_tuple, fees))
+        self._store(list(map(_pairs, fees)), kernel)
+        vars(self)["fees"] = fees
+
+    def _store(self, ratios, kernel: DeviationKernel) -> None:
+        int_fees = tuple(_over_lcm(row, "fee table") for row in ratios)
+        if tuple(len(nums) for nums, _den in int_fees) != kernel.shape:
             raise ValueError("fee table shape does not match kernel")
-        object.__setattr__(self, "fees", fees)
+        vars(self).update(int_fees=int_fees, kernel=kernel)
+
+    @cached_property
+    def fees(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The fees as Fractions, read from `int_fees` on first use."""
+        return _row_views(self.int_fees)
 
 
 class ProfilewiseScheme(_Frozen):
     """An aggregate fee per full action profile plus a deviation kernel.
 
     Feasible when the fee at each profile is at most the aggregate
-    deviation surplus there. Its store, `int_fee`, is `(numerators,
-    denominators)`, each fee a reduced integer pair. `fee` is the
-    Fraction view; built from Fractions, a scheme keeps them as it.
-    `ProfilewiseScheme.from_ratios(ratios, kernel)` takes `fee[k]` as
-    `ratios[k] == (n, d)`.
+    deviation surplus there. Fees are stored as `int_fee`, `(numerators,
+    denominators)`, each fee a reduced integer pair.
     """
 
     _KEY = ("int_fee", "kernel")

@@ -1,10 +1,11 @@
 """Exact rational linear feasibility with constructive infeasibility proofs.
 
 A `LinearSystem` mixes `>=` and `==` rows over variables that are either
-sign-restricted to be nonnegative or free. A `Row` holds integers: its
-numerators and right-hand side over one positive denominator, with no
-factor common to all of them, so each row has one form; its Fraction
-coefficients are read-only views. `solve_feasibility` runs phase
+sign-restricted to be nonnegative or free. A `Row`, and either outcome
+(a `Feasible` point, an `Infeasible` certificate), holds integers over
+one positive denominator, with no factor common to all of them, so each
+has one form; `coeffs`, `rhs`, `point` and `multipliers` are read-only
+Fraction views. `solve_feasibility` runs phase
 one of a two-phase simplex. The entering column is Dantzig's, the most
 negative reduced cost. The leaving row has the minimum ratio, and ties
 go to the lexicographically smallest row of the columns basic when the
@@ -32,8 +33,9 @@ to zero, the phase-one dual multipliers are returned as a Farkas
 certificate: nonnegative on inequality rows, free on equality rows,
 combining the rows into `y.A <= 0` on nonnegative variables (`= 0` on
 free ones) while `y.b > 0`. `verify_outcome` checks either arm by direct
-substitution, in integers, reading each row's numerators and denominator
-as the system defines them, with no code shared with the tableau.
+substitution, in integers, reading the outcome's numerators and each
+row's numerators and denominator as the system defines them, with no
+code shared with the tableau.
 
 `maximize` exposes phase two, a vertex under a linear objective, for one
 caller: `oracles.random_ce`, the input generator of the tests, scripts
@@ -50,9 +52,6 @@ from .games import as_fraction, common_denominator
 
 GE = ">="
 EQ = "=="
-
-_ZERO = Fraction(0)
-
 
 @dataclass(frozen=True, init=False)
 class Row:
@@ -130,14 +129,38 @@ class LinearSystem:
         object.__setattr__(self, "nonneg", nonneg)
 
 
-@dataclass(frozen=True)
-class Feasible:
-    point: tuple[Fraction, ...]
+@dataclass(frozen=True, init=False)
+class _Outcome:
+    """Numerators `nums` over `den`, built from ints, Fractions or 'n/d'
+    strings, or from the integers with `over(nums, den)`."""
+
+    nums: tuple[int, ...]
+    den: int
+
+    def __init__(self, values):
+        nums, den = common_denominator([as_fraction(v) for v in values])
+        vars(self).update(nums=tuple(nums), den=den)
+
+    @classmethod
+    def over(cls, nums, den: int):
+        """`nums / den`, `den` > 0, divided by the gcd of its integers."""
+        if den <= 0:
+            raise ValueError("outcome denominator must be positive")
+        g = gcd(*nums, den)
+        outcome = cls.__new__(cls)
+        vars(outcome).update(nums=tuple(v // g for v in nums), den=den // g)
+        return outcome
+
+    def _view(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
 
-@dataclass(frozen=True)
-class Infeasible:
-    multipliers: tuple[Fraction, ...]
+class Feasible(_Outcome):
+    point = property(_Outcome._view, doc="The point as Fractions.")
+
+
+class Infeasible(_Outcome):
+    multipliers = property(_Outcome._view, doc="One Fraction multiplier per row.")
 
 
 FeasibilityOutcome = Feasible | Infeasible
@@ -146,14 +169,13 @@ FeasibilityOutcome = Feasible | Infeasible
 def verify_outcome(system: LinearSystem, outcome: FeasibilityOutcome) -> bool:
     """Check either arm against the system by direct substitution.
 
-    The check runs on integers: the outcome is put over the lcm of its
-    denominators, and each row is read as the system defines it, its
-    numerators over its own denominator; nothing the tableau holds is
-    read."""
+    The check runs on integers: the outcome's numerators over its one
+    denominator, and each row as the system defines it, its numerators
+    over its own denominator; nothing the tableau holds is read."""
     if isinstance(outcome, Feasible):
-        if len(outcome.point) != system.num_vars:
+        x, den = outcome.nums, outcome.den
+        if len(x) != system.num_vars:
             return False
-        x, den = common_denominator(outcome.point)
         if any(nonneg and v < 0 for nonneg, v in zip(system.nonneg, x)):
             return False
         for row in system.rows:
@@ -163,9 +185,9 @@ def verify_outcome(system: LinearSystem, outcome: FeasibilityOutcome) -> bool:
                 return False
         return True
     if isinstance(outcome, Infeasible):
-        if len(outcome.multipliers) != len(system.rows):
+        y = outcome.nums  # over a positive denominator, which no sign depends on
+        if len(y) != len(system.rows):
             return False
-        y, _den = common_denominator(outcome.multipliers)
         if any(yk < 0 for yk, row in zip(y, system.rows) if row.sense == GE):
             return False
         # Row k is nums_k / den_k; all of them over M = lcm of the den_k of
@@ -342,7 +364,8 @@ class _Simplex:
         cost[self.first_art : self.z] = [1] * (self.z - self.first_art)
         return self._price(cost, 1)
 
-    def farkas(self) -> tuple[Fraction, ...]:
+    def farkas(self) -> tuple[list[int], int]:
+        """The phase-one dual multipliers over the objective's denominator."""
         # Row k's multiplier is y_k = flip_k * (c - r), where r is the
         # reduced cost of the column the row started in and c that
         # column's cost: 1 for an artificial, 0 for a surplus column.
@@ -352,21 +375,19 @@ class _Simplex:
         for k, sign in enumerate(self.flip):
             col = self.surplus[k] if self.art[k] is None else self.art[k]
             cost = den if col >= self.first_art else 0
-            out.append(Fraction(sign * (cost - objective[col]), den))
-        return tuple(out)
+            out.append(sign * (cost - objective[col]))
+        return out, den
 
-    def point(self) -> tuple[Fraction, ...]:
-        xstd = [_ZERO] * self.z
+    def point(self) -> tuple[list[int], int]:
+        """The basic solution in the system's variables, over one denominator."""
+        xstd = [(0, 1)] * (self.z + 1)  # the last for a missing minus column
         for row, col in zip(self.T, self.basis):
-            xstd[col] = Fraction(row[-1], row[col])
-        out = []
-        for j in range(self.system.num_vars):
-            v = xstd[self.plus[j]]
-            mcol = self.minus[j]
-            if mcol is not None:
-                v -= xstd[mcol]
-            out.append(v)
-        return tuple(out)
+            if row[-1]:
+                xstd[col] = (row[-1], row[col])
+        minus = [-1 if m is None else m for m in self.minus]
+        pairs = [(xstd[p], xstd[m]) for p, m in zip(self.plus, minus)]
+        den = lcm(*(d for pair in pairs for _n, d in pair))
+        return [n * (den // d) - m * (den // e) for (n, d), (m, e) in pairs], den
 
     def _purge_artificials(self) -> None:
         # A basic artificial sits at zero after a successful phase one, but
@@ -423,9 +444,9 @@ def solve_feasibility(system: LinearSystem) -> FeasibilityOutcome:
     """
     simplex = _Simplex(system)
     if simplex.phase_one() > 0:
-        outcome: FeasibilityOutcome = Infeasible(simplex.farkas())
+        outcome: FeasibilityOutcome = Infeasible.over(*simplex.farkas())
     else:
-        outcome = Feasible(simplex.point())
+        outcome = Feasible.over(*simplex.point())
     if not verify_outcome(system, outcome):
         raise RuntimeError("solver produced an outcome that fails verification")
     return outcome
@@ -447,7 +468,7 @@ def maximize(system: LinearSystem, objective) -> tuple[Fraction, tuple[Fraction,
         value = simplex.phase_two_max(objective)
     except ArithmeticError:
         raise ValueError("objective is unbounded over the feasible set") from None
-    point = simplex.point()
-    if not verify_outcome(system, Feasible(point)):
+    outcome = Feasible.over(*simplex.point())
+    if not verify_outcome(system, outcome):
         raise RuntimeError("optimizer left the feasible set")
-    return value, point
+    return value, outcome.point

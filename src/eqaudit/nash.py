@@ -36,7 +36,6 @@ from .games import (
     MarginalProfile,
     ProfilewiseScheme,
     check_shape,
-    common_denominator,
     independent_play,
     product_distribution,
 )
@@ -54,7 +53,7 @@ def _payoff_numerators(game: Game, p: MarginalProfile, i: int) -> tuple[list[int
 
     `games.independent_play` with `i` pinned to action 0 weights each line
     of `i`; the lines' `Game.int_payoffs` are put over one lcm."""
-    rows = p.probs[:i] + ((1,),) + p.probs[i + 1 :]
+    rows = p.int_rows[:i] + (((1,), 1),) + p.int_rows[i + 1 :]
     lines, den = independent_play(game.shape, rows)
     pay, pay_dens = game.int_payoffs[i]
     common = lcm(*(pay_dens[base] for base, _ in lines))
@@ -89,10 +88,9 @@ def _best_deviation(game: Game, p: MarginalProfile):
     each player's largest positive gain."""
     check_shape(game, p)
     found = None
-    for i, row in enumerate(p.probs):
+    for i, (weights, scale) in enumerate(p.int_rows):
         values, den = _payoff_numerators(game, p, i)
         best = max(values)
-        weights, scale = common_denominator(row)
         gains = [w * (best - v) for w, v in zip(weights, values)]
         top = max(gains)
         if top > 0:

@@ -17,13 +17,13 @@ verdict's claimed income, is where a sign is required: positive, and
 equal to the claim.
 
 The verifiers read the integer stores of what they check and never make
-a Fraction view: `JointDistribution.int_probs`, `DeviationKernel.int_rows`
-(through `surplus_parts`) and `ProfilewiseScheme.int_fee`.
-`verify_profilewise` takes its income as one integer sum over the
-profiles that `games.independent_play` reaches under p. `verify_witness`
-compares p with `JointDistribution.marginals()`, shared model code that
-sums q's marginals as integers over q's one denominator; its incentive
-check, `is_correlated_equilibrium`, reads the integer payoff view too.
+a Fraction view: `MarginalProfile.int_rows`, `JointDistribution.int_probs`,
+`DeviationKernel.int_rows` (through `surplus_parts`), `int_fees` and
+`int_fee`, and each scheme checker sums its income as one integer.
+`verify_witness` compares the integer stores of p and of
+`JointDistribution.marginals()`, shared model code that sums q's
+marginals as integers over q's one denominator; its incentive check,
+`is_correlated_equilibrium`, reads the integer payoff view too.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .games import (
     ActionwiseScheme,
@@ -43,9 +44,6 @@ from .games import (
     product_distribution,
     surplus_parts,
 )
-
-_ZERO = Fraction(0)
-
 
 class SchemeViolation(ValueError):
     """A transfer scheme's pointwise inequality fails at some profile."""
@@ -126,15 +124,16 @@ def verify_actionwise(game: Game, p: MarginalProfile, scheme) -> Fraction:
     """Check an action-wise scheme pointwise and return its expected
     fee income under `p`."""
     check_shape(game, scheme.kernel, p)
-    scale = lcm(*(fee.denominator for row in scheme.fees for fee in row))
-    scaled = [
-        [fee.numerator * (scale // fee.denominator) for fee in row]
-        for row in scheme.fees
-    ]
+    scale = lcm(*(den for _nums, den in scheme.int_fees))
+    scaled = [[n * (scale // den) for n in nums] for nums, den in scheme.int_fees]
     totals = map(sum, itertools.product(*scaled))
     _check_fees(game, scheme.kernel, ((total, scale) for total in totals))
-    weighted = zip(itertools.chain(*p.probs), itertools.chain(*scaled))
-    return sum((w * n for w, n in weighted), _ZERO) / scale
+    # sum_i sum_a (w_ia / d_i) * (f_ia / scale), over the lcm of the d_i.
+    den = lcm(*(d for _w, d in p.int_rows))
+    income = sum(
+        sum(map(mul, w, f)) * (den // d) for (w, d), f in zip(p.int_rows, scaled)
+    )
+    return Fraction(income, den * scale)
 
 
 def verify_profilewise(game: Game, p: MarginalProfile, scheme) -> Fraction:
@@ -145,7 +144,7 @@ def verify_profilewise(game: Game, p: MarginalProfile, scheme) -> Fraction:
     if len(fees) != game.num_profiles:
         raise ValueError("fee table length does not match game")
     _check_fees(game, scheme.kernel, zip(fees, fee_dens))
-    cells, den = independent_play(game.shape, p.probs)
+    cells, den = independent_play(game.shape, p.int_rows)
     fee_den = lcm(*(fee_dens[flat] for flat, _ in cells))
     income = sum(
         weight * fees[flat] * (fee_den // fee_dens[flat]) for flat, weight in cells

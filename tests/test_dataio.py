@@ -482,6 +482,10 @@ TABLE_ROWS = [
     ['"1/4"', "null", '"1/4"', '"1/4"'],
     ['"1/2"', '"1/2"', '"1/2"', '"-1/2"'],
     ['"1/2"', '"1/3"', '"0"', '"0"'],
+    ['"0"', '"1"', '"0"', '"0"'],
+    ['"-0"', '"007"', '"-3"', '"2"'],
+    ['"0,1"', '"0"', '"0"', '"1"'],
+    ['"%s"' % ("9" * 4301), '"0"', '"0"', '"1"'],
 ]
 
 

@@ -1,15 +1,18 @@
-"""The exact arithmetic around the CE solve makes no Fraction arithmetic.
+"""The audit path makes no Fraction arithmetic.
 
-`lp.verify_outcome`, `games._check_distribution`,
+`correlated.test_ce_compatibility`, `nash.test_nash_exploitability`,
+`verify.verify_witness`, `lp.verify_outcome`,
 `correlated.incentive_rows`, `correlated.build_ce_system`,
 `lp._Simplex.__init__` and `lp._Simplex.phase_one` run on integers over
 common denominators and only build Fractions, never add, subtract,
-multiply or divide them; `build_ce_system` builds none at all. These
-tests patch those operators and the constructor on the `Fraction` class
-to count calls made while one of the six functions is running, and run
-the golden `test-ce` cases through them. They also make the tableau's
-row builder and elimination raise while `verify_outcome` runs, so that
-the check is shown to share no code with the solver.
+multiply or divide them; `build_ce_system`, `verify_outcome` and
+`verify_witness` build none at all. These tests patch those operators
+and the constructor on the `Fraction` class to count calls made while
+one of the eight functions is running, wherever a module has imported
+it, and run the golden `test-ce` and `test-nash` cases through them.
+They also make the tableau's row builder and elimination raise while
+`verify_outcome` runs, so that the check is shown to share no code with
+the solver.
 """
 
 from collections import Counter
@@ -17,7 +20,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from eqaudit import correlated, games, lp
+from eqaudit import correlated, games, lp, nash, verify
 from test_golden_verdicts import CASES, _case
 
 # Rounds of row generation, so solves, over the golden `test-ce` cases.
@@ -28,13 +31,16 @@ OPERATORS = (
     "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
 )
 WATCHED = (
+    (correlated, "test_ce_compatibility"),
+    (nash, "test_nash_exploitability"),
+    (verify, "verify_witness"),
     (lp, "verify_outcome"),
-    (games, "_check_distribution"),
     (correlated, "incentive_rows"),
     (correlated, "build_ce_system"),
     (lp._Simplex, "__init__"),
     (lp._Simplex, "phase_one"),
 )
+MODULES = (correlated, games, lp, nash, verify)
 
 
 @pytest.fixture
@@ -57,7 +63,9 @@ def watched(monkeypatch):
 
     monkeypatch.setattr(F, "__new__", constructed)
     for owner, name in WATCHED:
-        def wrapper(*args, _original=getattr(owner, name), _name=name, **kwargs):
+        original = getattr(owner, name)
+
+        def wrapper(*args, _original=original, _name=name, **kwargs):
             active.append(_name)
             calls[_name] += 1
             try:
@@ -65,7 +73,10 @@ def watched(monkeypatch):
             finally:
                 active.pop()
 
-        monkeypatch.setattr(owner, name, wrapper)
+        # `correlated` calls `verify_witness` through its own import of it.
+        for holder in (owner, *MODULES):
+            if vars(holder).get(name) is original:
+                monkeypatch.setattr(holder, name, wrapper)
     return active, ops, calls, made
 
 
@@ -76,7 +87,10 @@ def cases():
 
 
 def _verdicts(cases):
-    return [correlated.test_ce_compatibility(game, p) for game, p in cases]
+    return [
+        (correlated.test_ce_compatibility(game, p), nash.test_nash_exploitability(game, p))
+        for game, p in cases
+    ]
 
 
 def test_the_counter_counts(watched):
@@ -97,11 +111,14 @@ def test_the_counter_counts(watched):
 def test_hot_path_makes_no_fraction_arithmetic(cases, watched):
     _active, ops, calls, made = watched
     verdicts = _verdicts(cases)
-    kinds = {type(v) for v in verdicts}
-    assert kinds == {correlated.Compatible, correlated.Exploitable}
+    assert {type(ce) for ce, _ne in verdicts} == {
+        correlated.Compatible, correlated.Exploitable
+    }
+    assert {type(ne) for _ce, ne in verdicts} == {nash.IsNash, nash.Exploitable}
     assert set(calls) == {name for _owner, name in WATCHED}
     assert not ops
-    assert made["build_ce_system"] == 0
+    assert made["build_ce_system"] == made["verify_outcome"] == 0
+    assert made["verify_witness"] == 0
 
 
 def test_verify_outcome_never_reaches_the_tableau(cases, watched, monkeypatch):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import identity_kernel
 from eqaudit.games import (
+    ActionwiseScheme,
     DeviationKernel,
     Game,
     JointDistribution,
@@ -142,6 +143,14 @@ def test_kernel_validation():
         DeviationKernel((((F(1, 2), F(1, 4)),) * 2,))
     with pytest.raises(ValueError):
         DeviationKernel((((F(2), F(-1)), (F(0), F(1))),))
+
+
+def test_support_rejects_an_unknown_player():
+    p = MarginalProfile(((F(1, 2), F(0), F(1, 2)), (F(1),)))
+    assert p.support(0) == (0, 2) and p.support(1) == (0,)
+    for i in (-1, 2):
+        with pytest.raises(ValueError, match=f"unknown player index {i}"):
+            p.support(i)
 
 
 def test_distribution_validation():
@@ -432,6 +441,35 @@ def test_profilewise_scheme_from_integer_pairs(data):
     assert built.int_fee == scheme.int_fee
 
 
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_marginal_profile_from_integer_pairs(data):
+    shape = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    rows = [_probability_row(data, k) for k in shape]
+    p = MarginalProfile(rows)
+    built = MarginalProfile.from_ratios([_unreduced(data, row) for row in rows])
+    assert "probs" not in vars(built)
+    _same_value(built, p, "probs")
+    assert built.int_rows == p.int_rows and built.shape == p.shape == tuple(shape)
+    assert [built.support(i) for i in range(len(shape))] == [
+        tuple(a for a, v in enumerate(row) if v) for row in rows
+    ]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_actionwise_scheme_from_integer_pairs(data):
+    shape = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    fees = st.fractions(-9, 9, max_denominator=12)
+    rows = [data.draw(st.lists(fees, min_size=k, max_size=k)) for k in shape]
+    kernel = identity_kernel(tuple(shape))
+    scheme = ActionwiseScheme(rows, kernel)
+    built = ActionwiseScheme.from_ratios([_unreduced(data, row) for row in rows], kernel)
+    assert "fees" not in vars(built)
+    _same_value(built, scheme, "fees")
+    assert built.int_fees == scheme.int_fees
+
+
 def _rejection(build, *args):
     with pytest.raises(ValueError) as exc:
         build(*args)
@@ -460,6 +498,29 @@ BAD_KERNELS = [
 ]
 
 
+BAD_MARGINALS = [
+    ((F(1, 2), F(1, 3)),),
+    ((F(1),), (F(3, 2), F(-1, 2))),
+    ((F(1),), ()),
+]
+
+
+@pytest.mark.parametrize("rows", BAD_MARGINALS)
+def test_marginal_profile_constructors_reject_alike(rows):
+    pairs = [[(2 * v.numerator, 2 * v.denominator) for v in row] for row in rows]
+    expected = _rejection(MarginalProfile, rows)
+    assert _rejection(MarginalProfile.from_ratios, pairs) == expected
+
+
+def test_actionwise_scheme_constructors_reject_alike():
+    kernel = identity_kernel((2, 2))
+    fees = ((F(1), F(-1, 2)), (F(0),))
+    pairs = [[(2 * v.numerator, 2 * v.denominator) for v in row] for row in fees]
+    expected = _rejection(ActionwiseScheme, fees, kernel)
+    assert expected == "fee table shape does not match kernel"
+    assert _rejection(ActionwiseScheme.from_ratios, pairs, kernel) == expected
+
+
 @pytest.mark.parametrize("shape, probs", BAD_JOINTS)
 def test_joint_distribution_constructors_reject_alike(shape, probs):
     pairs = [(2 * v.numerator, 2 * v.denominator) for v in probs]
@@ -486,6 +547,12 @@ def test_integer_constructors_need_positive_denominators():
         fee = [(1, 1), (1, bad)]
         assert _rejection(ProfilewiseScheme.from_ratios, fee, kernel) == (
             "fee table has a non-positive denominator"
+        )
+        assert _rejection(ActionwiseScheme.from_ratios, [fee], kernel) == (
+            "fee table has a non-positive denominator"
+        )
+        assert _rejection(MarginalProfile.from_ratios, [[(1, 1)], [(1, bad)]]) == (
+            "marginal distribution of player 1 has a non-positive denominator"
         )
 
 

@@ -23,7 +23,7 @@ from conftest import duplicate_action
 from eqaudit import correlated, lp, nash
 from eqaudit.games import (
     DeviationKernel,
-    _check_distribution,
+    _distribution,
     Game,
     JointDistribution,
     MarginalProfile,
@@ -177,8 +177,11 @@ def _candidate_rows(draw):
 @settings(max_examples=300, deadline=None)
 @given(_candidate_rows())
 def test_check_distribution_matches_the_fraction_check(values):
+    # The integer check reads each value as its pair `(n, d)`, as the
+    # `from_ratios` constructors pass it.
+    pairs = tuple((v.numerator, v.denominator) for v in values)
     expected = _distribution_error(fraction_checks.check_distribution, values)
-    assert _distribution_error(_check_distribution, values) == expected
+    assert _distribution_error(_distribution, pairs) == expected
 
 
 @settings(max_examples=150, deadline=None)

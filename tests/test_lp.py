@@ -230,6 +230,30 @@ def test_a_row_rejects_a_bad_sense_and_cannot_change():
     assert (row.nums, row.rhs_num, row.den) == ((3, 18), 2, 6)
 
 
+def test_outcomes_hold_one_integer_form():
+    # Either arm holds numerators over one positive denominator with no
+    # common factor; the Fraction constructor and `over` agree, and each
+    # arm reads back only its own field.
+    for arm, field, other in (
+        (lp.Feasible, "point", "multipliers"),
+        (lp.Infeasible, "multipliers", "point"),
+    ):
+        built = arm((F(1, 2), F(-3, 4), 0, "5/6"))
+        assert (built.nums, built.den) == ((6, -9, 0, 10), 12)
+        assert arm.over([12, -18, 0, 20], 24) == built
+        assert hash(arm.over((6, -9, 0, 10), 12)) == hash(built)
+        assert getattr(built, field) == (F(1, 2), F(-3, 4), F(0), F(5, 6))
+        assert not hasattr(built, other)
+        assert arm.over((), 5) == arm(()) and arm(()).den == 1
+        for den in (0, -1):
+            with pytest.raises(ValueError):
+                arm.over((1,), den)
+        for name in ("nums", "den", field):
+            with pytest.raises(AttributeError):  # FrozenInstanceError is one
+                setattr(built, name, 1)
+    assert lp.Feasible((F(1),)) != lp.Infeasible((F(1),))
+
+
 @st.composite
 def _systems(draw):
     n = draw(st.integers(1, 5))

@@ -61,9 +61,22 @@ def test_output_digest_names_each_gated_workload():
     assert all(len(bytes.fromhex(digest)) == 32 for digest in digests.values())
 
 
+# Any change to the bytes of either workload must be deliberate: a change
+# that moves certificates on purpose updates its pin here and says why in
+# CHANGES.md.
+def test_output_digest_pins_the_audit_mid_verdicts():
+    assert _digests("1")["audit-mid"] == (
+        "e611652790baa647692f776c6fdb6fd8cbcae0a1c2c73657fd74c63fb03502e0"
+    )
+
+
+def test_output_digest_pins_the_held_out_audit_mid_verdicts():
+    assert _digests("7919")["audit-mid"] == (
+        "cc002c4e1384762573dc8260e8ea4aaaa2216826a2a782ef8dda0781fb081dd9"
+    )
+
+
 def test_output_digest_pins_the_verify_large_replies():
-    # `verify` replies come from no solver, so any change to their bytes
-    # must be deliberate; `audit-mid` certificates may move with the solver.
     assert _digests("1")["verify-large"] == (
         "96234bd7f3602d195182284b12c0b2e2aa5e735b50d807b757b12b16892b4e3f"
     )

@@ -21,6 +21,7 @@ from eqaudit.games import (
 from eqaudit.nash import ProfilewiseScheme
 from eqaudit.verify import (
     SchemeViolation,
+    is_correlated_equilibrium,
     verify_actionwise,
     verify_exploitable,
     verify_nash,
@@ -66,6 +67,17 @@ def test_witness_rejects_product_of_skewed(coordination, skewed_profile):
 def test_witness_rejects_wrong_marginals(coordination, diagonal_profile):
     q = JointDistribution.point_mass((2, 3), (0, 0))
     assert not verify_witness(coordination, diagonal_profile, q)
+
+
+def test_a_deviation_gaining_exactly_one_breaks_equilibrium():
+    # Integer payoffs and a point mass leave every incentive comparison
+    # unscaled, so a gain of exactly 1 is a gap of one unit: the check
+    # must have no tolerance, not even one unit. A gain of 0 is no breach.
+    for gain, expected in ((1, False), (0, True)):
+        game = Game(("A", "B"), (("x", "y"), ("l", "r")), ((0, 0, gain, gain), (0,) * 4))
+        assert game.int_payoffs[0][1] == (1, 1, 1, 1)
+        q = JointDistribution.point_mass(game.shape, (0, 0))
+        assert is_correlated_equilibrium(game, q) is expected
 
 
 def test_actionwise_income_from_dominated_column(coordination, halfhalf_scheme):

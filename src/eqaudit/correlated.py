@@ -24,11 +24,11 @@ every row left out, certify the whole system. The outcome is read back
 without a solver and judged by `verify`, which also computes the income
 an exploitable verdict carries; this module does no income arithmetic.
 A witness is the integer point (`lp.Feasible.nums`) zero-extended to
-every profile (`JointDistribution.from_ratios`). Multipliers become a
+every profile (`JointDistribution.from_columns`). Multipliers become a
 kernel and fees, scaled in integers over their common denominator, and
-go over that denominator straight to `DeviationKernel.from_ratios`,
+go over that denominator straight to `DeviationKernel.from_columns`,
 which checks in integers that every row sums to 1, and to
-`ActionwiseScheme.from_ratios`; an unobserved action has no kept
+`ActionwiseScheme.from_columns`; an unobserved action has no kept
 row, so its kernel row is the identity and its fee is the largest value
 at most 0 that keeps feasible every profile charged to it, a profile
 outside the support product being charged to the unobserved action of
@@ -208,13 +208,13 @@ def normalize_dual(game: Game, p: MarginalProfile, multipliers) -> Exploitable:
     for player_rows in weights:
         for ai, row in enumerate(player_rows):
             row[ai] = total - sum(row)
-    kernel = DeviationKernel.from_ratios(
-        [[[(v, total) for v in row] for row in rows] for rows in weights]
+    kernel = DeviationKernel.from_columns(
+        [[(row, [total] * len(row)) for row in rows] for rows in weights]
     )
     fee_nums = [[0] * k for k in shape]
     for (i, a), y in zip(marginals, nums[len(pairs) :]):
         fee_nums[i][a] = y
-    fees = [[(y, total) for y in row] for row in fee_nums]
+    fee_dens = [[total] * k for k in shape]
     # The profiles charged to i's unobserved action a: i plays a, and every
     # lower-index player an observed action. Its fee starts at 0 and is
     # lowered, as an integer ratio, to each of their caps below it.
@@ -232,8 +232,8 @@ def normalize_dual(game: Game, p: MarginalProfile, multipliers) -> Exploitable:
                 cap, cap_den = gain - paid * gain_den, total * gain_den
                 if cap * low_den < low * cap_den:
                     low, low_den = cap, cap_den
-            fees[i][a] = (low, low_den)
-    scheme = ActionwiseScheme.from_ratios(fees, kernel)
+            fee_nums[i][a], fee_dens[i][a] = low, low_den
+    scheme = ActionwiseScheme.from_columns(list(zip(fee_nums, fee_dens)), kernel)
     income = verify_actionwise(game, p, scheme)
     if income <= 0:
         raise ValueError(f"scheme earns {income}, not a positive income")
@@ -276,10 +276,10 @@ def test_ce_compatibility(game: Game, p: MarginalProfile) -> CeVerdict:
         point, den = outcome.nums, outcome.den
         failing = violated(point)
         if not failing:
-            ratios = [(0, 1)] * game.num_profiles
+            nums = [0] * game.num_profiles
             for (flat, _weight), v in zip(cells, point):
-                ratios[flat] = (v, den)
-            witness = JointDistribution.from_ratios(game.shape, ratios)
+                nums[flat] = v
+            witness = JointDistribution.from_columns(game.shape, (nums, [den] * len(nums)))
             if not verify_witness(game, p, witness):
                 raise RuntimeError("witness fails the marginal or incentive check")
             return Compatible(witness)

@@ -12,13 +12,18 @@ the same rules as strings: 1e4301 is malformed, and so is an integer of
 more than 4300 digits, bare or inside a string. An error line quotes at
 most 40 characters of an input value (`games.quoted`).
 Every rational table (payoffs, witnesses, kernel rows, fee tables,
-marginals) is read by one row reader, `_ratio_row`, into integer pairs:
-a row of plain "n" and "n/d" strings is matched and converted as a whole
-and makes no Fraction (a row of "n" alone, as a witness is, with no
-rewrite), and any other row is read value by value, as `parse_rational`
-reads it, so the first bad value is the one reported. Every table, play
-log frequencies included, goes straight into the `from_ratios`
-constructor of its model type, which validates in integers.
+marginals) is read by one row reader, `_ratio_row`, into integer columns
+`(numerators, denominators)`: a row of JSON integer literals and "n/d"
+strings of two of them is joined, with each "n" rewritten "n/1" only
+when the row has a '/', and read in one call to the C JSON number
+scanner, making no Fraction and no per-value pair. Any other row (a
+leading zero, whitespace, a sign, a decimal, a zero or negative
+denominator, a value that is not a string) is read value by value, as
+`parse_rational` reads it, so the first bad value is the one reported.
+Every table, play log frequencies included, goes straight into the
+`from_columns` constructor of its model type, which validates in
+integers. Certificates are written from the same integer stores, each
+value reduced by one gcd, with the bytes `rational_str` writes.
 Payoff tensors, joint
 distributions and fee tables are flat lists in row-major profile order:
 players in declaration order, actions in declaration order, last
@@ -48,6 +53,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from math import gcd
 
 from .games import (
     ActionwiseScheme,
@@ -72,11 +78,10 @@ MAX_EXPONENT = 4300
 # The form `rational_str` emits: an optional '-', ASCII digits, and
 # optionally '/' and ASCII digits.
 _PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
-# A row of "n/d" values with nonzero denominators, joined by ','.
-_RATIO = r"-?[0-9]+/0*[1-9][0-9]*"
-_RATIO_ROW = re.compile(f"{_RATIO}(?:,{_RATIO})*")
-# A row of "n" values, joined by ','.
-_INT_ROW = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
+# Deletes the characters of a joined row of plain "n/d" strings.
+_ROW_CHARS = str.maketrans("", "", "0123456789-/,")
+# The JSON scanner with its default `int` parsing, for a whole row.
+_JSON = json.JSONDecoder()
 # The exponent of a decimal literal as `Fraction` reads it.
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
@@ -123,13 +128,29 @@ def parse_rational(value) -> Fraction:
 
 
 def rational_str(value: Fraction) -> str:
+    value = Fraction(value)
+    return _ratio_strs((value.numerator,), (value.denominator,))[0]
+
+
+def _ratio_strs(nums, dens) -> list[str]:
+    """The text of each `n / d` (with `d > 0`), written from the integers:
+    "n/d" reduced by one gcd, or "n" when that leaves d == 1."""
     try:
-        return str(Fraction(value))
+        return [
+            str(n // g) if (g := gcd(n, d)) == d else f"{n // g}/{d // g}"
+            for n, d in zip(nums, dens)
+        ]
     except ValueError:  # more digits than int-to-str converts
         raise DataFormatError(
             "the result has a rational over the "
             f"{sys.get_int_max_str_digits()}-digit output limit"
         ) from None
+
+
+def _common_row(row) -> list[str]:
+    """`_ratio_strs` of a row held as `(numerators, denominator)`."""
+    nums, den = row
+    return _ratio_strs(nums, [den] * len(nums))
 
 
 def _has_long_digit_run(text: str) -> bool:
@@ -210,13 +231,14 @@ def _parse_table(doc, players, what: str, read, sizes=None) -> tuple:
     return tuple(rows)
 
 
-def _table_doc(players, rows, item=rational_str) -> dict:
-    """Write a per-player table, the inverse of `_parse_table`."""
-    return {player: [item(v) for v in row] for player, row in zip(players, rows)}
+def _table_doc(players, rows, write) -> dict:
+    """Write a per-player table, the inverse of `_parse_table`: each row
+    as `write` writes it, such as `_each(item)`."""
+    return {player: write(row) for player, row in zip(players, rows)}
 
 
 def _each(item):
-    """A row reader that reads every entry with `item`."""
+    """A row reader or writer that maps every entry with `item`."""
     return lambda row: tuple(map(item, row))
 
 
@@ -226,36 +248,49 @@ def _label(value) -> str:
     return value
 
 
-def _ratio_row(row) -> tuple[tuple[int, int], ...]:
-    """`parse_rational` of each entry of `row`, as integer pairs
-    `(numerator, denominator)` with positive denominators. A row of plain
-    "n" strings, or of plain "n" and "n/d" strings with each "n" read as
-    "n/1", is matched as a whole and converted with `int`, making no
-    Fraction. Any other row (a value that is not a string, is not plain,
-    has a zero denominator or has more digits than `int` converts) is read
-    value by value, so it keeps `parse_rational`'s values and its first
-    error."""
+def _ratio_row(row) -> tuple[list[int], list[int]]:
+    """`parse_rational` of each entry of `row`, as integer columns
+    `(numerators, denominators)` with positive denominators.
+
+    A row of JSON integer literals, or of those and "n/d" strings of two
+    of them with each "n" read as "n/1", is joined and read in one call
+    to the JSON scanner, making no Fraction and no per-value pair (a row
+    of "n" alone with no rewrite). Any other row is read value by value:
+    a value that is not a string, holds a ',', a second '/' or any other
+    character, is not a JSON integer (a leading zero, say) or has more
+    digits than `int` converts, or a row with a denominator below 1. So
+    the row keeps `parse_rational`'s values and its first error."""
     try:
         text = ",".join(row)
     except TypeError:  # a value that is not a string
         text = ""
+    size = len(row)
     ratios = "/" in text
     if ratios:
         text = ",".join([v if "/" in v else v + "/1" for v in row])
-    # A ',' inside a value would add an entry, so the count must match.
-    whole = (_RATIO_ROW if ratios else _INT_ROW).fullmatch(text)
-    if whole and text.count(",") == len(row) - 1:
+    # A ',' inside a value would add an entry, and a second '/' would
+    # shift the pairs, so each count must match.
+    if (
+        text
+        and text.count(",") == size - 1
+        and (not ratios or text.count("/") == size)
+        and not text.translate(_ROW_CHARS)
+    ):
         try:
-            ints = list(map(int, text.replace("/", ",").split(",")))
-        except ValueError:  # more digits than int() converts
+            ints = _JSON.raw_decode("[" + text.replace("/", ",") + "]")[0]
+        except ValueError:  # not JSON, or more digits than int() converts
             pass
         else:
-            pairs = zip(ints[::2], ints[1::2]) if ratios else zip(ints, [1] * len(ints))
-            return tuple(pairs)
-    return tuple((v.numerator, v.denominator) for v in map(parse_rational, row))
+            if not ratios:
+                return ints, [1] * size
+            dens = ints[1::2]
+            if min(dens) > 0:
+                return ints[::2], dens
+    values = list(map(parse_rational, row))
+    return [v.numerator for v in values], [v.denominator for v in values]
 
 
-def _kernel_row(row) -> tuple[tuple[int, int], ...]:
+def _kernel_row(row) -> tuple[list[int], list[int]]:
     if not isinstance(row, list):
         raise DataFormatError("kernel rows must be lists")
     return _ratio_row(row)
@@ -269,16 +304,16 @@ def parse_game(text: str) -> Game:
     if not isinstance(players, list) or not all(isinstance(p, str) for p in players):
         raise DataFormatError("'players' must be a list of strings")
     actions = _parse_table(_require(doc, "actions"), players, "actions", _each(_label))
-    ratios = _parse_table(_require(doc, "payoffs"), players, "payoffs", _ratio_row)
-    return _checked(Game.from_ratios, tuple(players), actions, ratios)
+    columns = _parse_table(_require(doc, "payoffs"), players, "payoffs", _ratio_row)
+    return _checked(Game.from_columns, tuple(players), actions, columns)
 
 
 def emit_game(game: Game) -> str:
     return canonical_json(
         {
             "players": list(game.players),
-            "actions": _table_doc(game.players, game.actions, str),
-            "payoffs": _table_doc(game.players, game.payoffs),
+            "actions": _table_doc(game.players, game.actions, _each(str)),
+            "payoffs": _table_doc(game.players, game.payoffs, _each(rational_str)),
         }
     )
 
@@ -288,16 +323,16 @@ def parse_marginals(text: str, game: Game) -> MarginalProfile:
     action declaration order."""
     doc = _loads(text)
     rows = _parse_table(doc, game.players, "marginals", _ratio_row, game.shape)
-    return _checked(MarginalProfile.from_ratios, rows)
+    return _checked(MarginalProfile.from_columns, rows)
 
 
 def emit_marginals(game: Game, p: MarginalProfile) -> str:
-    return canonical_json(_table_doc(game.players, p.probs))
+    return canonical_json(_table_doc(game.players, p.int_rows, _common_row))
 
 
 def _parse_kernel_doc(doc, game: Game) -> DeviationKernel:
     rows = _parse_table(doc, game.players, "kernel", _each(_kernel_row), game.shape)
-    return _checked(DeviationKernel.from_ratios, rows)
+    return _checked(DeviationKernel.from_columns, rows)
 
 
 def parse_kernel(text: str, game: Game) -> DeviationKernel:
@@ -306,9 +341,7 @@ def parse_kernel(text: str, game: Game) -> DeviationKernel:
 
 
 def _kernel_doc(game: Game, kernel: DeviationKernel) -> dict:
-    return _table_doc(
-        game.players, kernel.rows, lambda row: [rational_str(v) for v in row]
-    )
+    return _table_doc(game.players, kernel.int_rows, _each(_common_row))
 
 
 def emit_kernel(game: Game, kernel: DeviationKernel) -> str:
@@ -319,13 +352,13 @@ def _scheme_doc(game: Game, scheme) -> dict:
     if isinstance(scheme, ActionwiseScheme):
         return {
             "type": "actionwise",
-            "fees": _table_doc(game.players, scheme.fees),
+            "fees": _table_doc(game.players, scheme.int_fees, _common_row),
             "kernel": _kernel_doc(game, scheme.kernel),
         }
     if isinstance(scheme, ProfilewiseScheme):
         return {
             "type": "profilewise",
-            "fee": [rational_str(v) for v in scheme.fee],
+            "fee": _ratio_strs(*scheme.int_fee),
             "kernel": _kernel_doc(game, scheme.kernel),
         }
     raise TypeError(f"not a transfer scheme: {scheme!r}")
@@ -342,10 +375,10 @@ def _parse_scheme_doc(doc, game: Game):
         fees = _parse_table(
             _require(doc, "fees"), game.players, "fees", _ratio_row, game.shape
         )
-        return ActionwiseScheme.from_ratios(fees, kernel)
+        return ActionwiseScheme.from_columns(fees, kernel)
     if kind == "profilewise":
         fee = _profile_values(_require(doc, "fee"), game, "'fee'")
-        return ProfilewiseScheme.from_ratios(fee, kernel)
+        return ProfilewiseScheme.from_columns(fee, kernel)
     raise DataFormatError(f"unknown scheme type {quoted(kind)}")
 
 
@@ -355,7 +388,7 @@ def parse_scheme(text: str, game: Game):
     return _parse_scheme_doc(_loads(text), game)
 
 
-def _profile_values(values, game: Game, what: str) -> tuple[tuple[int, int], ...]:
+def _profile_values(values, game: Game, what: str) -> tuple[list[int], list[int]]:
     if not isinstance(values, list) or len(values) != game.num_profiles:
         raise DataFormatError(
             f"{what} must list {game.num_profiles} values in row-major order"
@@ -364,8 +397,8 @@ def _profile_values(values, game: Game, what: str) -> tuple[tuple[int, int], ...
 
 
 def _joint_values(game: Game, values) -> JointDistribution:
-    ratios = _profile_values(values, game, "witness")
-    return _checked(JointDistribution.from_ratios, game.shape, ratios)
+    columns = _profile_values(values, game, "witness")
+    return _checked(JointDistribution.from_columns, game.shape, columns)
 
 
 def emit_verdict(game: Game, verdict) -> str:
@@ -373,7 +406,7 @@ def emit_verdict(game: Game, verdict) -> str:
     if isinstance(verdict, Compatible):
         doc = {
             "verdict": "compatible",
-            "witness": [rational_str(v) for v in verdict.witness.probs],
+            "witness": _common_row(verdict.witness.int_probs),
         }
     elif isinstance(verdict, Exploitable):
         doc = {
@@ -490,5 +523,5 @@ def empirical_marginals(game: Game, log: dict[str, list[str]]) -> MarginalProfil
         counts = [0] * len(game.actions[i])
         for label in history:
             counts[_checked(game.action_index, i, label)] += 1
-        rows.append([(c, len(history)) for c in counts])
-    return MarginalProfile.from_ratios(rows)
+        rows.append((counts, [len(history)] * len(counts)))
+    return MarginalProfile.from_columns(rows)

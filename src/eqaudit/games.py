@@ -29,10 +29,13 @@ line view, `MarginalProfile.int_rows` and `DeviationKernel.int_rows`
 (each row over its own lcm), `JointDistribution.int_probs` (over one
 denominator), `ActionwiseScheme.int_fees` (each player's fees over their
 lcm) and `ProfilewiseScheme.int_fee` (one reduced pair per profile).
-Each type's `from_ratios` takes the constructor's arguments with every
-rational an integer pair `(n, d)` and validates in integers (positive
-denominators, non-negative entries, rows that sum to their lcm,
-squareness, lengths); `dataio` and the analyzers build with it. Its
+Each type's `from_columns` takes the constructor's arguments with every
+row of rationals as integer columns `(numerators, denominators)` and
+validates in integers (positive denominators, non-negative entries, rows
+that sum to their lcm, squareness, lengths); `dataio` and the analyzers
+build with it, and `from_ratios`, which takes each rational as an
+integer pair `(n, d)`, unzips its rows onto it. No Fraction and no
+per-value pair is made on the way from a parsed row to the store. Its
 Fraction field (`payoffs`, `probs`, `rows`, `fees`, `fee`) is a
 read-only view made on first read; built from Fractions, an object keeps
 them as that view. The store alone decides equality, hashing and
@@ -120,16 +123,29 @@ class _Frozen:
 
     _KEY: tuple[str, ...] = ()
     _FIELDS: tuple[str, ...] = ()
+    # The constructor argument that holds the rationals, and how many
+    # list levels deep its rows are.
+    _RATIOS: tuple[int, int] = (0, 0)
 
     @classmethod
-    def from_ratios(cls, *args):
-        """The object the constructor would build, with every rational
-        value given as an integer pair `(n, d)` for `n / d`, where `d > 0`.
-        Builds the integer store straight from the pairs, with no Fraction,
-        and validates it in integers with the constructor's messages."""
+    def from_columns(cls, *args):
+        """The object the constructor would build, with every row of
+        rationals given as integer columns `(numerators, denominators)`
+        of equal length, for `n / d` where `d > 0`. Builds the integer
+        store straight from the columns, with no Fraction, and validates
+        it in integers with the constructor's messages."""
         obj = cls.__new__(cls)
         obj._store(*args)
         return obj
+
+    @classmethod
+    def from_ratios(cls, *args):
+        """`from_columns`, with each rational given as an integer pair
+        `(n, d)` instead."""
+        at, depth = cls._RATIOS
+        args = list(args)
+        args[at] = _unzip(args[at], depth)
+        return cls.from_columns(*args)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -156,12 +172,20 @@ class _Frozen:
         return f"{type(self).__name__}({fields})"
 
 
-def _over_lcm(ratios, what: str) -> tuple[tuple[int, ...], int]:
-    """Integer pairs `(n, d)` as numerators over one denominator, the lcm
-    of their reduced denominators, however the pairs were reduced: over
-    the lcm D of the d, the gcd of D and the numerators is D over that
-    lcm. ValueError unless every d is positive."""
-    nums, dens = zip(*ratios) if ratios else ((), ())
+def _unzip(ratios, depth: int):
+    """Integer pairs `(n, d)` in rows nested `depth` lists deep, with each
+    row as its columns `(numerators, denominators)`."""
+    if depth:
+        return [_unzip(row, depth - 1) for row in ratios]
+    ratios = tuple(ratios)
+    return tuple(zip(*ratios)) if ratios else ((), ())
+
+
+def _over_lcm(nums, dens, what: str) -> tuple[tuple[int, ...], int]:
+    """The rationals `n / d` of integer columns as numerators over one
+    denominator, the lcm of their reduced denominators, however the values
+    were reduced: over the lcm D of the d, the gcd of D and the numerators
+    is D over that lcm. ValueError unless every d is positive."""
     if min(dens, default=1) <= 0:
         raise ValueError(f"{what} has a non-positive denominator")
     den = lcm(*dens)
@@ -172,10 +196,10 @@ def _over_lcm(ratios, what: str) -> tuple[tuple[int, ...], int]:
     return scaled, den // common
 
 
-def _distribution(ratios, what: str) -> tuple[tuple[int, ...], int]:
-    """`_over_lcm` of a distribution's pairs; ValueError unless the
+def _distribution(columns, what: str) -> tuple[tuple[int, ...], int]:
+    """`_over_lcm` of a distribution's columns; ValueError unless the
     entries are non-negative and sum to 1."""
-    nums, den = _over_lcm(ratios, what)
+    nums, den = _over_lcm(*columns, what)
     if min(nums, default=0) < 0:
         raise ValueError(f"{what} has a negative entry")
     if sum(nums) != den:
@@ -183,8 +207,8 @@ def _distribution(ratios, what: str) -> tuple[tuple[int, ...], int]:
     return nums, den
 
 
-def _pairs(values: Sequence[Fraction]) -> list[tuple[int, int]]:
-    return [(v.numerator, v.denominator) for v in values]
+def _int_columns(values: Sequence[Fraction]) -> tuple[list[int], list[int]]:
+    return [v.numerator for v in values], [v.denominator for v in values]
 
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -212,22 +236,25 @@ class Game(_Frozen):
     row-major order. Player and action identity is positional; labels are
     only used by the file formats and the CLI. A game is immutable, and
     two games are equal when their players, actions and payoff values are.
-    `Game.from_ratios(players, actions, ratios)` takes each payoff as
-    `ratios[i][k] == (n, d)` and builds `int_payoffs` from the pairs.
+    `Game.from_columns(players, actions, columns)` takes player i's
+    payoffs as `columns[i] == (numerators, denominators)` and builds
+    `int_payoffs` from them; `Game.from_ratios` takes each payoff as
+    `ratios[i][k] == (n, d)` instead.
     """
 
     _KEY = ("players", "actions", "int_payoffs")
     _FIELDS = ("players", "actions", "payoffs")
+    _RATIOS = (2, 1)
 
     def __init__(self, players, actions, payoffs):
         payoffs = tuple(_fraction_tuple(row) for row in payoffs)
         self._check(players, actions, payoffs)
         vars(self)["payoffs"] = payoffs
 
-    def _store(self, players, actions, ratios) -> None:
-        ratios = tuple(map(tuple, ratios))
-        self._check(players, actions, ratios)
-        vars(self)["int_payoffs"] = self._line_view(ratios)
+    def _store(self, players, actions, columns) -> None:
+        columns = tuple(columns)
+        self._check(players, actions, [nums for nums, _dens in columns])
+        vars(self)["int_payoffs"] = self._line_view(columns)
 
     def _check(self, players, actions, payoffs) -> None:
         """Validate the game and set its players and actions."""
@@ -324,24 +351,23 @@ class Game(_Frozen):
         The profiles on one line of `i` share their denominator, the lcm
         of that line's payoff denominators. This is the game's payoff
         store; a game built from Fractions derives it on first read."""
-        return self._line_view(list(map(_pairs, self.payoffs)))
+        return self._line_view(list(map(_int_columns, self.payoffs)))
 
     @cached_property
     def payoffs(self) -> tuple[tuple[Fraction, ...], ...]:
         """The payoffs as Fractions, read from `int_payoffs` on first use."""
         return tuple(tuple(map(Fraction, *row)) for row in self.int_payoffs)
 
-    def _line_view(self, ratios):
-        """`int_payoffs` from per-player `(numerator, denominator)` pairs, a
+    def _line_view(self, columns):
+        """`int_payoffs` from per-player `(numerators, denominators)`, a
         column at a time (`_columns`): every line's lcm D in one
         `map(lcm, ...)` over the denominator columns, and the gcd of D and
         the numerators over it in one `map(gcd, ...)`. That gcd is D over
         the lcm of the reduced denominators, so dividing by it gives the
-        same view however the pairs were reduced. ValueError unless every
+        same view however the values were reduced. ValueError unless every
         denominator is positive."""
         view = []
-        for i, row in enumerate(ratios):
-            nums, dens = zip(*row)
+        for i, (nums, dens) in enumerate(columns):
             if min(dens) <= 0:
                 raise ValueError(
                     f"payoff tensor for {quoted(self.players[i])} "
@@ -388,16 +414,17 @@ class MarginalProfile(_Frozen):
 
     _KEY = ("int_rows",)
     _FIELDS = ("probs",)
+    _RATIOS = (0, 1)
 
     def __init__(self, probs):
         probs = tuple(map(_fraction_tuple, probs))
-        self._store(list(map(_pairs, probs)))
+        self._store(list(map(_int_columns, probs)))
         vars(self)["probs"] = probs
 
-    def _store(self, ratios) -> None:
+    def _store(self, rows) -> None:
         vars(self)["int_rows"] = tuple(
             _distribution(row, f"marginal distribution of player {k}")
-            for k, row in enumerate(ratios)
+            for k, row in enumerate(rows)
         )
 
     @cached_property
@@ -421,20 +448,21 @@ class JointDistribution(_Frozen):
 
     _KEY = ("shape", "int_probs")
     _FIELDS = ("shape", "probs")
+    _RATIOS = (1, 0)
 
     def __init__(self, shape, probs):
         probs = _fraction_tuple(probs)
-        self._store(shape, _pairs(probs))
+        self._store(shape, _int_columns(probs))
         vars(self)["probs"] = probs
 
-    def _store(self, shape, ratios) -> None:
+    def _store(self, shape, columns) -> None:
         shape = tuple(int(k) for k in shape)
         if any(k < 1 for k in shape):
             raise ValueError("every player needs at least one action")
-        if len(ratios) != prod(shape):
+        if len(columns[0]) != prod(shape):
             raise ValueError("joint distribution length does not match shape")
         vars(self).update(
-            shape=shape, int_probs=_distribution(ratios, "joint distribution")
+            shape=shape, int_probs=_distribution(columns, "joint distribution")
         )
 
     @cached_property
@@ -446,9 +474,9 @@ class JointDistribution(_Frozen):
     @classmethod
     def point_mass(cls, shape: Sequence[int], profile: Profile) -> "JointDistribution":
         shape = tuple(shape)
-        ratios = [(0, 1)] * prod(shape)
-        ratios[flat_index(shape, profile)] = (1, 1)
-        return cls.from_ratios(shape, ratios)
+        nums = [0] * prod(shape)
+        nums[flat_index(shape, profile)] = 1
+        return cls.from_columns(shape, (nums, [1] * len(nums)))
 
     def profiles(self) -> Iterator[Profile]:
         return itertools.product(*(range(k) for k in self.shape))
@@ -470,7 +498,7 @@ class JointDistribution(_Frozen):
             if m:
                 for row, a in zip(sums, profile):
                     row[a] += m
-        return MarginalProfile.from_ratios([[(s, scale) for s in row] for row in sums])
+        return MarginalProfile.from_columns([(row, [scale] * len(row)) for row in sums])
 
 
 class DeviationKernel(_Frozen):
@@ -481,21 +509,22 @@ class DeviationKernel(_Frozen):
 
     _KEY = ("int_rows",)
     _FIELDS = ("rows",)
+    _RATIOS = (0, 2)
 
     def __init__(self, rows):
         rows = tuple(
             tuple(_fraction_tuple(row) for row in player_rows) for player_rows in rows
         )
-        self._store([[_pairs(row) for row in player_rows] for player_rows in rows])
+        self._store([[_int_columns(row) for row in player_rows] for player_rows in rows])
         vars(self)["rows"] = rows
 
-    def _store(self, ratios) -> None:
+    def _store(self, columns) -> None:
         store = []
-        for i, player_rows in enumerate(ratios):
+        for i, player_rows in enumerate(columns):
             k = len(player_rows)
             rows = []
             for a, row in enumerate(player_rows):
-                if len(row) != k:
+                if len(row[0]) != k:
                     raise ValueError(f"kernel for player {i} is not square")
                 rows.append(_distribution(row, f"kernel row ({i},{a})"))
             store.append(tuple(rows))
@@ -538,11 +567,11 @@ def independent_play(shape, rows) -> tuple[list[tuple[int, int]], int]:
 
 def product_distribution(p: MarginalProfile) -> JointDistribution:
     """Independent joint distribution with marginals `p`."""
-    ratios = [(0, 1)] * prod(p.shape)
+    nums = [0] * prod(p.shape)
     cells, den = independent_play(p.shape, p.int_rows)
     for flat, weight in cells:
-        ratios[flat] = (weight, den)
-    return JointDistribution.from_ratios(p.shape, ratios)
+        nums[flat] = weight
+    return JointDistribution.from_columns(p.shape, (nums, [den] * len(nums)))
 
 
 def surplus(game: Game, kernel: DeviationKernel, profile: Profile) -> Fraction:
@@ -634,14 +663,15 @@ class ActionwiseScheme(_Frozen):
 
     _KEY = ("int_fees", "kernel")
     _FIELDS = ("fees", "kernel")
+    _RATIOS = (0, 1)
 
     def __init__(self, fees, kernel: DeviationKernel):
         fees = tuple(map(_fraction_tuple, fees))
-        self._store(list(map(_pairs, fees)), kernel)
+        self._store(list(map(_int_columns, fees)), kernel)
         vars(self)["fees"] = fees
 
-    def _store(self, ratios, kernel: DeviationKernel) -> None:
-        int_fees = tuple(_over_lcm(row, "fee table") for row in ratios)
+    def _store(self, rows, kernel: DeviationKernel) -> None:
+        int_fees = tuple(_over_lcm(*row, "fee table") for row in rows)
         if tuple(len(nums) for nums, _den in int_fees) != kernel.shape:
             raise ValueError("fee table shape does not match kernel")
         vars(self).update(int_fees=int_fees, kernel=kernel)
@@ -665,11 +695,11 @@ class ProfilewiseScheme(_Frozen):
 
     def __init__(self, fee, kernel: DeviationKernel):
         fee = tuple(as_fraction(v) for v in fee)
-        self._store(_pairs(fee), kernel)
+        self._store(_int_columns(fee), kernel)
         vars(self)["fee"] = fee
 
-    def _store(self, ratios, kernel: DeviationKernel) -> None:
-        nums, dens = zip(*ratios) if ratios else ((), ())
+    def _store(self, columns, kernel: DeviationKernel) -> None:
+        nums, dens = columns
         if min(dens, default=1) <= 0:
             raise ValueError("fee table has a non-positive denominator")
         common = list(map(gcd, nums, dens))

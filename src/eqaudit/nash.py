@@ -14,8 +14,8 @@ test, a `games` type, carrying a `ProfilewiseScheme`. The
 best-response search, `_best_deviation`, and `expected_payoff` share one
 routine that reads the game's integer payoff view and weights each line
 by the integer product of the other players' scaled probabilities; the
-kernel and the fee are built as integer pairs, the fee read from that
-view, through the `from_ratios` constructors. `expected_payoff` raises
+kernel and the fee are built as integer columns, the fee read from that
+view, through the `from_columns` constructors. `expected_payoff` raises
 ValueError on a profile of the wrong shape, an unknown player or an
 action out of range. The pinned LP `build_nash_system` is kept as a
 reference formulation only.
@@ -129,7 +129,7 @@ def test_nash_exploitability(game: Game, p: MarginalProfile) -> NashVerdict:
     `b`; the fee is that kernel's surplus, `u_i(b, .) - u_i(a, .)` where
     `i` plays `a` and 0 elsewhere, read from `i`'s payoffs along `i`'s
     lines rather than from `surplus_parts`, which the checker uses. Both
-    are built from integer pairs, with no Fraction. The
+    are built from integer columns, with no Fraction. The
     scheme is feasible by construction, and its income under the product
     of `p` is exactly the deviation's gain.
     """
@@ -137,13 +137,13 @@ def test_nash_exploitability(game: Game, p: MarginalProfile) -> NashVerdict:
     if deviation is None:
         return IsNash()
     gain, i, a, b = deviation
-    rows = [[[(int(c == r), 1) for c in range(k)] for r in range(k)]
+    rows = [[([int(c == r) for c in range(k)], [1] * k) for r in range(k)]
             for k in game.shape]
     rows[i][a] = rows[i][b]
-    kernel = DeviationKernel.from_ratios(rows)
+    kernel = DeviationKernel.from_columns(rows)
     (pay, dens), step = game.int_payoffs[i], game.strides[i]
-    fee = [(0, 1)] * game.num_profiles
+    fee_nums, fee_dens = [0] * game.num_profiles, [1] * game.num_profiles
     for start in game.line_starts(i):  # both profiles share the line's denominator
-        extra = pay[start + b * step] - pay[start + a * step]
-        fee[start + a * step] = (extra, dens[start])
-    return Exploitable(ProfilewiseScheme.from_ratios(fee, kernel), gain)
+        flat = start + a * step
+        fee_nums[flat], fee_dens[flat] = pay[start + b * step] - pay[flat], dens[start]
+    return Exploitable(ProfilewiseScheme.from_columns((fee_nums, fee_dens), kernel), gain)

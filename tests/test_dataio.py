@@ -38,6 +38,13 @@ def test_parse_game_single_player():
     assert game.shape == (1,) and game.payoffs[0] == (F(3),)
 
 
+def test_parse_game_lone_empty_payoff_is_malformed():
+    # A row of one empty string joins to no text at all.
+    doc = '{"players": ["Solo"], "actions": {"Solo": ["only"]}, "payoffs": {"Solo": [""]}}'
+    with pytest.raises(DataFormatError, match="malformed rational ''"):
+        dataio.parse_game(doc)
+
+
 def test_parse_game_wrong_tensor_length():
     doc = json.loads(GAME_DOC)
     doc["payoffs"]["P1"] = ["1", "2", "3", "4", "5"]
@@ -328,7 +335,9 @@ def test_parse_game_reports_the_first_bad_payoff():
 
 
 # Payoff rows that mix plain strings with other spellings and with bad
-# values. A row that is not all plain strings is read value by value.
+# values. A row that is not all plain strings is read value by value, and
+# so is one that the JSON scanner would misread or refuse: leading zeros,
+# whitespace, signs, decimals, exponents and negative denominators.
 MIXED_ROWS = [
     ['"1"', "2", '"3/4"', '"-5"'],
     ['"1"', '"0.5"', '"3/4"', '"-5/6"'],
@@ -350,6 +359,20 @@ MIXED_ROWS = [
     ['"1"', '"2"', '"%s"' % ("9" * 4301), '"1/0"'],
     ['"1"', '"2"', '"1/%s"' % ("7" * 4301), '"4"'],
     ['"1"', '"2"', '"3"', '"1e4301"'],
+    ['"007"', '"1"', '"2"', '"3"'],
+    ['"1/02"', '"1/4"', '"1/4"', '"0"'],
+    ['"-01"', '"1/2"', '"3/2"', '"0"'],
+    ['" 1"', '"0"', '"0"', '"0"'],
+    ['"1 /2"', '"1/2"', '"0"', '"0"'],
+    ['"1/ 2"', '"1/2"', '"0"', '"0"'],
+    ['"1/2"', '"1\\t/2"', '"0"', '"0"'],
+    ['"1/2"', '"0"', '"1\\n/2"', '"0"'],
+    ['"1/2"', '"1/2"', '"0"', '"1\\n"'],
+    ['"+1"', '"0"', '"-0"', '"0"'],
+    ['"1/4"', '"-0"', '"-0/5"', '"3/4"'],
+    ['"1/2"', '"1.5"', '"-1"', '"0"'],
+    ['"1/2"', '"1/2"', '"1e3"', '"0"'],
+    ['"1/2"', '"1/-2"', '"1"', '"0"'],
 ]
 
 
@@ -382,6 +405,19 @@ def test_mixed_payoff_rows_read_as_value_by_value(literals):
         parsed = dataio.parse_game(text)
         assert parsed == expected and parsed.int_payoffs == expected.int_payoffs
         assert parsed.payoffs == expected.payoffs
+
+
+@pytest.mark.parametrize("literals", MIXED_ROWS, ids=lambda row: ",".join(row)[:24])
+def test_mixed_marginal_rows_read_as_value_by_value(literals):
+    game = Game(("A",), (tuple(f"a{j}" for j in range(len(literals))),), ((0,) * 4,))
+    expected = _table_by_value(literals, lambda values, _: MarginalProfile((values,)), game)
+    text = '{"A": [%s]}' % ", ".join(literals)
+    if isinstance(expected, str):
+        with pytest.raises(DataFormatError) as got:
+            dataio.parse_marginals(text, game)
+        assert str(got.value) == expected
+    else:
+        assert dataio.parse_marginals(text, game) == expected
 
 
 def test_a_plain_row_does_not_hide_a_later_players_bad_value():
@@ -546,3 +582,186 @@ def test_the_verify_path_builds_no_fraction_view(
     assert "probs" not in vars(q)
     assert "fee" not in vars(scheme) and "rows" not in vars(scheme.kernel)
     assert "payoffs" not in vars(game)
+
+
+@st.composite
+def certificates(draw):
+    """A game of a drawn shape, marginals, and a compatible or exploitable
+    verdict on it, all built from Fractions."""
+    shape = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    size = prod(shape)
+    value = st.fractions(-9, 9, max_denominator=12)
+
+    def distribution(k):
+        weights = draw(st.lists(st.integers(0, 7), min_size=k, max_size=k).filter(any))
+        return tuple(F(w, sum(weights)) for w in weights)
+
+    game = Game(
+        tuple(f"P{i}" for i in range(len(shape))),
+        tuple(tuple(f"a{j}" for j in range(k)) for k in shape),
+        ((0,) * size,) * len(shape),
+    )
+    p = MarginalProfile(tuple(map(distribution, shape)))
+    kernel = DeviationKernel(tuple(tuple(map(distribution, [k] * k)) for k in shape))
+    kind = draw(st.sampled_from(["compatible", "actionwise", "profilewise"]))
+    if kind == "compatible":
+        return game, p, Compatible(JointDistribution(shape, distribution(size)))
+    if kind == "actionwise":
+        fees = tuple(tuple(draw(st.lists(value, min_size=k, max_size=k))) for k in shape)
+        scheme = ActionwiseScheme(fees, kernel)
+    else:
+        scheme = ProfilewiseScheme(draw(st.lists(value, min_size=size, max_size=size)), kernel)
+    return game, p, Exploitable(scheme, draw(value))
+
+
+def _fraction_doc(game, verdict) -> dict:
+    """A verdict document written from the Fraction views."""
+    def table(rows):
+        return {player: row for player, row in zip(game.players, rows)}
+
+    if isinstance(verdict, Compatible):
+        return {"verdict": "compatible", "witness": list(map(str, verdict.witness.probs))}
+    scheme = verdict.scheme
+    kernel = table([[list(map(str, row)) for row in rows] for rows in scheme.kernel.rows])
+    if isinstance(scheme, ActionwiseScheme):
+        doc = {"type": "actionwise", "fees": table([list(map(str, r)) for r in scheme.fees])}
+    else:
+        doc = {"type": "profilewise", "fee": list(map(str, scheme.fee))}
+    doc["kernel"] = kernel
+    return {
+        "verdict": "exploitable",
+        "expected_profit": str(verdict.expected_profit),
+        "scheme": doc,
+    }
+
+
+VIEWS = {"probs", "rows", "fees", "fee"}
+
+
+@given(certificates())
+@settings(max_examples=120, deadline=None)
+def test_certificates_are_written_from_the_integer_stores(case):
+    # The integer stores give the bytes that the Fraction views give, and
+    # writing a parsed certificate builds no Fraction view.
+    game, p, verdict = case
+    doc = _fraction_doc(game, verdict)
+    text = dataio.emit_verdict(game, verdict)
+    assert text == dataio.canonical_json(doc)
+    parsed = dataio.parse_verdict(text, game)
+    assert dataio.emit_verdict(game, parsed) == text
+    margins = dataio.emit_marginals(game, p)
+    assert margins == dataio.canonical_json(
+        {player: list(map(str, row)) for player, row in zip(game.players, p.probs)}
+    )
+    q = dataio.parse_marginals(margins, game)
+    assert dataio.emit_marginals(game, q) == margins
+    if isinstance(parsed, Compatible):
+        stores = [parsed.witness]
+    else:
+        scheme = parsed.scheme
+        assert dataio.emit_scheme(game, scheme) == dataio.canonical_json(doc["scheme"])
+        assert dataio.emit_kernel(game, scheme.kernel) == dataio.canonical_json(
+            doc["scheme"]["kernel"]
+        )
+        stores = [scheme, scheme.kernel]
+    for obj in (*stores, q):
+        assert not VIEWS & vars(obj).keys()
+
+
+def test_a_certificate_value_over_the_digit_limit_cannot_be_written(coordination):
+    big = F(1, 10**4400)
+    witness = JointDistribution(coordination.shape, (big, 1 - big, 0, 0, 0, 0))
+    with pytest.raises(DataFormatError, match="4300-digit output limit"):
+        dataio.emit_verdict(coordination, Compatible(witness))
+
+
+# Every document a `parse_*` function reads, valid, on `GAME_DOC`'s game.
+VALID_DOCS = {
+    "game": GAME_DOC,
+    "marginals": '{"P1": ["1/2", "1/2"], "P2": ["1/4", "3/4", "0"]}',
+    "kernel": (
+        '{"P1": [["1", "0"], ["1/2", "1/2"]],'
+        ' "P2": [["1", "0", "0"], ["0", "1", "0"], ["1/2", "1/2", "0"]]}'
+    ),
+    "actionwise": (
+        '{"type": "actionwise", "fees": {"P1": ["0", "0"], "P2": ["0", "-1", "1/2"]},'
+        ' "kernel": {"P1": [["1", "0"], ["0", "1"]],'
+        ' "P2": [["1", "0", "0"], ["0", "1", "0"], ["1/2", "1/2", "0"]]}}'
+    ),
+    "profilewise": (
+        '{"type": "profilewise", "fee": ["0", "0", "1/2", "0", "0", "-3"],'
+        ' "kernel": {"P1": [["1", "0"], ["0", "1"]],'
+        ' "P2": [["1", "0", "0"], ["0", "1", "0"], ["1/2", "1/2", "0"]]}}'
+    ),
+    "witness": '{"witness": ["1/2", "0", "0", "0", "1/2", "0"]}',
+    "compatible": '{"verdict": "compatible", "witness": ["1", "0", "0", "0", "0", "0"]}',
+    "exploitable": (
+        '{"verdict": "exploitable", "expected_profit": "1/8", "scheme":'
+        ' {"type": "profilewise", "fee": ["0", "0", "1/2", "0", "0", "0"],'
+        ' "kernel": {"P1": [["1", "0"], ["0", "1"]],'
+        ' "P2": [["1", "0", "0"], ["0", "1", "0"], ["1/2", "1/2", "0"]]}}}'
+    ),
+    "nash": '{"verdict": "nash"}',
+}
+BAD_VALUES = [
+    None, True, False, 0.5, -1e300, [], ["1"], [[]], {}, {"P1": "1"},
+    "1/0", "-", "", "/", "1/", "x", "9" * 5000, "1/" + "7" * 5000, "1e5000",
+]
+
+
+def _paths(doc, path=()):
+    """The path of every value in a JSON document, the document included."""
+    yield path
+    if isinstance(doc, dict):
+        items = doc.items()
+    else:
+        items = enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def _read_everywhere(name, text):
+    """Read `text` with every `parse_*` function that reads a document of
+    kind `name`; each must succeed or raise DataFormatError."""
+    game = dataio.parse_game(GAME_DOC)
+    readers = [dataio.parse_game] if name == "game" else [
+        lambda t: dataio.parse_marginals(t, game),
+        lambda t: dataio.parse_kernel(t, game),
+        lambda t: dataio.parse_scheme(t, game),
+        lambda t: dataio.parse_verdict(t, game),
+        lambda t: dataio.parse_certificate(t, game),
+    ]
+    for read in readers:
+        try:
+            read(text)
+        except DataFormatError:
+            pass
+
+
+@pytest.mark.parametrize("name", sorted(VALID_DOCS))
+def test_every_single_swap_is_read_or_rejected(name):
+    doc = json.loads(VALID_DOCS[name])
+    for path in list(_paths(doc)):
+        for value in BAD_VALUES:
+            _read_everywhere(name, json.dumps(_replaced(doc, path, value)))
+
+
+@given(st.sampled_from(sorted(VALID_DOCS)), st.data())
+@settings(max_examples=400, deadline=None)
+def test_every_parse_function_raises_only_a_format_error(name, data):
+    doc = json.loads(VALID_DOCS[name])
+    for _ in range(data.draw(st.integers(2, 4))):
+        path = data.draw(st.sampled_from(list(_paths(doc))))
+        doc = _replaced(doc, path, data.draw(st.sampled_from(BAD_VALUES)))
+    _read_everywhere(name, json.dumps(doc))

@@ -177,11 +177,11 @@ def _candidate_rows(draw):
 @settings(max_examples=300, deadline=None)
 @given(_candidate_rows())
 def test_check_distribution_matches_the_fraction_check(values):
-    # The integer check reads each value as its pair `(n, d)`, as the
-    # `from_ratios` constructors pass it.
-    pairs = tuple((v.numerator, v.denominator) for v in values)
+    # The integer check reads the values as integer columns `(numerators,
+    # denominators)`, as the `from_columns` constructors pass them.
+    columns = ([v.numerator for v in values], [v.denominator for v in values])
     expected = _distribution_error(fraction_checks.check_distribution, values)
-    assert _distribution_error(_distribution, pairs) == expected
+    assert _distribution_error(_distribution, columns) == expected
 
 
 @settings(max_examples=150, deadline=None)

@@ -3,8 +3,9 @@
 The worked-examples walk-through must also print exactly
 `tests/data/worked_examples.txt`, so any drift in its verdicts or
 certificates shows up as a diff. The output digest prints one sha256 per
-gated benchmark workload; the one of the solver-free `verify-large`
-replies is pinned at seed 1 and at the held-out seed 7919.
+gated benchmark workload, and all four are pinned: the `audit-mid`
+verdicts and the solver-free `verify-large` replies, each at seed 1 and
+at the held-out seed 7919.
 """
 
 import functools

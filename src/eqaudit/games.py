@@ -29,17 +29,15 @@ line view, `MarginalProfile.int_rows` and `DeviationKernel.int_rows`
 (each row over its own lcm), `JointDistribution.int_probs` (over one
 denominator), `ActionwiseScheme.int_fees` (each player's fees over their
 lcm) and `ProfilewiseScheme.int_fee` (one reduced pair per profile).
-Each type's `from_columns` takes the constructor's arguments with every
-row of rationals as integer columns `(numerators, denominators)` and
-validates in integers (positive denominators, non-negative entries, rows
-that sum to their lcm, squareness, lengths); `dataio` and the analyzers
-build with it, and `from_ratios`, which takes each rational as an
-integer pair `(n, d)`, unzips its rows onto it. No Fraction and no
-per-value pair is made on the way from a parsed row to the store. Its
-Fraction field (`payoffs`, `probs`, `rows`, `fees`, `fee`) is a
-read-only view made on first read; built from Fractions, an object keeps
-them as that view. The store alone decides equality, hashing and
-pickling (`_Frozen`).
+Each type has one `_store`, which validates in integers (positive
+denominators, non-negative entries, rows that sum to their lcm,
+squareness, lengths). The constructor reaches it from ints, Fractions or
+'n/d' strings, kept as the type's Fraction field (`payoffs`, `probs`,
+`rows`, `fees`, `fee`). `from_columns`, which `dataio` and the analyzers
+use, takes every row of rationals as integer columns `(numerators,
+denominators)` and makes no Fraction and no per-value pair; there the
+Fraction field is a read-only view made on first read. The store alone
+decides equality, hashing and pickling (`_Frozen`).
 
 `surplus_parts` computes every profile's deviation surplus from the
 integer views as an unreduced integer ratio, a column at a time: for
@@ -90,10 +88,6 @@ def quoted(value) -> str:
     return repr(shown) if isinstance(value, str) else shown
 
 
-def _fraction_tuple(values) -> tuple[Fraction, ...]:
-    return tuple(as_fraction(v) for v in values)
-
-
 def flat_index(shape: Sequence[int], profile: Profile) -> int:
     """Row-major index of `profile` in a tensor of `shape`; ValueError
     unless it names one in-range action per player."""
@@ -118,34 +112,36 @@ class _Frozen:
     `_KEY` names the attributes that make up the canonical value: the
     integer store and whatever fixes its shape. Equality, hashing and
     pickling read those alone. Every other attribute, a Fraction view
-    among them, is a `cached_property` made on first read, so a pickle
-    never carries one. `repr` shows the public fields, `_FIELDS`."""
+    among them, is kept from the constructor's arguments or is a
+    `cached_property` made on first read, so a pickle never carries one.
+    `repr` shows the public fields, `_FIELDS`."""
 
     _KEY: tuple[str, ...] = ()
     _FIELDS: tuple[str, ...] = ()
-    # The constructor argument that holds the rationals, and how many
-    # list levels deep its rows are.
-    _RATIOS: tuple[int, int] = (0, 0)
+    # The argument that holds the rationals, how many list levels deep
+    # its rows are, and the Fraction field that views them.
+    _RATIOS: tuple[int, int, str]
+
+    def __init__(self, *args):
+        """Build from the rationals as ints, Fractions or 'n/d' strings
+        (floats refused), kept as the Fraction field; the store is built
+        from their integer columns."""
+        at, depth, view = self._RATIOS
+        values, columns = _read(args[at], depth)
+        self._store(*args[:at], columns, *args[at + 1 :])
+        vars(self)[view] = values
 
     @classmethod
     def from_columns(cls, *args):
         """The object the constructor would build, with every row of
         rationals given as integer columns `(numerators, denominators)`
-        of equal length, for `n / d` where `d > 0`. Builds the integer
-        store straight from the columns, with no Fraction, and validates
-        it in integers with the constructor's messages."""
+        of equal length, for `n / d` where `d > 0`; no Fraction is made,
+        and the store is validated with the constructor's messages."""
+        at, depth, _view = cls._RATIOS
+        columns = _paired(args[at], depth, cls.__name__)
         obj = cls.__new__(cls)
-        obj._store(*args)
+        obj._store(*args[:at], columns, *args[at + 1 :])
         return obj
-
-    @classmethod
-    def from_ratios(cls, *args):
-        """`from_columns`, with each rational given as an integer pair
-        `(n, d)` instead."""
-        at, depth = cls._RATIOS
-        args = list(args)
-        args[at] = _unzip(args[at], depth)
-        return cls.from_columns(*args)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -172,13 +168,25 @@ class _Frozen:
         return f"{type(self).__name__}({fields})"
 
 
-def _unzip(ratios, depth: int):
-    """Integer pairs `(n, d)` in rows nested `depth` lists deep, with each
-    row as its columns `(numerators, denominators)`."""
+def _read(values, depth: int):
+    """Rationals in rows nested `depth` lists deep, as Fractions, and the
+    same rows as integer columns `(numerators, denominators)`."""
     if depth:
-        return [_unzip(row, depth - 1) for row in ratios]
-    ratios = tuple(ratios)
-    return tuple(zip(*ratios)) if ratios else ((), ())
+        rows = [_read(row, depth - 1) for row in values]
+        return tuple(view for view, _ in rows), [columns for _, columns in rows]
+    values = tuple(map(as_fraction, values))
+    return values, ([v.numerator for v in values], [v.denominator for v in values])
+
+
+def _paired(columns, depth: int, what: str):
+    """`columns`, rows nested `depth` lists deep, each row unpacked as
+    `(numerators, denominators)`; ValueError unless the two are as long."""
+    if depth:
+        return [_paired(row, depth - 1, what) for row in columns]
+    nums, dens = columns
+    if len(nums) != len(dens):
+        raise ValueError(f"{what} has a row whose columns differ in length")
+    return nums, dens
 
 
 def _over_lcm(nums, dens, what: str) -> tuple[tuple[int, ...], int]:
@@ -207,10 +215,6 @@ def _distribution(columns, what: str) -> tuple[tuple[int, ...], int]:
     return nums, den
 
 
-def _int_columns(values: Sequence[Fraction]) -> tuple[list[int], list[int]]:
-    return [v.numerator for v in values], [v.denominator for v in values]
-
-
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
@@ -237,34 +241,24 @@ class Game(_Frozen):
     only used by the file formats and the CLI. A game is immutable, and
     two games are equal when their players, actions and payoff values are.
     `Game.from_columns(players, actions, columns)` takes player i's
-    payoffs as `columns[i] == (numerators, denominators)` and builds
-    `int_payoffs` from them; `Game.from_ratios` takes each payoff as
-    `ratios[i][k] == (n, d)` instead.
+    payoffs as `columns[i] == (numerators, denominators)`. Both build
+    `int_payoffs`, the same columns over line-local denominators.
     """
 
     _KEY = ("players", "actions", "int_payoffs")
     _FIELDS = ("players", "actions", "payoffs")
-    _RATIOS = (2, 1)
-
-    def __init__(self, players, actions, payoffs):
-        payoffs = tuple(_fraction_tuple(row) for row in payoffs)
-        self._check(players, actions, payoffs)
-        vars(self)["payoffs"] = payoffs
+    _RATIOS = (2, 1, "payoffs")
 
     def _store(self, players, actions, columns) -> None:
-        columns = tuple(columns)
-        self._check(players, actions, [nums for nums, _dens in columns])
-        vars(self)["int_payoffs"] = self._line_view(columns)
-
-    def _check(self, players, actions, payoffs) -> None:
-        """Validate the game and set its players and actions."""
+        """Validate the game, set its players and actions, and build
+        `int_payoffs` from per-player columns."""
         players = tuple(players)
         actions = tuple(tuple(labels) for labels in actions)
         if not players:
             raise ValueError("game needs at least one player")
         if len(set(players)) != len(players):
             raise ValueError("duplicate player id")
-        if len(actions) != len(players) or len(payoffs) != len(players):
+        if len(actions) != len(players) or len(columns) != len(players):
             raise ValueError("actions and payoffs must list one entry per player")
         for labels in actions:
             if not labels:
@@ -273,11 +267,12 @@ class Game(_Frozen):
                 raise ValueError("duplicate action label for a player")
         vars(self).update(players=players, actions=actions)
         size = self.num_profiles
-        for who, row in zip(map(quoted, players), payoffs):
-            if len(row) != size:
+        for who, (nums, _dens) in zip(map(quoted, players), columns):
+            if len(nums) != size:
                 raise ValueError(
-                    f"payoff tensor for {who} has {len(row)} entries, expected {size}"
+                    f"payoff tensor for {who} has {len(nums)} entries, expected {size}"
                 )
+        vars(self)["int_payoffs"] = self._line_view(columns)
 
     @cached_property
     def shape(self) -> tuple[int, ...]:
@@ -344,16 +339,6 @@ class Game(_Frozen):
         return list(itertools.chain.from_iterable(itertools.chain.from_iterable(runs)))
 
     @cached_property
-    def int_payoffs(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-        """Per player `i`, `(numerators, denominators)` with
-        `payoffs[i][flat] == numerators[flat] / denominators[flat]`.
-
-        The profiles on one line of `i` share their denominator, the lcm
-        of that line's payoff denominators. This is the game's payoff
-        store; a game built from Fractions derives it on first read."""
-        return self._line_view(list(map(_int_columns, self.payoffs)))
-
-    @cached_property
     def payoffs(self) -> tuple[tuple[Fraction, ...], ...]:
         """The payoffs as Fractions, read from `int_payoffs` on first use."""
         return tuple(tuple(map(Fraction, *row)) for row in self.int_payoffs)
@@ -400,6 +385,8 @@ class Game(_Frozen):
         return self.payoffs[i][self.flat_index(profile)]
 
     def action_index(self, i: int, label: str) -> int:
+        if not 0 <= i < self.num_players:
+            raise ValueError(f"unknown player index {i}")
         try:
             return self.actions[i].index(label)
         except ValueError:
@@ -414,12 +401,7 @@ class MarginalProfile(_Frozen):
 
     _KEY = ("int_rows",)
     _FIELDS = ("probs",)
-    _RATIOS = (0, 1)
-
-    def __init__(self, probs):
-        probs = tuple(map(_fraction_tuple, probs))
-        self._store(list(map(_int_columns, probs)))
-        vars(self)["probs"] = probs
+    _RATIOS = (0, 1, "probs")
 
     def _store(self, rows) -> None:
         vars(self)["int_rows"] = tuple(
@@ -448,12 +430,7 @@ class JointDistribution(_Frozen):
 
     _KEY = ("shape", "int_probs")
     _FIELDS = ("shape", "probs")
-    _RATIOS = (1, 0)
-
-    def __init__(self, shape, probs):
-        probs = _fraction_tuple(probs)
-        self._store(shape, _int_columns(probs))
-        vars(self)["probs"] = probs
+    _RATIOS = (1, 0, "probs")
 
     def _store(self, shape, columns) -> None:
         shape = tuple(int(k) for k in shape)
@@ -509,14 +486,7 @@ class DeviationKernel(_Frozen):
 
     _KEY = ("int_rows",)
     _FIELDS = ("rows",)
-    _RATIOS = (0, 2)
-
-    def __init__(self, rows):
-        rows = tuple(
-            tuple(_fraction_tuple(row) for row in player_rows) for player_rows in rows
-        )
-        self._store([[_int_columns(row) for row in player_rows] for player_rows in rows])
-        vars(self)["rows"] = rows
+    _RATIOS = (0, 2, "rows")
 
     def _store(self, columns) -> None:
         store = []
@@ -663,12 +633,7 @@ class ActionwiseScheme(_Frozen):
 
     _KEY = ("int_fees", "kernel")
     _FIELDS = ("fees", "kernel")
-    _RATIOS = (0, 1)
-
-    def __init__(self, fees, kernel: DeviationKernel):
-        fees = tuple(map(_fraction_tuple, fees))
-        self._store(list(map(_int_columns, fees)), kernel)
-        vars(self)["fees"] = fees
+    _RATIOS = (0, 1, "fees")
 
     def _store(self, rows, kernel: DeviationKernel) -> None:
         int_fees = tuple(_over_lcm(*row, "fee table") for row in rows)
@@ -692,11 +657,7 @@ class ProfilewiseScheme(_Frozen):
 
     _KEY = ("int_fee", "kernel")
     _FIELDS = ("fee", "kernel")
-
-    def __init__(self, fee, kernel: DeviationKernel):
-        fee = tuple(as_fraction(v) for v in fee)
-        self._store(_int_columns(fee), kernel)
-        vars(self)["fee"] = fee
+    _RATIOS = (0, 0, "fee")
 
     def _store(self, columns, kernel: DeviationKernel) -> None:
         nums, dens = columns

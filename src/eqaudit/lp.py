@@ -138,18 +138,20 @@ class _Outcome:
     den: int
 
     def __init__(self, values):
-        nums, den = common_denominator([as_fraction(v) for v in values])
-        vars(self).update(nums=tuple(nums), den=den)
+        self._hold(*common_denominator([as_fraction(v) for v in values]))
 
     @classmethod
     def over(cls, nums, den: int):
         """`nums / den`, `den` > 0, divided by the gcd of its integers."""
+        outcome = cls.__new__(cls)
+        outcome._hold(nums, den)
+        return outcome
+
+    def _hold(self, nums, den: int) -> None:
         if den <= 0:
             raise ValueError("outcome denominator must be positive")
         g = gcd(*nums, den)
-        outcome = cls.__new__(cls)
-        vars(outcome).update(nums=tuple(v // g for v in nums), den=den // g)
-        return outcome
+        vars(self).update(nums=tuple(v // g for v in nums), den=den // g)
 
     def _view(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(n, self.den) for n in self.nums)

@@ -37,6 +37,17 @@ def test_utility_rejects_bad_indices(coordination):
         coordination.utility(0, (0,))
 
 
+def test_action_index_rejects_an_unknown_player(coordination):
+    assert coordination.action_index(0, "B") == 1
+    assert coordination.action_index(1, "R") == 2
+    # -1 would otherwise read the last player's actions.
+    for i in (-1, 2):
+        with pytest.raises(ValueError, match=f"unknown player index {i}"):
+            coordination.action_index(i, "R")
+    with pytest.raises(ValueError, match="unknown action 'R' for player 'P1'"):
+        coordination.action_index(0, "R")
+
+
 @pytest.mark.parametrize(
     "profile",
     [(5, 0), (-1, 0), (0,), (0, 1, 0)],
@@ -311,15 +322,15 @@ MANY_PLAYERS = st.lists(st.integers(1, 3), min_size=4, max_size=5).filter(
 def test_surplus_table_matches_definition_with_many_players(case):
     # Every player's columns are read the general way once a game has a
     # player other than the first and the last. A game built from integer
-    # pairs, as a parsed one is, must give the same table as one built
-    # from Fractions; its pairs are left unreduced here.
+    # columns, as a parsed one is, must give the same table as one built
+    # from Fractions; its values are left unreduced here.
     game, kernel = case
-    parsed = Game.from_ratios(
+    parsed = Game.from_columns(
         game.players,
         game.actions,
         [
-            [(v.numerator * (1 + f % 3), v.denominator * (1 + f % 3))
-             for f, v in enumerate(row)]
+            ([v.numerator * (1 + f % 3) for f, v in enumerate(row)],
+             [v.denominator * (1 + f % 3) for f, v in enumerate(row)])
             for row in game.payoffs
         ],
     )
@@ -359,16 +370,19 @@ ALL_SHAPES = st.one_of(
 @given(games_and_kernels(ALL_SHAPES), st.data())
 @settings(max_examples=120, deadline=None)
 def test_integer_pairs_give_the_same_game_however_reduced(case, data):
-    # `Game.from_ratios` reduces each line as a whole, so payoff pairs
+    # `Game.from_columns` reduces each line as a whole, so payoff columns
     # scaled by any positive factors give the same game and integer view.
     game, _ = case
     size = game.num_profiles
     factors = st.lists(st.integers(1, 12), min_size=size, max_size=size)
-    ratios = [
-        [(v.numerator * c, v.denominator * c) for v, c in zip(row, data.draw(factors))]
-        for row in game.payoffs
-    ]
-    built = Game.from_ratios(game.players, game.actions, ratios)
+    columns = []
+    for row in game.payoffs:
+        scale = data.draw(factors)
+        columns.append((
+            [v.numerator * c for v, c in zip(row, scale)],
+            [v.denominator * c for v, c in zip(row, scale)],
+        ))
+    built = Game.from_columns(game.players, game.actions, columns)
     assert built == game and hash(built) == hash(game)
     assert built.int_payoffs == game.int_payoffs
     assert built.payoffs == game.payoffs
@@ -377,14 +391,18 @@ def test_integer_pairs_give_the_same_game_however_reduced(case, data):
 def test_integer_pairs_need_positive_denominators():
     for bad in (0, -2):
         with pytest.raises(ValueError, match="'A' has a non-positive denominator"):
-            Game.from_ratios(("A",), (("x", "y"),), (((1, 2), (1, bad)),))
+            Game.from_columns(("A",), (("x", "y"),), (((1, 1), (2, bad)),))
 
 
 def _unreduced(data, values):
-    """Each Fraction of `values` as an integer pair scaled by a drawn factor."""
+    """The Fractions `values` as integer columns `(numerators,
+    denominators)`, each value scaled by a drawn factor."""
     size = len(values)
     factors = data.draw(st.lists(st.integers(1, 9), min_size=size, max_size=size))
-    return [(v.numerator * c, v.denominator * c) for v, c in zip(values, factors)]
+    return (
+        [v.numerator * c for v, c in zip(values, factors)],
+        [v.denominator * c for v, c in zip(values, factors)],
+    )
 
 
 def _probability_row(data, k):
@@ -407,7 +425,7 @@ def _same_value(built, expected, view):
 @settings(max_examples=60, deadline=None)
 def test_joint_distribution_from_integer_pairs(data):
     q = data.draw(joint_distributions())
-    built = JointDistribution.from_ratios(q.shape, _unreduced(data, q.probs))
+    built = JointDistribution.from_columns(q.shape, _unreduced(data, q.probs))
     assert "probs" not in vars(built)
     _same_value(built, q, "probs")
     assert built.int_probs == q.int_probs
@@ -419,7 +437,7 @@ def test_kernel_from_integer_pairs(data):
     shape = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
     rows = [[_probability_row(data, k) for _ in range(k)] for k in shape]
     kernel = DeviationKernel(rows)
-    built = DeviationKernel.from_ratios(
+    built = DeviationKernel.from_columns(
         [[_unreduced(data, row) for row in player_rows] for player_rows in rows]
     )
     assert "rows" not in vars(built)
@@ -435,7 +453,7 @@ def test_profilewise_scheme_from_integer_pairs(data):
     fee = data.draw(st.lists(fees, min_size=size, max_size=size))
     kernel = identity_kernel((size,))
     scheme = ProfilewiseScheme(fee, kernel)
-    built = ProfilewiseScheme.from_ratios(_unreduced(data, fee), kernel)
+    built = ProfilewiseScheme.from_columns(_unreduced(data, fee), kernel)
     assert "fee" not in vars(built)
     _same_value(built, scheme, "fee")
     assert built.int_fee == scheme.int_fee
@@ -447,7 +465,7 @@ def test_marginal_profile_from_integer_pairs(data):
     shape = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
     rows = [_probability_row(data, k) for k in shape]
     p = MarginalProfile(rows)
-    built = MarginalProfile.from_ratios([_unreduced(data, row) for row in rows])
+    built = MarginalProfile.from_columns([_unreduced(data, row) for row in rows])
     assert "probs" not in vars(built)
     _same_value(built, p, "probs")
     assert built.int_rows == p.int_rows and built.shape == p.shape == tuple(shape)
@@ -464,7 +482,8 @@ def test_actionwise_scheme_from_integer_pairs(data):
     rows = [data.draw(st.lists(fees, min_size=k, max_size=k)) for k in shape]
     kernel = identity_kernel(tuple(shape))
     scheme = ActionwiseScheme(rows, kernel)
-    built = ActionwiseScheme.from_ratios([_unreduced(data, row) for row in rows], kernel)
+    columns = [_unreduced(data, row) for row in rows]
+    built = ActionwiseScheme.from_columns(columns, kernel)
     assert "fees" not in vars(built)
     _same_value(built, scheme, "fees")
     assert built.int_fees == scheme.int_fees
@@ -476,13 +495,14 @@ def _rejection(build, *args):
     return str(exc.value)
 
 
-def _kernel_pairs(rows):
-    return [[[(2 * v.numerator, 2 * v.denominator) for v in row] for row in player_rows]
-            for player_rows in rows]
+def _doubled(row):
+    """The Fractions `row` as integer columns, each value over twice its
+    denominator."""
+    return [2 * v.numerator for v in row], [2 * v.denominator for v in row]
 
 
-# Each is rejected by the Fraction constructor and, as unreduced pairs, by
-# the integer one with the same message.
+# Each is rejected by the Fraction constructor and, as unreduced columns,
+# by the integer one with the same message.
 BAD_JOINTS = [
     ((2,), (F(2), F(-1))),
     ((2,), (F(1, 2), F(1, 3))),
@@ -507,53 +527,82 @@ BAD_MARGINALS = [
 
 @pytest.mark.parametrize("rows", BAD_MARGINALS)
 def test_marginal_profile_constructors_reject_alike(rows):
-    pairs = [[(2 * v.numerator, 2 * v.denominator) for v in row] for row in rows]
     expected = _rejection(MarginalProfile, rows)
-    assert _rejection(MarginalProfile.from_ratios, pairs) == expected
+    columns = list(map(_doubled, rows))
+    assert _rejection(MarginalProfile.from_columns, columns) == expected
 
 
 def test_actionwise_scheme_constructors_reject_alike():
     kernel = identity_kernel((2, 2))
     fees = ((F(1), F(-1, 2)), (F(0),))
-    pairs = [[(2 * v.numerator, 2 * v.denominator) for v in row] for row in fees]
     expected = _rejection(ActionwiseScheme, fees, kernel)
     assert expected == "fee table shape does not match kernel"
-    assert _rejection(ActionwiseScheme.from_ratios, pairs, kernel) == expected
+    columns = list(map(_doubled, fees))
+    assert _rejection(ActionwiseScheme.from_columns, columns, kernel) == expected
 
 
 @pytest.mark.parametrize("shape, probs", BAD_JOINTS)
 def test_joint_distribution_constructors_reject_alike(shape, probs):
-    pairs = [(2 * v.numerator, 2 * v.denominator) for v in probs]
     expected = _rejection(JointDistribution, shape, probs)
-    assert _rejection(JointDistribution.from_ratios, shape, pairs) == expected
+    columns = _doubled(probs)
+    assert _rejection(JointDistribution.from_columns, shape, columns) == expected
 
 
 @pytest.mark.parametrize("rows", BAD_KERNELS)
 def test_kernel_constructors_reject_alike(rows):
     expected = _rejection(DeviationKernel, rows)
-    assert _rejection(DeviationKernel.from_ratios, _kernel_pairs(rows)) == expected
+    columns = [list(map(_doubled, player_rows)) for player_rows in rows]
+    assert _rejection(DeviationKernel.from_columns, columns) == expected
 
 
 def test_integer_constructors_need_positive_denominators():
     kernel = identity_kernel((2,))
     for bad in (0, -2):
-        assert _rejection(JointDistribution.from_ratios, (2,), [(1, 2), (1, bad)]) == (
+        columns = ((1, 1), (2, bad))
+        assert _rejection(JointDistribution.from_columns, (2,), columns) == (
             "joint distribution has a non-positive denominator"
         )
-        rows = [[[(1, 1), (0, 1)], [(0, bad), (1, 1)]]]
-        assert _rejection(DeviationKernel.from_ratios, rows) == (
+        rows = [[((1, 0), (1, 1)), ((0, 1), (bad, 1))]]
+        assert _rejection(DeviationKernel.from_columns, rows) == (
             "kernel row (0,1) has a non-positive denominator"
         )
-        fee = [(1, 1), (1, bad)]
-        assert _rejection(ProfilewiseScheme.from_ratios, fee, kernel) == (
+        fee = ((1, 1), (1, bad))
+        assert _rejection(ProfilewiseScheme.from_columns, fee, kernel) == (
             "fee table has a non-positive denominator"
         )
-        assert _rejection(ActionwiseScheme.from_ratios, [fee], kernel) == (
+        assert _rejection(ActionwiseScheme.from_columns, [fee], kernel) == (
             "fee table has a non-positive denominator"
         )
-        assert _rejection(MarginalProfile.from_ratios, [[(1, 1)], [(1, bad)]]) == (
+        rows = [((1,), (1,)), ((1,), (bad,))]
+        assert _rejection(MarginalProfile.from_columns, rows) == (
             "marginal distribution of player 1 has a non-positive denominator"
         )
+
+
+# Each builds one model type from columns with `row` among its rows. A
+# row whose two columns differ in length must be refused whole, not cut to
+# the shorter column.
+UNEVEN_BUILDS = {
+    "Game": lambda row: Game.from_columns(("A",), (("x", "y"),), [row]),
+    "MarginalProfile": lambda row: MarginalProfile.from_columns([row]),
+    "JointDistribution": lambda row: JointDistribution.from_columns((2,), row),
+    "DeviationKernel": lambda row: DeviationKernel.from_columns(
+        [[((1, 0), (1, 1)), row]]
+    ),
+    "ActionwiseScheme": lambda row: ActionwiseScheme.from_columns(
+        [row], identity_kernel((2,))
+    ),
+    "ProfilewiseScheme": lambda row: ProfilewiseScheme.from_columns(
+        row, identity_kernel((2,))
+    ),
+}
+
+
+@pytest.mark.parametrize("row", [((1, 0), (1,)), ((1,), (1, 1))])
+@pytest.mark.parametrize("name", UNEVEN_BUILDS)
+def test_columns_of_unequal_length_are_refused(name, row):
+    with pytest.raises(ValueError, match=f"^{name} has a row whose columns differ"):
+        UNEVEN_BUILDS[name](row)
 
 
 def _primes_above(start, count):

@@ -4,7 +4,10 @@ them. The judge (`verify`) loads nothing but the model, so a certificate
 is checked without the code that made it."""
 
 import ast
+import importlib
 from pathlib import Path
+
+from eqaudit import games
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "eqaudit"
 
@@ -200,3 +203,34 @@ def test_the_producer_does_not_read_the_checkers_surplus():
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             named.add(node.value)
     assert named & checker == set()
+
+
+def test_each_model_type_has_one_construction_path():
+    # Every integer-held model type is built by the base's one Fraction
+    # constructor or by `from_columns`, and both reach its `_store`; a type
+    # with its own `__init__` or a pair constructor would be a second path.
+    # Its `_RATIOS` names the Fraction field that the constructor keeps.
+    for path in PACKAGE.glob("*.py"):
+        if path.stem != "__main__":  # which would run the command line
+            importlib.import_module(f"eqaudit.{path.stem}")
+    found = set()
+    stack = list(games._Frozen.__subclasses__())
+    while stack:
+        cls = stack.pop()
+        found.add(cls)
+        stack.extend(cls.__subclasses__())
+    assert {cls.__name__ for cls in found} >= {
+        "Game",
+        "MarginalProfile",
+        "JointDistribution",
+        "DeviationKernel",
+        "ActionwiseScheme",
+        "ProfilewiseScheme",
+    }
+    assert not hasattr(games._Frozen, "from_ratios")
+    for cls in found:
+        assert "__init__" not in vars(cls), cls.__name__
+        assert not hasattr(cls, "from_ratios"), cls.__name__
+        assert "_store" in vars(cls), cls.__name__
+        _at, _depth, view = cls._RATIOS
+        assert view in cls._FIELDS, cls.__name__

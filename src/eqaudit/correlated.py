@@ -6,39 +6,38 @@ answer is constructive in both directions: either a witness coupling that
 passes the incentive inequalities, or an action-wise transfer scheme
 (per-player fees plus a deviation kernel) whose expected fee income under
 the observed marginals is strictly positive while the aggregate deviation
-surplus covers the fees at every action profile. The scheme is obtained by
-normalizing the Farkas multipliers of the infeasible coupling system.
+surplus covers the fees at every action profile. A request takes one of
+three routes, each in integers and each checked by `verify`:
 
-One coupling system is built per request, on the product of the
-supports: an action with observed frequency 0 forces zero mass on every
-profile that uses it, and `incentive_rows` writes its rows directly over
-the columns of that product as integer `lp.Row`s, each numerator one
-integer difference of the game's integer payoff view over the lcm of the
-row's line denominators; a marginal row is its indicator times the
-denominator of the observed frequencies (`MarginalProfile.int_rows`),
-with the frequency's numerator on the right. No Fraction is built per
-coefficient. Its incentive rows are generated as cutting planes
-(Papadimitriou and Roughgarden, JACM 2008): a round solves only the rows
-violated so far, and the multipliers of an infeasible one, with 0 on
-every row left out, certify the whole system. The outcome is read back
-without a solver and judged by `verify`, which also computes the income
-an exploitable verdict carries; this module does no income arithmetic.
-A witness is the integer point (`lp.Feasible.nums`) zero-extended to
-every profile (`JointDistribution.from_columns`). Multipliers become a
-kernel and fees, scaled in integers over their common denominator, and
-go over that denominator straight to `DeviationKernel.from_columns`,
-which checks in integers that every row sums to 1, and to
-`ActionwiseScheme.from_columns`; an unobserved action has no kept
-row, so its kernel row is the identity and its fee is the largest value
-at most 0 that keeps feasible every profile charged to it, a profile
-outside the support product being charged to the unobserved action of
-the lowest-index player who plays one there. That fee is computed here,
-from the game's integer payoff view and the kernel's integer numerators
-over their common denominator, never with the checker's `surplus_parts`
-or `surplus_table`, so producer and checker share no surplus arithmetic,
-and no Fraction payoff view of a parsed game is built.
-The verdict and scheme types come from `games`, and the direct incentive
-check, `is_correlated_equilibrium`, from the judge, `verify`.
+- Nash marginals. No supported action pays less than another against the
+  others' independent play (`games.payoff_numerators`), so the product
+  of the marginals is the witness.
+- Dominated play. Some action b beats a supported action a of player i at
+  every profile of the others' supports, so one contract with i alone is
+  an arbitrage (Nau and McCardle, JET 1990): the kernel sends a to b, and
+  the fee on a is the least gain.
+- Otherwise one coupling system is built on the product of the supports
+  (an unobserved action forces zero mass on every profile that uses it),
+  as integer `lp.Row`s: an incentive numerator is one difference of the
+  integer payoff view over the lcm of the row's line denominators, a
+  marginal row is an indicator over the frequencies' denominator. Its
+  incentive rows are generated as cutting planes (Papadimitriou and
+  Roughgarden, JACM 2008), from those that independent play violates: a
+  round solves only the rows violated so far, and the multipliers of an
+  infeasible one, with 0 on every row left out, certify the whole system.
+  A witness is the integer point zero-extended to every profile; the
+  multipliers become a kernel and fees over their common denominator.
+
+Both schemes go through one read-back, `_read_back`, to
+`DeviationKernel.from_columns`, which checks that every row sums to 1, and
+`ActionwiseScheme.from_columns`. An unobserved action's kernel row is the
+identity and its fee is the largest value at most 0 that keeps feasible
+every profile charged to it, a profile outside the support product being
+charged to the unobserved action of the lowest-index player who plays one
+there. That fee is computed here from the integer payoff view, never with
+the checker's `surplus_parts`, so producer and checker share no surplus
+arithmetic, and no Fraction payoff view of a parsed game is built.
+`verify` computes the income; this module does none.
 """
 
 from __future__ import annotations
@@ -60,7 +59,8 @@ from .games import (
     as_fraction,
     check_shape,
     common_denominator,
-    independent_play,
+    payoff_numerators,
+    product_distribution,
 )
 
 # `is_correlated_equilibrium` is re-exported: perfbench/workloads.py reads it here.
@@ -117,19 +117,18 @@ def _product(shape, choices) -> list[tuple[int, tuple[int, ...]]]:
 
 def _kept(game: Game, p: MarginalProfile):
     """What `build_ce_system` keeps of the coupling system, for the build
-    and the read-back alike: the supports, the profiles of their product
-    as `(flat index, profile)` in row-major order, the `deviation_pairs`
-    triples whose recommended action is supported, in that order, and the
-    `(player, action)` of each marginal row."""
+    and the read-back alike: the supports, the `deviation_pairs` triples
+    whose recommended action is supported, in that order, and the
+    `(player, action)` of each marginal row. Its columns are the profiles
+    of the supports' product (`_product`)."""
     supports = [p.support(i) for i in range(game.num_players)]
-    cols = _product(game.shape, supports)
     pairs = [t for t in deviation_pairs(game) if t[1] in supports[t[0]]]
     marginals = [
         (i, a)
         for i, support in enumerate(supports)
         for a in (support if i == 0 else support[:-1])
     ]
-    return supports, cols, pairs, marginals
+    return supports, pairs, marginals
 
 
 def build_ce_system(game: Game, p: MarginalProfile) -> lp.LinearSystem:
@@ -144,7 +143,8 @@ def build_ce_system(game: Game, p: MarginalProfile) -> lp.LinearSystem:
     to 1, so no separate normalization row is added.
     """
     check_shape(game, p)
-    _supports, cols, pairs, marginals = _kept(game, p)
+    supports, pairs, marginals = _kept(game, p)
+    cols = _product(game.shape, supports)
     rows = incentive_rows(game, cols, pairs)
     for i, a in marginals:
         freqs, den = p.int_rows[i]
@@ -183,14 +183,14 @@ def normalize_dual(game: Game, p: MarginalProfile, multipliers) -> Exploitable:
     marginal-row multipliers become fees. Both are scaled by a common
     positive factor so that every off-diagonal row sum is at most 1, and
     each diagonal entry absorbs the remainder; the diagonal carries a zero
-    payoff coefficient, so the pointwise inequalities are unaffected. An
-    unobserved action keeps an identity kernel row, and its fee is
-    min(0, surplus - supported fees) over the profiles charged to it (see
-    the module docstring). Raises ValueError unless the scheme is feasible
-    at every profile and its expected income under `p` is positive.
+    payoff coefficient, so the pointwise inequalities are unaffected. The
+    scheme is read back by `_read_back`, so an unobserved action keeps an
+    identity kernel row and a fee of at most 0. Raises ValueError unless
+    the scheme is feasible at every profile and its expected income under
+    `p` is positive.
     """
     check_shape(game, p)
-    supports, _cols, pairs, marginals = _kept(game, p)
+    supports, pairs, marginals = _kept(game, p)
     multipliers = tuple(as_fraction(m) for m in multipliers)
     if len(multipliers) != len(pairs) + len(marginals):
         raise ValueError("multipliers do not match the coupling system "
@@ -200,20 +200,30 @@ def normalize_dual(game: Game, p: MarginalProfile, multipliers) -> Exploitable:
     # over T = max(D, S), which scales them by D/S when S > D, and each
     # diagonal entry is T less its row's sum, over T.
     nums, den = common_denominator(multipliers)
-    shape = game.shape
-    weights = [[[0] * k for _ in range(k)] for k in shape]
+    weights = [[[0] * k for _ in range(k)] for k in game.shape]
     for (i, ai, aj), y in zip(pairs, nums):
         weights[i][ai][aj] = y
     total = max(den, *(sum(row) for player_rows in weights for row in player_rows))
     for player_rows in weights:
         for ai, row in enumerate(player_rows):
             row[ai] = total - sum(row)
+    fee_nums = [[0] * k for k in game.shape]
+    for (i, a), y in zip(marginals, nums[len(pairs) :]):
+        fee_nums[i][a] = y
+    return _read_back(game, p, supports, weights, total, fee_nums)
+
+
+def _read_back(game, p, supports, weights, total, fee_nums) -> Exploitable:
+    """The checked `Exploitable` verdict of the action-wise scheme whose
+    kernel rows are `weights` and whose observed actions' fees are
+    `fee_nums`, all numerators over `total`. An unobserved action's fee
+    is min(0, surplus - supported fees) over the profiles charged to it
+    (see the module docstring). ValueError unless the scheme is feasible
+    at every profile and earns a positive income under `p`."""
+    shape = game.shape
     kernel = DeviationKernel.from_columns(
         [[(row, [total] * len(row)) for row in rows] for rows in weights]
     )
-    fee_nums = [[0] * k for k in shape]
-    for (i, a), y in zip(marginals, nums[len(pairs) :]):
-        fee_nums[i][a] = y
     fee_dens = [[total] * k for k in shape]
     # The profiles charged to i's unobserved action a: i plays a, and every
     # lower-index player an observed action. Its fee starts at 0 and is
@@ -240,53 +250,70 @@ def normalize_dual(game: Game, p: MarginalProfile, multipliers) -> Exploitable:
     return Exploitable(scheme, income)
 
 
+def _dominated(game: Game, supports, i: int, a: int, b: int):
+    """The least gain `(numerator, denominator)` of player `i` from `b`
+    over `a` at the profiles of the other players' supports, or None
+    unless every such gain is positive. Each gain is one integer
+    difference on a line of `i`; gains are compared by cross-multiplying."""
+    (pay, dens), step = game.int_payoffs[i], game.strides[i]
+    least = None
+    for base, _profile in _product(game.shape, (*supports[:i], (0,), *supports[i + 1 :])):
+        gain, den = pay[base + b * step] - pay[base + a * step], dens[base]
+        if gain <= 0:
+            return None
+        if least is None or gain * least[1] < least[0] * den:
+            least = gain, den
+    return least
+
+
 def test_ce_compatibility(game: Game, p: MarginalProfile) -> CeVerdict:
-    """Decide compatibility and return the matching certificate.
-
-    `build_ce_system` builds the one coupling system, on the product of
-    the supports. Each round, `lp.solve_feasibility` solves its marginal
-    rows and the incentive rows active so far, in the system's order:
-    those that independent play at `p` violates, then also those that
-    each feasible round's point violates. Each round adds a row, so the
-    loop ends. A point that violates none is zero-extended to every
-    profile and re-checked by `verify.verify_witness`. The multipliers of
-    an infeasible round, with 0 on every row left out, are read back by
-    `normalize_dual`, whose checked verdict, income included, is returned
-    as it is. A certificate that fails its check raises RuntimeError.
+    """Decide compatibility and return the matching certificate, by the
+    module docstring's three routes. The pairs `(i, a, b)` that independent
+    play violates, `a` supported and `b` paying more, are the first active
+    rows; the scheme of dominated play contracts on the first of them, in
+    `deviation_pairs` order, where `b` beats `a` everywhere. Each round
+    solves the marginal rows and the active incentive rows, in the system's
+    order, and activates the rows its point violates. A certificate that
+    fails its check raises RuntimeError.
     """
-    system = build_ce_system(game, p)
-    # The incentive rows, `>= 0` ones, come first; the marginal rows are `==`.
-    split = sum(row.sense == lp.GE for row in system.rows)
-    marginal = range(split, len(system.rows))
-
-    def violated(x):  # over any positive denominator; incentive rhs are 0
-        return [k for k, row in enumerate(system.rows[:split])
-                if sum(c * v for c, v in zip(row.nums, x) if c) < 0]
-
-    # `independent_play` walks the support product in the system's column order.
-    cells = independent_play(game.shape, p.int_rows)[0]
-    active = violated([w for _flat, w in cells])
-    while True:
-        kept = [*active, *marginal]
-        outcome = lp.solve_feasibility(lp.LinearSystem(
-            system.num_vars, tuple(system.rows[k] for k in kept), system.nonneg
-        ))
-        if isinstance(outcome, lp.Infeasible):
-            break
-        point, den = outcome.nums, outcome.den
-        failing = violated(point)
-        if not failing:
+    check_shape(game, p)
+    supports, pairs, marginals = _kept(game, p)
+    values = [payoff_numerators(game, p, i)[0] for i in range(game.num_players)]
+    active = [k for k, (i, a, b) in enumerate(pairs) if values[i][b] > values[i][a]]
+    try:
+        for i, a, b in (pairs[k] for k in active):
+            least = _dominated(game, supports, i, a, b)
+            if least:
+                weights = [[[least[1] * (c == r) for c in range(k)] for r in range(k)]
+                           for k in game.shape]
+                weights[i][a] = weights[i][b]
+                fee_nums = [[0] * k for k in game.shape]
+                fee_nums[i][a] = least[0]
+                return _read_back(game, p, supports, weights, least[1], fee_nums)
+        witness = None if active else product_distribution(p)
+        system = build_ce_system(game, p) if active else None
+        while witness is None:
+            kept = [*active, *range(len(pairs), len(pairs) + len(marginals))]
+            outcome = lp.solve_feasibility(lp.LinearSystem(
+                system.num_vars, tuple(system.rows[k] for k in kept), system.nonneg
+            ))
+            if isinstance(outcome, lp.Infeasible):
+                y, den = dict(zip(kept, outcome.nums)), outcome.den
+                return normalize_dual(game, p, [Fraction(y.get(k, 0), den)
+                                                for k in range(len(system.rows))])
+            point, den = outcome.nums, outcome.den
+            # Incentive rows come first, and their right-hand sides are 0.
+            failing = [k for k, row in enumerate(system.rows[: len(pairs)])
+                       if sum(c * v for c, v in zip(row.nums, point) if c) < 0]
+            if failing:
+                active = sorted(active + failing)
+                continue
             nums = [0] * game.num_profiles
-            for (flat, _weight), v in zip(cells, point):
+            for (flat, _profile), v in zip(_product(game.shape, supports), point):
                 nums[flat] = v
             witness = JointDistribution.from_columns(game.shape, (nums, [den] * len(nums)))
-            if not verify_witness(game, p, witness):
-                raise RuntimeError("witness fails the marginal or incentive check")
-            return Compatible(witness)
-        active = sorted(active + failing)
-    y, den = dict(zip(kept, outcome.nums)), outcome.den
-    multipliers = [Fraction(y.get(k, 0), den) for k in range(len(system.rows))]
-    try:
-        return normalize_dual(game, p, multipliers)
-    except ValueError as exc:
-        raise RuntimeError(f"scheme read from the multipliers fails: {exc}") from None
+    except ValueError as exc:  # the input passed `check_shape`: a producer's fault
+        raise RuntimeError(f"no checked certificate: {exc}") from None
+    if not verify_witness(game, p, witness):
+        raise RuntimeError("witness fails the marginal or incentive check")
+    return Compatible(witness)

@@ -46,8 +46,9 @@ lines per nonzero kernel weight. The checkers, `nash`'s best-response
 search and `correlated`'s fee fill read the integer payoffs too, and
 `JointDistribution.marginals` sums every marginal in one integer pass.
 `independent_play` is the one integer walk over independent play, on
-`MarginalProfile.int_rows`, and `check_shape` the one test that an
-object has the game's shape.
+`MarginalProfile.int_rows`, `payoff_numerators` the one table of expected
+payoffs against it, which `nash` and `correlated` read, and `check_shape`
+the one test that an object has the game's shape.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
-from operator import floordiv, mul
+from operator import floordiv, index, mul
 from typing import Iterator, Sequence
 
 Profile = tuple[int, ...]
@@ -127,7 +128,7 @@ class _Frozen:
         (floats refused), kept as the Fraction field; the store is built
         from their integer columns."""
         at, depth, view = self._RATIOS
-        values, columns = _read(args[at], depth)
+        values, columns = _read(_rationals(type(self), args), depth)
         self._store(*args[:at], columns, *args[at + 1 :])
         vars(self)[view] = values
 
@@ -138,7 +139,7 @@ class _Frozen:
         of equal length, for `n / d` where `d > 0`; no Fraction is made,
         and the store is validated with the constructor's messages."""
         at, depth, _view = cls._RATIOS
-        columns = _paired(args[at], depth, cls.__name__)
+        columns = _paired(_rationals(cls, args), depth, cls.__name__)
         obj = cls.__new__(cls)
         obj._store(*args[:at], columns, *args[at + 1 :])
         return obj
@@ -166,6 +167,15 @@ class _Frozen:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
         return f"{type(self).__name__}({fields})"
+
+
+def _rationals(cls, args):
+    """The argument of `args` that holds `cls`'s rationals; TypeError,
+    naming it, when it is missing."""
+    at, _depth, view = cls._RATIOS
+    if len(args) <= at:
+        raise TypeError(f"{cls.__name__}() missing required argument {view!r}")
+    return args[at]
 
 
 def _read(values, depth: int):
@@ -433,7 +443,7 @@ class JointDistribution(_Frozen):
     _RATIOS = (1, 0, "probs")
 
     def _store(self, shape, columns) -> None:
-        shape = tuple(int(k) for k in shape)
+        shape = tuple(map(index, shape))  # TypeError on a float
         if any(k < 1 for k in shape):
             raise ValueError("every player needs at least one action")
         if len(columns[0]) != prod(shape):
@@ -533,6 +543,26 @@ def independent_play(shape, rows) -> tuple[list[tuple[int, int]], int]:
             if w
         ]
     return cells, den
+
+
+def payoff_numerators(game: Game, p: MarginalProfile, i: int) -> tuple[list[int], int]:
+    """Player `i`'s expected payoff for each own action against the
+    independent mixture of everyone else, as integer numerators over one
+    common positive denominator.
+
+    `independent_play` with `i` pinned to action 0 weights each line of
+    `i`; the lines' `Game.int_payoffs` are put over one lcm."""
+    rows = p.int_rows[:i] + (((1,), 1),) + p.int_rows[i + 1 :]
+    lines, den = independent_play(game.shape, rows)
+    pay, pay_dens = game.int_payoffs[i]
+    common = lcm(*(pay_dens[base] for base, _ in lines))
+    step = game.strides[i]
+    totals = [0] * game.shape[i]
+    for base, weight in lines:
+        weight *= common // pay_dens[base]
+        line = pay[base : base + len(totals) * step : step]
+        totals = [t + weight * n for t, n in zip(totals, line)]
+    return totals, den * common
 
 
 def product_distribution(p: MarginalProfile) -> JointDistribution:

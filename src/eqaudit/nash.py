@@ -11,11 +11,11 @@ deviation that gains most, and the fee is its surplus (compare Nau and
 McCardle, "Coherent behavior in noncooperative games", JET 1990). A
 non-equilibrium gets the same `Exploitable` verdict as the correlated
 test, a `games` type, carrying a `ProfilewiseScheme`. The
-best-response search, `_best_deviation`, and `expected_payoff` share one
-routine that reads the game's integer payoff view and weights each line
-by the integer product of the other players' scaled probabilities; the
-kernel and the fee are built as integer columns, the fee read from that
-view, through the `from_columns` constructors. `expected_payoff` raises
+best-response search, `_best_deviation`, and `expected_payoff` read
+each player's expected payoffs from `games.payoff_numerators`, as
+`correlated` does; the kernel and the fee are built as integer columns,
+the fee read from the game's integer payoff view, through the
+`from_columns` constructors. `expected_payoff` raises
 ValueError on a profile of the wrong shape, an unknown player or an
 action out of range. The pinned LP `build_nash_system` is kept as a
 reference formulation only.
@@ -24,7 +24,6 @@ reference formulation only.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from . import lp
 from .correlated import incentive_rows
@@ -36,7 +35,7 @@ from .games import (
     MarginalProfile,
     ProfilewiseScheme,
     check_shape,
-    independent_play,
+    payoff_numerators,
     product_distribution,
 )
 
@@ -44,26 +43,6 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 NashVerdict = IsNash | Exploitable
-
-
-def _payoff_numerators(game: Game, p: MarginalProfile, i: int) -> tuple[list[int], int]:
-    """Player `i`'s expected payoff for each own action against the
-    independent mixture of everyone else, as integer numerators over one
-    common positive denominator.
-
-    `games.independent_play` with `i` pinned to action 0 weights each line
-    of `i`; the lines' `Game.int_payoffs` are put over one lcm."""
-    rows = p.int_rows[:i] + (((1,), 1),) + p.int_rows[i + 1 :]
-    lines, den = independent_play(game.shape, rows)
-    pay, pay_dens = game.int_payoffs[i]
-    common = lcm(*(pay_dens[base] for base, _ in lines))
-    step = game.strides[i]
-    totals = [0] * game.shape[i]
-    for base, weight in lines:
-        weight *= common // pay_dens[base]
-        line = pay[base : base + len(totals) * step : step]
-        totals = [t + weight * n for t, n in zip(totals, line)]
-    return totals, den * common
 
 
 def expected_payoff(game: Game, p: MarginalProfile, i: int, action: int) -> Fraction:
@@ -75,7 +54,7 @@ def expected_payoff(game: Game, p: MarginalProfile, i: int, action: int) -> Frac
     k = game.shape[i]
     if not 0 <= action < k:
         raise ValueError(f"action index {action} out of range for {k} actions")
-    totals, den = _payoff_numerators(game, p, i)
+    totals, den = payoff_numerators(game, p, i)
     return Fraction(totals[action], den)
 
 
@@ -89,7 +68,7 @@ def _best_deviation(game: Game, p: MarginalProfile):
     check_shape(game, p)
     found = None
     for i, (weights, scale) in enumerate(p.int_rows):
-        values, den = _payoff_numerators(game, p, i)
+        values, den = payoff_numerators(game, p, i)
         best = max(values)
         gains = [w * (best - v) for w, v in zip(weights, values)]
         top = max(gains)

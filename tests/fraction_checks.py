@@ -143,7 +143,7 @@ def check_distribution(values, what: str) -> None:
 def normalize_dual(game: Game, p: MarginalProfile, multipliers) -> Exploitable:
     """Multipliers of the coupling system read back as a scheme, scaled
     and filled in Fractions, and checked by `verify_actionwise`."""
-    supports, _cols, pairs, marginals = _kept(game, p)
+    supports, pairs, marginals = _kept(game, p)
     multipliers = tuple(multipliers)
     off_diag = [[[_ZERO] * k for _ in range(k)] for k in game.shape]
     for (i, ai, aj), y in zip(pairs, multipliers):

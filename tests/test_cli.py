@@ -132,7 +132,7 @@ def test_verify_witness_from_verdict_doc(files, tmp_path):
 def test_verify_nash_verdict_doc_without_the_solver(
     files, tmp_path, monkeypatch, capsys, marginals, valid
 ):
-    from eqaudit import cli, lp, nash
+    from eqaudit import cli, games, lp, nash
 
     out = tmp_path / "verdict.json"
     argv = ["test-nash", files["game.json"], files["pure_tl.json"], "--out", str(out)]
@@ -146,8 +146,10 @@ def test_verify_nash_verdict_doc_without_the_solver(
         monkeypatch.setattr(lp, name, explode)
     monkeypatch.setattr(lp._Simplex, "phase_one", explode)
     # The verdict is judged without the code that produced it.
-    for name in ("_best_deviation", "expected_payoff", "_payoff_numerators"):
+    for name in ("_best_deviation", "expected_payoff", "payoff_numerators"):
         monkeypatch.setattr(nash, name, explode)
+    # The producers' shared expected-payoff helper lives in `games`.
+    monkeypatch.setattr(games, "payoff_numerators", explode)
     capsys.readouterr()
     code = cli.main(["verify", files["game.json"], files[marginals], str(out)])
     captured = capsys.readouterr()

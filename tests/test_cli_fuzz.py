@@ -11,7 +11,8 @@ cell past the header, a field over the csv module's size limit, or a
 snippet inserted or bytes dropped anywhere. Whatever the input, `main`
 must return 0, 1 or 2 without letting an exception escape, a verdict must
 be one JSON document on stdout, and exit 2 must print exactly one
-`error:` line on stderr.
+`error:` line on stderr. Each example must also finish within 2 s, the
+hypothesis deadline.
 """
 
 import copy
@@ -145,7 +146,7 @@ def requests(draw):
 
 
 @given(requests())
-@settings(max_examples=200, derandomize=True, deadline=None)
+@settings(max_examples=200, derandomize=True, deadline=2000)
 def test_hostile_documents_exit_cleanly(request):
     command, flags, docs = request
     with tempfile.TemporaryDirectory() as tmp:
@@ -234,7 +235,7 @@ def mutated_log(draw):
 
 
 @given(st.sampled_from(LOG_COMMANDS), mutated_log())
-@settings(max_examples=200, derandomize=True, deadline=None)
+@settings(max_examples=200, derandomize=True, deadline=2000)
 def test_hostile_play_logs_exit_cleanly(command, log):
     command, flags = command
     with tempfile.TemporaryDirectory() as tmp:

@@ -262,11 +262,12 @@ def rounds(monkeypatch):
 
 
 def test_ce_system_is_built_once_per_request(
-    rounds, monkeypatch, coordination, skewed_profile, mixed_equilibrium
+    rounds, monkeypatch, coordination, skewed_profile, diagonal_profile, mixed_equilibrium
 ):
-    # On either arm: one build, then one `lp.LinearSystem` per round of
-    # row generation, and one `lp.verify_outcome` call per solved
-    # subsystem, the solver's own check of the system it just solved.
+    # On either arm of the solver: one build, then one `lp.LinearSystem`
+    # per round of row generation, and one `lp.verify_outcome` call per
+    # solved subsystem, the solver's own check of the system it just
+    # solved. A forced case (here Nash marginals) builds nothing.
     built, solved = rounds
     systems = []
     checks = []
@@ -283,28 +284,39 @@ def test_ce_system_is_built_once_per_request(
 
     monkeypatch.setattr(lp, "LinearSystem", CountingSystem)
     monkeypatch.setattr(lp, "verify_outcome", counting_check)
-    for p, arm in ((skewed_profile, Exploitable), (mixed_equilibrium, Compatible)):
+    for p, arm, builds in (
+        (skewed_profile, Exploitable, 1),
+        (diagonal_profile, Compatible, 1),
+        (mixed_equilibrium, Compatible, 0),
+    ):
         built.clear()
+        solved.clear()
         systems.clear()
         checks.clear()
         assert isinstance(correlated.test_ce_compatibility(coordination, p), arm)
         subsystems = [id(system) for system, _outcome in solved]
-        assert len(built) == 1 and subsystems
+        assert len(built) == builds and bool(subsystems) == bool(builds)
         assert [id(system) for system in checks] == subsystems
-        assert [id(system) for system in systems] == [id(built[0]), *subsystems]
+        assert [id(system) for system in systems] == [*map(id, built), *subsystems]
 
 
 def test_an_infeasible_round_pads_to_a_certificate_of_the_whole_system(rounds):
     # The rows a round solves are rows of the built system, in its order;
     # multipliers of 0 on every other row must give a Farkas certificate
-    # that the whole system, built afresh, accepts.
+    # that the whole system, built afresh, accepts. Only the first 60
+    # drawn cases that reach the solver count.
     built, solved = rounds
     rng = random.Random(29)
     seen = set()
-    for _ in range(60):
+    reached = 0
+    while reached < 60:
         game = random_game(rng)
         p = random_marginals(rng, game)
+        built.clear()
         verdict = correlated.test_ce_compatibility(game, p)
+        if not built:
+            continue
+        reached += 1
         system, outcome = solved[-1]
         if isinstance(verdict, Compatible):
             assert isinstance(outcome, lp.Feasible)
@@ -427,3 +439,77 @@ def test_permutation_equivariance():
             assert (
                 verify_actionwise(pgame, pp, mapped) == base.expected_profit > 0
             )
+
+
+@pytest.fixture
+def no_solver(monkeypatch):
+    def explode(*_args, **_kwargs):  # pragma: no cover
+        raise AssertionError("a forced case reached the solver")
+
+    monkeypatch.setattr(lp, "solve_feasibility", explode)
+    monkeypatch.setattr(correlated, "build_ce_system", explode)
+
+
+def test_nash_marginals_get_the_product_witness(no_solver, coordination, mixed_equilibrium):
+    # Both players mix, and every supported action is a best response.
+    assert all(len(mixed_equilibrium.support(i)) == 2 for i in range(2))
+    verdict = correlated.test_ce_compatibility(coordination, mixed_equilibrium)
+    assert verdict == Compatible(games.product_distribution(mixed_equilibrium))
+    assert verify_witness(coordination, mixed_equilibrium, verdict.witness)
+
+
+def test_dominated_play_gets_a_one_player_contract(no_solver):
+    # T beats B by 5/2 against L and by 7/3 against M, on lines of
+    # different denominators, but B beats T against R, which P2 never
+    # plays. P2's payoffs are flat, so only P1 deviates.
+    game = Game(
+        ("P1", "P2"),
+        (("T", "B"), ("L", "M", "R")),
+        (("5/2", "7/3", "0", "0", "0", "5"), ("0",) * 6),
+    )
+    p = MarginalProfile(((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2), F(0))))
+    verdict = correlated.test_ce_compatibility(game, p)
+    assert isinstance(verdict, Exploitable)
+    kernel = verdict.scheme.kernel.rows
+    assert kernel[0] == ((F(1), F(0)), (F(1), F(0)))  # B is sent to T
+    assert kernel[1] == tuple(tuple(F(int(a == b)) for b in range(3)) for a in range(3))
+    # The fee on B is the least gain, 7/3; R's fee is filled: at (B, R) the
+    # surplus is -5 and B's fee 7/3 is charged, so R's fee is -22/3.
+    assert verdict.scheme.fees == ((F(0), F(7, 3)), (F(0), F(0), F(-22, 3)))
+    assert verdict.expected_profit == F(1, 2) * F(7, 3)
+    assert verify_actionwise(game, p, verdict.scheme) == verdict.expected_profit
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_every_route_agrees_with_a_plain_solve(monkeypatch, seed):
+    # Random games with random marginals and with the marginals of a
+    # sampled correlated equilibrium: whatever the route, the verdict kind
+    # is the one a plain solve of the coupling system gives, and every
+    # certificate passes its check. Each verdict kind is reached both with
+    # and without the solver.
+    solve, reached = lp.solve_feasibility, []
+
+    def counted(system):
+        reached.append(system)
+        return solve(system)
+
+    monkeypatch.setattr(lp, "solve_feasibility", counted)
+    rng = random.Random(seed)
+    routes = set()
+    for k in range(30):
+        game = random_game(rng, max_actions=3 if k % 2 else 2)
+        for p in (random_marginals(rng, game), random_ce(game, k).marginals()):
+            reached.clear()
+            verdict = correlated.test_ce_compatibility(game, p)
+            routes.add((type(verdict), bool(reached)))
+            plain = solve(build_ce_system(game, p))
+            assert isinstance(verdict, Compatible) == isinstance(plain, lp.Feasible)
+            if isinstance(verdict, Compatible):
+                assert verify_witness(game, p, verdict.witness)
+                if not reached:
+                    assert verdict.witness == games.product_distribution(p)
+            else:
+                assert verify.verify_exploitable(game, p, verdict) > 0
+    assert routes == {
+        (kind, solved) for kind in (Compatible, Exploitable) for solved in (False, True)
+    }

@@ -23,8 +23,9 @@ import pytest
 from eqaudit import correlated, games, lp, nash, verify
 from test_golden_verdicts import CASES, _case
 
-# Rounds of row generation, so solves, over the golden `test-ce` cases.
-ROUNDS = 42
+# Rounds of row generation, so solves, over the golden `test-ce` cases
+# that reach the solver: Nash marginals and dominated play do not.
+ROUNDS = 12
 
 OPERATORS = (
     "__add__", "__radd__", "__sub__", "__rsub__",

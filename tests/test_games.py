@@ -669,3 +669,31 @@ def test_line_starts_cover_every_profile_once():
         for line in lines:
             assert [a[i] for a in line] == list(range(k))
             assert len({a[:i] + a[i + 1 :] for a in line}) == 1
+
+
+@pytest.mark.parametrize("shape", [(2.7,), (2.0,), (2, 1.5)])
+def test_a_float_shape_is_refused(shape):
+    # A float entry is refused, not truncated by `int`, as every rational
+    # of the same object refuses a float.
+    probs = ("1/2", "1/2") + ("0",) * (len(shape) - 1)
+    with pytest.raises(TypeError):
+        JointDistribution(shape, probs)
+    with pytest.raises(TypeError):
+        JointDistribution.from_columns(shape, ((1, 1), (2, 2)))
+
+
+@pytest.mark.parametrize(
+    "cls, args, name",
+    [
+        (Game, (("A",), (("x",),)), "payoffs"),
+        (MarginalProfile, (), "probs"),
+        (JointDistribution, ((2,),), "probs"),
+        (DeviationKernel, (), "rows"),
+        (ActionwiseScheme, (), "fees"),
+        (ProfilewiseScheme, (), "fee"),
+    ],
+)
+def test_a_missing_rationals_argument_is_named(cls, args, name):
+    for build in (cls, cls.from_columns):
+        with pytest.raises(TypeError, match=f"{cls.__name__}.*'{name}'"):
+            build(*args)

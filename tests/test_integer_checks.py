@@ -190,7 +190,8 @@ def test_incentive_rows_match_payoff_differences(case):
     # Row by row, over every profile and over the kept columns alike, each
     # coefficient is pay[f] - pay[f + shift] where i is told ai, else 0.
     game, p = case
-    _supports, kept_cols, kept_pairs, _marginals = correlated._kept(game, p)
+    supports, kept_pairs, _marginals = correlated._kept(game, p)
+    kept_cols = correlated._product(game.shape, supports)
     every = (list(enumerate(game.profiles())), list(correlated.deviation_pairs(game)))
     for cols, pairs in (every, (kept_cols, kept_pairs)):
         rows = correlated.incentive_rows(game, cols, pairs)

@@ -334,12 +334,13 @@ def test_golden_ce_cases_take_the_pinned_number_of_pivots():
     # moves it changes the path of the simplex or the systems it solves
     # and must say so: Bland's rule took 292; Dantzig entering with the
     # lexicographic ratio test took 240 on the whole coupling system, and
-    # takes 180 over the rounds that generate its incentive rows.
+    # 180 over the rounds that generate its incentive rows; it takes 101
+    # now that Nash marginals and dominated play are decided without it.
     cases = [_case(k) for k in range(CASES)]
     with _counted_pivots() as counts:
         for game, p in cases:
             correlated.test_ce_compatibility(game, p)
-    assert counts[lp._Simplex] == 180
+    assert counts[lp._Simplex] == 101
 
 
 @contextmanager
@@ -411,7 +412,7 @@ def test_every_golden_pivot_matches_the_dense_step():
     with _dense_pivot_check() as pivots:
         for game, p in cases:
             correlated.test_ce_compatibility(game, p)
-    assert pivots[0] == 180
+    assert pivots[0] == 101
 
 
 def _assert_tableau_invariants(simplex):

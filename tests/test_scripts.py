@@ -67,13 +67,13 @@ def test_output_digest_names_each_gated_workload():
 # CHANGES.md.
 def test_output_digest_pins_the_audit_mid_verdicts():
     assert _digests("1")["audit-mid"] == (
-        "e611652790baa647692f776c6fdb6fd8cbcae0a1c2c73657fd74c63fb03502e0"
+        "19220cbdc4c9c8dfaf7712ba482d641a961ec3585eef7b9b8289bd9174fbd95d"
     )
 
 
 def test_output_digest_pins_the_held_out_audit_mid_verdicts():
     assert _digests("7919")["audit-mid"] == (
-        "cc002c4e1384762573dc8260e8ea4aaaa2216826a2a782ef8dda0781fb081dd9"
+        "844bba2d86da46f98bc4ee9181482dfca93a3108da7c179dae4a2f0382051b23"
     )
 
 

@@ -43,7 +43,6 @@ arithmetic, and no Fraction payoff view of a parsed game is built.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import lcm
 from typing import Iterator
 
@@ -56,9 +55,7 @@ from .games import (
     Game,
     JointDistribution,
     MarginalProfile,
-    as_fraction,
     check_shape,
-    common_denominator,
     payoff_numerators,
     product_distribution,
 )
@@ -150,7 +147,7 @@ def build_ce_system(game: Game, p: MarginalProfile) -> lp.LinearSystem:
         freqs, den = p.int_rows[i]
         nums = [den if profile[i] == a else 0 for _flat, profile in cols]
         rows.append(lp.Row.over(nums, lp.EQ, freqs[a], den))
-    return lp.LinearSystem(len(cols), tuple(rows), (True,) * len(cols))
+    return lp.LinearSystem(len(cols), tuple(rows))
 
 
 def _surplus_over(game: Game, weights, flat, profile) -> tuple[int, int]:
@@ -173,11 +170,11 @@ def _surplus_over(game: Game, weights, flat, profile) -> tuple[int, int]:
     return sum(gain * (den // d) for gain, d in terms), den
 
 
-def normalize_dual(game: Game, p: MarginalProfile, multipliers) -> Exploitable:
-    """Turn a Farkas certificate of `build_ce_system(game, p)` into a
-    transfer scheme with a row-stochastic kernel, and return the checked
-    `Exploitable` verdict: the scheme and the income `verify_actionwise`
-    computes for it.
+def normalize_dual(game: Game, p: MarginalProfile, certificate) -> Exploitable:
+    """Turn the integer `lp.Infeasible` certificate of the system
+    `build_ce_system(game, p)` into a transfer scheme with a
+    row-stochastic kernel, and return the checked `Exploitable` verdict:
+    the scheme and the income `verify_actionwise` computes for it.
 
     Incentive-row multipliers become off-diagonal kernel mass and
     marginal-row multipliers become fees. Both are scaled by a common
@@ -191,15 +188,14 @@ def normalize_dual(game: Game, p: MarginalProfile, multipliers) -> Exploitable:
     """
     check_shape(game, p)
     supports, pairs, marginals = _kept(game, p)
-    multipliers = tuple(as_fraction(m) for m in multipliers)
-    if len(multipliers) != len(pairs) + len(marginals):
+    nums, den = certificate.nums, certificate.den
+    if len(nums) != len(pairs) + len(marginals):
         raise ValueError("multipliers do not match the coupling system "
                          "of this game and profile")
-    # Over the multipliers' common denominator D, with S the largest sum of
-    # a row's off-diagonal numerators, every entry and fee is its numerator
+    # Over the multipliers' denominator D, with S the largest sum of a
+    # row's off-diagonal numerators, every entry and fee is its numerator
     # over T = max(D, S), which scales them by D/S when S > D, and each
     # diagonal entry is T less its row's sum, over T.
-    nums, den = common_denominator(multipliers)
     weights = [[[0] * k for _ in range(k)] for k in game.shape]
     for (i, ai, aj), y in zip(pairs, nums):
         weights[i][ai][aj] = y
@@ -295,12 +291,12 @@ def test_ce_compatibility(game: Game, p: MarginalProfile) -> CeVerdict:
         while witness is None:
             kept = [*active, *range(len(pairs), len(pairs) + len(marginals))]
             outcome = lp.solve_feasibility(lp.LinearSystem(
-                system.num_vars, tuple(system.rows[k] for k in kept), system.nonneg
+                system.num_vars, tuple(system.rows[k] for k in kept)
             ))
             if isinstance(outcome, lp.Infeasible):
-                y, den = dict(zip(kept, outcome.nums)), outcome.den
-                return normalize_dual(game, p, [Fraction(y.get(k, 0), den)
-                                                for k in range(len(system.rows))])
+                y = dict(zip(kept, outcome.nums))
+                padded = [y.get(k, 0) for k in range(len(system.rows))]
+                return normalize_dual(game, p, lp.Infeasible.over(padded, outcome.den))
             point, den = outcome.nums, outcome.den
             # Incentive rows come first, and their right-hand sides are 0.
             failing = [k for k, row in enumerate(system.rows[: len(pairs)])

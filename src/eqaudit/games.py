@@ -424,7 +424,7 @@ class MarginalProfile(_Frozen):
         """The probabilities as Fractions, read from `int_rows` on first use."""
         return _row_views(self.int_rows)
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, ...]:
         return tuple(len(nums) for nums, _den in self.int_rows)
 
@@ -551,7 +551,11 @@ def payoff_numerators(game: Game, p: MarginalProfile, i: int) -> tuple[list[int]
     common positive denominator.
 
     `independent_play` with `i` pinned to action 0 weights each line of
-    `i`; the lines' `Game.int_payoffs` are put over one lcm."""
+    `i`; the lines' `Game.int_payoffs` are put over one lcm. ValueError
+    on a profile of the wrong shape or an unknown player."""
+    check_shape(game, p)
+    if not 0 <= i < game.num_players:
+        raise ValueError(f"unknown player index {i}")
     rows = p.int_rows[:i] + (((1,), 1),) + p.int_rows[i + 1 :]
     lines, den = independent_play(game.shape, rows)
     pay, pay_dens = game.int_payoffs[i]

@@ -1,15 +1,15 @@
 """Exact rational linear feasibility with constructive infeasibility proofs.
 
-A `LinearSystem` mixes `>=` and `==` rows over variables that are either
-sign-restricted to be nonnegative or free. A `Row`, and either outcome
-(a `Feasible` point, an `Infeasible` certificate), holds integers over
-one positive denominator, with no factor common to all of them, so each
-has one form; `coeffs`, `rhs`, `point` and `multipliers` are read-only
-Fraction views. `solve_feasibility` runs phase
-one of a two-phase simplex. The entering column is Dantzig's, the most
-negative reduced cost. The leaving row has the minimum ratio, and ties
-go to the lexicographically smallest row of the columns basic when the
-run began, taken in row order and divided by the row's entry in the
+A `LinearSystem` mixes `>=` and `==` rows over variables that are all
+nonnegative, as the probabilities the package solves for are. A `Row`,
+and either outcome (a `Feasible` point, an `Infeasible` certificate),
+holds integers over one positive denominator, with no factor common to
+all of them, so each has one form; `coeffs`, `rhs`, `point` and
+`multipliers` are read-only Fraction views. `solve_feasibility` runs
+phase one of a two-phase simplex. The entering column is Dantzig's, the
+most negative reduced cost. The leaving row has the minimum ratio, and
+ties go to the lexicographically smallest row of the columns basic when
+the run began, taken in row order and divided by the row's entry in the
 entering column. At that start every row, read over (right-hand side,
 those columns), is lexicographically positive, as its right-hand side is
 nonnegative and it holds its own basic entry; the lexicographic ratio
@@ -23,19 +23,18 @@ entry in its basic column, the objective is the last row, and a pivot
 cross-multiplies every other row at the pivot row's nonzero columns and
 divides out its gcd, in the manner of Edmonds' and Bareiss'
 integer-preserving elimination. A system row enters the tableau as its
-numerators, with no denominator to clear. The
-starting basis is a slack start: a `>=` row whose right-hand side is at
-most zero (an incentive row, say) is already satisfied at the origin, so
-its own surplus column is basic at first and the row needs no artificial
-column. Only equality rows and `>=` rows with a positive right-hand side
-get one, and phase one minimizes their sum. If that sum cannot be driven
-to zero, the phase-one dual multipliers are returned as a Farkas
-certificate: nonnegative on inequality rows, free on equality rows,
-combining the rows into `y.A <= 0` on nonnegative variables (`= 0` on
-free ones) while `y.b > 0`. `verify_outcome` checks either arm by direct
-substitution, in integers, reading the outcome's numerators and each
-row's numerators and denominator as the system defines them, with no
-code shared with the tableau.
+numerators, with no denominator to clear. The starting basis is a slack
+start: a `>=` row whose right-hand side is at most zero (an incentive
+row, say) is already satisfied at the origin, so its own surplus column
+is basic at first and the row needs no artificial column. Only equality
+rows and `>=` rows with a positive right-hand side get one, and phase
+one minimizes their sum. If that sum cannot be driven to zero, the
+phase-one dual multipliers are returned as a Farkas certificate:
+nonnegative on inequality rows, free on equality rows, combining the
+rows into `y.A <= 0` in every column while `y.b > 0`. `verify_outcome`
+checks either arm by direct substitution, in integers, reading the
+outcome's numerators and each row's numerators and denominator as the
+system defines them, with no code shared with the tableau.
 
 `maximize` exposes phase two, a vertex under a linear objective, for one
 caller: `oracles.random_ce`, the input generator of the tests, scripts
@@ -112,21 +111,23 @@ def eq(coeffs, rhs) -> Row:
 
 @dataclass(frozen=True)
 class LinearSystem:
+    """Rows over `num_vars` variables, every one of them nonnegative."""
+
     num_vars: int
     rows: tuple[Row, ...]
-    nonneg: tuple[bool, ...]
 
     def __post_init__(self):
         rows = tuple(self.rows)
-        nonneg = tuple(bool(v) for v in self.nonneg)
-        if len(nonneg) != self.num_vars:
-            raise ValueError("nonneg mask length does not match variable count")
         for k, row in enumerate(rows):
             if len(row.nums) != self.num_vars:
                 raise ValueError(f"row {k} has {len(row.nums)} coefficients, "
                                  f"expected {self.num_vars}")
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "nonneg", nonneg)
+
+    @property
+    def nonneg(self) -> tuple[bool, ...]:
+        """`True` for every variable: all of them are nonnegative."""
+        return (True,) * self.num_vars
 
 
 @dataclass(frozen=True, init=False)
@@ -178,7 +179,7 @@ def verify_outcome(system: LinearSystem, outcome: FeasibilityOutcome) -> bool:
         x, den = outcome.nums, outcome.den
         if len(x) != system.num_vars:
             return False
-        if any(nonneg and v < 0 for nonneg, v in zip(system.nonneg, x)):
+        if any(v < 0 for v in x):
             return False
         for row in system.rows:
             value = sum(c * v for c, v in zip(row.nums, x) if c)
@@ -204,10 +205,7 @@ def verify_outcome(system: LinearSystem, outcome: FeasibilityOutcome) -> bool:
                 if c:
                     combined[j] += factor * c
             total += factor * row.rhs_num
-        if any(
-            value > 0 if nonneg else value != 0
-            for nonneg, value in zip(system.nonneg, combined)
-        ):
+        if any(value > 0 for value in combined):
             return False
         return total > 0
     raise TypeError(f"not a feasibility outcome: {outcome!r}")
@@ -216,14 +214,14 @@ def verify_outcome(system: LinearSystem, outcome: FeasibilityOutcome) -> bool:
 class _Simplex:
     """Exact tableau over the standard equality form of a system.
 
-    Free variables are split into positive and negative parts and `>=`
-    rows get a surplus column. A `>=` row whose right-hand side is at most
-    zero is negated and starts with its own surplus column in the basis,
-    at value `-rhs`. Every other row is sign-flipped so its right-hand side
-    is nonnegative and gets an artificial column for the starting basis;
-    the artificial columns are the block `first_art .. z - 1`, and they
-    never re-enter the basis. At the phase-one optimum the reduced cost of
-    the column each row started in encodes that row's dual multiplier.
+    Variable j is column j, and each `>=` row gets a surplus column after
+    them. A `>=` row whose right-hand side is at most zero is negated and
+    starts with its own surplus column in the basis, at value `-rhs`.
+    Every other row is sign-flipped so its right-hand side is nonnegative
+    and gets an artificial column for the starting basis; the artificial
+    columns are the block `first_art .. z - 1`, and they never re-enter
+    the basis. At the phase-one optimum the reduced cost of the column
+    each row started in encodes that row's dual multiplier.
 
     Each tableau row, right-hand side last, is a list of ints with no
     factor common to all of them, and its denominator is its own entry in
@@ -235,17 +233,7 @@ class _Simplex:
 
     def __init__(self, system: LinearSystem):
         self.system = system
-        ncols = 0
-        self.plus: list[int] = []
-        self.minus: list[int | None] = []
-        for j in range(system.num_vars):
-            self.plus.append(ncols)
-            ncols += 1
-            if system.nonneg[j]:
-                self.minus.append(None)
-            else:
-                self.minus.append(ncols)
-                ncols += 1
+        ncols = system.num_vars
         self.surplus: list[int | None] = []
         for row in system.rows:
             if row.sense == GE:
@@ -289,11 +277,7 @@ class _Simplex:
         vec = [0] * (self.z + 2)
         for j, c in enumerate(nums):
             if c:
-                v = sign * c
-                vec[self.plus[j]] = v
-                mcol = self.minus[j]
-                if mcol is not None:
-                    vec[mcol] = -v
+                vec[j] = sign * c
         vec[-1] = sign * rhs_num
         return vec
 
@@ -382,14 +366,12 @@ class _Simplex:
 
     def point(self) -> tuple[list[int], int]:
         """The basic solution in the system's variables, over one denominator."""
-        xstd = [(0, 1)] * (self.z + 1)  # the last for a missing minus column
+        x = [(0, 1)] * self.system.num_vars
         for row, col in zip(self.T, self.basis):
-            if row[-1]:
-                xstd[col] = (row[-1], row[col])
-        minus = [-1 if m is None else m for m in self.minus]
-        pairs = [(xstd[p], xstd[m]) for p, m in zip(self.plus, minus)]
-        den = lcm(*(d for pair in pairs for _n, d in pair))
-        return [n * (den // d) - m * (den // e) for (n, d), (m, e) in pairs], den
+            if col < len(x) and row[-1]:
+                x[col] = (row[-1], row[col])
+        den = lcm(*(d for _n, d in x))
+        return [n * (den // d) for n, d in x], den
 
     def _purge_artificials(self) -> None:
         # A basic artificial sits at zero after a successful phase one, but

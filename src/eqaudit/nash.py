@@ -48,13 +48,10 @@ NashVerdict = IsNash | Exploitable
 def expected_payoff(game: Game, p: MarginalProfile, i: int, action: int) -> Fraction:
     """Player `i`'s expected payoff for playing `action` against the
     independent mixture of everyone else; ValueError on a bad index."""
-    check_shape(game, p)
-    if not 0 <= i < game.num_players:
-        raise ValueError(f"unknown player index {i}")
+    totals, den = payoff_numerators(game, p, i)
     k = game.shape[i]
     if not 0 <= action < k:
         raise ValueError(f"action index {action} out of range for {k} actions")
-    totals, den = payoff_numerators(game, p, i)
     return Fraction(totals[action], den)
 
 
@@ -98,7 +95,7 @@ def build_nash_system(game: Game, p: MarginalProfile) -> lp.LinearSystem:
         indicator = [_ZERO] * game.num_profiles
         indicator[flat] = _ONE
         rows.append(lp.eq(indicator, q.probs[flat]))
-    return lp.LinearSystem(game.num_profiles, tuple(rows), (True,) * game.num_profiles)
+    return lp.LinearSystem(game.num_profiles, tuple(rows))
 
 
 def test_nash_exploitability(game: Game, p: MarginalProfile) -> NashVerdict:

@@ -58,7 +58,7 @@ def random_ce(game: Game, seed: int) -> JointDistribution:
     rng = random.Random(seed)
     rows = incentive_rows(game)
     rows.append(lp.eq([_ONE] * game.num_profiles, 1))
-    system = lp.LinearSystem(game.num_profiles, tuple(rows), (True,) * game.num_profiles)
+    system = lp.LinearSystem(game.num_profiles, tuple(rows))
     objective = tuple(
         Fraction(rng.randint(-24, 24), rng.randint(1, 12))
         for _ in range(game.num_profiles)

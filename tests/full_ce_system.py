@@ -34,6 +34,4 @@ def build_full_ce_system(game, p) -> lp.LinearSystem:
                 _ONE if profile[i] == ai else _ZERO for profile in game.profiles()
             ]
             rows.append(lp.eq(indicator, p.probs[i][ai]))
-    return lp.LinearSystem(
-        game.num_profiles, tuple(rows), (True,) * game.num_profiles
-    )
+    return lp.LinearSystem(game.num_profiles, tuple(rows))

@@ -117,16 +117,16 @@ def test_skewed_profile_exploitable(coordination, skewed_profile):
 def test_normalize_dual_rejects_garbage(coordination, skewed_profile, matching_pennies):
     sys_ = build_ce_system(coordination, skewed_profile)
     with pytest.raises(ValueError):
-        normalize_dual(coordination, skewed_profile, (F(0),) * len(sys_.rows))
+        normalize_dual(coordination, skewed_profile, lp.Infeasible((0,) * len(sys_.rows)))
     # a true certificate of the system, read against another game
     out = lp.solve_feasibility(sys_)
     uniform = MarginalProfile(((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2))))
     with pytest.raises(ValueError):
-        normalize_dual(matching_pennies, uniform, out.multipliers)
+        normalize_dual(matching_pennies, uniform, out)
     # ... and against a game of the same shape, where no fee is earned
     idle = Game(coordination.players, coordination.actions, (("0",) * 6,) * 2)
     with pytest.raises(ValueError):
-        normalize_dual(idle, skewed_profile, out.multipliers)
+        normalize_dual(idle, skewed_profile, out)
 
 
 def test_normalize_dual_scale_invariance(coordination, skewed_profile):
@@ -134,9 +134,8 @@ def test_normalize_dual_scale_invariance(coordination, skewed_profile):
     out = lp.solve_feasibility(sys_)
     assert isinstance(out, lp.Infeasible)
     for scale in (F(1), F(5), F(1, 7)):
-        scheme = normalize_dual(
-            coordination, skewed_profile, tuple(scale * m for m in out.multipliers)
-        ).scheme
+        scaled = lp.Infeasible(tuple(scale * m for m in out.multipliers))
+        scheme = normalize_dual(coordination, skewed_profile, scaled).scheme
         assert verify_actionwise(coordination, skewed_profile, scheme) > 0
 
 

@@ -15,6 +15,7 @@ from eqaudit.games import (
     JointDistribution,
     MarginalProfile,
     ProfilewiseScheme,
+    payoff_numerators,
     product_distribution,
     replace,
     surplus,
@@ -46,6 +47,15 @@ def test_action_index_rejects_an_unknown_player(coordination):
             coordination.action_index(i, "R")
     with pytest.raises(ValueError, match="unknown action 'R' for player 'P1'"):
         coordination.action_index(0, "R")
+
+
+def test_payoff_numerators_rejects_an_unknown_player(coordination, skewed_profile):
+    totals, den = payoff_numerators(coordination, skewed_profile, 1)
+    assert [F(t, den) for t in totals] == [F(9, 2), F(1, 2), F(0)]
+    # -1 would otherwise read the last player's payoffs, and 2 raise IndexError.
+    for i in (-1, 2):
+        with pytest.raises(ValueError, match=f"unknown player index {i}"):
+            payoff_numerators(coordination, skewed_profile, i)
 
 
 @pytest.mark.parametrize(

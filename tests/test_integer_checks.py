@@ -215,4 +215,4 @@ def test_normalize_dual_matches_the_fraction_read_back(case, factor):
     assume(isinstance(outcome, lp.Infeasible))
     y = [factor * v for v in outcome.multipliers]
     expected = fraction_checks.normalize_dual(game, p, y)
-    assert correlated.normalize_dual(game, p, y) == expected
+    assert correlated.normalize_dual(game, p, lp.Infeasible(y)) == expected

@@ -17,10 +17,8 @@ from eqaudit.oracles import random_ce, random_game, random_marginals
 from test_golden_verdicts import CASES, _case
 
 
-def system(num_vars, rows, nonneg=None):
-    return lp.LinearSystem(
-        num_vars, tuple(rows), tuple(nonneg or [True] * num_vars)
-    )
+def system(num_vars, rows):
+    return lp.LinearSystem(num_vars, tuple(rows))
 
 
 def test_single_variable_feasible():
@@ -41,13 +39,6 @@ def test_verify_rejects_wrong_point():
     sys_ = system(1, [lp.eq([1], 1)])
     assert not lp.verify_outcome(sys_, lp.Feasible((F(0),)))
     assert not lp.verify_outcome(sys_, lp.Feasible((F(1), F(0))))
-
-
-def test_free_variable_negative_value():
-    sys_ = system(1, [lp.eq([1], -5)], nonneg=[False])
-    out = lp.solve_feasibility(sys_)
-    assert isinstance(out, lp.Feasible)
-    assert out.point == (F(-5),)
 
 
 def test_zero_row_contradiction():
@@ -95,8 +86,6 @@ def test_maximize_rejects_infeasible():
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         system(2, [lp.eq([1], 1)])
-    with pytest.raises(ValueError):
-        lp.LinearSystem(2, (lp.eq([1, 0], 1),), (True,))
 
 
 def _random_system(rng):
@@ -108,8 +97,7 @@ def _random_system(rng):
         rhs = F(rng.randint(-4, 4))
         sense = rng.choice([lp.GE, lp.EQ])
         rows.append(lp.Row(tuple(coeffs), sense, rhs))
-    nonneg = [rng.random() < 0.8 for _ in range(n)]
-    return lp.LinearSystem(n, tuple(rows), tuple(nonneg))
+    return lp.LinearSystem(n, tuple(rows))
 
 
 def test_random_systems_exclusive_and_verified():
@@ -132,7 +120,7 @@ def test_random_systems_exclusive_and_verified():
             tuple(scale * c for c in row.coeffs), row.sense, scale * row.rhs
         )
         rows = sys_.rows[:k] + (scaled,) + sys_.rows[k + 1 :]
-        out2 = lp.solve_feasibility(lp.LinearSystem(sys_.num_vars, rows, sys_.nonneg))
+        out2 = lp.solve_feasibility(lp.LinearSystem(sys_.num_vars, rows))
         assert type(out2) is type(out)
     # the generator must exercise both arms for the test to mean anything
     assert feasible > 10 and infeasible > 10
@@ -151,16 +139,13 @@ def test_slack_started_row_carries_positive_multiplier():
 
 def test_negative_rhs_ge_rows_on_both_arms():
     # x <= 1 written as -x >= -1 is slack-started; x = 2 contradicts it.
-    sys_ = system(1, [lp.ge([-1], -1), lp.eq([1], 2)], nonneg=[False])
+    sys_ = system(1, [lp.ge([-1], -1), lp.eq([1], 2)])
     out = lp.solve_feasibility(sys_)
     assert out == lp.Infeasible((F(1), F(1)))
     assert lp.verify_outcome(sys_, out)
 
-    sys_ = system(
-        2,
-        [lp.ge([-1, 1], -2), lp.ge([1, 0], -5), lp.eq([1, 1], 4)],
-        nonneg=[False, True],
-    )
+    # x1 - x2 <= 2 and x1 <= 5, both slack-started, with x1 + x2 = 4.
+    sys_ = system(2, [lp.ge([-1, 1], -2), lp.ge([-1, 0], -5), lp.eq([1, 1], 4)])
     out = lp.solve_feasibility(sys_)
     assert out == lp.Feasible((F(3), F(1)))
     assert lp.verify_outcome(sys_, out)
@@ -263,8 +248,7 @@ def _systems(draw):
         # rhs < 0, = 0 and > 0 each a third of the time
         rhs = draw(st.sampled_from((-1, 0, 1))) * (abs(draw(_rationals)) or F(1))
         rows.append(lp.Row(tuple(coeffs), draw(st.sampled_from((lp.GE, lp.EQ))), rhs))
-    nonneg = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    return lp.LinearSystem(n, tuple(rows), tuple(nonneg))
+    return lp.LinearSystem(n, tuple(rows))
 
 
 @settings(max_examples=300, deadline=None)
@@ -291,8 +275,7 @@ def _degenerate_systems(draw):
         rows.append(lp.Row(tuple(coeffs), sense, rhs))
     rows += [rows[k] for k in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3))]
     rows = draw(st.permutations(rows))
-    nonneg = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    return lp.LinearSystem(n, tuple(rows), tuple(nonneg))
+    return lp.LinearSystem(n, tuple(rows))
 
 
 @contextmanager

@@ -8,13 +8,14 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import identity_kernel
-from eqaudit import correlated, nash
+from eqaudit import correlated, lp, nash
 from eqaudit.correlated import build_ce_system, normalize_dual
 from eqaudit.games import (
     ActionwiseScheme,
     JointDistribution,
     MarginalProfile,
     ProfilewiseScheme,
+    payoff_numerators,
     product_distribution,
     surplus,
     surplus_parts,
@@ -39,9 +40,10 @@ P = Q.marginals()
 
 CALLS = {
     "build_ce_system": lambda g: build_ce_system(g, WIDE),
-    "normalize_dual": lambda g: normalize_dual(g, WIDE, ()),
+    "normalize_dual": lambda g: normalize_dual(g, WIDE, lp.Infeasible(())),
     "test_ce_compatibility": lambda g: correlated.test_ce_compatibility(g, WIDE),
     "expected_payoff": lambda g: expected_payoff(g, WIDE, 0, 0),
+    "payoff_numerators": lambda g: payoff_numerators(g, WIDE, 0),
     "is_nash": lambda g: is_nash(g, WIDE),
     "test_nash_exploitability": lambda g: nash.test_nash_exploitability(g, WIDE),
     "build_nash_system": lambda g: build_nash_system(g, WIDE),

@@ -10,10 +10,15 @@ from pathlib import Path
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def test_every_traced_function_exists():
+def _load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_function_exists():
+    tracing = _load_tracing()
     missing = [
         f"{module}.{name}"
         for module, names in tracing.TRACED.items()
@@ -21,6 +26,28 @@ def test_every_traced_function_exists():
         if not callable(getattr(importlib.import_module(f"eqaudit.{module}"), name, None))
     ]
     assert missing == []
+
+
+def test_the_solve_statistics_read_both_arms():
+    # `--trace 1` reads every traced solve's system and outcome through
+    # `_solve_attrs`; a name it reads that is gone fails the traced run.
+    from eqaudit import lp
+
+    tracing = _load_tracing()
+    feasible_sys = lp.LinearSystem(2, (lp.ge([1, 0], 2), lp.eq([1, 1], 5)))
+    infeasible_sys = lp.LinearSystem(
+        2, (lp.ge([-1, 1], 0), lp.eq([1, 1], 1), lp.ge([1, 0], "3/4"))
+    )
+    feasible = lp.solve_feasibility(feasible_sys)
+    infeasible = lp.solve_feasibility(infeasible_sys)
+    assert isinstance(feasible, lp.Feasible) and isinstance(infeasible, lp.Infeasible)
+    # cells: rows times (variables, one surplus per >= row, one column per row)
+    assert tracing._solve_attrs((feasible_sys,), feasible) == {
+        "cells": 2 * 5, "infeasible": False, "bits": 2,
+    }
+    assert tracing._solve_attrs((infeasible_sys,), infeasible) == {
+        "cells": 3 * 7, "infeasible": True, "bits": 2,
+    }
 
 
 PERFBENCH = TRACING.parent
@@ -82,9 +109,7 @@ def test_each_verdict_and_scheme_is_one_object_everywhere():
 def test_cli_verify_runs_the_traced_checkers(coordination, skewed_profile, tmp_path, capsys):
     from eqaudit import cli, correlated, dataio, nash
 
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _load_tracing()
     ce = correlated.test_ce_compatibility(coordination, skewed_profile)
     ne = nash.test_nash_exploitability(coordination, skewed_profile)
     documents = {

@@ -602,14 +602,16 @@ def surplus_parts(game: Game, kernel: DeviationKernel) -> tuple[list[int], list[
     """`surplus` at every profile, row-major, as unreduced integer
     numerators and positive integer denominators.
 
-    Player i's kernel rows, `int_rows`, are put over the lcm L of their
-    denominators. On a line of i with integer payoffs n and denominator d,
-    the term of recommended action a is (sum_b L*r_ab*n_b - L*n_a) / (L*d).
-    The terms of one a on every line of i are formed together, one list
-    pass per nonzero weight over the column of the b it weighs: the payoff
-    where i plays b, one entry per line (`Game._columns`). Then they are
-    merged line by line: a zero term is skipped; a term whose denominator
-    equals the profile's running one adds its numerator, any other is
+    An identity row (`row[a] == den`: i plays a as told) adds nothing and
+    is skipped, and so is a player whose rows all are. The other rows of
+    player i, `int_rows`, are put over the lcm L of their denominators.
+    On a line of i with integer payoffs n and denominator d, the term of
+    recommended action a is (sum_b L*r_ab*n_b - L*n_a) / (L*d). The terms
+    of one a on every line of i are formed together, one list pass per
+    nonzero weight over the column of the b it weighs: the payoff where i
+    plays b, one entry per line (`Game._columns`). Then they are merged
+    line by line: a zero term is skipped; a term whose denominator equals
+    the profile's running one adds its numerator, any other is
     cross-multiplied in.
     """
     check_shape(game, kernel)
@@ -619,12 +621,17 @@ def surplus_parts(game: Game, kernel: DeviationKernel) -> tuple[list[int], list[
     for i, (player_rows, (pay, pay_dens)) in enumerate(
         zip(kernel.int_rows, game.int_payoffs)
     ):
+        moved = [
+            (a, row, den) for a, (row, den) in enumerate(player_rows) if row[a] != den
+        ]
+        if not moved:
+            continue
         step = game.strides[i]
         starts = game.line_starts(i)
         columns = game._columns(i, pay)
-        scale = lcm(*[den for _, den in player_rows])
+        scale = lcm(*[den for _, _, den in moved])
         line_dens = [scale * pay_dens[start] for start in starts]
-        for a, (row, den) in enumerate(player_rows):
+        for a, row, den in moved:
             weights = [w * (scale // den) for w in row]
             weights[a] -= scale
             gains = None
@@ -635,8 +642,6 @@ def surplus_parts(game: Game, kernel: DeviationKernel) -> tuple[list[int], list[
                     gains = [w * x for x in column]
                 else:
                     gains = [g + w * x for g, x in zip(gains, column)]
-            if gains is None:
-                continue
             offset = a * step
             for start, gain, den in zip(starts, gains, line_dens):
                 if not gain:

@@ -6,8 +6,13 @@ and either outcome (a `Feasible` point, an `Infeasible` certificate),
 holds integers over one positive denominator, with no factor common to
 all of them, so each has one form; `coeffs`, `rhs`, `point` and
 `multipliers` are read-only Fraction views. `solve_feasibility` runs
-phase one of a two-phase simplex. The entering column is Dantzig's, the
-most negative reduced cost. The leaving row has the minimum ratio, and
+phase one of a two-phase simplex. The entering column is the one of
+greatest improvement: of the columns with a negative reduced cost -c_j,
+the one whose step to its minimum ratio theta_j lowers the objective
+most, c_j * theta_j, with ties to the larger c_j and then the lowest
+index, so at a degenerate vertex, where every step is 0, it is Dantzig's
+column, the most negative reduced cost (largest-increase rule: Chvatal,
+*Linear Programming*, 1983). The leaving row has the minimum ratio, and
 ties go to the lexicographically smallest row of the columns basic when
 the run began, taken in row order and divided by the row's entry in the
 entering column. At that start every row, read over (right-hand side,
@@ -16,12 +21,12 @@ nonnegative and it holds its own basic entry; the lexicographic ratio
 test keeps that so, and it makes the objective row read over the same
 columns strictly increase lexicographically at every pivot, degenerate
 ones included. No basis can recur, so the simplex terminates on every
-input under any improving entering rule, with no degeneracy tolerance
-(Dantzig, Orden and Wolfe, 1955). The tableau is exact and
-fraction-free: each row is a list of ints whose denominator is its own
-entry in its basic column, the objective is the last row, and a pivot
-cross-multiplies every other row at the pivot row's nonzero columns and
-divides out its gcd, in the manner of Edmonds' and Bareiss'
+input under any improving entering rule, this one included, with no
+degeneracy tolerance (Dantzig, Orden and Wolfe, 1955). The tableau is
+exact and fraction-free: each row is a list of ints whose denominator is
+its own entry in its basic column, the objective is the last row, and a
+pivot cross-multiplies every other row at the pivot row's nonzero columns
+and divides out its gcd, in the manner of Edmonds' and Bareiss'
 integer-preserving elimination. A system row enters the tableau as its
 numerators, with no denominator to clear. The starting basis is a slack
 start: a `>=` row whose right-hand side is at most zero (an incentive
@@ -308,23 +313,52 @@ class _Simplex:
         self.basis[r] = col
 
     def _run(self) -> None:
-        # Dantzig: enter the column with the most negative reduced cost,
-        # the lowest index among equals; the objective row has one
-        # denominator, so its numerators compare as they are. Leave on the
-        # minimum ratio, ties broken by the lexicographically smallest
+        # Greatest improvement: every non-artificial column j with a
+        # negative reduced cost, c_j = -objective[j] > 0, would move the
+        # objective by c_j * theta_j, theta_j its minimum ratio rhs / a
+        # over the rows with a > 0; enter the largest, ties to the larger
+        # c_j and then the lowest index, so a degenerate vertex, where
+        # every theta_j is 0, enters Dantzig's column. The objective row
+        # has one denominator, so its numerators compare as they are. An
+        # improving column with no positive entry is unbounded. Leave on
+        # the minimum ratio, ties broken by the lexicographically smallest
         # row, over the columns basic when the run started and in row
         # order, divided by its entry in the entering column. Row
         # denominators are positive and cancel in every such quotient, so
         # signs, ratios and the lexicographic order are read from the
-        # numerators alone. The objective row has a negative entry in the
-        # entering column, so it never leaves.
+        # numerators alone, by cross-multiplication. The objective row has
+        # a negative entry in the entering column, so it never leaves.
+        # The leaving rule alone keeps every basis from recurring, so any
+        # improving entering column terminates.
         start = self.basis[:]
         while True:
             objective = self.T[-1]
-            reduced = min(objective[: self.first_art], default=0)
-            if reduced >= 0:
+            constraints = self.T[:-1]
+            enter = -1
+            for j in range(self.first_art):
+                c = -objective[j]
+                if c <= 0:
+                    continue
+                num = den = 0  # theta_j = num / den; den 0 while none is seen
+                for row in constraints:
+                    a = row[j]
+                    if a > 0:
+                        rhs = row[-1]
+                        if not rhs:
+                            num, den = 0, 1
+                            break
+                        if not den or rhs * den < num * a:
+                            num, den = rhs, a
+                if not den:
+                    raise ArithmeticError("objective is unbounded")
+                # Compare c * num / den with the best, cross-multiplied.
+                if enter >= 0:
+                    new, old = c * num * best_den, best_gain * den
+                    if new < old or new == old and c <= best_c:
+                        continue
+                enter, best_c, best_gain, best_den = j, c, c * num, den
+            if enter < 0:
                 return
-            enter = objective.index(reduced)
             leave = -1
             for r, row in enumerate(self.T):
                 a = row[enter]

@@ -100,7 +100,7 @@ def verify_outcome(system: lp.LinearSystem, outcome) -> bool:
         x = outcome.point
         if len(x) != system.num_vars:
             return False
-        if any(system.nonneg[j] and x[j] < 0 for j in range(system.num_vars)):
+        if any(v < 0 for v in x):
             return False
         for row in system.rows:
             value = sum(c * v for c, v in zip(row.coeffs, x) if c)
@@ -122,12 +122,8 @@ def verify_outcome(system: lp.LinearSystem, outcome) -> bool:
                 for j, c in enumerate(row.coeffs):
                     if c:
                         combined[j] += yk * c
-        for j, total in enumerate(combined):
-            if system.nonneg[j]:
-                if total > 0:
-                    return False
-            elif total != 0:
-                return False
+        if any(total > 0 for total in combined):
+            return False
         return sum(yk * row.rhs for yk, row in zip(y, system.rows)) > 0
     raise TypeError(f"not a feasibility outcome: {outcome!r}")
 

@@ -2,9 +2,10 @@
 
 This is the rational tableau that `lp._Simplex` keeps as integer rows with
 row denominators. Both run the same pivots over the same standard form,
-Dantzig entering with the lexicographic ratio test, so `solve` and
-`maximize` here must return exactly what
-`lp.solve_feasibility` and `lp.maximize` return. It lives in the tests so
+entering on the greatest improvement and leaving by the lexicographic
+ratio test, so `solve` and `maximize` here must return exactly what
+`lp.solve_feasibility` and `lp.maximize` return. The rule is written
+here again in Fractions, apart from the integer form in `lp`. It lives in the tests so
 that the package carries one arithmetic core.
 """
 
@@ -23,8 +24,8 @@ _ONE = Fraction(1)
 class FractionSimplex:
     """Dense rational tableau over the standard equality form of a system.
 
-    Free variables are split into positive and negative parts and `>=`
-    rows get a surplus column. A `>=` row whose right-hand side is at most
+    Variable j is column j, every one nonnegative, and `>=` rows get a
+    surplus column after them. A `>=` row whose right-hand side is at most
     zero is negated and starts with its own surplus column in the basis,
     at value `-rhs`. Every other row is sign-flipped so its right-hand side
     is nonnegative and gets an artificial column for the starting basis.
@@ -35,17 +36,7 @@ class FractionSimplex:
 
     def __init__(self, system: LinearSystem):
         self.system = system
-        ncols = 0
-        self.plus: list[int] = []
-        self.minus: list[int | None] = []
-        for j in range(system.num_vars):
-            self.plus.append(ncols)
-            ncols += 1
-            if system.nonneg[j]:
-                self.minus.append(None)
-            else:
-                self.minus.append(ncols)
-                ncols += 1
+        ncols = system.num_vars
         self.surplus: list[int | None] = []
         for row in system.rows:
             if row.sense == GE:
@@ -72,12 +63,7 @@ class FractionSimplex:
         self.basis: list[int] = []
         for k, row in enumerate(system.rows):
             vec = [_ZERO] * ncols
-            for j, c in enumerate(row.coeffs):
-                if c:
-                    vec[self.plus[j]] = c
-                    mcol = self.minus[j]
-                    if mcol is not None:
-                        vec[mcol] = -c
+            vec[: system.num_vars] = row.coeffs
             scol = self.surplus[k]
             if scol is not None:
                 vec[scol] = -_ONE
@@ -125,19 +111,27 @@ class FractionSimplex:
         self.basis[r] = col
 
     def _run(self) -> None:
-        # Dantzig: enter the column with the most negative reduced cost,
-        # the lowest index among equals. Leave on the minimum ratio, ties
-        # broken by the lexicographically smallest row, over the columns
-        # basic when the run started and in row order, divided by its
-        # entry in the entering column.
+        # Greatest improvement: of the non-artificial columns with a
+        # negative reduced cost, enter the one whose step to its minimum
+        # ratio lowers the objective most, ties to the more negative
+        # reduced cost and then the lowest index; one with no positive
+        # entry is unbounded. Leave on the minimum ratio, ties broken by
+        # the lexicographically smallest row, over the columns basic when
+        # the run started and in row order, divided by its entry in the
+        # entering column.
         objrow = self.objrow
         start = self.basis[:]
         while True:
-            enter = -1
+            enter, best = -1, None
             for j in range(self.ncols):
-                if not self.is_art[j] and objrow[j] < 0:
-                    if enter < 0 or objrow[j] < objrow[enter]:
-                        enter = j
+                if self.is_art[j] or objrow[j] >= 0:
+                    continue
+                ratios = [b / row[j] for row, b in zip(self.T, self.b) if row[j] > 0]
+                if not ratios:
+                    raise ArithmeticError("objective is unbounded")
+                key = (-objrow[j] * min(ratios), -objrow[j])
+                if best is None or key > best:
+                    enter, best = j, key
             if enter < 0:
                 return
             leave = -1
@@ -186,14 +180,7 @@ class FractionSimplex:
         xstd = [_ZERO] * self.ncols
         for r, col in enumerate(self.basis):
             xstd[col] = self.b[r]
-        out = []
-        for j in range(self.system.num_vars):
-            v = xstd[self.plus[j]]
-            mcol = self.minus[j]
-            if mcol is not None:
-                v -= xstd[mcol]
-            out.append(v)
-        return tuple(out)
+        return tuple(xstd[: self.system.num_vars])
 
     def _purge_artificials(self) -> None:
         # A basic artificial sits at zero after a successful phase one, but
@@ -214,12 +201,7 @@ class FractionSimplex:
         self._purge_artificials()
         cost = [_ZERO] * self.ncols
         for j, c in enumerate(objective):
-            c = as_fraction(c)
-            if c:
-                cost[self.plus[j]] = -c
-                mcol = self.minus[j]
-                if mcol is not None:
-                    cost[mcol] = c
+            cost[j] = -as_fraction(c)
         objrow = list(cost)
         for r, row in enumerate(self.T):
             cb = cost[self.basis[r]]

@@ -350,7 +350,9 @@ def _workload_case(seed, shape):
     return game, workloads.random_profile(rng, game)
 
 
-@pytest.mark.parametrize("seed, expected_rounds", [(2, 3), (5, 4)])
+# Dantzig's entering rule took 3 and 4 rounds on these cases; entering on
+# the greatest improvement takes 2 on each, still more than one.
+@pytest.mark.parametrize("seed, expected_rounds", [(2, 2), (5, 2)])
 def test_feasible_three_player_cases_take_several_rounds(rounds, seed, expected_rounds):
     # Benchmark-style 4x4x4 games with random marginals: compatible, as
     # the unreduced system confirms, after rounds that each add rows.

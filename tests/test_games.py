@@ -19,6 +19,7 @@ from eqaudit.games import (
     product_distribution,
     replace,
     surplus,
+    surplus_parts,
     surplus_table,
 )
 
@@ -348,6 +349,31 @@ def test_surplus_table_matches_definition_with_many_players(case):
     assert "payoffs" not in vars(parsed)
     expected = tuple(_reference_surplus(game, kernel, a) for a in game.profiles())
     assert table == surplus_table(game, kernel) == expected
+
+
+_ANY_SHAPE = st.one_of(st.lists(st.integers(1, 4), min_size=1, max_size=3), MANY_PLAYERS)
+
+
+@given(games_and_kernels(_ANY_SHAPE), st.data())
+@settings(max_examples=80, deadline=None)
+def test_surplus_parts_skips_identity_rows_and_players(case, data):
+    # Kernels the package builds are the identity but for a few rows, and
+    # `surplus_parts` skips identity rows and players whose rows all are.
+    # With random rows, and random whole players, forced to the identity,
+    # it must still give the Fraction `surplus` at every profile.
+    game, kernel = case
+    rows = [list(player_rows) for player_rows in kernel.rows]
+    for i, k in enumerate(game.shape):
+        whole = data.draw(st.booleans())
+        for a in range(k):
+            if whole or data.draw(st.booleans()):
+                rows[i][a] = tuple(F(int(b == a)) for b in range(k))
+    kernel = DeviationKernel(rows)
+    nums, dens = surplus_parts(game, kernel)
+    assert all(den > 0 for den in dens)
+    assert [F(n, d) for n, d in zip(nums, dens)] == [
+        surplus(game, kernel, profile) for profile in game.profiles()
+    ]
 
 
 @pytest.mark.parametrize("shape", [(1, 1, 1, 1), (2, 1, 1, 3), (1, 2, 1, 2, 1)])

@@ -83,6 +83,55 @@ def test_maximize_rejects_infeasible():
         lp.maximize(system(1, [lp.eq([1], -1)]), (1,))
 
 
+@contextmanager
+def _recorded_pivots():
+    # The (row, entering column) of every pivot of the integer tableau.
+    pivots = []
+    pivot = lp._Simplex._pivot
+
+    def recorded(self, r, col):
+        pivots.append((r, col))
+        pivot(self, r, col)
+
+    with mock.patch.object(lp._Simplex, "_pivot", recorded):
+        yield pivots
+
+
+def test_entering_takes_the_greatest_improvement():
+    # Maximize 2 x1 + x2 with 2 x1 + x2 <= 4 and x1 <= 1; both rows are
+    # slack-started, so phase one makes no pivot. Dantzig's rule enters x1,
+    # the larger reduced cost, which can rise only to 1 (a gain of 2), and
+    # needs a second pivot to reach (1, 2). x2 can rise to 4 (a gain of 4),
+    # so it enters instead and one pivot reaches the optimum at (0, 4).
+    sys_ = system(2, [lp.ge([-2, -1], -4), lp.ge([-1, 0], -1)])
+    with _recorded_pivots() as pivots:
+        value, point = lp.maximize(sys_, (2, 1))
+    assert pivots == [(0, 1)]
+    assert (value, point) == (F(4), (F(0), F(4)))
+
+
+@pytest.mark.parametrize("objective, first", [((1, 2), 1), ((2, 1), 0), ((1, 1), 0)])
+def test_a_degenerate_vertex_enters_dantzigs_column(objective, first):
+    # x1 = x2 and x1 + x2 <= 2: at the origin each column has a positive
+    # entry in a row whose right-hand side is 0, so every step is 0 and
+    # the tie goes to the larger reduced cost, then the lower index.
+    sys_ = system(2, [lp.ge([-1, 1], 0), lp.ge([1, -1], 0), lp.ge([-1, -1], -2)])
+    with _recorded_pivots() as pivots:
+        _value, point = lp.maximize(sys_, objective)
+    assert pivots[0][1] == first
+    assert point == (F(1), F(1))
+
+
+def test_an_unbounded_column_is_caught_before_any_pivot():
+    # Maximize 3 x1 + x2 with x1 <= 1: x2 has no positive entry and is
+    # unbounded, though x1 has the larger reduced cost and a finite step;
+    # the scan finds x2 before any pivot is made.
+    sys_ = system(2, [lp.ge([-1, 0], -1)])
+    with _recorded_pivots() as pivots, pytest.raises(ValueError, match="unbounded"):
+        lp.maximize(sys_, (3, 1))
+    assert pivots == []
+
+
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         system(2, [lp.eq([1], 1)])
@@ -145,9 +194,12 @@ def test_negative_rhs_ge_rows_on_both_arms():
     assert lp.verify_outcome(sys_, out)
 
     # x1 - x2 <= 2 and x1 <= 5, both slack-started, with x1 + x2 = 4.
+    # Both columns have reduced cost -1, but x1 can rise only to 2 before
+    # x1 - x2 <= 2 binds and x2 to 4, so x2 enters and one pivot reaches
+    # (0, 4); Dantzig's rule entered x1 and ended at (3, 1).
     sys_ = system(2, [lp.ge([-1, 1], -2), lp.ge([-1, 0], -5), lp.eq([1, 1], 4)])
     out = lp.solve_feasibility(sys_)
-    assert out == lp.Feasible((F(3), F(1)))
+    assert out == lp.Feasible((F(0), F(4)))
     assert lp.verify_outcome(sys_, out)
 
 
@@ -254,7 +306,7 @@ def _systems(draw):
 @settings(max_examples=300, deadline=None)
 @given(_systems())
 def test_solve_matches_the_fraction_tableau(sys_):
-    # Same rational tableau, same Dantzig entering and lexicographic
+    # Same rational tableau, same entering rule and lexicographic
     # leaving: the same outcome exactly.
     assert lp.solve_feasibility(sys_) == fraction_simplex.solve(sys_)
 
@@ -317,13 +369,14 @@ def test_golden_ce_cases_take_the_pinned_number_of_pivots():
     # moves it changes the path of the simplex or the systems it solves
     # and must say so: Bland's rule took 292; Dantzig entering with the
     # lexicographic ratio test took 240 on the whole coupling system, and
-    # 180 over the rounds that generate its incentive rows; it takes 101
-    # now that Nash marginals and dominated play are decided without it.
+    # 180 over the rounds that generate its incentive rows; it took 101
+    # once Nash marginals and dominated play were decided without it, and
+    # takes 79 entering on the greatest improvement.
     cases = [_case(k) for k in range(CASES)]
     with _counted_pivots() as counts:
         for game, p in cases:
             correlated.test_ce_compatibility(game, p)
-    assert counts[lp._Simplex] == 101
+    assert counts[lp._Simplex] == 79
 
 
 @contextmanager
@@ -395,7 +448,7 @@ def test_every_golden_pivot_matches_the_dense_step():
     with _dense_pivot_check() as pivots:
         for game, p in cases:
             correlated.test_ce_compatibility(game, p)
-    assert pivots[0] == 101
+    assert pivots[0] == 79
 
 
 def _assert_tableau_invariants(simplex):

@@ -5,7 +5,10 @@ The worked-examples walk-through must also print exactly
 certificates shows up as a diff. The output digest prints one sha256 per
 gated benchmark workload, and all four are pinned: the `audit-mid`
 verdicts and the solver-free `verify-large` replies, each at seed 1 and
-at the held-out seed 7919.
+at the held-out seed 7919. It also prints one sha256 per workload over
+the pool's inputs, pinned at both seeds too: the `audit-mid` pool samples
+equilibria through `lp.maximize`, so a solver change that moved the pool
+would show here rather than as a changed verdict.
 """
 
 import functools
@@ -58,7 +61,9 @@ def _digests(seed: str) -> dict:
 
 def test_output_digest_names_each_gated_workload():
     digests = _digests("1")
-    assert list(digests) == ["audit-mid", "verify-large"]
+    assert list(digests) == [
+        "audit-mid", "audit-mid-inputs", "verify-large", "verify-large-inputs"
+    ]
     assert all(len(bytes.fromhex(digest)) == 32 for digest in digests.values())
 
 
@@ -67,13 +72,13 @@ def test_output_digest_names_each_gated_workload():
 # CHANGES.md.
 def test_output_digest_pins_the_audit_mid_verdicts():
     assert _digests("1")["audit-mid"] == (
-        "19220cbdc4c9c8dfaf7712ba482d641a961ec3585eef7b9b8289bd9174fbd95d"
+        "394877aa85b919c5e79eec7e37d48587cea3fb29d11c368dfdf937dc3d5cb350"
     )
 
 
 def test_output_digest_pins_the_held_out_audit_mid_verdicts():
     assert _digests("7919")["audit-mid"] == (
-        "844bba2d86da46f98bc4ee9181482dfca93a3108da7c179dae4a2f0382051b23"
+        "b5443e73fe2f5deaf9b0164771b67c86b1cac3e0f529e87898fea4a7663395b0"
     )
 
 
@@ -87,3 +92,23 @@ def test_output_digest_pins_the_held_out_verify_large_replies():
     assert _digests("7919")["verify-large"] == (
         "b8a820476496b79b287184b3e9156acde5812daf0db2606aa5fdc2069be90071"
     )
+
+
+# The pools' inputs: game and marginals documents, and the files each
+# verify request reads. A change to the simplex may move certificates, but
+# never these, since the benchmark compares checkouts on the same pool.
+@pytest.mark.parametrize(
+    "seed, name, expected",
+    [
+        ("1", "audit-mid-inputs",
+         "3c1457a249a376440843a673844e7aa4674a14204ecf4a69944820c0ffd488a6"),
+        ("7919", "audit-mid-inputs",
+         "8ccd1143caad0879fadc9ef336352fca940b1dde81796bfbde3b401cc7a8e3a5"),
+        ("1", "verify-large-inputs",
+         "d8b3b60ac3bbc62606530afb547895dcce282bfc1e6a05992fd028b5448a3874"),
+        ("7919", "verify-large-inputs",
+         "fc2d11d5789a5128687b83c2b6afc2b1f9cfba2b27e3ea848465402023c5027d"),
+    ],
+)
+def test_output_digest_pins_the_pool_inputs(seed, name, expected):
+    assert _digests(seed)[name] == expected

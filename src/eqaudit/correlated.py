@@ -272,9 +272,8 @@ def test_ce_compatibility(game: Game, p: MarginalProfile) -> CeVerdict:
     order, and activates the rows its point violates. A certificate that
     fails its check raises RuntimeError.
     """
-    check_shape(game, p)
+    values = [totals for totals, _den in payoff_numerators(game, p)]  # checks the shape
     supports, pairs, marginals = _kept(game, p)
-    values = [payoff_numerators(game, p, i)[0] for i in range(game.num_players)]
     active = [k for k, (i, a, b) in enumerate(pairs) if values[i][b] > values[i][a]]
     try:
         for i, a, b in (pairs[k] for k in active):

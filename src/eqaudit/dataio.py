@@ -7,10 +7,12 @@ literals in input are converted exactly (0.1 becomes 1/10, never a binary
 float). A decimal exponent may be at most `MAX_EXPONENT` (4300, Python's
 default int-string digit limit) in magnitude: "1e4300" is read, "1e4301"
 and "1e-1000000" are malformed, because the cost of building such a
-number grows faster than its exponent. Bare JSON number literals follow
-the same rules as strings: 1e4301 is malformed, and so is an integer of
-more than 4300 digits, bare or inside a string. An error line quotes at
-most 40 characters of an input value (`games.quoted`).
+number grows faster than its exponent; `parse_rational` reads every
+string with `Fraction` once that bound is checked. Bare JSON number
+literals follow the same rules as strings: 1e4301 is malformed, and so
+is an integer of more than 4300 digits, bare or inside a string. A key
+repeated in any JSON object is malformed, not overwritten. An error line
+quotes at most 40 characters of an input value (`games.quoted`).
 Every rational table (payoffs, witnesses, kernel rows, fee tables,
 marginals) is read by one row reader, `_ratio_row`, into integer columns
 `(numerators, denominators)`: a row of JSON integer literals and "n/d"
@@ -52,6 +54,7 @@ import io
 import json
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -75,9 +78,6 @@ class DataFormatError(ValueError):
 
 MAX_EXPONENT = 4300
 
-# The form `rational_str` emits: an optional '-', ASCII digits, and
-# optionally '/' and ASCII digits.
-_PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 # Deletes the characters of a joined row of plain "n/d" strings.
 _ROW_CHARS = str.maketrans("", "", "0123456789-/,")
 # The JSON scanner with its default `int` parsing, for a whole row.
@@ -97,18 +97,15 @@ def _exponent_too_large(text: str) -> bool:
 
 
 def parse_rational(value) -> Fraction:
-    """Exact rational from an int, decimal string, or 'n/d' string."""
+    """Exact rational from an int, decimal string, or 'n/d' string; a
+    string is read by `Fraction` once its exponent passes the bound."""
     if isinstance(value, str):
-        plain = _PLAIN_RATIONAL.fullmatch(value)
-        if not plain and _exponent_too_large(value):
+        if _exponent_too_large(value):
             raise DataFormatError(
                 f"malformed rational {quoted(value)}: "
                 f"exponent magnitude over {MAX_EXPONENT}"
             )
         try:
-            if plain:
-                num, den = plain.groups()
-                return Fraction(int(num), int(den)) if den else Fraction(int(num))
             return Fraction(value)
         except ZeroDivisionError:
             raise DataFormatError(
@@ -172,9 +169,19 @@ def _int_literal(text: str) -> int:
         raise _digit_limit_error() from None
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's members as a dict; a repeated key is malformed."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        key = next(k for k, n in Counter(k for k, _v in pairs).items() if n > 1)
+        raise DataFormatError(f"JSON object repeats the key {quoted(key)}")
+    return doc
+
+
 def _loads(text: str) -> dict:
     try:
-        doc = json.loads(text, parse_float=parse_rational, parse_int=_int_literal)
+        doc = json.loads(text, parse_float=parse_rational, parse_int=_int_literal,
+                         object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"invalid JSON: {exc}") from None
     except RecursionError:

@@ -46,9 +46,10 @@ lines per nonzero kernel weight. The checkers, `nash`'s best-response
 search and `correlated`'s fee fill read the integer payoffs too, and
 `JointDistribution.marginals` sums every marginal in one integer pass.
 `independent_play` is the one integer walk over independent play, on
-`MarginalProfile.int_rows`, `payoff_numerators` the one table of expected
-payoffs against it, which `nash` and `correlated` read, and `check_shape`
-the one test that an object has the game's shape.
+`MarginalProfile.int_rows`, `payoff_numerators` the one table of every
+player's expected payoffs against it, which the producers in `nash` and
+`correlated` build once per call, and `check_shape` the one test that
+an object has the game's shape.
 """
 
 from __future__ import annotations
@@ -545,28 +546,29 @@ def independent_play(shape, rows) -> tuple[list[tuple[int, int]], int]:
     return cells, den
 
 
-def payoff_numerators(game: Game, p: MarginalProfile, i: int) -> tuple[list[int], int]:
-    """Player `i`'s expected payoff for each own action against the
-    independent mixture of everyone else, as integer numerators over one
-    common positive denominator.
+def payoff_numerators(game: Game, p: MarginalProfile) -> list[tuple[list[int], int]]:
+    """Each player's expected payoff for each own action against the
+    independent mixture of everyone else: per player, integer numerators
+    over one common positive denominator.
 
-    `independent_play` with `i` pinned to action 0 weights each line of
-    `i`; the lines' `Game.int_payoffs` are put over one lcm. ValueError
-    on a profile of the wrong shape or an unknown player."""
+    `independent_play` with player i pinned to action 0 weights each line
+    of i; the lines' `Game.int_payoffs` are put over one lcm. ValueError
+    on a profile of the wrong shape."""
     check_shape(game, p)
-    if not 0 <= i < game.num_players:
-        raise ValueError(f"unknown player index {i}")
-    rows = p.int_rows[:i] + (((1,), 1),) + p.int_rows[i + 1 :]
-    lines, den = independent_play(game.shape, rows)
-    pay, pay_dens = game.int_payoffs[i]
-    common = lcm(*(pay_dens[base] for base, _ in lines))
-    step = game.strides[i]
-    totals = [0] * game.shape[i]
-    for base, weight in lines:
-        weight *= common // pay_dens[base]
-        line = pay[base : base + len(totals) * step : step]
-        totals = [t + weight * n for t, n in zip(totals, line)]
-    return totals, den * common
+    table = []
+    for i, k in enumerate(game.shape):
+        rows = p.int_rows[:i] + (((1,), 1),) + p.int_rows[i + 1 :]
+        lines, den = independent_play(game.shape, rows)
+        pay, pay_dens = game.int_payoffs[i]
+        common = lcm(*(pay_dens[base] for base, _ in lines))
+        step = game.strides[i]
+        totals = [0] * k
+        for base, weight in lines:
+            weight *= common // pay_dens[base]
+            line = pay[base : base + k * step : step]
+            totals = [t + weight * n for t, n in zip(totals, line)]
+        table.append((totals, den * common))
+    return table
 
 
 def product_distribution(p: MarginalProfile) -> JointDistribution:

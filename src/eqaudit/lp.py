@@ -225,8 +225,9 @@ class _Simplex:
     Every other row is sign-flipped so its right-hand side is nonnegative
     and gets an artificial column for the starting basis; the artificial
     columns are the block `first_art .. z - 1`, and they never re-enter
-    the basis. At the phase-one optimum the reduced cost of the column
-    each row started in encodes that row's dual multiplier.
+    the basis. `start[k]` is the column row k began basic in, its surplus
+    or its artificial column; at the phase-one optimum that column's
+    reduced cost encodes the row's dual multiplier.
 
     Each tableau row, right-hand side last, is a list of ints with no
     factor common to all of them, and its denominator is its own entry in
@@ -238,43 +239,28 @@ class _Simplex:
 
     def __init__(self, system: LinearSystem):
         self.system = system
-        ncols = system.num_vars
-        self.surplus: list[int | None] = []
-        for row in system.rows:
-            if row.sense == GE:
-                self.surplus.append(ncols)
-                ncols += 1
-            else:
-                self.surplus.append(None)
         # Row k starts from its surplus column when that column alone is a
         # feasible basic variable; every other row needs an artificial.
-        self.first_art = ncols
-        self.art: list[int | None] = []
-        for row in system.rows:
-            if row.sense == GE and row.rhs_num <= 0:
-                self.art.append(None)
-            else:
-                self.art.append(ncols)
-                ncols += 1
-        self.z = ncols
-
+        slack = [row.sense == GE and row.rhs_num <= 0 for row in system.rows]
+        surplus = system.num_vars
+        self.first_art = art = surplus + sum(row.sense == GE for row in system.rows)
+        self.z = art + slack.count(False)
         self.T: list[list[int]] = []
         self.flip: list[int] = []
-        self.basis: list[int] = []
-        for k, row in enumerate(system.rows):
-            acol = self.art[k]
-            sign = -1 if row.rhs_num < 0 or acol is None else 1
+        self.start: list[int] = []
+        for row, from_surplus in zip(system.rows, slack):
+            sign = -1 if row.rhs_num < 0 or from_surplus else 1
             vec = self._place(row.nums, row.rhs_num, sign)
-            scol = self.surplus[k]
-            if scol is not None:
-                vec[scol] = -sign * row.den
-            if acol is None:
-                self.basis.append(scol)
-            else:
-                vec[acol] = row.den
-                self.basis.append(acol)
+            self.start.append(surplus if from_surplus else art)
+            if row.sense == GE:
+                vec[surplus] = -sign * row.den
+                surplus += 1
+            if not from_surplus:
+                vec[art] = row.den
+                art += 1
             self.flip.append(sign)
             self.T.append(vec)
+        self.basis = self.start[:]
 
     def _place(self, nums, rhs_num: int, sign: int) -> list[int]:
         """`sign * (nums, rhs_num)`, a row's numerators, as a tableau row;
@@ -392,8 +378,7 @@ class _Simplex:
         objective = self.T[-1]
         den = objective[self.z]
         out = []
-        for k, sign in enumerate(self.flip):
-            col = self.surplus[k] if self.art[k] is None else self.art[k]
+        for sign, col in zip(self.flip, self.start):
             cost = den if col >= self.first_art else 0
             out.append(sign * (cost - objective[col]))
         return out, den

@@ -11,14 +11,12 @@ deviation that gains most, and the fee is its surplus (compare Nau and
 McCardle, "Coherent behavior in noncooperative games", JET 1990). A
 non-equilibrium gets the same `Exploitable` verdict as the correlated
 test, a `games` type, carrying a `ProfilewiseScheme`. The
-best-response search, `_best_deviation`, and `expected_payoff` read
-each player's expected payoffs from `games.payoff_numerators`, as
-`correlated` does; the kernel and the fee are built as integer columns,
-the fee read from the game's integer payoff view, through the
-`from_columns` constructors. `expected_payoff` raises
-ValueError on a profile of the wrong shape, an unknown player or an
-action out of range. The pinned LP `build_nash_system` is kept as a
-reference formulation only.
+best-response search, `_best_deviation`, reads every player's expected
+payoffs from one `games.payoff_numerators` table, as `correlated` does,
+and raises ValueError on a profile of the wrong shape; the kernel and
+the fee are built as integer columns, the fee read from the game's
+integer payoff view, through the `from_columns` constructors. The pinned
+LP `build_nash_system` is kept as a reference formulation only.
 """
 
 from __future__ import annotations
@@ -45,16 +43,6 @@ _ONE = Fraction(1)
 NashVerdict = IsNash | Exploitable
 
 
-def expected_payoff(game: Game, p: MarginalProfile, i: int, action: int) -> Fraction:
-    """Player `i`'s expected payoff for playing `action` against the
-    independent mixture of everyone else; ValueError on a bad index."""
-    totals, den = payoff_numerators(game, p, i)
-    k = game.shape[i]
-    if not 0 <= action < k:
-        raise ValueError(f"action index {action} out of range for {k} actions")
-    return Fraction(totals[action], den)
-
-
 def _best_deviation(game: Game, p: MarginalProfile):
     """`(gain, i, a, b)` for the most profitable switch of a supported
     action `a` of player `i` to `i`'s lowest-index best reply `b`, where
@@ -62,10 +50,9 @@ def _best_deviation(game: Game, p: MarginalProfile):
     Ties go to the lowest player, then the lowest action. Gains are
     compared in integers within a player; a Fraction is built only for
     each player's largest positive gain."""
-    check_shape(game, p)
     found = None
-    for i, (weights, scale) in enumerate(p.int_rows):
-        values, den = payoff_numerators(game, p, i)
+    table = payoff_numerators(game, p)
+    for i, ((weights, scale), (values, den)) in enumerate(zip(p.int_rows, table)):
         best = max(values)
         gains = [w * (best - v) for w, v in zip(weights, values)]
         top = max(gains)

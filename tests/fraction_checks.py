@@ -1,9 +1,9 @@
 """Reference Fraction checks for the integer ones in `eqaudit`.
 
 `is_correlated_equilibrium`, `expected_payoff` and `best_deviation` are
-the plain Fraction forms of `correlated.is_correlated_equilibrium`,
-`nash.expected_payoff` and `nash._best_deviation`, which compute over
-common integer denominators; `witness_holds` and `product_income` are
+the plain Fraction forms of `correlated.is_correlated_equilibrium`, one
+player's row of `games.payoff_numerators` and `nash._best_deviation`,
+which compute over common integer denominators; `witness_holds` and `product_income` are
 what `verify.verify_witness` and the income of `verify.verify_profilewise`
 must return. `verify_outcome`, `check_distribution` and `normalize_dual`
 are the Fraction forms of `lp.verify_outcome`, `games._check_distribution`

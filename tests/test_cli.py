@@ -146,7 +146,7 @@ def test_verify_nash_verdict_doc_without_the_solver(
         monkeypatch.setattr(lp, name, explode)
     monkeypatch.setattr(lp._Simplex, "phase_one", explode)
     # The verdict is judged without the code that produced it.
-    for name in ("_best_deviation", "expected_payoff", "payoff_numerators"):
+    for name in ("_best_deviation", "payoff_numerators"):
         monkeypatch.setattr(nash, name, explode)
     # The producers' shared expected-payoff helper lives in `games`.
     monkeypatch.setattr(games, "payoff_numerators", explode)
@@ -238,6 +238,21 @@ def test_inputs_are_utf8_whatever_the_locale(tmp_path):
     assert res.returncode == 2 and res.stdout == ""
     lines = res.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+def test_a_game_that_repeats_a_payoff_key_exits_two(tmp_path):
+    # Read on its second, all-zero "A" row this game is Nash at these
+    # marginals; read on its first, it is exploitable.
+    game, marginals = tmp_path / "game.json", tmp_path / "marginals.json"
+    rows = '"A": ["1", "0", "0", "0"], "B": ["0", "0", "0", "0"]'
+    text = '{"players": ["A", "B"], "actions": {"A": ["x", "y"], "B": ["u", "v"]}, '
+    marginals.write_text('{"A": ["1/2", "1/2"], "B": ["1", "0"]}')
+    game.write_text(text + '"payoffs": {' + rows + "}}")
+    assert run_cli("test-nash", str(game), str(marginals)).returncode == 1
+    game.write_text(text + '"payoffs": {' + rows + ', "A": ["0", "0", "0", "0"]}}')
+    res = run_cli("test-nash", str(game), str(marginals))
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr == "error: JSON object repeats the key 'A'\n"
 
 
 def test_malformed_input_exit_two(files, tmp_path):

@@ -132,6 +132,32 @@ def test_verdict_roundtrip_nash(coordination, mixed_equilibrium, skewed_profile)
     assert type(back) is Exploitable and back == exploit
 
 
+def _repeat_a_key(coordination, skewed_profile, kind):
+    """A `kind` document that lists one key twice, the copy last."""
+    if kind == "game":
+        row = '"P2": ["9", "0", "0", "0", "1", "0"]'
+        return GAME_DOC.replace(row, row + ', "P1": ["0", "0", "0", "0", "0", "0"]'), "P1"
+    if kind == "marginals":
+        return '{"P1": ["1/2", "1/2"], "P2": ["1/4", "3/4", "0"], "P1": ["1", "0"]}', "P1"
+    verdict = nash.test_nash_exploitability(coordination, skewed_profile)
+    text = dataio.emit_verdict(coordination, verdict).rstrip()
+    return text[:-1] + ', "verdict": "nash"}', "verdict"
+
+
+@pytest.mark.parametrize("kind", ["game", "marginals", "verdict"])
+def test_a_repeated_json_key_is_malformed(coordination, skewed_profile, kind):
+    # The JSON reader would keep the last copy: an exploitable verdict
+    # would read as Nash, and a game's payoffs would be the zero row.
+    text, key = _repeat_a_key(coordination, skewed_profile, kind)
+    parse = {
+        "game": lambda: dataio.parse_game(text),
+        "marginals": lambda: dataio.parse_marginals(text, coordination),
+        "verdict": lambda: dataio.parse_verdict(text, coordination),
+    }[kind]
+    with pytest.raises(DataFormatError, match=f"JSON object repeats the key '{key}'"):
+        parse()
+
+
 def test_scheme_document_checks_out(coordination, skewed_profile, column_swap_kernel):
     scheme = ActionwiseScheme(
         ((F(0), F(-10)), (F(0), F(9), F(0))), column_swap_kernel

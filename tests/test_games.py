@@ -50,13 +50,12 @@ def test_action_index_rejects_an_unknown_player(coordination):
         coordination.action_index(0, "R")
 
 
-def test_payoff_numerators_rejects_an_unknown_player(coordination, skewed_profile):
-    totals, den = payoff_numerators(coordination, skewed_profile, 1)
-    assert [F(t, den) for t in totals] == [F(9, 2), F(1, 2), F(0)]
-    # -1 would otherwise read the last player's payoffs, and 2 raise IndexError.
-    for i in (-1, 2):
-        with pytest.raises(ValueError, match=f"unknown player index {i}"):
-            payoff_numerators(coordination, skewed_profile, i)
+def test_payoff_numerators_reads_every_player(coordination, skewed_profile):
+    table = payoff_numerators(coordination, skewed_profile)
+    assert [[F(t, den) for t in totals] for totals, den in table] == [
+        [F(9, 4), F(3, 4)],
+        [F(9, 2), F(1, 2), F(0)],
+    ]
 
 
 @pytest.mark.parametrize(

@@ -27,6 +27,7 @@ from eqaudit.games import (
     Game,
     JointDistribution,
     MarginalProfile,
+    payoff_numerators,
     product_distribution,
     surplus_table,
 )
@@ -106,10 +107,13 @@ def test_is_correlated_equilibrium_matches_the_fraction_check(vertices, other):
 def test_best_deviation_matches_the_fraction_search(case):
     game, p = case
     assert nash._best_deviation(game, p) == fraction_checks.best_deviation(game, p)
-    for i, k in enumerate(game.shape):
-        for a in range(k):
-            expected = fraction_checks.expected_payoff(game, p, i, a)
-            assert nash.expected_payoff(game, p, i, a) == expected
+    # Each player's row of the one table is that player's expected payoffs.
+    table = payoff_numerators(game, p)
+    assert len(table) == game.num_players
+    for i, (totals, den) in enumerate(table):
+        assert den > 0
+        expected = [fraction_checks.expected_payoff(game, p, i, a) for a in range(game.shape[i])]
+        assert [F(t, den) for t in totals] == expected
 
 
 @settings(max_examples=120, deadline=None)

@@ -213,7 +213,7 @@ def test_ce_system_artificials_only_on_marginal_rows():
         p = random_marginals(rng, game)
         sys_ = build_ce_system(game, p)
         simplex = lp._Simplex(sys_)
-        with_art = [k for k, col in enumerate(simplex.art) if col is not None]
+        with_art = [k for k, col in enumerate(simplex.start) if col >= simplex.first_art]
         marginal_rows = sum(len(p.support(i)) for i in range(game.num_players))
         marginal_rows -= game.num_players - 1
         first_marginal = len(sys_.rows) - marginal_rows

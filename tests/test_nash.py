@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import duplicate_action, extend_marginals, identity_kernel
+from fraction_checks import expected_payoff
 from eqaudit import lp
 from eqaudit import correlated, games, nash
 from eqaudit.correlated import Compatible
@@ -13,7 +14,6 @@ from eqaudit.nash import (
     IsNash,
     ProfilewiseScheme,
     build_nash_system,
-    expected_payoff,
     is_nash,
 )
 from eqaudit.oracles import random_game, random_marginals
@@ -35,19 +35,6 @@ def test_mixed_equilibrium_indifference(coordination, mixed_equilibrium):
     assert isinstance(
         nash.test_nash_exploitability(coordination, mixed_equilibrium), IsNash
     )
-
-
-def test_expected_payoff_rejects_bad_indices(coordination, skewed_profile):
-    with pytest.raises(ValueError, match="out of range"):
-        expected_payoff(coordination, skewed_profile, 0, -1)
-    with pytest.raises(ValueError, match="out of range"):
-        expected_payoff(coordination, skewed_profile, 1, 3)
-    with pytest.raises(ValueError, match="unknown player"):
-        expected_payoff(coordination, skewed_profile, -1, 0)
-    with pytest.raises(ValueError, match="unknown player"):
-        expected_payoff(coordination, skewed_profile, 2, 0)
-    with pytest.raises(ValueError, match="shape"):
-        expected_payoff(coordination, MarginalProfile(((F(1),), (F(1),))), 0, 0)
 
 
 def test_skewed_profile_not_nash(coordination, skewed_profile):

@@ -21,7 +21,7 @@ from eqaudit.games import (
     surplus_parts,
     surplus_table,
 )
-from eqaudit.nash import build_nash_system, expected_payoff, is_nash
+from eqaudit.nash import build_nash_system, is_nash
 from eqaudit.verify import (
     is_correlated_equilibrium,
     verify_actionwise,
@@ -42,8 +42,7 @@ CALLS = {
     "build_ce_system": lambda g: build_ce_system(g, WIDE),
     "normalize_dual": lambda g: normalize_dual(g, WIDE, lp.Infeasible(())),
     "test_ce_compatibility": lambda g: correlated.test_ce_compatibility(g, WIDE),
-    "expected_payoff": lambda g: expected_payoff(g, WIDE, 0, 0),
-    "payoff_numerators": lambda g: payoff_numerators(g, WIDE, 0),
+    "payoff_numerators": lambda g: payoff_numerators(g, WIDE),
     "is_nash": lambda g: is_nash(g, WIDE),
     "test_nash_exploitability": lambda g: nash.test_nash_exploitability(g, WIDE),
     "build_nash_system": lambda g: build_nash_system(g, WIDE),

@@ -165,7 +165,7 @@ def test_verifiers_never_touch_the_solver(
     monkeypatch.setattr(eqaudit.lp, "solve_feasibility", explode)
     monkeypatch.setattr(eqaudit.lp, "maximize", explode)
     monkeypatch.setattr(eqaudit.lp._Simplex, "phase_one", explode)
-    for name in ("_best_deviation", "expected_payoff", "payoff_numerators"):
+    for name in ("_best_deviation", "payoff_numerators"):
         monkeypatch.setattr(eqaudit.nash, name, explode)
     monkeypatch.setattr(eqaudit.games, "payoff_numerators", explode)
     for name in ("incentive_rows", "build_ce_system", "normalize_dual"):

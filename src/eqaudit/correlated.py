@@ -29,15 +29,16 @@ three routes, each in integers and each checked by `verify`:
   multipliers become a kernel and fees over their common denominator.
 
 Both schemes go through one read-back, `_read_back`, to
-`DeviationKernel.from_columns`, which checks that every row sums to 1, and
+`DeviationKernel.from_columns`, which reads each row in one call that checks
+it sums to 1 and builds error text only on a failure, and
 `ActionwiseScheme.from_columns`. An unobserved action's kernel row is the
 identity and its fee is the largest value at most 0 that keeps feasible
 every profile charged to it, a profile outside the support product being
 charged to the unobserved action of the lowest-index player who plays one
 there. That fee is computed here from the integer payoff view, never with
 the checker's `surplus_parts`, so producer and checker share no surplus
-arithmetic, and no Fraction payoff view of a parsed game is built.
-`verify` computes the income; this module does none.
+arithmetic, and no Fraction payoff view of a parsed game is built. `verify`
+computes the income; this module does none.
 """
 
 from __future__ import annotations

@@ -31,13 +31,14 @@ denominator), `ActionwiseScheme.int_fees` (each player's fees over their
 lcm) and `ProfilewiseScheme.int_fee` (one reduced pair per profile).
 Each type has one `_store`, which validates in integers (positive
 denominators, non-negative entries, rows that sum to their lcm,
-squareness, lengths). The constructor reaches it from ints, Fractions or
-'n/d' strings, kept as the type's Fraction field (`payoffs`, `probs`,
-`rows`, `fees`, `fee`). `from_columns`, which `dataio` and the analyzers
-use, takes every row of rationals as integer columns `(numerators,
-denominators)` and makes no Fraction and no per-value pair; there the
-Fraction field is a read-only view made on first read. The store alone
-decides equality, hashing and pickling (`_Frozen`).
+squareness, lengths), a row of a distribution or fee table in one call
+that builds an error's text only once a check fails. The constructor
+reaches it from ints, Fractions or 'n/d' strings, kept as the type's
+Fraction field (`payoffs`, `probs`, `rows`, `fees`, `fee`).
+`from_columns`, which `dataio` and the analyzers use, hands it every row
+as integer columns `(numerators, denominators)` and makes no Fraction;
+there the Fraction field is a read-only view made on first read. The
+store alone decides equality, hashing and pickling (`_Frozen`).
 
 `surplus_parts` computes every profile's deviation surplus from the
 integer views as an unreduced integer ratio, a column at a time: for
@@ -63,6 +64,7 @@ from operator import floordiv, index, mul
 from typing import Iterator, Sequence
 
 Profile = tuple[int, ...]
+_UNEVEN = "{} has a row whose columns differ in length"
 
 
 def as_fraction(value) -> Fraction:
@@ -121,7 +123,8 @@ class _Frozen:
     _KEY: tuple[str, ...] = ()
     _FIELDS: tuple[str, ...] = ()
     # The argument that holds the rationals, how many list levels deep
-    # its rows are, and the Fraction field that views them.
+    # its rows are, and the Fraction field that views them; `_store`
+    # names that argument after the field, so its TypeError names it too.
     _RATIOS: tuple[int, int, str]
 
     def __init__(self, *args):
@@ -129,7 +132,11 @@ class _Frozen:
         (floats refused), kept as the Fraction field; the store is built
         from their integer columns."""
         at, depth, view = self._RATIOS
-        values, columns = _read(_rationals(type(self), args), depth)
+        if len(args) <= at:
+            raise TypeError(
+                f"{type(self).__name__}() missing required argument {view!r}"
+            )
+        values, columns = _read(args[at], depth)
         self._store(*args[:at], columns, *args[at + 1 :])
         vars(self)[view] = values
 
@@ -139,10 +146,8 @@ class _Frozen:
         rationals given as integer columns `(numerators, denominators)`
         of equal length, for `n / d` where `d > 0`; no Fraction is made,
         and the store is validated with the constructor's messages."""
-        at, depth, _view = cls._RATIOS
-        columns = _paired(_rationals(cls, args), depth, cls.__name__)
         obj = cls.__new__(cls)
-        obj._store(*args[:at], columns, *args[at + 1 :])
+        obj._store(*args)
         return obj
 
     def __setattr__(self, name, value):
@@ -170,15 +175,6 @@ class _Frozen:
         return f"{type(self).__name__}({fields})"
 
 
-def _rationals(cls, args):
-    """The argument of `args` that holds `cls`'s rationals; TypeError,
-    naming it, when it is missing."""
-    at, _depth, view = cls._RATIOS
-    if len(args) <= at:
-        raise TypeError(f"{cls.__name__}() missing required argument {view!r}")
-    return args[at]
-
-
 def _read(values, depth: int):
     """Rationals in rows nested `depth` lists deep, as Fractions, and the
     same rows as integer columns `(numerators, denominators)`."""
@@ -189,40 +185,31 @@ def _read(values, depth: int):
     return values, ([v.numerator for v in values], [v.denominator for v in values])
 
 
-def _paired(columns, depth: int, what: str):
-    """`columns`, rows nested `depth` lists deep, each row unpacked as
-    `(numerators, denominators)`; ValueError unless the two are as long."""
-    if depth:
-        return [_paired(row, depth - 1, what) for row in columns]
+def _over_lcm(owner, columns, what: str, *at, distribution: bool = True):
+    """A row of rationals `n / d`, as integer columns `(numerators,
+    denominators)`, over the lcm of its reduced denominators: the lcm D of
+    the d over the gcd of D and the numerators. A row whose every d is D > 0
+    is not rescaled. ValueError unless the columns are as long, every d is
+    positive and, for a `distribution`, the entries are non-negative and
+    sum to 1; the text, naming the row `what.format(*at)` or, for unequal
+    columns, `owner`'s type, is built only then."""
     nums, dens = columns
     if len(nums) != len(dens):
-        raise ValueError(f"{what} has a row whose columns differ in length")
-    return nums, dens
-
-
-def _over_lcm(nums, dens, what: str) -> tuple[tuple[int, ...], int]:
-    """The rationals `n / d` of integer columns as numerators over one
-    denominator, the lcm of their reduced denominators, however the values
-    were reduced: over the lcm D of the d, the gcd of D and the numerators
-    is D over that lcm. ValueError unless every d is positive."""
-    if min(dens, default=1) <= 0:
-        raise ValueError(f"{what} has a non-positive denominator")
+        raise ValueError(_UNEVEN.format(type(owner).__name__))
     den = lcm(*dens)
-    scaled = tuple(map(mul, nums, map(floordiv, itertools.repeat(den), dens)))
-    common = gcd(den, *scaled)
+    if not den or dens.count(den) != len(dens):
+        if min(dens) <= 0:
+            raise ValueError(what.format(*at) + " has a non-positive denominator")
+        nums = list(map(mul, nums, map(floordiv, itertools.repeat(den), dens)))
+    common = gcd(den, *nums)
     if common != 1:
-        scaled = tuple(map(floordiv, scaled, itertools.repeat(common)))
-    return scaled, den // common
-
-
-def _distribution(columns, what: str) -> tuple[tuple[int, ...], int]:
-    """`_over_lcm` of a distribution's columns; ValueError unless the
-    entries are non-negative and sum to 1."""
-    nums, den = _over_lcm(*columns, what)
-    if min(nums, default=0) < 0:
-        raise ValueError(f"{what} has a negative entry")
-    if sum(nums) != den:
-        raise ValueError(f"{what} does not sum to 1")
+        nums, den = map(floordiv, nums, itertools.repeat(common)), den // common
+    nums = tuple(nums)
+    if distribution:
+        if nums and min(nums) < 0:
+            raise ValueError(what.format(*at) + " has a negative entry")
+        if sum(nums) != den:
+            raise ValueError(what.format(*at) + " does not sum to 1")
     return nums, den
 
 
@@ -260,7 +247,7 @@ class Game(_Frozen):
     _FIELDS = ("players", "actions", "payoffs")
     _RATIOS = (2, 1, "payoffs")
 
-    def _store(self, players, actions, columns) -> None:
+    def _store(self, players, actions, payoffs) -> None:
         """Validate the game, set its players and actions, and build
         `int_payoffs` from per-player columns."""
         players = tuple(players)
@@ -269,7 +256,7 @@ class Game(_Frozen):
             raise ValueError("game needs at least one player")
         if len(set(players)) != len(players):
             raise ValueError("duplicate player id")
-        if len(actions) != len(players) or len(columns) != len(players):
+        if len(actions) != len(players) or len(payoffs) != len(players):
             raise ValueError("actions and payoffs must list one entry per player")
         for labels in actions:
             if not labels:
@@ -278,12 +265,15 @@ class Game(_Frozen):
                 raise ValueError("duplicate action label for a player")
         vars(self).update(players=players, actions=actions)
         size = self.num_profiles
-        for who, (nums, _dens) in zip(map(quoted, players), columns):
+        for who, (nums, dens) in zip(players, payoffs):
+            if len(nums) != len(dens):
+                raise ValueError(_UNEVEN.format(type(self).__name__))
             if len(nums) != size:
                 raise ValueError(
-                    f"payoff tensor for {who} has {len(nums)} entries, expected {size}"
+                    f"payoff tensor for {quoted(who)} has {len(nums)} entries, "
+                    f"expected {size}"
                 )
-        vars(self)["int_payoffs"] = self._line_view(columns)
+        vars(self)["int_payoffs"] = self._line_view(payoffs)
 
     @cached_property
     def shape(self) -> tuple[int, ...]:
@@ -414,10 +404,10 @@ class MarginalProfile(_Frozen):
     _FIELDS = ("probs",)
     _RATIOS = (0, 1, "probs")
 
-    def _store(self, rows) -> None:
+    def _store(self, probs) -> None:
         vars(self)["int_rows"] = tuple(
-            _distribution(row, f"marginal distribution of player {k}")
-            for k, row in enumerate(rows)
+            _over_lcm(self, row, "marginal distribution of player {}", k)
+            for k, row in enumerate(probs)
         )
 
     @cached_property
@@ -443,15 +433,14 @@ class JointDistribution(_Frozen):
     _FIELDS = ("shape", "probs")
     _RATIOS = (1, 0, "probs")
 
-    def _store(self, shape, columns) -> None:
+    def _store(self, shape, probs) -> None:
         shape = tuple(map(index, shape))  # TypeError on a float
         if any(k < 1 for k in shape):
             raise ValueError("every player needs at least one action")
-        if len(columns[0]) != prod(shape):
+        int_probs = _over_lcm(self, probs, "joint distribution")
+        if len(int_probs[0]) != prod(shape):
             raise ValueError("joint distribution length does not match shape")
-        vars(self).update(
-            shape=shape, int_probs=_distribution(columns, "joint distribution")
-        )
+        vars(self).update(shape=shape, int_probs=int_probs)
 
     @cached_property
     def probs(self) -> tuple[Fraction, ...]:
@@ -499,16 +488,15 @@ class DeviationKernel(_Frozen):
     _FIELDS = ("rows",)
     _RATIOS = (0, 2, "rows")
 
-    def _store(self, columns) -> None:
+    def _store(self, rows) -> None:
         store = []
-        for i, player_rows in enumerate(columns):
-            k = len(player_rows)
-            rows = []
+        for i, player_rows in enumerate(rows):
+            read = []
             for a, row in enumerate(player_rows):
-                if len(row[0]) != k:
+                read.append(_over_lcm(self, row, "kernel row ({},{})", i, a))
+                if len(read[-1][0]) != len(player_rows):
                     raise ValueError(f"kernel for player {i} is not square")
-                rows.append(_distribution(row, f"kernel row ({i},{a})"))
-            store.append(tuple(rows))
+            store.append(tuple(read))
         vars(self)["int_rows"] = tuple(store)
 
     @cached_property
@@ -516,7 +504,7 @@ class DeviationKernel(_Frozen):
         """The entries as Fractions, read from `int_rows` on first use."""
         return tuple(map(_row_views, self.int_rows))
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, ...]:
         return tuple(map(len, self.int_rows))
 
@@ -676,8 +664,10 @@ class ActionwiseScheme(_Frozen):
     _FIELDS = ("fees", "kernel")
     _RATIOS = (0, 1, "fees")
 
-    def _store(self, rows, kernel: DeviationKernel) -> None:
-        int_fees = tuple(_over_lcm(*row, "fee table") for row in rows)
+    def _store(self, fees, kernel: DeviationKernel) -> None:
+        int_fees = tuple(
+            _over_lcm(self, row, "fee table", distribution=False) for row in fees
+        )
         if tuple(len(nums) for nums, _den in int_fees) != kernel.shape:
             raise ValueError("fee table shape does not match kernel")
         vars(self).update(int_fees=int_fees, kernel=kernel)
@@ -700,8 +690,10 @@ class ProfilewiseScheme(_Frozen):
     _FIELDS = ("fee", "kernel")
     _RATIOS = (0, 0, "fee")
 
-    def _store(self, columns, kernel: DeviationKernel) -> None:
-        nums, dens = columns
+    def _store(self, fee, kernel: DeviationKernel) -> None:
+        nums, dens = fee
+        if len(nums) != len(dens):
+            raise ValueError(_UNEVEN.format(type(self).__name__))
         if min(dens, default=1) <= 0:
             raise ValueError("fee table has a non-positive denominator")
         common = list(map(gcd, nums, dens))

@@ -88,25 +88,30 @@ def build_nash_system(game: Game, p: MarginalProfile) -> lp.LinearSystem:
 def test_nash_exploitability(game: Game, p: MarginalProfile) -> NashVerdict:
     """IsNash, or a profile-wise scheme built from the best deviation.
 
-    The kernel is the identity except that player `i`, told `a`, plays
-    `b`; the fee is that kernel's surplus, `u_i(b, .) - u_i(a, .)` where
-    `i` plays `a` and 0 elsewhere, read from `i`'s payoffs along `i`'s
-    lines rather than from `surplus_parts`, which the checker uses. Both
-    are built from integer columns, with no Fraction. The
-    scheme is feasible by construction, and its income under the product
-    of `p` is exactly the deviation's gain.
+    The kernel is the identity except that player `i`, told `a`, plays `b`;
+    the fee is that kernel's surplus, `u_i(b, .) - u_i(a, .)` where `i`
+    plays `a` and 0 elsewhere, read from `i`'s payoffs along `i`'s lines
+    rather than from `surplus_parts`, which the checker uses. Both are built
+    from integer columns, with no Fraction. The scheme is feasible by
+    construction, and its income under the product of `p` is exactly the
+    deviation's gain; one that its constructors refuse is this function's
+    fault and raises RuntimeError.
     """
-    deviation = _best_deviation(game, p)
+    deviation = _best_deviation(game, p)  # checks the shape
     if deviation is None:
         return IsNash()
     gain, i, a, b = deviation
     rows = [[([int(c == r) for c in range(k)], [1] * k) for r in range(k)]
             for k in game.shape]
     rows[i][a] = rows[i][b]
-    kernel = DeviationKernel.from_columns(rows)
     (pay, dens), step = game.int_payoffs[i], game.strides[i]
     fee_nums, fee_dens = [0] * game.num_profiles, [1] * game.num_profiles
     for start in game.line_starts(i):  # both profiles share the line's denominator
         flat = start + a * step
         fee_nums[flat], fee_dens[flat] = pay[start + b * step] - pay[flat], dens[start]
-    return Exploitable(ProfilewiseScheme.from_columns((fee_nums, fee_dens), kernel), gain)
+    try:
+        kernel = DeviationKernel.from_columns(rows)
+        scheme = ProfilewiseScheme.from_columns((fee_nums, fee_dens), kernel)
+    except ValueError as exc:  # the input passed `check_shape`: a producer's fault
+        raise RuntimeError(f"no checked certificate: {exc}") from None
+    return Exploitable(scheme, gain)

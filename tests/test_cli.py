@@ -657,6 +657,20 @@ def test_solver_self_check_failure_exits_four(files, monkeypatch, capsys):
     assert len(lines) == 1 and lines[0].startswith("internal error:")
 
 
+def test_a_refused_nash_kernel_exits_four(files, monkeypatch, capsys):
+    from eqaudit import cli, games
+
+    def refuse(cls, *args):
+        raise ValueError("kernel row (0,0) does not sum to 1")
+
+    monkeypatch.setattr(games.DeviationKernel, "from_columns", classmethod(refuse))
+    assert cli.main(["test-nash", files["game.json"], files["skewed.json"]]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("internal error:")
+
+
 def test_huge_exponent_payoff_exits_two(files, tmp_path):
     doc = json.loads(GAME_DOC)
     doc["payoffs"]["P1"][0] = "1e1000000"

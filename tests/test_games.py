@@ -640,6 +640,118 @@ def test_columns_of_unequal_length_are_refused(name, row):
         UNEVEN_BUILDS[name](row)
 
 
+def _rows_of(data, name, shape):
+    """A valid `name` object as rows of Fractions, one label per row as
+    its type's error lines name it, and a function that puts rows, as
+    Fractions or as integer columns, into the constructor's arguments."""
+    size = prod(shape)
+    fees = st.fractions(-9, 9, max_denominator=12)
+    if name == "MarginalProfile":
+        rows = [_probability_row(data, k) for k in shape]
+        labels = [f"marginal distribution of player {j}" for j in range(len(shape))]
+        return rows, labels, lambda rows: (rows,)
+    if name == "JointDistribution":
+        return [_probability_row(data, size)], ["joint distribution"], (
+            lambda rows: (shape, rows[0])
+        )
+    if name == "DeviationKernel":
+        rows = [_probability_row(data, k) for k in shape for _ in range(k)]
+        labels = [f"kernel row ({i},{a})" for i, k in enumerate(shape) for a in range(k)]
+        starts = list(itertools.accumulate(shape, initial=0))
+        return rows, labels, lambda rows: (
+            [rows[start : start + k] for start, k in zip(starts, shape)],
+        )
+    kernel = identity_kernel(shape)
+    if name == "ActionwiseScheme":
+        rows = [tuple(data.draw(st.lists(fees, min_size=k, max_size=k))) for k in shape]
+        return rows, ["fee table"] * len(shape), lambda rows: (rows, kernel)
+    row = tuple(data.draw(st.lists(fees, min_size=size, max_size=size)))
+    return [row], ["fee table"], lambda rows: (rows[0], kernel)
+
+
+def _outcome(build, args):
+    """The object `build(*args)` makes, or the first line of its ValueError."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        return str(exc).splitlines()[0]
+
+
+MODEL_TYPES = {
+    cls.__name__: cls
+    for cls in (
+        MarginalProfile,
+        JointDistribution,
+        DeviationKernel,
+        ActionwiseScheme,
+        ProfilewiseScheme,
+    )
+}
+
+
+@pytest.mark.parametrize("name", MODEL_TYPES)
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_integer_constructors_decide_as_the_fraction_ones(name, data):
+    # One row of a valid object is mutated. Where Fractions can carry the
+    # mutation, `from_columns` on its integer columns must build the same
+    # store as the constructor on the Fractions, or fail with the same
+    # first error line; columns of unequal length and non-positive
+    # denominators have no Fraction form and get their own lines. A row
+    # over one denominator, as every producer's kernel rows are, skips the
+    # lcm rescale and must still reduce to the store the Fractions give.
+    cls = MODEL_TYPES[name]
+    shape = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    rows, labels, arguments = _rows_of(data, name, shape)
+    r = data.draw(st.integers(0, len(rows) - 1))
+    values = list(rows[r])
+    j = data.draw(st.integers(0, len(values) - 1))
+    move = data.draw(st.sampled_from(
+        ("none", "one denominator", "off", "negate", "resize", "uneven", "denominator")
+    ))
+    if move == "off":
+        values[j] += data.draw(st.sampled_from((1, -1))) * F(1, data.draw(st.integers(1, 99)))
+    elif move == "negate":
+        values[j] = -(values[j] or F(1, 2))
+    elif move == "resize":
+        values = values[:-1] if data.draw(st.booleans()) else values + [F(0)]
+    if move == "one denominator":
+        scale = lcm(*(v.denominator for v in values)) * data.draw(st.integers(1, 9))
+        columns = ([v.numerator * scale // v.denominator for v in values], [scale] * len(values))
+    else:
+        columns = _unreduced(data, values)
+    expected = _outcome(cls, arguments([*rows[:r], tuple(values), *rows[r + 1 :]]))
+    if move == "uneven":
+        column = columns[data.draw(st.integers(0, 1))]
+        if data.draw(st.booleans()):
+            column.pop()
+        else:
+            column.append(1)
+        expected = f"{name} has a row whose columns differ in length"
+    elif move == "denominator":
+        bad = data.draw(st.sampled_from((0, -columns[1][j])))
+        every = data.draw(st.booleans())  # one d, or every d alike
+        columns[1][:] = [bad if every or x == j else d for x, d in enumerate(columns[1])]
+        expected = f"{labels[r]} has a non-positive denominator"
+    others = [_unreduced(data, row) for row in rows]
+    got = _outcome(cls.from_columns, arguments([*others[:r], columns, *others[r + 1 :]]))
+    assert got == expected
+    if not isinstance(expected, str):
+        assert repr(got) == repr(expected)
+
+
+def test_a_pickled_kernel_reads_the_same_shape():
+    kernel = DeviationKernel.from_columns(
+        [[((1, 0), (1, 1)), ((2, 2), (4, 4))], [((1,), (1,))]]
+    )
+    assert kernel.shape == (2, 1) and "shape" in vars(kernel)
+    copy = pickle.loads(pickle.dumps(kernel))
+    assert "shape" not in vars(copy)
+    assert copy == kernel and hash(copy) == hash(kernel)
+    assert copy.shape == kernel.shape
+    assert copy.int_rows[0][1] == ((1, 1), 2)
+
+
 def _primes_above(start, count):
     """The first `count` primes above `start`, by a sieve over a window."""
     width = 64 * count

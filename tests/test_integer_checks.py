@@ -13,6 +13,7 @@ the marginals.
 """
 
 from fractions import Fraction as F
+from functools import partial
 from math import prod
 
 from hypothesis import assume, given, settings
@@ -23,7 +24,7 @@ from conftest import duplicate_action
 from eqaudit import correlated, lp, nash
 from eqaudit.games import (
     DeviationKernel,
-    _distribution,
+    _over_lcm,
     Game,
     JointDistribution,
     MarginalProfile,
@@ -185,7 +186,7 @@ def test_check_distribution_matches_the_fraction_check(values):
     # denominators)`, as the `from_columns` constructors pass them.
     columns = ([v.numerator for v in values], [v.denominator for v in values])
     expected = _distribution_error(fraction_checks.check_distribution, values)
-    assert _distribution_error(_distribution, columns) == expected
+    assert _distribution_error(partial(_over_lcm, None), columns) == expected
 
 
 @settings(max_examples=150, deadline=None)

@@ -70,6 +70,22 @@ def test_skewed_certificate_moves_the_second_column(
     )
 
 
+def _refuse(cls, *args):
+    raise ValueError("kernel row (0,0) does not sum to 1")
+
+
+def test_a_refused_certificate_is_a_producer_fault(
+    monkeypatch, coordination, skewed_profile
+):
+    # The profile passed the shape check, so a kernel or fee table that its
+    # constructor refuses is the producer's fault, not malformed input.
+    monkeypatch.setattr(games.DeviationKernel, "from_columns", classmethod(_refuse))
+    with pytest.raises(RuntimeError, match="no checked certificate: kernel row"):
+        nash.test_nash_exploitability(coordination, skewed_profile)
+    with pytest.raises(ValueError):
+        nash.test_nash_exploitability(coordination, MarginalProfile(((F(1),),)))
+
+
 def test_fee_is_not_read_from_the_checkers_surplus(
     monkeypatch, coordination, skewed_profile
 ):

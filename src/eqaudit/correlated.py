@@ -22,9 +22,11 @@ three routes, each in integers and each checked by `verify`:
   integer payoff view over the lcm of the row's line denominators, a
   marginal row is an indicator over the frequencies' denominator. Its
   incentive rows are generated as cutting planes (Papadimitriou and
-  Roughgarden, JACM 2008), from those that independent play violates: a
-  round solves only the rows violated so far, and the multipliers of an
-  infeasible one, with 0 on every row left out, certify the whole system.
+  Roughgarden, JACM 2008) in one `lp.solve_feasibility` call: it starts
+  from the marginal rows and those that independent play violates, and
+  every other row joins the same tableau once a point violates it. The
+  multipliers of an infeasible solve, 0 on every row that never joined,
+  certify the whole system.
   A witness is the integer point zero-extended to every profile; the
   multipliers become a kernel and fees over their common denominator.
 
@@ -266,15 +268,14 @@ def _dominated(game: Game, supports, i: int, a: int, b: int):
 def test_ce_compatibility(game: Game, p: MarginalProfile) -> CeVerdict:
     """Decide compatibility and return the matching certificate, by the
     module docstring's three routes. The pairs `(i, a, b)` that independent
-    play violates, `a` supported and `b` paying more, are the first active
-    rows; the scheme of dominated play contracts on the first of them, in
-    `deviation_pairs` order, where `b` beats `a` everywhere. Each round
-    solves the marginal rows and the active incentive rows, in the system's
-    order, and activates the rows its point violates. A certificate that
-    fails its check raises RuntimeError.
+    play violates, `a` supported and `b` paying more, are the incentive
+    rows the solve starts from, with every marginal row; the scheme of
+    dominated play contracts on the first of them, in `deviation_pairs`
+    order, where `b` beats `a` everywhere. A certificate that fails its
+    check raises RuntimeError.
     """
     values = [totals for totals, _den in payoff_numerators(game, p)]  # checks the shape
-    supports, pairs, marginals = _kept(game, p)
+    supports, pairs, _marginals = _kept(game, p)
     active = [k for k, (i, a, b) in enumerate(pairs) if values[i][b] > values[i][a]]
     try:
         for i, a, b in (pairs[k] for k in active):
@@ -286,28 +287,21 @@ def test_ce_compatibility(game: Game, p: MarginalProfile) -> CeVerdict:
                 fee_nums = [[0] * k for k in game.shape]
                 fee_nums[i][a] = least[0]
                 return _read_back(game, p, supports, weights, least[1], fee_nums)
-        witness = None if active else product_distribution(p)
-        system = build_ce_system(game, p) if active else None
-        while witness is None:
-            kept = [*active, *range(len(pairs), len(pairs) + len(marginals))]
-            outcome = lp.solve_feasibility(lp.LinearSystem(
-                system.num_vars, tuple(system.rows[k] for k in kept)
-            ))
+        if active:
+            system = build_ce_system(game, p)
+            outcome = lp.solve_feasibility(
+                system, [*active, *range(len(pairs), len(system.rows))]
+            )
             if isinstance(outcome, lp.Infeasible):
-                y = dict(zip(kept, outcome.nums))
-                padded = [y.get(k, 0) for k in range(len(system.rows))]
-                return normalize_dual(game, p, lp.Infeasible.over(padded, outcome.den))
-            point, den = outcome.nums, outcome.den
-            # Incentive rows come first, and their right-hand sides are 0.
-            failing = [k for k, row in enumerate(system.rows[: len(pairs)])
-                       if sum(c * v for c, v in zip(row.nums, point) if c) < 0]
-            if failing:
-                active = sorted(active + failing)
-                continue
+                return normalize_dual(game, p, outcome)
             nums = [0] * game.num_profiles
-            for (flat, _profile), v in zip(_product(game.shape, supports), point):
+            for (flat, _profile), v in zip(_product(game.shape, supports), outcome.nums):
                 nums[flat] = v
-            witness = JointDistribution.from_columns(game.shape, (nums, [den] * len(nums)))
+            witness = JointDistribution.from_columns(
+                game.shape, (nums, [outcome.den] * len(nums))
+            )
+        else:
+            witness = product_distribution(p)
     except ValueError as exc:  # the input passed `check_shape`: a producer's fault
         raise RuntimeError(f"no checked certificate: {exc}") from None
     if not verify_witness(game, p, witness):

@@ -22,34 +22,44 @@ test keeps that so, and it makes the objective row read over the same
 columns strictly increase lexicographically at every pivot, degenerate
 ones included. No basis can recur, so the simplex terminates on every
 input under any improving entering rule, this one included, with no
-degeneracy tolerance (Dantzig, Orden and Wolfe, 1955). The tableau is
-exact and fraction-free: each row is a list of ints whose denominator is
-its own entry in its basic column, the objective is the last row, and a
-pivot cross-multiplies every other row at the pivot row's nonzero columns
-and divides out its gcd, in the manner of Edmonds' and Bareiss'
-integer-preserving elimination. A system row enters the tableau as its
-numerators, with no denominator to clear. The starting basis is a slack
-start: a `>=` row whose right-hand side is at most zero (an incentive
-row, say) is already satisfied at the origin, so its own surplus column
-is basic at first and the row needs no artificial column. Only equality
-rows and `>=` rows with a positive right-hand side get one, and phase
-one minimizes their sum. If that sum cannot be driven to zero, the
-phase-one dual multipliers are returned as a Farkas certificate:
-nonnegative on inequality rows, free on equality rows, combining the
-rows into `y.A <= 0` in every column while `y.b > 0`. `verify_outcome`
-checks either arm by direct substitution, in integers, reading the
-outcome's numerators and each row's numerators and denominator as the
-system defines them, with no code shared with the tableau.
+degeneracy tolerance (Dantzig, Orden and Wolfe, 1955).
 
-`maximize` exposes phase two, a vertex under a linear objective, for one
-caller: `oracles.random_ce`, the input generator of the tests, scripts
-and benchmark. Feasibility testing and `--oracle` never use it.
+The tableau is exact, fraction-free and condensed: it holds one column
+per nonbasic variable, and each row's own basic entry is its
+denominator, as in integer pivoting on a dictionary (Avis, *lrs*, 2000).
+A pivot cross-multiplies every other row at the pivot row's nonzero
+entries and divides out its gcd, in the manner of Edmonds' and Bareiss'
+integer-preserving elimination. Rows join the tableau one at a time,
+each expressed over the nonbasic columns as a cost row is priced; on the
+empty tableau that is a slack start. A `>=` row the current point
+satisfies (at the origin, one whose right-hand side is at most zero, an
+incentive row, say) starts with its own surplus column basic. Every other
+row gets an artificial column, priced into the phase-one objective, the
+sum of the artificials. `solve_feasibility(system, start)` joins the
+rows in `start` first, and each other row once a point the run reaches
+violates it; the run then goes on from the same basis, where every row
+is again lexicographically positive, so the argument above still holds
+and each row joins at most once (Kelley's cutting planes, J. SIAM 1960).
+If the artificial sum cannot be driven to zero, the phase-one dual
+multipliers are returned as a Farkas certificate: nonnegative on
+inequality rows, free on equality rows, 0 on a row that never joined,
+combining the rows into `y.A <= 0` in every column while `y.b > 0`.
+`verify_outcome` checks either arm against the whole system by direct
+substitution, in integers, reading the outcome's numerators and each
+row's numerators and denominator as the system defines them, with no
+code shared with the tableau.
+
+`maximize` exposes phase two, a vertex under a linear objective, on the
+same tableau, for one caller: `oracles.random_ce`, the input generator of
+the tests, scripts and benchmark. Feasibility testing and `--oracle`
+never use it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 
 from .games import as_fraction, common_denominator
@@ -217,219 +227,266 @@ def verify_outcome(system: LinearSystem, outcome: FeasibilityOutcome) -> bool:
 
 
 class _Simplex:
-    """Exact tableau over the standard equality form of a system.
+    """Condensed exact tableau over the standard equality form of the rows
+    of a system that have joined it, as the module docstring describes.
 
-    Variable j is column j, and each `>=` row gets a surplus column after
-    them. A `>=` row whose right-hand side is at most zero is negated and
-    starts with its own surplus column in the basis, at value `-rhs`.
-    Every other row is sign-flipped so its right-hand side is nonnegative
-    and gets an artificial column for the starting basis; the artificial
-    columns are the block `first_art .. z - 1`, and they never re-enter
-    the basis. `start[k]` is the column row k began basic in, its surplus
-    or its artificial column; at the phase-one optimum that column's
-    reduced cost encodes the row's dual multiplier.
+    Variable j is column j; a `>=` row k's surplus column is `num_vars`
+    plus the number of `>=` rows before it, and artificial columns are
+    numbered from `first_art` as rows join; they never re-enter the basis.
+    `start[k]` is the column row k began basic in, None until it joins,
+    and `flip[k]` the sign it joined with; at the phase-one optimum that
+    column's reduced cost encodes the row's dual multiplier.
 
-    Each tableau row, right-hand side last, is a list of ints with no
-    factor common to all of them, and its denominator is its own entry in
-    its basic column, which is positive and zero in every other row. The
-    objective is the last row, with basic column `z` (zero in every
-    constraint row) holding its denominator and with minus the current
-    cost as its right-hand side.
+    Only nonbasic columns are held, in the order `cols`. A row is a list
+    of ints, one per nonbasic column, then its right-hand side, then its
+    denominator: its positive entry in its own basic column `basis[r]`,
+    every other basic column being zero in it. No factor is common to all
+    of a row's ints. The objective `obj` has the same form, with minus the
+    current cost as its right-hand side. `where[c]` is the position of
+    nonbasic column c, or `~r` when c is basic in row r.
     """
 
-    def __init__(self, system: LinearSystem):
+    def __init__(self, system: LinearSystem, rows=None):
         self.system = system
-        # Row k starts from its surplus column when that column alone is a
-        # feasible basic variable; every other row needs an artificial.
-        slack = [row.sense == GE and row.rhs_num <= 0 for row in system.rows]
-        surplus = system.num_vars
-        self.first_art = art = surplus + sum(row.sense == GE for row in system.rows)
-        self.z = art + slack.count(False)
+        n = system.num_vars
+        self.surplus = list(accumulate((row.sense == GE for row in system.rows), initial=n))
+        self.first_art = self.next_art = self.surplus.pop()
+        self.cols = list(range(n))
+        self.where = {j: j for j in range(n)}
         self.T: list[list[int]] = []
-        self.flip: list[int] = []
-        self.start: list[int] = []
-        for row, from_surplus in zip(system.rows, slack):
-            sign = -1 if row.rhs_num < 0 or from_surplus else 1
-            vec = self._place(row.nums, row.rhs_num, sign)
-            self.start.append(surplus if from_surplus else art)
-            if row.sense == GE:
-                vec[surplus] = -sign * row.den
-                surplus += 1
-            if not from_surplus:
-                vec[art] = row.den
-                art += 1
-            self.flip.append(sign)
-            self.T.append(vec)
-        self.basis = self.start[:]
+        self.basis: list[int] = []
+        self.obj = [0] * n + [0, 1]
+        self.start: list[int | None] = [None] * len(system.rows)
+        self.flip = [0] * len(system.rows)
+        ks = range(len(system.rows)) if rows is None else sorted(set(rows))
+        if ks and not 0 <= ks[0] <= ks[-1] < len(system.rows):
+            raise ValueError("start names a row the system does not have")
+        self.join(ks)
 
-    def _place(self, nums, rhs_num: int, sign: int) -> list[int]:
-        """`sign * (nums, rhs_num)`, a row's numerators, as a tableau row;
-        their gcd with the row's denominator is 1."""
-        vec = [0] * (self.z + 2)
+    def _express(self, nums, rhs: int, own: int) -> list[int]:
+        """The row `nums . x + own * v = rhs`, `nums` over the system's
+        variables and `v` a column basic in no row, over the nonbasic
+        columns: each basic variable the row uses is eliminated with its
+        row, in row order. It prices a cost row and places a joining row."""
+        n = len(self.cols)
+        vec = [0] * n + [rhs, own]
+        basic = []
         for j, c in enumerate(nums):
             if c:
-                vec[j] = sign * c
-        vec[-1] = sign * rhs_num
+                at = self.where[j]
+                if at >= 0:
+                    vec[at] = c
+                else:
+                    basic.append((~at, c))
+        if basic:  # held past the end, in row order, until eliminated
+            basic.sort()
+            vec += [c for _r, c in basic]
+            for slot, (r, _c) in enumerate(basic, n + 2):
+                row = self.T[r]
+                vec = _eliminate(vec, slot, row[-1], _terms(row))
+            del vec[n + 2 :]
         return vec
 
-    def _price(self, cost: list[int], den: int) -> Fraction:
-        """Minimize `cost / den` (right-hand side entry 0) from the current
-        basis and return the minimum."""
-        cost[self.z] = den
-        for r, col in enumerate(self.basis):
-            if cost[col]:
-                row = self.T[r]
-                terms = [(j, v) for j, v in enumerate(row) if v]
-                cost = _eliminate(cost, col, row[col], terms)
-        self.T[len(self.basis):] = [cost]  # replaces or appends the last row
-        self._run()
-        objective = self.T[-1]
-        return Fraction(-objective[-1], objective[self.z])
+    def join(self, ks) -> None:
+        """Add system rows `ks`, in order, at the current basis; a row with
+        an artificial column has it priced into the phase-one objective."""
+        for k in ks:
+            row = self.system.rows[k]
+            vec = self._express(row.nums, row.rhs_num, -row.den)
+            scale = -vec[-1]  # the row's own denominator, scaled with it
+            if row.sense == GE and vec[-2] <= 0:  # the point satisfies it
+                vec = [-v for v in vec]
+                col, sign = self.surplus[k], -1
+            else:
+                col, sign = self.next_art, -1 if vec[-2] < 0 else 1
+                self.next_art += 1
+                vec = [sign * v for v in vec[:-1]] + [scale]
+                if row.sense == GE:  # its surplus column joins the nonbasic ones
+                    at = len(self.cols)
+                    for other in (*self.T, self.obj, vec):
+                        other.insert(at, 0)
+                    vec[at] = -sign * scale
+                    self.cols.append(self.surplus[k])
+                    self.where[self.surplus[k]] = at
+                self.obj = _eliminate(self.obj + [self.obj[-1]], len(self.obj), scale, _terms(vec))
+                del self.obj[-1]
+            self.where[col] = ~len(self.T)
+            self.T.append(vec)
+            self.basis.append(col)
+            self.start[k], self.flip[k] = col, sign
 
-    def _pivot(self, r: int, col: int) -> None:
-        # The pivot row already has no common factor; only the sign of its
-        # new denominator may need fixing.
+    def _pivot(self, r: int, q: int) -> None:
+        # Column `cols[q]` enters in row r and the row's basic column leaves
+        # to position q. The pivot row already has no common factor; only
+        # the sign of its new denominator may need fixing, and its old
+        # denominator becomes its entry in the leaving column.
         row = self.T[r]
-        if row[col] < 0:
+        if row[q] < 0:
             row = self.T[r] = [-v for v in row]
-        p, terms = row[col], [(j, v) for j, v in enumerate(row) if v]
+        p = row[q]
+        row[q], row[-1] = row[-1], p
+        terms = _terms(row)
         for r2, row2 in enumerate(self.T):
-            if r2 != r and row2[col]:
-                self.T[r2] = _eliminate(row2, col, p, terms)
-        self.basis[r] = col
+            if r2 != r and row2[q]:
+                self.T[r2] = _eliminate(row2, q, p, terms)
+        if self.obj[q]:
+            self.obj = _eliminate(self.obj, q, p, terms)
+        enter, leave = self.cols[q], self.basis[r]
+        self.cols[q], self.basis[r] = leave, enter
+        self.where[leave], self.where[enter] = q, ~r
 
     def _run(self) -> None:
-        # Greatest improvement: every non-artificial column j with a
-        # negative reduced cost, c_j = -objective[j] > 0, would move the
-        # objective by c_j * theta_j, theta_j its minimum ratio rhs / a
-        # over the rows with a > 0; enter the largest, ties to the larger
-        # c_j and then the lowest index, so a degenerate vertex, where
-        # every theta_j is 0, enters Dantzig's column. The objective row
-        # has one denominator, so its numerators compare as they are. An
-        # improving column with no positive entry is unbounded. Leave on
-        # the minimum ratio, ties broken by the lexicographically smallest
-        # row, over the columns basic when the run started and in row
-        # order, divided by its entry in the entering column. Row
-        # denominators are positive and cancel in every such quotient, so
-        # signs, ratios and the lexicographic order are read from the
-        # numerators alone, by cross-multiplication. The objective row has
-        # a negative entry in the entering column, so it never leaves.
-        # The leaving rule alone keeps every basis from recurring, so any
-        # improving entering column terminates.
+        # The module docstring's rules. Non-artificial column j, at position
+        # q, has c_j = -obj[q] (the objective row has one denominator, so
+        # its numerators compare as they are) and theta_j the least ratio
+        # rhs / a over the rows with a > 0, compared by cross-multiplying,
+        # as row denominators are positive and cancel. An improving column
+        # with no positive entry is unbounded. The scan keeps each column's
+        # first row of least ratio, which leaves unless another row ties
+        # it; only a tie goes to `_lex_leave`.
         start = self.basis[:]
+        rows, cols, first_art = self.T, self.cols, self.first_art
         while True:
-            objective = self.T[-1]
-            constraints = self.T[:-1]
+            obj = self.obj
             enter = -1
-            for j in range(self.first_art):
-                c = -objective[j]
-                if c <= 0:
+            for q, j in enumerate(cols):
+                c = -obj[q]
+                if c <= 0 or j >= first_art:
                     continue
                 num = den = 0  # theta_j = num / den; den 0 while none is seen
-                for row in constraints:
-                    a = row[j]
+                for r, row in enumerate(rows):
+                    a = row[q]
                     if a > 0:
-                        rhs = row[-1]
-                        if not rhs:
-                            num, den = 0, 1
+                        rhs = row[-2]
+                        if not rhs:  # theta_j is 0; later rows may tie it
+                            num, den, least, tied = 0, 1, r, True
                             break
-                        if not den or rhs * den < num * a:
-                            num, den = rhs, a
+                        if den:
+                            new, old = rhs * den, num * a
+                            if new >= old:
+                                tied = tied or new == old
+                                continue
+                        num, den, least, tied = rhs, a, r, False
                 if not den:
                     raise ArithmeticError("objective is unbounded")
                 # Compare c * num / den with the best, cross-multiplied.
                 if enter >= 0:
                     new, old = c * num * best_den, best_gain * den
-                    if new < old or new == old and c <= best_c:
+                    if new < old or new == old and (c, -j) < (best_c, -best_j):
                         continue
-                enter, best_c, best_gain, best_den = j, c, c * num, den
+                enter, best_j, best_c, best_gain, best_den = q, j, c, c * num, den
+                leave, tie = least, tied
             if enter < 0:
                 return
-            leave = -1
-            for r, row in enumerate(self.T):
-                a = row[enter]
-                if a > 0:
-                    if leave >= 0:
-                        best = self.T[leave]
-                        lhs, rhs = row[-1] * best[enter], best[-1] * a
-                        if lhs == rhs:
-                            for col in start:
-                                lhs, rhs = row[col] * best[enter], best[col] * a
-                                if lhs != rhs:
-                                    break
-                        if lhs > rhs:
-                            continue
-                    leave = r
-            if leave < 0:
-                raise ArithmeticError("objective is unbounded")
+            if tie:
+                leave = self._lex_leave(enter, leave, start)
             self._pivot(leave, enter)
 
+    def _lex_leave(self, q: int, first: int, start: list[int]) -> int:
+        """Of row `first` and the later rows whose ratio in position q ties
+        its, the lexicographically smallest over the columns `start` basic
+        when the run began, each divided by its entry in position q."""
+        where, best, top = self.where, first, self.T[first]
+        for r in range(first + 1, len(self.T)):
+            row = self.T[r]
+            a = row[q]
+            if a <= 0 or row[-2] * top[q] != top[-2] * a:
+                continue
+            for col in start:
+                at = where[col]
+                if at >= 0:
+                    lhs, rhs = row[at] * top[q], top[at] * a
+                else:  # basic in row ~at: its denominator there, else 0
+                    lhs = row[-1] * top[q] if ~at == r else 0
+                    rhs = top[-1] * a if ~at == best else 0
+                if lhs != rhs:
+                    break
+            if lhs < rhs:
+                best, top = r, row
+        return best
+
     def phase_one(self) -> Fraction:
-        """Minimize the artificial total; returns the optimal value."""
-        cost = [0] * (self.z + 2)
-        cost[self.first_art : self.z] = [1] * (self.z - self.first_art)
-        return self._price(cost, 1)
+        """Minimize the artificial total from the current basis; returns
+        the optimal value."""
+        self._run()
+        return Fraction(-self.obj[-2], self.obj[-1])
 
     def farkas(self) -> tuple[list[int], int]:
-        """The phase-one dual multipliers over the objective's denominator."""
+        """The phase-one dual multipliers over the objective's denominator,
+        0 on every row that has not joined."""
         # Row k's multiplier is y_k = flip_k * (c - r), where r is the
-        # reduced cost of the column the row started in and c that
-        # column's cost: 1 for an artificial, 0 for a surplus column.
-        objective = self.T[-1]
-        den = objective[self.z]
+        # reduced cost of the column the row started in, 0 while basic, and
+        # c that column's cost: 1 for an artificial, 0 for a surplus column.
+        obj = self.obj
+        den = obj[-1]
         out = []
         for sign, col in zip(self.flip, self.start):
+            if col is None:
+                out.append(0)
+                continue
+            at = self.where[col]
             cost = den if col >= self.first_art else 0
-            out.append(sign * (cost - objective[col]))
+            out.append(sign * (cost - (obj[at] if at >= 0 else 0)))
         return out, den
 
     def point(self) -> tuple[list[int], int]:
         """The basic solution in the system's variables, over one denominator."""
         x = [(0, 1)] * self.system.num_vars
         for row, col in zip(self.T, self.basis):
-            if col < len(x) and row[-1]:
-                x[col] = (row[-1], row[col])
+            if col < len(x) and row[-2]:
+                x[col] = (row[-2], row[-1])
         den = lcm(*(d for _n, d in x))
         return [n * (den // d) for n, d in x], den
 
     def _purge_artificials(self) -> None:
         # A basic artificial sits at zero after a successful phase one, but
         # later pivots in other rows could push it positive and silently
-        # leave the feasible set. Swap each one for a structural column in
-        # its row; a row with no structural entry left is redundant and can
-        # never change again, so it is safe to keep.
+        # leave the feasible set. Swap each one for the lowest structural
+        # column in its row; a row with no structural entry left is
+        # redundant and can never change again, so it is safe to keep.
         for r, col in enumerate(self.basis):
-            if col < self.first_art:
-                continue
-            row = self.T[r]
-            for j in range(self.first_art):
-                if row[j]:
-                    self._pivot(r, j)
-                    break
+            if col >= self.first_art:
+                row = self.T[r]
+                found = [(j, q) for q, j in enumerate(self.cols)
+                         if row[q] and j < self.first_art]
+                if found:
+                    self._pivot(r, min(found)[1])
 
     def phase_two_max(self, objective) -> Fraction:
         self._purge_artificials()
         objective = Row(objective, GE, 0)
-        return -self._price(self._place(objective.nums, 0, -1), objective.den)
+        self.obj = self._express([-c for c in objective.nums], 0, objective.den)
+        self._run()
+        return Fraction(self.obj[-2], self.obj[-1])
+
+
+def _terms(row: list[int]) -> list[tuple[int, int]]:
+    """The nonzero `(position, entry)` pairs of a row, right-hand side
+    included and denominator left out."""
+    terms = [(j, v) for j, v in enumerate(row) if v]
+    terms.pop()
+    return terms
 
 
 def _eliminate(
-    row2: list[int], col: int, p: int, terms: list[tuple[int, int]]
+    row2: list[int], q: int, p: int, terms: list[tuple[int, int]]
 ) -> list[int]:
-    """Zero `col` in `row2` with the pivot row, given by its nonzero
-    `(column, entry)` pairs `terms` and its entry `p` at `col`, which is
-    its own denominator; `row2`'s basic entry is zero in the pivot row, so
-    it scales by that denominator and stays the denominator of the reduced
-    result. Both multipliers are divided by their gcd first, so `row2` is
-    often copied unscaled; only the pivot row's nonzero columns change.
-    The result is divided by its own gcd, so it is the same row either
-    way, from smaller products."""
-    f = row2[col]
+    """Zero position `q` of `row2`, whose entry there is f, by subtracting
+    f / p times the row given by its nonzero `(position, entry)` pairs
+    `terms`, in which `p` > 0 is the denominator of the variable `q`
+    stood for. In a pivot that row is the pivot row after the swap, so
+    `terms` gives the leaving column's entry at `q`; in `_express` it is
+    a basic row and `q` its slot. `row2`'s own denominator is not in
+    `terms`, so it scales by p and stays the denominator of the result.
+    Both multipliers are divided by their gcd first, so `row2` is often
+    copied unscaled, and the result is divided by its own gcd."""
+    f = row2[q]
     g = gcd(p, f)
     if g != 1:
         p //= g
         f //= g
     new = row2[:] if p == 1 else [a * p for a in row2]
+    new[q] = 0
     for j, b in terms:
         new[j] -= f * b
     g = gcd(*new)
@@ -438,18 +495,32 @@ def _eliminate(
     return new
 
 
-def solve_feasibility(system: LinearSystem) -> FeasibilityOutcome:
+def solve_feasibility(system: LinearSystem, start=None) -> FeasibilityOutcome:
     """Return a feasible point or a Farkas infeasibility certificate.
 
-    Exactly one arm is produced and it is re-verified by substitution
-    before being returned, so a bug in the pivoting can never escape as a
-    wrong answer.
+    The rows numbered in `start` (every row when it is None) are solved
+    first; a row outside it joins the same tableau only once a point the
+    tableau reaches violates it, and the run goes on from there. Exactly
+    one arm is produced, a certificate being 0 on every row that never
+    joined, and it is re-verified against the whole system by
+    substitution before being returned, so a bug in the pivoting can
+    never escape as a wrong answer.
     """
-    simplex = _Simplex(system)
-    if simplex.phase_one() > 0:
-        outcome: FeasibilityOutcome = Infeasible.over(*simplex.farkas())
+    simplex = _Simplex(system, start)
+    while simplex.phase_one() == 0:
+        x, den = simplex.point()
+        late = []
+        for k, row in enumerate(system.rows):
+            if simplex.start[k] is None:
+                gap = sum(c * v for c, v in zip(row.nums, x) if c) - row.rhs_num * den
+                if gap < 0 or gap and row.sense == EQ:
+                    late.append(k)
+        if not late:
+            outcome: FeasibilityOutcome = Feasible.over(x, den)
+            break
+        simplex.join(late)
     else:
-        outcome = Feasible.over(*simplex.point())
+        outcome = Infeasible.over(*simplex.farkas())
     if not verify_outcome(system, outcome):
         raise RuntimeError("solver produced an outcome that fails verification")
     return outcome

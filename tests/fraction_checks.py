@@ -8,7 +8,8 @@ what `verify.verify_witness` and the income of `verify.verify_profilewise`
 must return. `verify_outcome`, `check_distribution` and `normalize_dual`
 are the Fraction forms of `lp.verify_outcome`, `games._check_distribution`
 and `correlated.normalize_dual`, and `eliminate` is the dense form of the
-tableau's sparse elimination step, `lp._eliminate`. The package code must
+tableau's sparse elimination step, `lp._eliminate`, with the leaving
+column written out. The package code must
 agree with them exactly. They live in the tests so that the package
 carries one arithmetic core.
 """

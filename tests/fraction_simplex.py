@@ -1,7 +1,8 @@
 """Reference dense Fraction tableau for the exact simplex in `eqaudit.lp`.
 
 This is the rational tableau that `lp._Simplex` keeps as integer rows with
-row denominators. Both run the same pivots over the same standard form,
+row denominators, condensed to the nonbasic columns. From every row of a
+system, both run the same pivots over the same standard form,
 entering on the greatest improvement and leaving by the lexicographic
 ratio test, so `solve` and `maximize` here must return exactly what
 `lp.solve_feasibility` and `lp.maximize` return. The rule is written

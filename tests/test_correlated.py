@@ -241,33 +241,41 @@ def test_fee_fill_reads_only_the_integer_view(coordination, skewed_profile):
 
 @pytest.fixture
 def rounds(monkeypatch):
-    """The build of each request and the `(system, outcome)` of each of
-    its rounds of row generation, in order."""
-    built, solved = [], []
-    build, solve = correlated.build_ce_system, lp.solve_feasibility
+    """The build of each request, the `(system, start, outcome)` of its
+    solves, and its rounds of row generation: the system rows of each
+    `lp._Simplex.join`, first the rows the solve starts from, then each
+    set of rows that a point violates, in order."""
+    built, solved, joined = [], [], []
+    build, solve, join = correlated.build_ce_system, lp.solve_feasibility, lp._Simplex.join
 
     def recorded_build(game, p):
         built.append(build(game, p))
         solved.clear()
+        joined.clear()
         return built[-1]
 
-    def recorded_solve(system):
-        solved.append((system, solve(system)))
-        return solved[-1][1]
+    def recorded_solve(system, start=None):
+        solved.append((system, start, solve(system, start)))
+        return solved[-1][2]
+
+    def recorded_join(self, ks):
+        joined.append(list(ks))
+        join(self, joined[-1])
 
     monkeypatch.setattr(correlated, "build_ce_system", recorded_build)
     monkeypatch.setattr(lp, "solve_feasibility", recorded_solve)
-    return built, solved
+    monkeypatch.setattr(lp._Simplex, "join", recorded_join)
+    return built, solved, joined
 
 
 def test_ce_system_is_built_once_per_request(
     rounds, monkeypatch, coordination, skewed_profile, diagonal_profile, mixed_equilibrium
 ):
-    # On either arm of the solver: one build, then one `lp.LinearSystem`
-    # per round of row generation, and one `lp.verify_outcome` call per
-    # solved subsystem, the solver's own check of the system it just
-    # solved. A forced case (here Nash marginals) builds nothing.
-    built, solved = rounds
+    # On either arm of the solver: one build, one solve of the built
+    # system whatever the number of rounds, no other `lp.LinearSystem`,
+    # and one `lp.verify_outcome` call, the solver's own check of the
+    # whole system. A forced case (here Nash marginals) builds nothing.
+    built, solved, _joined = rounds
     systems = []
     checks = []
     verify_outcome = lp.verify_outcome
@@ -293,18 +301,18 @@ def test_ce_system_is_built_once_per_request(
         systems.clear()
         checks.clear()
         assert isinstance(correlated.test_ce_compatibility(coordination, p), arm)
-        subsystems = [id(system) for system, _outcome in solved]
-        assert len(built) == builds and bool(subsystems) == bool(builds)
-        assert [id(system) for system in checks] == subsystems
-        assert [id(system) for system in systems] == [*map(id, built), *subsystems]
+        assert len(built) == builds
+        assert [id(system) for system, _start, _outcome in solved] == [*map(id, built)]
+        assert [*map(id, checks)] == [*map(id, systems)] == [*map(id, built)]
 
 
 def test_an_infeasible_round_pads_to_a_certificate_of_the_whole_system(rounds):
-    # The rows a round solves are rows of the built system, in its order;
-    # multipliers of 0 on every other row must give a Farkas certificate
-    # that the whole system, built afresh, accepts. Only the first 60
-    # drawn cases that reach the solver count.
-    built, solved = rounds
+    # Each round adds rows of the built system, in its order, and none
+    # twice; the multipliers of an infeasible solve are 0 on every row
+    # that never joined and give a Farkas certificate that the whole
+    # system, built afresh, accepts. Only the first 60 drawn cases that
+    # reach the solver count.
+    built, solved, joined = rounds
     rng = random.Random(29)
     seen = set()
     reached = 0
@@ -316,31 +324,29 @@ def test_an_infeasible_round_pads_to_a_certificate_of_the_whole_system(rounds):
         if not built:
             continue
         reached += 1
-        system, outcome = solved[-1]
+        [(system, start, outcome)] = solved
+        assert system is built[-1] and joined[0] == sorted(start)
+        kept = [k for ks in joined for k in ks]
+        assert all(ks == sorted(ks) for ks in joined) and len(set(kept)) == len(kept)
         if isinstance(verdict, Compatible):
             assert isinstance(outcome, lp.Feasible)
             continue
         assert isinstance(outcome, lp.Infeasible)
-        where = {id(row): k for k, row in enumerate(built[-1].rows)}
-        kept = [where[id(row)] for row in system.rows]
-        assert kept == sorted(kept)
-        multipliers = [F(0)] * len(built[-1].rows)
-        for k, y in zip(kept, outcome.multipliers):
-            multipliers[k] = y
+        assert not any(y for k, y in enumerate(outcome.multipliers) if k not in kept)
         full = build_ce_system(game, p)
-        assert lp.verify_outcome(full, lp.Infeasible(tuple(multipliers)))
+        assert lp.verify_outcome(full, outcome)
         seen.add((game.num_players, len(kept) < len(full.rows)))
     assert {(2, True), (3, True)} <= seen
 
 
 def test_an_exploitable_case_can_end_in_one_round(rounds, coordination, skewed_profile):
     # Independent play at the skewed marginals already violates rows that
-    # admit no coupling: the first round is infeasible.
-    _built, solved = rounds
+    # admit no coupling: the rows the solve starts from are infeasible.
+    _built, solved, joined = rounds
     verdict = correlated.test_ce_compatibility(coordination, skewed_profile)
     assert isinstance(verdict, Exploitable)
-    assert len(solved) == 1
-    assert isinstance(solved[0][1], lp.Infeasible)
+    assert len(solved) == len(joined) == 1
+    assert isinstance(solved[0][2], lp.Infeasible)
 
 
 def _workload_case(seed, shape):
@@ -351,20 +357,19 @@ def _workload_case(seed, shape):
 
 
 # Dantzig's entering rule took 3 and 4 rounds on these cases; entering on
-# the greatest improvement takes 2 on each, still more than one.
+# the greatest improvement takes 2 on each, still more than one, and so it
+# does with the rounds on one tableau.
 @pytest.mark.parametrize("seed, expected_rounds", [(2, 2), (5, 2)])
 def test_feasible_three_player_cases_take_several_rounds(rounds, seed, expected_rounds):
     # Benchmark-style 4x4x4 games with random marginals: compatible, as
     # the unreduced system confirms, after rounds that each add rows.
-    _built, solved = rounds
+    _built, solved, joined = rounds
     game, p = _workload_case(seed, (4, 4, 4))
     verdict = correlated.test_ce_compatibility(game, p)
     assert isinstance(verdict, Compatible)
     assert verify_witness(game, p, verdict.witness)
-    assert len(solved) == expected_rounds
-    assert all(isinstance(outcome, lp.Feasible) for _system, outcome in solved)
-    sizes = [len(system.rows) for system, _outcome in solved]
-    assert sizes == sorted(set(sizes))
+    assert len(joined) == expected_rounds and all(joined)
+    assert len(solved) == 1 and isinstance(solved[0][2], lp.Feasible)
     assert isinstance(lp.solve_feasibility(build_full_ce_system(game, p)), lp.Feasible)
 
 
@@ -490,9 +495,9 @@ def test_every_route_agrees_with_a_plain_solve(monkeypatch, seed):
     # and without the solver.
     solve, reached = lp.solve_feasibility, []
 
-    def counted(system):
+    def counted(system, start=None):
         reached.append(system)
-        return solve(system)
+        return solve(system, start)
 
     monkeypatch.setattr(lp, "solve_feasibility", counted)
     rng = random.Random(seed)

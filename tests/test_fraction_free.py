@@ -10,9 +10,9 @@ multiply or divide them; `build_ce_system`, `verify_outcome` and
 and the constructor on the `Fraction` class to count calls made while
 one of the eight functions is running, wherever a module has imported
 it, and run the golden `test-ce` and `test-nash` cases through them.
-They also make the tableau's row builder and elimination raise while
-`verify_outcome` runs, so that the check is shown to share no code with
-the solver.
+They also make the tableau's row builder, its row join and its
+elimination raise while `verify_outcome` runs, so that the check is shown
+to share no code with the solver.
 """
 
 from collections import Counter
@@ -23,9 +23,10 @@ import pytest
 from eqaudit import correlated, games, lp, nash, verify
 from test_golden_verdicts import CASES, _case
 
-# Rounds of row generation, so solves, over the golden `test-ce` cases
-# that reach the solver: Nash marginals and dominated play do not.
-ROUNDS = 12
+# Solves over the golden `test-ce` cases, one per case that reaches the
+# solver, however many rounds of row generation it takes: Nash marginals
+# and dominated play do not reach it.
+SOLVES = 12
 
 OPERATORS = (
     "__add__", "__radd__", "__sub__", "__rsub__",
@@ -138,12 +139,13 @@ def test_verify_outcome_never_reaches_the_tableau(cases, watched, monkeypatch):
 
         monkeypatch.setattr(owner, name, guard)
 
-    guarded(lp._Simplex, "_place")
+    guarded(lp._Simplex, "_express")
+    guarded(lp._Simplex, "join")
     guarded(lp, "_eliminate")
     guarded(lp, "solve_feasibility")
     assert _verdicts(cases) == expected
-    assert reached["_place"] and reached["_eliminate"]
-    # One solve per round of row generation, each checked once by the
+    assert reached["_express"] and reached["join"] and reached["_eliminate"]
+    # One solve per case that reaches the solver, checked once by the
     # solver, over two passes of the cases.
-    assert reached["solve_feasibility"] == ROUNDS
-    assert calls["verify_outcome"] == 2 * ROUNDS
+    assert reached["solve_feasibility"] == SOLVES
+    assert calls["verify_outcome"] == 2 * SOLVES

@@ -85,13 +85,14 @@ def test_maximize_rejects_infeasible():
 
 @contextmanager
 def _recorded_pivots():
-    # The (row, entering column) of every pivot of the integer tableau.
+    # The (row, entering column) of every pivot of the integer tableau,
+    # which is handed the column's position among the nonbasic ones.
     pivots = []
     pivot = lp._Simplex._pivot
 
-    def recorded(self, r, col):
-        pivots.append((r, col))
-        pivot(self, r, col)
+    def recorded(self, r, q):
+        pivots.append((r, self.cols[q]))
+        pivot(self, r, q)
 
     with mock.patch.object(lp._Simplex, "_pivot", recorded):
         yield pivots
@@ -207,6 +208,8 @@ def test_ce_system_artificials_only_on_marginal_rows():
     # Every incentive row starts from its surplus column, so the only
     # artificial columns belong to the kept marginal equalities: one per
     # supported action, less the last one of every player after the first.
+    # Started from the marginal rows alone, the incentive rows the point
+    # violates join with an artificial column each, and no others join.
     rng = random.Random(7)
     for _ in range(6):
         game = random_game(rng)
@@ -219,7 +222,20 @@ def test_ce_system_artificials_only_on_marginal_rows():
         first_marginal = len(sys_.rows) - marginal_rows
         assert first_marginal > 0
         assert with_art == list(range(first_marginal, len(sys_.rows)))
-        assert simplex.z - simplex.first_art == marginal_rows
+        assert simplex.next_art - simplex.first_art == marginal_rows
+
+        simplex = lp._Simplex(sys_, range(first_marginal, len(sys_.rows)))
+        assert simplex.start[:first_marginal] == [None] * first_marginal
+        if simplex.phase_one() == 0:
+            x, den = simplex.point()
+            late = [k for k, row in enumerate(sys_.rows[:first_marginal])
+                    if sum(c * v for c, v in zip(row.nums, x)) < 0]
+            simplex.join(late)
+            assert [k for k, col in enumerate(simplex.start) if col is not None] == sorted(
+                late + with_art
+            )
+            assert simplex.next_art - simplex.first_art == marginal_rows + len(late)
+            assert all(simplex.start[k] >= simplex.first_art for k in late)
 
 
 # Denominators mix small values with distinct 21-bit primes, so row
@@ -364,6 +380,53 @@ def test_degenerate_systems_terminate_and_match_the_fraction_tableau(sys_, data)
         )
 
 
+@contextmanager
+def _joined_rows():
+    # The system rows of every `_Simplex.join` call, in order.
+    joined = []
+    join = lp._Simplex.join
+
+    def recorded(self, ks):
+        joined.append(list(ks))
+        join(self, joined[-1])
+
+    with mock.patch.object(lp._Simplex, "join", recorded):
+        yield joined
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_systems(), _degenerate_systems()), st.data())
+def test_a_solve_from_some_rows_decides_as_one_from_all(sys_, data):
+    # From every row, a solve returns the Fraction reference's outcome
+    # after as many pivots. From any rows, it reaches the same verdict, its
+    # outcome holds for the whole system, every row joins at most once,
+    # and a certificate is 0 on every row that never joined.
+    with _counted_pivots(limit=200) as counts:
+        whole = lp.solve_feasibility(sys_)
+        assert whole == fraction_simplex.solve(sys_)
+    assert counts[lp._Simplex] == counts[fraction_simplex.FractionSimplex]
+    start = data.draw(st.sets(st.integers(0, len(sys_.rows) - 1)))
+    with _joined_rows() as joined, _counted_pivots(limit=200):
+        out = lp.solve_feasibility(sys_, start)
+    assert type(out) is type(whole)
+    assert lp.verify_outcome(sys_, out)
+    assert joined[0] == sorted(start) and all(joined[1:])
+    rows = [k for ks in joined for k in ks]
+    assert len(rows) == len(set(rows))
+    if isinstance(out, lp.Infeasible):
+        assert not any(y for k, y in enumerate(out.multipliers) if k not in rows)
+    if len(start) == len(sys_.rows):
+        assert out == whole
+
+
+def test_a_start_row_outside_the_system_is_refused():
+    sys_ = system(1, [lp.eq([1], 1), lp.ge([1], 0)])
+    assert lp.solve_feasibility(sys_, [1, 1]) == lp.solve_feasibility(sys_, [1])
+    for start in ([-1], [2], [0, 2]):
+        with pytest.raises(ValueError, match="start names a row"):
+            lp.solve_feasibility(sys_, start)
+
+
 def test_golden_ce_cases_take_the_pinned_number_of_pivots():
     # The total pivots of the 40 golden `test-ce` requests. A change that
     # moves it changes the path of the simplex or the systems it solves
@@ -371,7 +434,9 @@ def test_golden_ce_cases_take_the_pinned_number_of_pivots():
     # lexicographic ratio test took 240 on the whole coupling system, and
     # 180 over the rounds that generate its incentive rows; it took 101
     # once Nash marginals and dominated play were decided without it, and
-    # takes 79 entering on the greatest improvement.
+    # takes 79 entering on the greatest improvement. Each of these cases
+    # is decided by the rows it starts from, so it is also 79 with rows
+    # joining one tableau.
     cases = [_case(k) for k in range(CASES)]
     with _counted_pivots() as counts:
         for game, p in cases:
@@ -379,22 +444,40 @@ def test_golden_ce_cases_take_the_pinned_number_of_pivots():
     assert counts[lp._Simplex] == 79
 
 
+def _full(simplex):
+    """The condensed tableau written out in full: every constraint row and
+    then the objective, over every column the rows use, a last column for
+    the objective's denominator, and the right-hand side. A basic column
+    holds the row's denominator in its own row and 0 in every other."""
+    columns = sorted([*simplex.cols, *simplex.basis])
+    rows = []
+    for r, row in enumerate([*simplex.T, simplex.obj]):
+        entries = []
+        for col in columns:
+            at = simplex.where[col]
+            entries.append(row[at] if at >= 0 else row[-1] if ~at == r else 0)
+        own = row[-1] if r == len(simplex.T) else 0
+        rows.append([*entries, own, row[-2]])
+    return columns, rows
+
+
 @contextmanager
 def _dense_pivot_check():
-    # After every pivot the tableau must equal the parent tableau with the
-    # pivot row sign-fixed and every other row that has an entry in the
-    # pivot column reduced by the dense reference step.
+    # After every pivot the tableau written out in full must equal the
+    # parent tableau with the pivot row sign-fixed and every other row that
+    # has an entry in the pivot column reduced by the dense reference step.
     pivot = lp._Simplex._pivot
     pivots = [0]
 
-    def checked(self, r, col):
-        before = [row[:] for row in self.T]
-        pivot(self, r, col)
+    def checked(self, r, q):
+        columns, before = _full(self)
+        col = columns.index(self.cols[q])
+        pivot(self, r, q)
         row = before[r] if before[r][col] > 0 else [-v for v in before[r]]
-        assert self.T == [
+        assert _full(self) == (columns, [
             row if r2 == r else fraction_checks.eliminate(row2, row, col) if row2[col] else row2
             for r2, row2 in enumerate(before)
-        ]
+        ])
         pivots[0] += 1
 
     with mock.patch.object(lp._Simplex, "_pivot", checked):
@@ -422,14 +505,22 @@ def _elimination_cases(draw):
 
 
 @settings(max_examples=500, deadline=None)
-@given(_elimination_cases())
-def test_the_sparse_step_matches_the_dense_one(case):
+@given(_elimination_cases(), st.one_of(st.just(0), st.integers(1, 2**40)), st.booleans())
+def test_the_sparse_step_matches_the_dense_one(case, d, negate):
+    # The condensed step keeps no basic column, so the pivot row's entry
+    # `d` in its leaving column (0 when the step eliminates a basic row
+    # from a row being expressed) stands at `col`, and `row2`'s result
+    # there is its entry in that column: the dense step with the leaving
+    # column written out last.
     row, row2, col = case
+    d = -d if negate else d
     original = row2[:]
-    terms = [(j, v) for j, v in enumerate(row) if v]
-    new = lp._eliminate(row2, col, row[col], terms)
-    assert new == fraction_checks.eliminate(row2, row, col)
-    assert new[col] == 0 and row2 == original
+    after = row[:col] + [d] + row[col + 1 :]
+    new = lp._eliminate(row2, col, row[col], [(j, v) for j, v in enumerate(after) if v])
+    dense = fraction_checks.eliminate(row2 + [0], row + [d], col)
+    assert dense[col] == 0
+    assert new == dense[:col] + [dense[-1]] + dense[col + 1 : -1]
+    assert row2 == original
 
 
 @settings(max_examples=200, deadline=None)
@@ -452,14 +543,16 @@ def test_every_golden_pivot_matches_the_dense_step():
 
 
 def _assert_tableau_invariants(simplex):
-    # Every row holds its own positive denominator in its basic column,
-    # which is zero in every other row, and has no common factor; the
-    # objective is the last row, with basic column `z`.
-    basis = simplex.basis + [simplex.z]
-    assert len(simplex.T) == len(basis)
-    for r, (row, col) in enumerate(zip(simplex.T, basis)):
-        assert row[col] > 0
-        assert all(other[col] == 0 for r2, other in enumerate(simplex.T) if r2 != r)
+    # Every row holds one entry per nonbasic column, then its right-hand
+    # side and its own positive denominator, and has no common factor; the
+    # objective has the same form. `where` places every column, nonbasic
+    # at its position and basic at its row.
+    width = len(simplex.cols) + 2
+    assert not set(simplex.cols) & set(simplex.basis)
+    assert [simplex.where[col] for col in simplex.cols] == list(range(len(simplex.cols)))
+    assert [~simplex.where[col] for col in simplex.basis] == list(range(len(simplex.T)))
+    for row in [*simplex.T, simplex.obj]:
+        assert len(row) == width and row[-1] > 0
         assert math.gcd(*row) == 1
 
 

@@ -72,13 +72,13 @@ def test_output_digest_names_each_gated_workload():
 # CHANGES.md.
 def test_output_digest_pins_the_audit_mid_verdicts():
     assert _digests("1")["audit-mid"] == (
-        "394877aa85b919c5e79eec7e37d48587cea3fb29d11c368dfdf937dc3d5cb350"
+        "96e898fc1aa118156e6224b482dc3b340aca48f3a42e9012078758eecf692d77"
     )
 
 
 def test_output_digest_pins_the_held_out_audit_mid_verdicts():
     assert _digests("7919")["audit-mid"] == (
-        "b5443e73fe2f5deaf9b0164771b67c86b1cac3e0f529e87898fea4a7663395b0"
+        "140f8a34c90f3667c0471e979c55f3c56ee7e6bdeca6b5c6e860b4bca538ffa5"
     )
 
 

@@ -136,3 +136,53 @@ def test_cli_verify_runs_the_traced_checkers(coordination, skewed_profile, tmp_p
     names = [span[2] for span in tracer.spans]
     assert names.count("verify.verify_actionwise") == 2
     assert names.count("verify.verify_profilewise") == 2
+
+
+def test_the_lp_metrics_count_one_solve_per_lp_request(monkeypatch, tmp_path):
+    # `lp.solves` counts one traced `lp.solve_feasibility` per `test-ce`
+    # request that takes the LP route, however many rounds of row
+    # generation it takes (the two 4x4x4 cases take two), and none on a
+    # route decided without the solver. So `lp.infeasible_ratio` is the
+    # share of LP requests that are exploitable, and `lp.tableau_cells`
+    # reads each whole coupling system the solver is handed.
+    from eqaudit import correlated, lp
+    from test_correlated import _workload_case
+    from test_golden_verdicts import CASES, _case
+
+    tracing = _load_tracing()
+    cases = [_case(k) for k in range(CASES)]
+    cases += [_workload_case(seed, (4, 4, 4)) for seed in (2, 5)]
+
+    def explode(*_args, **_kwargs):
+        raise AssertionError("the solver was reached")
+
+    lp_route = []
+    with monkeypatch.context() as patch:
+        patch.setattr(lp, "solve_feasibility", explode)
+        for k, (game, p) in enumerate(cases):
+            try:
+                correlated.test_ce_compatibility(game, p)
+            except AssertionError:
+                lp_route.append(k)
+    tracer = tracing.Tracer(tmp_path)
+    tracer.install()
+    try:
+        verdicts = []
+        for k, (game, p) in enumerate(cases):
+            tracer.request = k
+            verdicts.append(correlated.test_ce_compatibility(game, p))
+    finally:
+        tracer.uninstall()
+    for name in ("lp.solve_feasibility", "lp.verify_outcome", "correlated.build_ce_system"):
+        assert sorted(span[5] for span in tracer.spans if span[2] == name) == lp_route
+    metrics = tracing.layer_metrics(tracer.spans)
+    exploitable = sum(isinstance(verdicts[k], correlated.Exploitable) for k in lp_route)
+    assert 0 < exploitable < len(lp_route) < len(cases)
+    assert metrics["lp.solves"] == metrics["correlated.build_calls"] == len(lp_route)
+    assert metrics["lp.infeasible_ratio"] == exploitable / len(lp_route)
+    cells = 0
+    for k in lp_route:
+        system = correlated.build_ce_system(*cases[k])
+        ge_rows = sum(row.sense == lp.GE for row in system.rows)
+        cells += len(system.rows) * (system.num_vars + ge_rows + len(system.rows))
+    assert metrics["lp.tableau_cells"] == cells

@@ -102,7 +102,7 @@ def incentive_rows(game: Game, cols=None, pairs=None) -> list[lp.Row]:
             else 0
             for flat, profile in cols
         ]
-        rows.append(lp.Row.over(nums, lp.GE, 0, scale))
+        rows.append(lp.Row(nums, lp.GE, 0, scale))
     return rows
 
 
@@ -149,7 +149,7 @@ def build_ce_system(game: Game, p: MarginalProfile) -> lp.LinearSystem:
     for i, a in marginals:
         freqs, den = p.int_rows[i]
         nums = [den if profile[i] == a else 0 for _flat, profile in cols]
-        rows.append(lp.Row.over(nums, lp.EQ, freqs[a], den))
+        rows.append(lp.Row(nums, lp.EQ, freqs[a], den))
     return lp.LinearSystem(len(cols), tuple(rows))
 
 

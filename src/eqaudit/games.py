@@ -78,13 +78,6 @@ def as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-def common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators of `values` over the lcm of their denominators,
-    and that lcm."""
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
 def quoted(value) -> str:
     """`repr` of `value` for an error line, with at most 40 of its characters."""
     text = value if isinstance(value, str) else repr(value)

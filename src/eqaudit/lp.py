@@ -3,8 +3,8 @@
 A `LinearSystem` mixes `>=` and `==` rows over variables that are all
 nonnegative, as the probabilities the package solves for are. A `Row`,
 and either outcome (a `Feasible` point, an `Infeasible` certificate),
-holds integers over one positive denominator, with no factor common to
-all of them, so each has one form; `coeffs`, `rhs`, `point` and
+is built from and holds integers over one positive denominator, with no
+factor common to all of them, so each has one form; only `point` and
 `multipliers` are read-only Fraction views. `solve_feasibility` runs
 phase one of a two-phase simplex. The entering column is the one of
 greatest improvement: of the columns with a negative reduced cost -c_j,
@@ -49,10 +49,10 @@ substitution, in integers, reading the outcome's numerators and each
 row's numerators and denominator as the system defines them, with no
 code shared with the tableau.
 
-`maximize` exposes phase two, a vertex under a linear objective, on the
-same tableau, for one caller: `oracles.random_ce`, the input generator of
-the tests, scripts and benchmark. Feasibility testing and `--oracle`
-never use it.
+`maximize` exposes phase two, a vertex under an integer objective, on
+the same tableau, for one caller: `oracles.random_ce`, the input
+generator of the tests, scripts and benchmark. Feasibility testing and
+`--oracle` never use it.
 """
 
 from __future__ import annotations
@@ -61,67 +61,36 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
-
-from .games import as_fraction, common_denominator
+from operator import index
 
 GE = ">="
 EQ = "=="
 
 @dataclass(frozen=True, init=False)
 class Row:
-    """One row `coeffs . x  sense  rhs` of a linear system, held in
-    integers: numerators `nums` and `rhs_num` over one positive
-    denominator `den`, with `gcd(*nums, rhs_num, den) == 1`, so a row has
-    one form however it was written. `Row(coeffs, sense, rhs)` takes
-    ints, Fractions or 'n/d' strings; `Row.over` takes the integers.
-    `coeffs` and `rhs` read the row back as Fractions."""
+    """One row `nums . x  sense  rhs_num` of a linear system, its integers
+    all over one positive denominator `den` and divided by their gcd, so
+    `gcd(*nums, rhs_num, den) == 1` and a row has one form however it was
+    written."""
 
     nums: tuple[int, ...]
     sense: str
     rhs_num: int
     den: int
 
-    def __init__(self, coeffs, sense: str, rhs):
-        nums, den = common_denominator([as_fraction(v) for v in (*coeffs, rhs)])
-        self._hold(nums, sense, den)
-
-    @classmethod
-    def over(cls, nums, sense: str, rhs_num: int, den: int) -> Row:
-        """The row `nums . x  sense  rhs_num`, all over `den` > 0, divided
-        by the gcd of its integers."""
-        row = cls.__new__(cls)
-        row._hold([*nums, rhs_num], sense, den)
-        return row
-
-    def _hold(self, values: list[int], sense: str, den: int) -> None:
+    def __init__(self, nums, sense: str, rhs_num: int, den: int):
         if sense not in (GE, EQ):
             raise ValueError(f"row sense must be {GE!r} or {EQ!r}")
         if den <= 0:
             raise ValueError("row denominator must be positive")
-        g = gcd(*values, den)
+        nums = tuple(nums)
+        g = gcd(*nums, rhs_num, den)
         if g != 1:
-            values = [v // g for v in values]
+            nums = tuple([v // g for v in nums])
+            rhs_num //= g
             den //= g
         # Frozen: fill the fields past the dataclass's __setattr__.
-        vars(self).update(
-            nums=tuple(values[:-1]), sense=sense, rhs_num=values[-1], den=den
-        )
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(n, self.den) for n in self.nums)
-
-    @property
-    def rhs(self) -> Fraction:
-        return Fraction(self.rhs_num, self.den)
-
-
-def ge(coeffs, rhs=0) -> Row:
-    return Row(tuple(coeffs), GE, rhs)
-
-
-def eq(coeffs, rhs) -> Row:
-    return Row(tuple(coeffs), EQ, rhs)
+        vars(self).update(nums=nums, sense=sense, rhs_num=rhs_num, den=den)
 
 
 @dataclass(frozen=True)
@@ -147,27 +116,17 @@ class LinearSystem:
 
 @dataclass(frozen=True, init=False)
 class _Outcome:
-    """Numerators `nums` over `den`, built from ints, Fractions or 'n/d'
-    strings, or from the integers with `over(nums, den)`."""
+    """Numerators `nums` over `den` > 0, divided by the gcd of its integers."""
 
     nums: tuple[int, ...]
     den: int
 
-    def __init__(self, values):
-        self._hold(*common_denominator([as_fraction(v) for v in values]))
-
-    @classmethod
-    def over(cls, nums, den: int):
-        """`nums / den`, `den` > 0, divided by the gcd of its integers."""
-        outcome = cls.__new__(cls)
-        outcome._hold(nums, den)
-        return outcome
-
-    def _hold(self, nums, den: int) -> None:
+    def __init__(self, nums, den: int):
         if den <= 0:
             raise ValueError("outcome denominator must be positive")
+        nums = tuple(nums)
         g = gcd(*nums, den)
-        vars(self).update(nums=tuple(v // g for v in nums), den=den // g)
+        vars(self).update(nums=tuple([v // g for v in nums]), den=den // g)
 
     def _view(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(n, self.den) for n in self.nums)
@@ -405,11 +364,12 @@ class _Simplex:
                 best, top = r, row
         return best
 
-    def phase_one(self) -> Fraction:
+    def phase_one(self) -> int:
         """Minimize the artificial total from the current basis; returns
-        the optimal value."""
+        the optimal value's numerator over the objective's positive
+        denominator, so only its sign is read."""
         self._run()
-        return Fraction(-self.obj[-2], self.obj[-1])
+        return -self.obj[-2]
 
     def farkas(self) -> tuple[list[int], int]:
         """The phase-one dual multipliers over the objective's denominator,
@@ -454,8 +414,7 @@ class _Simplex:
 
     def phase_two_max(self, objective) -> Fraction:
         self._purge_artificials()
-        objective = Row(objective, GE, 0)
-        self.obj = self._express([-c for c in objective.nums], 0, objective.den)
+        self.obj = self._express([-c for c in objective], 0, 1)
         self._run()
         return Fraction(self.obj[-2], self.obj[-1])
 
@@ -516,23 +475,25 @@ def solve_feasibility(system: LinearSystem, start=None) -> FeasibilityOutcome:
                 if gap < 0 or gap and row.sense == EQ:
                     late.append(k)
         if not late:
-            outcome: FeasibilityOutcome = Feasible.over(x, den)
+            outcome: FeasibilityOutcome = Feasible(x, den)
             break
         simplex.join(late)
     else:
-        outcome = Infeasible.over(*simplex.farkas())
+        outcome = Infeasible(*simplex.farkas())
     if not verify_outcome(system, outcome):
         raise RuntimeError("solver produced an outcome that fails verification")
     return outcome
 
 
 def maximize(system: LinearSystem, objective) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Maximize a linear objective over a feasible system.
+    """Maximize a linear objective, one integer per variable, over a
+    feasible system.
 
-    Returns `(value, point)` at an optimal vertex. Raises ValueError if
-    the system is infeasible or the objective unbounded.
+    Returns `(value, point)` at an optimal vertex. Raises TypeError, before
+    any pivot, on an objective entry that is not an integer, and
+    ValueError if the system is infeasible or the objective unbounded.
     """
-    objective = tuple(objective)
+    objective = [index(c) for c in objective]
     if len(objective) != system.num_vars:
         raise ValueError("objective length does not match variable count")
     simplex = _Simplex(system)
@@ -542,7 +503,7 @@ def maximize(system: LinearSystem, objective) -> tuple[Fraction, tuple[Fraction,
         value = simplex.phase_two_max(objective)
     except ArithmeticError:
         raise ValueError("objective is unbounded over the feasible set") from None
-    outcome = Feasible.over(*simplex.point())
+    outcome = Feasible(*simplex.point())
     if not verify_outcome(system, outcome):
         raise RuntimeError("optimizer left the feasible set")
     return value, outcome.point

@@ -15,8 +15,9 @@ best-response search, `_best_deviation`, reads every player's expected
 payoffs from one `games.payoff_numerators` table, as `correlated` does,
 and raises ValueError on a profile of the wrong shape; the kernel and
 the fee are built as integer columns, the fee read from the game's
-integer payoff view, through the `from_columns` constructors. The pinned
-LP `build_nash_system` is kept as a reference formulation only.
+integer payoff view, through the `from_columns` constructors. No
+verdict uses the pinned LP `build_nash_system`; it is kept because the
+benchmark's tracer names it.
 """
 
 from __future__ import annotations
@@ -36,9 +37,6 @@ from .games import (
     payoff_numerators,
     product_distribution,
 )
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 NashVerdict = IsNash | Exploitable
 
@@ -76,12 +74,12 @@ def build_nash_system(game: Game, p: MarginalProfile) -> lp.LinearSystem:
     """Incentive system with the joint distribution pinned, entry by
     entry, to the product of `p`. Feasible exactly when `p` is Nash."""
     check_shape(game, p)
-    q = product_distribution(p)
+    nums, den = product_distribution(p).int_probs
     rows = incentive_rows(game)
-    for flat in range(game.num_profiles):
-        indicator = [_ZERO] * game.num_profiles
-        indicator[flat] = _ONE
-        rows.append(lp.eq(indicator, q.probs[flat]))
+    for flat, num in enumerate(nums):
+        indicator = [0] * game.num_profiles
+        indicator[flat] = den
+        rows.append(lp.Row(indicator, lp.EQ, num, den))
     return lp.LinearSystem(game.num_profiles, tuple(rows))
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 from . import lp
 from .correlated import incentive_rows
@@ -41,8 +41,6 @@ from .verify import (
     verify_witness,
 )
 
-_ONE = Fraction(1)
-
 
 class OracleDisagreement(RuntimeError):
     """An analyzer verdict contradicts an independent check."""
@@ -57,12 +55,15 @@ def random_ce(game: Game, seed: int) -> JointDistribution:
     """
     rng = random.Random(seed)
     rows = incentive_rows(game)
-    rows.append(lp.eq([_ONE] * game.num_profiles, 1))
+    rows.append(lp.Row([1] * game.num_profiles, lp.EQ, 1, 1))
     system = lp.LinearSystem(game.num_profiles, tuple(rows))
-    objective = tuple(
+    objective = [
         Fraction(rng.randint(-24, 24), rng.randint(1, 12))
         for _ in range(game.num_profiles)
-    )
+    ]
+    # Over the lcm of its denominators: a positive scale moves no vertex.
+    scale = lcm(*(c.denominator for c in objective))
+    objective = [c.numerator * (scale // c.denominator) for c in objective]
     _value, point = lp.maximize(system, objective)
     q = JointDistribution(game.shape, point)
     if not is_correlated_equilibrium(game, q):

@@ -9,7 +9,9 @@ must return. `verify_outcome`, `check_distribution` and `normalize_dual`
 are the Fraction forms of `lp.verify_outcome`, `games._check_distribution`
 and `correlated.normalize_dual`, and `eliminate` is the dense form of the
 tableau's sparse elimination step, `lp._eliminate`, with the leaving
-column written out. The package code must
+column written out. `common_denominator` puts Fractions over integers,
+as `lp`'s constructors take them, so tests can still draw and write
+Fractions. The package code must
 agree with them exactly. They live in the tests so that the package
 carries one arithmetic core.
 """
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from eqaudit import lp, verify
 from eqaudit.correlated import ActionwiseScheme, Exploitable, _kept, deviation_pairs
@@ -95,6 +97,13 @@ def product_income(p: MarginalProfile, fee) -> Fraction:
     return sum((qa * fa for qa, fa in zip(q.probs, fee)), _ZERO)
 
 
+def common_denominator(values) -> tuple[list[int], int]:
+    """Integer numerators of the ints or Fractions `values` over the lcm
+    of their denominators, and that lcm."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def verify_outcome(system: lp.LinearSystem, outcome) -> bool:
     """Either arm substituted into the system, in Fractions."""
     if isinstance(outcome, lp.Feasible):
@@ -104,11 +113,12 @@ def verify_outcome(system: lp.LinearSystem, outcome) -> bool:
         if any(v < 0 for v in x):
             return False
         for row in system.rows:
-            value = sum(c * v for c, v in zip(row.coeffs, x) if c)
+            value = sum(Fraction(c, row.den) * v for c, v in zip(row.nums, x) if c)
+            rhs = Fraction(row.rhs_num, row.den)
             if row.sense == lp.GE:
-                if value < row.rhs:
+                if value < rhs:
                     return False
-            elif value != row.rhs:
+            elif value != rhs:
                 return False
         return True
     if isinstance(outcome, lp.Infeasible):
@@ -120,12 +130,12 @@ def verify_outcome(system: lp.LinearSystem, outcome) -> bool:
         combined = [_ZERO] * system.num_vars
         for yk, row in zip(y, system.rows):
             if yk:
-                for j, c in enumerate(row.coeffs):
+                for j, c in enumerate(row.nums):
                     if c:
-                        combined[j] += yk * c
+                        combined[j] += yk * Fraction(c, row.den)
         if any(total > 0 for total in combined):
             return False
-        return sum(yk * row.rhs for yk, row in zip(y, system.rows)) > 0
+        return sum(yk * Fraction(row.rhs_num, row.den) for yk, row in zip(y, system.rows)) > 0
     raise TypeError(f"not a feasibility outcome: {outcome!r}")
 
 

@@ -15,8 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from eqaudit import lp
-from eqaudit.games import as_fraction
 from eqaudit.lp import GE, LinearSystem
+from fraction_checks import common_denominator
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -50,7 +50,7 @@ class FractionSimplex:
         first_art = ncols
         self.art: list[int | None] = []
         for row in system.rows:
-            if row.sense == GE and row.rhs <= 0:
+            if row.sense == GE and row.rhs_num <= 0:
                 self.art.append(None)
             else:
                 self.art.append(ncols)
@@ -64,11 +64,11 @@ class FractionSimplex:
         self.basis: list[int] = []
         for k, row in enumerate(system.rows):
             vec = [_ZERO] * ncols
-            vec[: system.num_vars] = row.coeffs
+            vec[: system.num_vars] = [Fraction(c, row.den) for c in row.nums]
             scol = self.surplus[k]
             if scol is not None:
                 vec[scol] = -_ONE
-            rhs = row.rhs
+            rhs = Fraction(row.rhs_num, row.den)
             acol = self.art[k]
             if rhs < 0 or acol is None:
                 vec = [-v for v in vec]
@@ -202,7 +202,7 @@ class FractionSimplex:
         self._purge_artificials()
         cost = [_ZERO] * self.ncols
         for j, c in enumerate(objective):
-            cost[j] = -as_fraction(c)
+            cost[j] = -Fraction(c)
         objrow = list(cost)
         for r, row in enumerate(self.T):
             cb = cost[self.basis[r]]
@@ -222,8 +222,8 @@ def solve(system: LinearSystem) -> lp.FeasibilityOutcome:
     """The outcome `lp.solve_feasibility` must return, unverified."""
     simplex = FractionSimplex(system)
     if simplex.phase_one() > 0:
-        return lp.Infeasible(simplex.farkas())
-    return lp.Feasible(simplex.point())
+        return lp.Infeasible(*common_denominator(simplex.farkas()))
+    return lp.Feasible(*common_denominator(simplex.point()))
 
 
 def maximize(system: LinearSystem, objective):

@@ -7,13 +7,8 @@ action profile, every incentive row, and one marginal equality per
 decision.
 """
 
-from fractions import Fraction
-
 from eqaudit import lp
 from eqaudit.correlated import incentive_rows
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def build_full_ce_system(game, p) -> lp.LinearSystem:
@@ -28,10 +23,8 @@ def build_full_ce_system(game, p) -> lp.LinearSystem:
     if p.shape != game.shape:
         raise ValueError("marginal profile shape does not match game")
     rows = incentive_rows(game)
-    for i, k in enumerate(game.shape):
-        for ai in range(k):
-            indicator = [
-                _ONE if profile[i] == ai else _ZERO for profile in game.profiles()
-            ]
-            rows.append(lp.eq(indicator, p.probs[i][ai]))
+    for i, (nums, den) in enumerate(p.int_rows):
+        for ai, num in enumerate(nums):
+            indicator = [den * (profile[i] == ai) for profile in game.profiles()]
+            rows.append(lp.Row(indicator, lp.EQ, num, den))
     return lp.LinearSystem(game.num_profiles, tuple(rows))

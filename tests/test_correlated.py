@@ -9,6 +9,7 @@ from conftest import (
     permute_joint,
     permute_marginals,
 )
+from fraction_checks import common_denominator
 from full_ce_system import build_full_ce_system
 from test_benchmark_inputs import _workloads_module
 from eqaudit import dataio, games, lp, verify
@@ -64,11 +65,14 @@ def test_build_system_shape(coordination, skewed_profile):
     full = build_full_ce_system(coordination, skewed_profile)
     cols = [0, 1, 3, 4]
     rows = [0, 1, 2, 3, 4, 5, 8, 9, 10]
+    def fractions(row):
+        return [F(c, row.den) for c in row.nums], row.sense, F(row.rhs_num, row.den)
+
     cut = [
-        (tuple(row.coeffs[j] for j in cols), row.sense, row.rhs)
-        for row in (full.rows[k] for k in rows)
+        ([coeffs[j] for j in cols], sense, rhs)
+        for coeffs, sense, rhs in (fractions(full.rows[k]) for k in rows)
     ]
-    assert [(row.coeffs, row.sense, row.rhs) for row in sys_.rows] == cut
+    assert [fractions(row) for row in sys_.rows] == cut
 
 
 def test_build_system_degenerate():
@@ -117,7 +121,7 @@ def test_skewed_profile_exploitable(coordination, skewed_profile):
 def test_normalize_dual_rejects_garbage(coordination, skewed_profile, matching_pennies):
     sys_ = build_ce_system(coordination, skewed_profile)
     with pytest.raises(ValueError):
-        normalize_dual(coordination, skewed_profile, lp.Infeasible((0,) * len(sys_.rows)))
+        normalize_dual(coordination, skewed_profile, lp.Infeasible((0,) * len(sys_.rows), 1))
     # a true certificate of the system, read against another game
     out = lp.solve_feasibility(sys_)
     uniform = MarginalProfile(((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2))))
@@ -134,7 +138,7 @@ def test_normalize_dual_scale_invariance(coordination, skewed_profile):
     out = lp.solve_feasibility(sys_)
     assert isinstance(out, lp.Infeasible)
     for scale in (F(1), F(5), F(1, 7)):
-        scaled = lp.Infeasible(tuple(scale * m for m in out.multipliers))
+        scaled = lp.Infeasible(*common_denominator([scale * m for m in out.multipliers]))
         scheme = normalize_dual(coordination, skewed_profile, scaled).scheme
         assert verify_actionwise(coordination, skewed_profile, scheme) > 0
 

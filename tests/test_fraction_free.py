@@ -5,8 +5,8 @@
 `correlated.incentive_rows`, `correlated.build_ce_system`,
 `lp._Simplex.__init__` and `lp._Simplex.phase_one` run on integers over
 common denominators and only build Fractions, never add, subtract,
-multiply or divide them; `build_ce_system`, `verify_outcome` and
-`verify_witness` build none at all. These tests patch those operators
+multiply or divide them; `build_ce_system`, `verify_outcome`,
+`verify_witness` and `phase_one` build none at all. These tests patch those operators
 and the constructor on the `Fraction` class to count calls made while
 one of the eight functions is running, wherever a module has imported
 it, and run the golden `test-ce` and `test-nash` cases through them.
@@ -120,7 +120,7 @@ def test_hot_path_makes_no_fraction_arithmetic(cases, watched):
     assert set(calls) == {name for _owner, name in WATCHED}
     assert not ops
     assert made["build_ce_system"] == made["verify_outcome"] == 0
-    assert made["verify_witness"] == 0
+    assert made["verify_witness"] == made["phase_one"] == 0
 
 
 def test_verify_outcome_never_reaches_the_tableau(cases, watched, monkeypatch):

@@ -207,7 +207,8 @@ def test_incentive_rows_match_payoff_differences(case):
                 pay[f] - pay[f + shift] if profile[i] == ai else F(0)
                 for f, profile in cols
             )
-            assert (row.coeffs, row.sense, row.rhs) == (expected, lp.GE, F(0))
+            coeffs = tuple(F(c, row.den) for c in row.nums)
+            assert (coeffs, row.sense, row.rhs_num) == (expected, lp.GE, 0)
 
 
 @settings(max_examples=150, deadline=None)
@@ -220,4 +221,5 @@ def test_normalize_dual_matches_the_fraction_read_back(case, factor):
     assume(isinstance(outcome, lp.Infeasible))
     y = [factor * v for v in outcome.multipliers]
     expected = fraction_checks.normalize_dual(game, p, y)
-    assert correlated.normalize_dual(game, p, lp.Infeasible(y)) == expected
+    outcome = lp.Infeasible(*fraction_checks.common_denominator(y))
+    assert correlated.normalize_dual(game, p, outcome) == expected

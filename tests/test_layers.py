@@ -13,7 +13,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "eqaudit"
 
 ALLOWED = {
     "games": set(),
-    "lp": {"games"},
+    "lp": set(),
     "verify": {"games"},
     "dataio": {"games"},
     "correlated": {"games", "lp", "verify"},

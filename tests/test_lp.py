@@ -14,6 +14,7 @@ import fraction_simplex
 from eqaudit import correlated, lp
 from eqaudit.correlated import build_ce_system
 from eqaudit.oracles import random_ce, random_game, random_marginals
+from fraction_checks import common_denominator
 from test_golden_verdicts import CASES, _case
 
 
@@ -21,28 +22,42 @@ def system(num_vars, rows):
     return lp.LinearSystem(num_vars, tuple(rows))
 
 
+def row(coeffs, sense, rhs):
+    """The `lp.Row` of `coeffs . x  sense  rhs`, given as ints or Fractions."""
+    nums, den = common_denominator([*coeffs, rhs])
+    return lp.Row(nums[:-1], sense, nums[-1], den)
+
+
+def ge(coeffs, rhs=0):
+    return row(coeffs, lp.GE, rhs)
+
+
+def eq(coeffs, rhs):
+    return row(coeffs, lp.EQ, rhs)
+
+
 def test_single_variable_feasible():
-    out = lp.solve_feasibility(system(1, [lp.eq([1], 1)]))
+    out = lp.solve_feasibility(system(1, [eq([1], 1)]))
     assert isinstance(out, lp.Feasible)
     assert out.point == (F(1),)
-    assert lp.verify_outcome(system(1, [lp.eq([1], 1)]), out)
+    assert lp.verify_outcome(system(1, [eq([1], 1)]), out)
 
 
 def test_single_variable_infeasible():
-    sys_ = system(1, [lp.eq([1], -1)])
+    sys_ = system(1, [eq([1], -1)])
     out = lp.solve_feasibility(sys_)
     assert isinstance(out, lp.Infeasible)
     assert lp.verify_outcome(sys_, out)
 
 
 def test_verify_rejects_wrong_point():
-    sys_ = system(1, [lp.eq([1], 1)])
-    assert not lp.verify_outcome(sys_, lp.Feasible((F(0),)))
-    assert not lp.verify_outcome(sys_, lp.Feasible((F(1), F(0))))
+    sys_ = system(1, [eq([1], 1)])
+    assert not lp.verify_outcome(sys_, lp.Feasible((0,), 1))
+    assert not lp.verify_outcome(sys_, lp.Feasible((1, 0), 1))
 
 
 def test_zero_row_contradiction():
-    sys_ = system(2, [lp.ge([0, 0], 1)])
+    sys_ = system(2, [ge([0, 0], 1)])
     out = lp.solve_feasibility(sys_)
     assert isinstance(out, lp.Infeasible)
     assert lp.verify_outcome(sys_, out)
@@ -51,7 +66,7 @@ def test_zero_row_contradiction():
 def test_ge_rows_and_mixed_senses():
     sys_ = system(
         2,
-        [lp.ge([1, 0], 2), lp.ge([0, 1], 3), lp.eq([1, 1], 10)],
+        [ge([1, 0], 2), ge([0, 1], 3), eq([1, 1], 10)],
     )
     out = lp.solve_feasibility(sys_)
     assert isinstance(out, lp.Feasible)
@@ -61,26 +76,27 @@ def test_ge_rows_and_mixed_senses():
 
 def test_maximize_beale_cycling_instance():
     # A classic degenerate program that cycles under naive pivoting; the
-    # anti-cycling rule must still reach the optimum of 1/20.
+    # anti-cycling rule must still reach the optimum: 1/20 under the
+    # objective (3/4, -150, 1/50, -6), so 5 under 100 times it, as passed.
     rows = [
-        lp.ge([F(-1, 4), 60, F(1, 25), -9], 0),
-        lp.ge([F(-1, 2), 90, F(1, 50), -3], 0),
-        lp.ge([0, 0, -1, 0], -1),
+        ge([F(-1, 4), 60, F(1, 25), -9], 0),
+        ge([F(-1, 2), 90, F(1, 50), -3], 0),
+        ge([0, 0, -1, 0], -1),
     ]
     sys_ = system(4, rows)
-    value, point = lp.maximize(sys_, (F(3, 4), -150, F(1, 50), -6))
-    assert value == F(1, 20)
-    assert lp.verify_outcome(sys_, lp.Feasible(point))
+    value, point = lp.maximize(sys_, (75, -15000, 2, -600))
+    assert value == 5
+    assert lp.verify_outcome(sys_, lp.Feasible(*common_denominator(point)))
 
 
 def test_maximize_rejects_unbounded():
     with pytest.raises(ValueError):
-        lp.maximize(system(1, [lp.ge([1], 0)]), (1,))
+        lp.maximize(system(1, [ge([1], 0)]), (1,))
 
 
 def test_maximize_rejects_infeasible():
     with pytest.raises(ValueError):
-        lp.maximize(system(1, [lp.eq([1], -1)]), (1,))
+        lp.maximize(system(1, [eq([1], -1)]), (1,))
 
 
 @contextmanager
@@ -104,7 +120,7 @@ def test_entering_takes_the_greatest_improvement():
     # the larger reduced cost, which can rise only to 1 (a gain of 2), and
     # needs a second pivot to reach (1, 2). x2 can rise to 4 (a gain of 4),
     # so it enters instead and one pivot reaches the optimum at (0, 4).
-    sys_ = system(2, [lp.ge([-2, -1], -4), lp.ge([-1, 0], -1)])
+    sys_ = system(2, [ge([-2, -1], -4), ge([-1, 0], -1)])
     with _recorded_pivots() as pivots:
         value, point = lp.maximize(sys_, (2, 1))
     assert pivots == [(0, 1)]
@@ -116,7 +132,7 @@ def test_a_degenerate_vertex_enters_dantzigs_column(objective, first):
     # x1 = x2 and x1 + x2 <= 2: at the origin each column has a positive
     # entry in a row whose right-hand side is 0, so every step is 0 and
     # the tie goes to the larger reduced cost, then the lower index.
-    sys_ = system(2, [lp.ge([-1, 1], 0), lp.ge([1, -1], 0), lp.ge([-1, -1], -2)])
+    sys_ = system(2, [ge([-1, 1], 0), ge([1, -1], 0), ge([-1, -1], -2)])
     with _recorded_pivots() as pivots:
         _value, point = lp.maximize(sys_, objective)
     assert pivots[0][1] == first
@@ -127,7 +143,7 @@ def test_an_unbounded_column_is_caught_before_any_pivot():
     # Maximize 3 x1 + x2 with x1 <= 1: x2 has no positive entry and is
     # unbounded, though x1 has the larger reduced cost and a finite step;
     # the scan finds x2 before any pivot is made.
-    sys_ = system(2, [lp.ge([-1, 0], -1)])
+    sys_ = system(2, [ge([-1, 0], -1)])
     with _recorded_pivots() as pivots, pytest.raises(ValueError, match="unbounded"):
         lp.maximize(sys_, (3, 1))
     assert pivots == []
@@ -135,7 +151,7 @@ def test_an_unbounded_column_is_caught_before_any_pivot():
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
-        system(2, [lp.eq([1], 1)])
+        system(2, [eq([1], 1)])
 
 
 def _random_system(rng):
@@ -143,10 +159,10 @@ def _random_system(rng):
     m = rng.randint(2, 7)
     rows = []
     for _ in range(m):
-        coeffs = [F(rng.randint(-3, 3)) for _ in range(n)]
-        rhs = F(rng.randint(-4, 4))
+        nums = [rng.randint(-3, 3) for _ in range(n)]
+        rhs = rng.randint(-4, 4)
         sense = rng.choice([lp.GE, lp.EQ])
-        rows.append(lp.Row(tuple(coeffs), sense, rhs))
+        rows.append(lp.Row(nums, sense, rhs, 1))
     return lp.LinearSystem(n, tuple(rows))
 
 
@@ -164,10 +180,10 @@ def test_random_systems_exclusive_and_verified():
         else:
             infeasible += 1
         k = rng.randrange(len(sys_.rows))
-        scale = F(rng.randint(1, 5), rng.randint(1, 5))
-        row = sys_.rows[k]
+        num, den = rng.randint(1, 5), rng.randint(1, 5)
+        old = sys_.rows[k]
         scaled = lp.Row(
-            tuple(scale * c for c in row.coeffs), row.sense, scale * row.rhs
+            [num * c for c in old.nums], old.sense, num * old.rhs_num, den * old.den
         )
         rows = sys_.rows[:k] + (scaled,) + sys_.rows[k + 1 :]
         out2 = lp.solve_feasibility(lp.LinearSystem(sys_.num_vars, rows))
@@ -180,27 +196,27 @@ def test_slack_started_row_carries_positive_multiplier():
     # x2 >= x1 starts from its own surplus column; with x1 + x2 = 1 and
     # x1 >= 3/4 it is infeasible, and the proof needs that row.
     sys_ = system(
-        2, [lp.ge([-1, 1], 0), lp.eq([1, 1], 1), lp.ge([1, 0], F(3, 4))]
+        2, [ge([-1, 1], 0), eq([1, 1], 1), ge([1, 0], F(3, 4))]
     )
     out = lp.solve_feasibility(sys_)
-    assert out == lp.Infeasible((F(1, 2), F(-1, 2), F(1)))
+    assert out == lp.Infeasible((1, -1, 2), 2)
     assert lp.verify_outcome(sys_, out)
 
 
 def test_negative_rhs_ge_rows_on_both_arms():
     # x <= 1 written as -x >= -1 is slack-started; x = 2 contradicts it.
-    sys_ = system(1, [lp.ge([-1], -1), lp.eq([1], 2)])
+    sys_ = system(1, [ge([-1], -1), eq([1], 2)])
     out = lp.solve_feasibility(sys_)
-    assert out == lp.Infeasible((F(1), F(1)))
+    assert out == lp.Infeasible((1, 1), 1)
     assert lp.verify_outcome(sys_, out)
 
     # x1 - x2 <= 2 and x1 <= 5, both slack-started, with x1 + x2 = 4.
     # Both columns have reduced cost -1, but x1 can rise only to 2 before
     # x1 - x2 <= 2 binds and x2 to 4, so x2 enters and one pivot reaches
     # (0, 4); Dantzig's rule entered x1 and ended at (3, 1).
-    sys_ = system(2, [lp.ge([-1, 1], -2), lp.ge([-1, 0], -5), lp.eq([1, 1], 4)])
+    sys_ = system(2, [ge([-1, 1], -2), ge([-1, 0], -5), eq([1, 1], 4)])
     out = lp.solve_feasibility(sys_)
-    assert out == lp.Feasible((F(0), F(4)))
+    assert out == lp.Feasible((0, 4), 1)
     assert lp.verify_outcome(sys_, out)
 
 
@@ -244,67 +260,82 @@ _DENOMINATORS = (1, 1, 2, 3, 4, 6, 7, 12, 1048583, 1048589, 2097143, 2097133)
 _rationals = st.builds(F, st.integers(-6, 6), st.sampled_from(_DENOMINATORS))
 
 
+def _objectives(n):
+    """`n` rationals over their lcm: `maximize` takes an integer objective."""
+    return st.lists(_rationals, min_size=n, max_size=n).map(
+        lambda values: common_denominator(values)[0]
+    )
+
+
 @settings(max_examples=300, deadline=None)
 @given(
-    st.lists(_rationals, max_size=6),
+    st.lists(st.integers(-12, 12), max_size=6),
     st.sampled_from((lp.GE, lp.EQ)),
-    _rationals,
+    st.integers(-12, 12),
+    st.sampled_from(_DENOMINATORS),
     st.sampled_from((1, 2, 3, 12, 2**21 + 7, 2**64)),
 )
-def test_a_row_has_one_integer_form(coeffs, sense, rhs, k):
-    # Whichever constructor builds it and whatever common factor its
-    # integers carry, a row reduces to the same fields, reads back the
-    # Fractions it was given and compares and hashes by its integers.
-    row = lp.Row(coeffs, sense, rhs)
-    assert row.coeffs == tuple(coeffs) and row.rhs == rhs
+def test_a_row_has_one_integer_form(nums, sense, rhs_num, den, k):
+    # Whatever common factor its integers carry, a row reduces to the same
+    # fields, stands for the rationals it was given and compares and
+    # hashes by its integers.
+    row = lp.Row(nums, sense, rhs_num, den)
     assert row.den > 0 and math.gcd(*row.nums, row.rhs_num, row.den) == 1
-    over = lp.Row.over([k * c for c in row.nums], sense, k * row.rhs_num, k * row.den)
-    assert (over.nums, over.sense, over.rhs_num, over.den) == (
+    given_values = [F(v, den) for v in (*nums, rhs_num)]
+    assert [F(v, row.den) for v in (*row.nums, row.rhs_num)] == given_values
+    scaled = lp.Row([k * c for c in nums], sense, k * rhs_num, k * den)
+    assert (scaled.nums, scaled.sense, scaled.rhs_num, scaled.den) == (
         row.nums, row.sense, row.rhs_num, row.den
     )
-    assert over == row and hash(over) == hash(row)
-    assert lp.Row([str(c) for c in coeffs], sense, str(rhs)) == row
+    assert scaled == row and hash(scaled) == hash(row)
+    assert lp.Row(iter(nums), sense, rhs_num, den) == row
 
 
 def test_a_row_rejects_a_bad_sense_and_cannot_change():
     for sense in ("<=", ">", "="):
         with pytest.raises(ValueError):
-            lp.Row([1], sense, 0)
-        with pytest.raises(ValueError):
-            lp.Row.over([1], sense, 0, 1)
+            lp.Row([1], sense, 0, 1)
     for den in (0, -1):
         with pytest.raises(ValueError):
-            lp.Row.over([1], lp.GE, 0, den)
-    row = lp.ge([F(1, 2), 3], F(1, 3))
+            lp.Row([1], lp.GE, 0, den)
+    row = lp.Row([6, 36], lp.GE, 4, 12)
     assert (row.nums, row.rhs_num, row.den) == ((3, 18), 2, 6)
-    for name in ("nums", "sense", "rhs_num", "den", "coeffs", "rhs", "extra"):
+    for name in ("nums", "sense", "rhs_num", "den", "extra"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(row, name, 1)
     assert (row.nums, row.rhs_num, row.den) == ((3, 18), 2, 6)
 
 
+def test_a_row_takes_integers_only():
+    for bad in (F(1, 2), F(2)):
+        with pytest.raises(TypeError):
+            lp.Row([1, bad], lp.GE, 0, 1)
+        with pytest.raises(TypeError):
+            lp.Row([1, 0], lp.EQ, bad, 1)
+
+
 def test_outcomes_hold_one_integer_form():
     # Either arm holds numerators over one positive denominator with no
-    # common factor; the Fraction constructor and `over` agree, and each
-    # arm reads back only its own field.
+    # common factor, whatever common factor it was given, and each arm
+    # reads back only its own field.
     for arm, field, other in (
         (lp.Feasible, "point", "multipliers"),
         (lp.Infeasible, "multipliers", "point"),
     ):
-        built = arm((F(1, 2), F(-3, 4), 0, "5/6"))
+        built = arm([12, -18, 0, 20], 24)
         assert (built.nums, built.den) == ((6, -9, 0, 10), 12)
-        assert arm.over([12, -18, 0, 20], 24) == built
-        assert hash(arm.over((6, -9, 0, 10), 12)) == hash(built)
+        assert arm((6, -9, 0, 10), 12) == built == arm(iter([12, -18, 0, 20]), 24)
+        assert hash(arm((6, -9, 0, 10), 12)) == hash(built)
         assert getattr(built, field) == (F(1, 2), F(-3, 4), F(0), F(5, 6))
         assert not hasattr(built, other)
-        assert arm.over((), 5) == arm(()) and arm(()).den == 1
+        assert arm((), 5) == arm((), 1) and arm((), 5).den == 1
         for den in (0, -1):
             with pytest.raises(ValueError):
-                arm.over((1,), den)
+                arm((1,), den)
         for name in ("nums", "den", field):
             with pytest.raises(AttributeError):  # FrozenInstanceError is one
                 setattr(built, name, 1)
-    assert lp.Feasible((F(1),)) != lp.Infeasible((F(1),))
+    assert lp.Feasible((1,), 1) != lp.Infeasible((1,), 1)
 
 
 @st.composite
@@ -315,7 +346,7 @@ def _systems(draw):
         coeffs = draw(st.lists(_rationals, min_size=n, max_size=n))
         # rhs < 0, = 0 and > 0 each a third of the time
         rhs = draw(st.sampled_from((-1, 0, 1))) * (abs(draw(_rationals)) or F(1))
-        rows.append(lp.Row(tuple(coeffs), draw(st.sampled_from((lp.GE, lp.EQ))), rhs))
+        rows.append(row(coeffs, draw(st.sampled_from((lp.GE, lp.EQ))), rhs))
     return lp.LinearSystem(n, tuple(rows))
 
 
@@ -340,7 +371,7 @@ def _degenerate_systems(draw):
         )
         sense = draw(st.sampled_from((lp.GE, lp.EQ)))
         rhs = 0 if sense == lp.GE else draw(st.sampled_from((F(0), F(1))))
-        rows.append(lp.Row(tuple(coeffs), sense, rhs))
+        rows.append(row(coeffs, sense, rhs))
     rows += [rows[k] for k in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3))]
     rows = draw(st.permutations(rows))
     return lp.LinearSystem(n, tuple(rows))
@@ -369,9 +400,7 @@ def _counted_pivots(limit=None):
 @settings(max_examples=300, deadline=None)
 @given(_degenerate_systems(), st.data())
 def test_degenerate_systems_terminate_and_match_the_fraction_tableau(sys_, data):
-    objective = data.draw(
-        st.lists(_rationals, min_size=sys_.num_vars, max_size=sys_.num_vars)
-    )
+    objective = data.draw(_objectives(sys_.num_vars))
     with _counted_pivots(limit=200):
         assert lp.solve_feasibility(sys_) == fraction_simplex.solve(sys_)
     with _counted_pivots(limit=200):
@@ -420,7 +449,7 @@ def test_a_solve_from_some_rows_decides_as_one_from_all(sys_, data):
 
 
 def test_a_start_row_outside_the_system_is_refused():
-    sys_ = system(1, [lp.eq([1], 1), lp.ge([1], 0)])
+    sys_ = system(1, [eq([1], 1), ge([1], 0)])
     assert lp.solve_feasibility(sys_, [1, 1]) == lp.solve_feasibility(sys_, [1])
     for start in ([-1], [2], [0, 2]):
         with pytest.raises(ValueError, match="start names a row"):
@@ -526,9 +555,7 @@ def test_the_sparse_step_matches_the_dense_one(case, d, negate):
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(_systems(), _degenerate_systems()), st.data())
 def test_every_pivot_matches_the_dense_step(sys_, data):
-    objective = data.draw(
-        st.lists(_rationals, min_size=sys_.num_vars, max_size=sys_.num_vars)
-    )
+    objective = data.draw(_objectives(sys_.num_vars))
     with _dense_pivot_check():
         lp.solve_feasibility(sys_)
         _maximize_or_error(lp.maximize, sys_, objective)
@@ -563,9 +590,7 @@ def test_every_row_holds_its_own_denominator(sys_, data):
     feasible = simplex.phase_one() == 0
     _assert_tableau_invariants(simplex)
     if feasible:
-        objective = data.draw(
-            st.lists(_rationals, min_size=sys_.num_vars, max_size=sys_.num_vars)
-        )
+        objective = data.draw(_objectives(sys_.num_vars))
         try:
             simplex.phase_two_max(objective)
         except ArithmeticError:  # unbounded: the tableau is still whole
@@ -583,12 +608,35 @@ def _maximize_or_error(maximize, sys_, objective):
 @settings(max_examples=300, deadline=None)
 @given(_systems(), st.data())
 def test_maximize_matches_the_fraction_tableau(sys_, data):
-    objective = data.draw(
-        st.lists(_rationals, min_size=sys_.num_vars, max_size=sys_.num_vars)
-    )
+    objective = data.draw(_objectives(sys_.num_vars))
     assert _maximize_or_error(lp.maximize, sys_, objective) == _maximize_or_error(
         fraction_simplex.maximize, sys_, objective
     )
+
+
+def test_maximize_refuses_an_objective_that_is_not_integers():
+    # Refused before the tableau makes a pivot, though phase one needs one.
+    sys_ = system(2, [eq([1, 1], 1)])
+    for bad in (F(1, 2), 0.5, "1"):
+        with _recorded_pivots() as pivots, pytest.raises(TypeError):
+            lp.maximize(sys_, (1, bad))
+        assert pivots == []
+    with _recorded_pivots() as pivots:
+        assert lp.maximize(sys_, (1, 2)) == (F(2), (F(0), F(1)))
+    assert pivots
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_systems(), _degenerate_systems()), st.data())
+def test_a_positive_scale_of_the_objective_moves_no_vertex(sys_, data):
+    # `oracles.random_ce` maximizes its rational objective over the lcm of
+    # its denominators, which relies on this: k times the objective reaches
+    # the same point, or the same error, with k times the value.
+    objective = data.draw(_objectives(sys_.num_vars))
+    out = _maximize_or_error(lp.maximize, sys_, objective)
+    for k in range(2, 8):
+        scaled = _maximize_or_error(lp.maximize, sys_, [k * c for c in objective])
+        assert scaled == (out if isinstance(out, str) else (k * out[0], out[1]))
 
 
 def test_ce_systems_match_the_fraction_tableau():
@@ -600,9 +648,9 @@ def test_ce_systems_match_the_fraction_tableau():
         p = random_ce(game, k).marginals() if k % 2 else random_marginals(rng, game)
         sys_ = build_ce_system(game, p)
         assert lp.solve_feasibility(sys_) == fraction_simplex.solve(sys_)
-        objective = [
-            F(rng.randint(-24, 24), rng.randint(1, 12)) for _ in range(sys_.num_vars)
-        ]
+        objective, _den = common_denominator(
+            [F(rng.randint(-24, 24), rng.randint(1, 12)) for _ in range(sys_.num_vars)]
+        )
         assert _maximize_or_error(lp.maximize, sys_, objective) == _maximize_or_error(
             fraction_simplex.maximize, sys_, objective
         )
@@ -611,9 +659,9 @@ def test_ce_systems_match_the_fraction_tableau():
 def test_verify_outcome_works_without_the_solver(monkeypatch):
     # The checker must not share the tableau's arithmetic: with the
     # tableau gone it still accepts true outcomes and rejects tampered ones.
-    feasible_sys = system(2, [lp.ge([1, 0], 2), lp.eq([1, 1], 5)])
+    feasible_sys = system(2, [ge([1, 0], 2), eq([1, 1], 5)])
     infeasible_sys = system(
-        2, [lp.ge([-1, 1], 0), lp.eq([1, 1], 1), lp.ge([1, 0], F(3, 4))]
+        2, [ge([-1, 1], 0), eq([1, 1], 1), ge([1, 0], F(3, 4))]
     )
     feasible = lp.solve_feasibility(feasible_sys)
     infeasible = lp.solve_feasibility(infeasible_sys)
@@ -627,12 +675,13 @@ def test_verify_outcome_works_without_the_solver(monkeypatch):
         lp.solve_feasibility(feasible_sys)
     assert lp.verify_outcome(feasible_sys, feasible)
     assert lp.verify_outcome(infeasible_sys, infeasible)
-    x = feasible.point
-    assert not lp.verify_outcome(feasible_sys, lp.Feasible((x[0] - F(1, 3), x[1])))
-    assert not lp.verify_outcome(feasible_sys, lp.Feasible((F(1), F(4))))
-    y = infeasible.multipliers
-    assert not lp.verify_outcome(infeasible_sys, lp.Infeasible((F(0),) + y[1:]))
-    assert not lp.verify_outcome(infeasible_sys, lp.Infeasible((-y[0],) + y[1:]))
+    x, den = feasible.nums, feasible.den
+    moved = lp.Feasible((3 * x[0] - den, 3 * x[1]), 3 * den)  # x[0] less 1/3
+    assert not lp.verify_outcome(feasible_sys, moved)
+    assert not lp.verify_outcome(feasible_sys, lp.Feasible((1, 4), 1))
+    y, den = infeasible.nums, infeasible.den
+    assert not lp.verify_outcome(infeasible_sys, lp.Infeasible((0, *y[1:]), den))
+    assert not lp.verify_outcome(infeasible_sys, lp.Infeasible((-y[0], *y[1:]), den))
 
 
 @st.composite
@@ -662,10 +711,11 @@ def _outcomes(sys_, data):
     else:
         arm, other, values = lp.Infeasible, lp.Feasible, out.multipliers
     outcomes = [out]
-    outcomes += [arm(tuple(data.draw(_tampered(values)))) for _ in range(3)]
+    outcomes += [arm(*common_denominator(data.draw(_tampered(values)))) for _ in range(3)]
     size = len(sys_.rows) if other is lp.Infeasible else sys_.num_vars
-    outcomes.append(other(tuple(data.draw(st.lists(_rationals, min_size=size, max_size=size)))))
-    outcomes.append(arm(tuple(values) + (F(0),)))
+    drawn = data.draw(st.lists(_rationals, min_size=size, max_size=size))
+    outcomes.append(other(*common_denominator(drawn)))
+    outcomes.append(arm(*common_denominator((*values, F(0)))))
     return outcomes
 
 

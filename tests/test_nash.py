@@ -180,7 +180,8 @@ def test_certificate_is_the_largest_best_response_gap():
 
 
 def test_pinned_system_feasible_iff_nash(coordination, mixed_equilibrium):
-    # the reference LP formulation agrees with the best-response check
+    # the pinned LP agrees with the best-response check, and its one point
+    # is the product distribution
     rng = random.Random(61)
     cases = [(coordination, mixed_equilibrium)]
     for _ in range(24):
@@ -193,6 +194,8 @@ def test_pinned_system_feasible_iff_nash(coordination, mixed_equilibrium):
     for game, p in cases:
         outcome = lp.solve_feasibility(build_nash_system(game, p))
         assert isinstance(outcome, lp.Feasible) == is_nash(game, p)
+        if is_nash(game, p):
+            assert outcome.point == games.product_distribution(p).probs
         seen.add(is_nash(game, p))
     assert seen == {True, False}
 

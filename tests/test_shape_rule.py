@@ -40,7 +40,7 @@ P = Q.marginals()
 
 CALLS = {
     "build_ce_system": lambda g: build_ce_system(g, WIDE),
-    "normalize_dual": lambda g: normalize_dual(g, WIDE, lp.Infeasible(())),
+    "normalize_dual": lambda g: normalize_dual(g, WIDE, lp.Infeasible((), 1)),
     "test_ce_compatibility": lambda g: correlated.test_ce_compatibility(g, WIDE),
     "payoff_numerators": lambda g: payoff_numerators(g, WIDE),
     "is_nash": lambda g: is_nash(g, WIDE),

@@ -11,7 +11,6 @@ READERS = (PACKAGE, ROOT / "scripts", ROOT / "perfbench")
 
 # Public conveniences that only tests call today, kept for library users.
 TEST_ONLY = {
-    "lp.ge": "builds a `>=` row, the counterpart of `lp.eq`",
     "games.JointDistribution.prob": "one profile's probability",
     "games.JointDistribution.marginal": "one player's marginal",
 }

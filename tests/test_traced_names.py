@@ -34,10 +34,12 @@ def test_the_solve_statistics_read_both_arms():
     from eqaudit import lp
 
     tracing = _load_tracing()
-    feasible_sys = lp.LinearSystem(2, (lp.ge([1, 0], 2), lp.eq([1, 1], 5)))
-    infeasible_sys = lp.LinearSystem(
-        2, (lp.ge([-1, 1], 0), lp.eq([1, 1], 1), lp.ge([1, 0], "3/4"))
+    feasible_sys = lp.LinearSystem(
+        2, (lp.Row([1, 0], lp.GE, 2, 1), lp.Row([1, 1], lp.EQ, 5, 1))
     )
+    infeasible_sys = lp.LinearSystem(2, (
+        lp.Row([-1, 1], lp.GE, 0, 1), lp.Row([1, 1], lp.EQ, 1, 1), lp.Row([4, 0], lp.GE, 3, 4),
+    ))
     feasible = lp.solve_feasibility(feasible_sys)
     infeasible = lp.solve_feasibility(infeasible_sys)
     assert isinstance(feasible, lp.Feasible) and isinstance(infeasible, lp.Infeasible)

@@ -24,12 +24,11 @@ denominator, a value that is not a string) is read value by value, as
 `parse_rational` reads it, so the first bad value is the one reported.
 Every table, play log frequencies included, goes straight into the
 `from_columns` constructor of its model type, which validates in
-integers. Certificates are written from the same integer stores, each
-value reduced by one gcd, with the bytes `rational_str` writes.
-Payoff tensors, joint
-distributions and fee tables are flat lists in row-major profile order:
-players in declaration order, actions in declaration order, last
-player's action fastest.
+integers. Games and certificates are written from the same integer
+stores, each value reduced by one gcd, with the bytes `rational_str`
+writes. Payoff tensors, joint distributions and fee tables are flat
+lists in row-major profile order: players in declaration order, actions
+in declaration order, last player's action fastest.
 
 Actions, payoffs, marginals, kernels and action-wise fees are per-player
 tables: a JSON object with one list per game player and no other key,
@@ -320,7 +319,7 @@ def emit_game(game: Game) -> str:
         {
             "players": list(game.players),
             "actions": _table_doc(game.players, game.actions, _each(str)),
-            "payoffs": _table_doc(game.players, game.payoffs, _each(rational_str)),
+            "payoffs": _table_doc(game.players, game.int_payoffs, lambda row: _ratio_strs(*row)),
         }
     )
 

@@ -49,8 +49,8 @@ search and `correlated`'s fee fill read the integer payoffs too, and
 `independent_play` is the one integer walk over independent play, on
 `MarginalProfile.int_rows`, `payoff_numerators` the one table of every
 player's expected payoffs against it, which the producers in `nash` and
-`correlated` build once per call, and `check_shape` the one test that
-an object has the game's shape.
+`correlated` build once per call, `check_shape` the one test that an
+object has the game's shape, and `_check_player` of a player index.
 """
 
 from __future__ import annotations
@@ -96,6 +96,12 @@ def flat_index(shape: Sequence[int], profile: Profile) -> int:
             raise ValueError(f"action index {a} out of range for {k} actions")
         flat = flat * k + a
     return flat
+
+
+def _check_player(i: int, count: int) -> None:
+    """ValueError unless `i` indexes one of `count` players; -1 does not."""
+    if not 0 <= i < count:
+        raise ValueError(f"unknown player index {i}")
 
 
 def replace(profile: Profile, i: int, action: int) -> Profile:
@@ -285,7 +291,7 @@ class Game(_Frozen):
         return prod(self.shape)
 
     def profiles(self) -> Iterator[Profile]:
-        """All action profiles in row-major order."""
+        """All action profiles in row-major order; `JointDistribution` shares it."""
         return itertools.product(*(range(k) for k in self.shape))
 
     def flat_index(self, profile: Profile) -> int:
@@ -374,13 +380,11 @@ class Game(_Frozen):
 
     def utility(self, i: int, profile: Profile) -> Fraction:
         """Player `i`'s payoff at `profile`, exactly."""
-        if not 0 <= i < self.num_players:
-            raise ValueError(f"unknown player index {i}")
+        _check_player(i, self.num_players)
         return self.payoffs[i][self.flat_index(profile)]
 
     def action_index(self, i: int, label: str) -> int:
-        if not 0 <= i < self.num_players:
-            raise ValueError(f"unknown player index {i}")
+        _check_player(i, self.num_players)
         try:
             return self.actions[i].index(label)
         except ValueError:
@@ -413,8 +417,7 @@ class MarginalProfile(_Frozen):
         return tuple(len(nums) for nums, _den in self.int_rows)
 
     def support(self, i: int) -> tuple[int, ...]:
-        if not 0 <= i < len(self.int_rows):
-            raise ValueError(f"unknown player index {i}")
+        _check_player(i, len(self.int_rows))
         return tuple(a for a, n in enumerate(self.int_rows[i][0]) if n)
 
 
@@ -448,16 +451,14 @@ class JointDistribution(_Frozen):
         nums[flat_index(shape, profile)] = 1
         return cls.from_columns(shape, (nums, [1] * len(nums)))
 
-    def profiles(self) -> Iterator[Profile]:
-        return itertools.product(*(range(k) for k in self.shape))
+    profiles = Game.profiles
 
     def prob(self, profile: Profile) -> Fraction:
         return self.probs[flat_index(self.shape, profile)]
 
     def marginal(self, i: int) -> tuple[Fraction, ...]:
         """Sum out everyone but player `i`."""
-        if not 0 <= i < len(self.shape):
-            raise ValueError(f"unknown player index {i}")
+        _check_player(i, len(self.shape))
         return self.marginals().probs[i]
 
     def marginals(self) -> MarginalProfile:

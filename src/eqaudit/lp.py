@@ -59,7 +59,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from math import gcd, lcm
 from operator import index
 
@@ -189,9 +188,10 @@ class _Simplex:
     """Condensed exact tableau over the standard equality form of the rows
     of a system that have joined it, as the module docstring describes.
 
-    Variable j is column j; a `>=` row k's surplus column is `num_vars`
-    plus the number of `>=` rows before it, and artificial columns are
-    numbered from `first_art` as rows join; they never re-enter the basis.
+    Variable j is column j, a `>=` row k's surplus column `num_vars + k`,
+    and artificial columns are numbered from `first_art`, past every row,
+    as rows join; they never re-enter the basis. Only the ids' order is
+    read: structural, then surplus in row order, then artificial.
     `start[k]` is the column row k began basic in, None until it joins,
     and `flip[k]` the sign it joined with; at the phase-one optimum that
     column's reduced cost encodes the row's dual multiplier.
@@ -208,8 +208,7 @@ class _Simplex:
     def __init__(self, system: LinearSystem, rows=None):
         self.system = system
         n = system.num_vars
-        self.surplus = list(accumulate((row.sense == GE for row in system.rows), initial=n))
-        self.first_art = self.next_art = self.surplus.pop()
+        self.first_art = self.next_art = n + len(system.rows)
         self.cols = list(range(n))
         self.where = {j: j for j in range(n)}
         self.T: list[list[int]] = []
@@ -255,7 +254,7 @@ class _Simplex:
             scale = -vec[-1]  # the row's own denominator, scaled with it
             if row.sense == GE and vec[-2] <= 0:  # the point satisfies it
                 vec = [-v for v in vec]
-                col, sign = self.surplus[k], -1
+                col, sign = self.system.num_vars + k, -1
             else:
                 col, sign = self.next_art, -1 if vec[-2] < 0 else 1
                 self.next_art += 1
@@ -265,8 +264,8 @@ class _Simplex:
                     for other in (*self.T, self.obj, vec):
                         other.insert(at, 0)
                     vec[at] = -sign * scale
-                    self.cols.append(self.surplus[k])
-                    self.where[self.surplus[k]] = at
+                    self.cols.append(self.system.num_vars + k)
+                    self.where[self.cols[-1]] = at
                 self.obj = _eliminate(self.obj + [self.obj[-1]], len(self.obj), scale, _terms(vec))
                 del self.obj[-1]
             self.where[col] = ~len(self.T)

@@ -45,20 +45,19 @@ def _best_deviation(game: Game, p: MarginalProfile):
     """`(gain, i, a, b)` for the most profitable switch of a supported
     action `a` of player `i` to `i`'s lowest-index best reply `b`, where
     gain = p_i(a) * (u_i(b, p_-i) - u_i(a, p_-i)); None when `p` is Nash.
-    Ties go to the lowest player, then the lowest action. Gains are
-    compared in integers within a player; a Fraction is built only for
-    each player's largest positive gain."""
-    found = None
+    Ties go to the lowest player, then the lowest action. Each player's
+    gains are integers over one denominator, and players are compared by
+    cross-multiplying; one Fraction is built, for the gain returned."""
+    found, most, most_den = None, 0, 1
     table = payoff_numerators(game, p)
     for i, ((weights, scale), (values, den)) in enumerate(zip(p.int_rows, table)):
         best = max(values)
         gains = [w * (best - v) for w, v in zip(weights, values)]
         top = max(gains)
-        if top > 0:
-            gain = Fraction(top, scale * den)
-            if found is None or gain > found[0]:
-                found = (gain, i, gains.index(top), values.index(best))
-    return found
+        if top * most_den > most * scale * den:
+            most, most_den = top, scale * den
+            found = (i, gains.index(top), values.index(best))
+    return None if found is None else (Fraction(most, most_den), *found)
 
 
 def is_nash(game: Game, p: MarginalProfile) -> bool:

@@ -1,20 +1,21 @@
 """Self-contained checks for every certificate the analyzers emit.
 
-This module is the one judge of a verdict, and the analyzers return the
-income it computes. It imports `games` alone, so no verifier can reach
+This module is the one judge of a verdict: `correlated` returns the
+income `verify_actionwise` computes, and `verify_exploitable` checks the
+gain `nash` returns. It imports `games` alone, so no verifier can reach
 the feasibility solver or the producers' code (`nash`'s best-response
 search, `correlated`'s coupling system and its read-back), and neither
-can vouch for its own output. The scheme verifiers share payoff data
-with the producers, the game's integer view and `games.surplus_parts`:
-they compare each profile's surplus with its fee in integers, by
-cross-multiplying numerators and denominators, and build a Fraction only
-for the income and for a violation's shortfall. They return the exact
-expected fee income rather than a boolean: callers decide what sign they
-require, since zero-income schemes are legal objects. An infeasible
-scheme raises `SchemeViolation` carrying the first violating profile in
-row-major order. `verify_exploitable`, the one check of an exploitable
-verdict's claimed income, is where a sign is required: positive, and
-equal to the claim.
+can vouch for its own output. The scheme verifiers share only the game's
+integer payoff view with the producers; no producer calls
+`games.surplus_parts`. They compare each profile's surplus with its fee
+in integers, by cross-multiplying numerators and denominators, and build
+a Fraction only for the income and for a violation's shortfall. They
+return the exact expected fee income rather than a boolean: callers
+decide what sign they require, since zero-income schemes are legal
+objects. An infeasible scheme raises `SchemeViolation` carrying the
+first violating profile in row-major order. `verify_exploitable`, the
+one check of an exploitable verdict's claimed income, is where a sign is
+required: positive, and equal to the claim.
 
 The verifiers read the integer stores of what they check and never make
 a Fraction view: `MarginalProfile.int_rows`, `JointDistribution.int_probs`,

@@ -12,15 +12,19 @@ one of the eight functions is running, wherever a module has imported
 it, and run the golden `test-ce` and `test-nash` cases through them.
 They also make the tableau's row builder, its row join and its
 elimination raise while `verify_outcome` runs, so that the check is shown
-to share no code with the solver.
+to share no code with the solver. With the same counter, the Nash test
+builds one Fraction, the gain its verdict carries, however many players
+could gain, and `dataio.emit_game` writes a parsed game from its integer
+view, building none.
 """
 
+import json
 from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
-from eqaudit import correlated, games, lp, nash, verify
+from eqaudit import correlated, dataio, games, lp, nash, verify
 from test_golden_verdicts import CASES, _case
 
 # Solves over the golden `test-ce` cases, one per case that reaches the
@@ -149,3 +153,41 @@ def test_verify_outcome_never_reaches_the_tableau(cases, watched, monkeypatch):
     # solver, over two passes of the cases.
     assert reached["solve_feasibility"] == SOLVES
     assert calls["verify_outcome"] == 2 * SOLVES
+
+
+def _players_who_gain(game, p):
+    # Players with a supported action that is not a best reply.
+    table = games.payoff_numerators(game, p)
+    return sum(
+        any(w and v < max(values) for w, v in zip(weights, values))
+        for (weights, _scale), (values, _den) in zip(p.int_rows, table)
+    )
+
+
+def test_the_nash_test_builds_only_the_gain_it_returns(cases, watched):
+    _active, _ops, _calls, made = watched
+    for game, p in cases:
+        made.clear()
+        verdict = nash.test_nash_exploitability(game, p)
+        assert made["test_nash_exploitability"] == isinstance(verdict, nash.Exploitable)
+    # Players are compared in integers: a case where two of them could
+    # gain still builds one Fraction.
+    assert any(_players_who_gain(game, p) >= 2 for game, p in cases)
+
+
+def test_a_parsed_game_is_written_from_its_integers(watched):
+    active, _ops, _calls, made = watched
+    players, actions = ["P1", "P2"], [["a", "b"], ["c", "d"]]
+    payoffs = [["0.5", "2/4", "1e1", "-3"], ["-3", "1e1", "2/4", "0.5"]]
+    text = json.dumps({
+        "players": players,
+        "actions": dict(zip(players, actions)),
+        "payoffs": dict(zip(players, payoffs)),
+    })
+    parsed = dataio.parse_game(text)
+    active.append("emit_game")
+    written = dataio.emit_game(parsed)
+    active.pop()
+    assert not made
+    assert written == dataio.emit_game(games.Game(players, actions, payoffs))
+    assert json.loads(written)["payoffs"]["P1"] == ["1/2", "1/2", "10", "-3"]

@@ -31,8 +31,10 @@ def test_utility_lookup(coordination):
 
 
 def test_utility_rejects_bad_indices(coordination):
-    with pytest.raises(ValueError):
-        coordination.utility(2, (0, 0))
+    # -1 would otherwise read the last player's payoffs.
+    for i in (-1, 2):
+        with pytest.raises(ValueError, match=f"unknown player index {i}"):
+            coordination.utility(i, (0, 0))
     with pytest.raises(ValueError):
         coordination.utility(0, (0, 3))
     with pytest.raises(ValueError):
@@ -109,6 +111,9 @@ def test_joint_distribution_rejects_non_positive_shape(shape, probs):
 def test_marginal_of_point_mass():
     q = JointDistribution.point_mass((2, 3), (0, 0))
     assert q.marginal(1) == (F(1), F(0), F(0))
+    for i in (-1, 2):  # -1 would otherwise read the last player's marginal
+        with pytest.raises(ValueError, match=f"unknown player index {i}"):
+            q.marginal(i)
 
 
 def test_marginal_of_diagonal():

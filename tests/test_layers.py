@@ -1,7 +1,10 @@
 """The package's modules form layers: the model (`games`) at the bottom,
 the solver, the judge and the file formats on it, the producers above
-them. The judge (`verify`) loads nothing but the model, so a certificate
-is checked without the code that made it."""
+them. The judge (`verify`) imports nothing but the model, so a certificate
+is checked without calling the code that made it. The package's
+`__init__` imports every module, so the solver is still in `sys.modules`
+when the judge runs; what is enforced is the import graph, not what is
+loaded."""
 
 import ast
 import importlib

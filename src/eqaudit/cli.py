@@ -3,8 +3,9 @@
 Exit codes: 0 when the profile is compatible / an equilibrium / the
 certificate checks out; 1 when it is exploitable or the certificate is
 invalid; 2 on malformed input; 3 when `--oracle` cross-checks disagree
-with the verdict; 4 when a solver self-check fails (an internal error,
-never expected). Output is byte-deterministic: the same inputs always
+with the verdict; 4 when a solver self-check fails or a Nash
+certificate fails `verify_exploitable` (an internal error, never
+expected). Output is byte-deterministic: the same inputs always
 produce the same document.
 
 `test-ce` and `test-nash` share one route, `_audit`, which takes the test
@@ -24,7 +25,7 @@ from pathlib import Path
 from . import dataio, oracles
 from .correlated import test_ce_compatibility
 from .dataio import DataFormatError
-from .games import Exploitable, quoted, surplus_table
+from .games import Exploitable, ProfilewiseScheme, quoted, surplus_table
 from .nash import test_nash_exploitability
 from .verify import (
     IncomeClaimError,
@@ -56,8 +57,17 @@ def _load_profile(game, marginals, log) -> "dataio.MarginalProfile":
 def _audit(test, game, p, oracle: bool):
     """Run `test` (`test_ce_compatibility` or `test_nash_exploitability`)
     on one profile, cross-check the verdict when `oracle` is set, and
-    return the verdict document and whether the profile is exploitable."""
+    return the verdict document and whether the profile is exploitable.
+    A profile-wise (Nash) `Exploitable` is checked by `verify_exploitable`
+    first, as the CE test checks its own; a scheme that fails is an
+    internal error (RuntimeError), never malformed input."""
     verdict = test(game, p)
+    scheme = getattr(verdict, "scheme", None)
+    if isinstance(scheme, ProfilewiseScheme):
+        try:
+            verify_exploitable(game, p, verdict)
+        except ValueError as exc:
+            raise RuntimeError(f"the Nash certificate fails its check: {exc}") from None
     if oracle:
         oracles.cross_check(game, p, verdict)
     return dataio.emit_verdict(game, verdict), isinstance(verdict, Exploitable)

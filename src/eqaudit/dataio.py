@@ -22,6 +22,10 @@ scanner, making no Fraction and no per-value pair. Any other row (a
 leading zero, whitespace, a sign, a decimal, a zero or negative
 denominator, a value that is not a string) is read value by value, as
 `parse_rational` reads it, so the first bad value is the one reported.
+A player's kernel rows are joined, read in one such call and cut apart
+when every row is a list with one entry per row; any other kernel table
+is read row by row. Both give the values and the first error line of
+reading each row on its own.
 Every table, play log frequencies included, goes straight into the
 `from_columns` constructor of its model type, which validates in
 integers. Games and certificates are written from the same integer
@@ -302,6 +306,19 @@ def _kernel_row(row) -> tuple[list[int], list[int]]:
     return _ratio_row(row)
 
 
+def _kernel_rows(rows) -> list[tuple[list[int], list[int]]]:
+    """One player's kernel rows as integer columns. When every row is a
+    list with one entry per row, the rows are joined, read in one
+    `_ratio_row` call and cut apart; any other table is read row by row.
+    Either way the values and the first error are those of reading each
+    row on its own."""
+    k = len(rows)
+    if not all(isinstance(row, list) and len(row) == k for row in rows):
+        return list(map(_kernel_row, rows))
+    nums, dens = _ratio_row([value for row in rows for value in row])
+    return [(nums[j : j + k], dens[j : j + k]) for j in range(0, k * k, k)]
+
+
 def parse_game(text: str) -> Game:
     """Read a game document: players, per-player action lists, and one
     row-major payoff list per player, read straight into `Game.int_payoffs`."""
@@ -337,7 +354,7 @@ def emit_marginals(game: Game, p: MarginalProfile) -> str:
 
 
 def _parse_kernel_doc(doc, game: Game) -> DeviationKernel:
-    rows = _parse_table(doc, game.players, "kernel", _each(_kernel_row), game.shape)
+    rows = _parse_table(doc, game.players, "kernel", _kernel_rows, game.shape)
     return _checked(DeviationKernel.from_columns, rows)
 
 

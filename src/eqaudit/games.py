@@ -43,8 +43,9 @@ store alone decides equality, hashing and pickling (`_Frozen`).
 `surplus_parts` computes every profile's deviation surplus from the
 integer views as an unreduced integer ratio, a column at a time: for
 each player and recommended action, one pass over all of that player's
-lines per nonzero kernel weight. The checkers, `nash`'s best-response
-search and `correlated`'s fee fill read the integer payoffs too, and
+lines per nonzero kernel weight, with each kernel row over its own
+denominator. The checkers, `nash`'s best-response search and
+`correlated`'s fee fill read the integer payoffs too, and
 `JointDistribution.marginals` sums every marginal in one integer pass.
 `independent_play` is the one integer walk over independent play, on
 `MarginalProfile.int_rows`, `payoff_numerators` the one table of every
@@ -587,16 +588,15 @@ def surplus_parts(game: Game, kernel: DeviationKernel) -> tuple[list[int], list[
     numerators and positive integer denominators.
 
     An identity row (`row[a] == den`: i plays a as told) adds nothing and
-    is skipped, and so is a player whose rows all are. The other rows of
-    player i, `int_rows`, are put over the lcm L of their denominators.
-    On a line of i with integer payoffs n and denominator d, the term of
-    recommended action a is (sum_b L*r_ab*n_b - L*n_a) / (L*d). The terms
-    of one a on every line of i are formed together, one list pass per
-    nonzero weight over the column of the b it weighs: the payoff where i
-    plays b, one entry per line (`Game._columns`). Then they are merged
-    line by line: a zero term is skipped; a term whose denominator equals
-    the profile's running one adds its numerator, any other is
-    cross-multiplied in.
+    is skipped, and so is a player whose rows all are. Every other row of
+    player i, `int_rows[i][a]`, keeps its own denominator R. On a line of
+    i with integer payoffs n and denominator d, the term of recommended
+    action a is (sum_b r_ab*n_b - R*n_a) / (R*d). The terms of one a on
+    every line of i are formed together, one list pass per nonzero weight
+    over the column of the b it weighs: the payoff where i plays b, one
+    entry per line (`Game._columns`). Then they are merged line by line:
+    a zero term is skipped; a term whose denominator equals the profile's
+    running one adds its numerator, any other is cross-multiplied in.
     """
     check_shape(game, kernel)
     size = game.num_profiles
@@ -613,11 +613,10 @@ def surplus_parts(game: Game, kernel: DeviationKernel) -> tuple[list[int], list[
         step = game.strides[i]
         starts = game.line_starts(i)
         columns = game._columns(i, pay)
-        scale = lcm(*[den for _, _, den in moved])
-        line_dens = [scale * pay_dens[start] for start in starts]
+        line_dens = [pay_dens[start] for start in starts]
         for a, row, den in moved:
-            weights = [w * (scale // den) for w in row]
-            weights[a] -= scale
+            weights = list(row)
+            weights[a] -= den
             gains = None
             for w, column in zip(weights, columns):
                 if not w:
@@ -627,15 +626,16 @@ def surplus_parts(game: Game, kernel: DeviationKernel) -> tuple[list[int], list[
                 else:
                     gains = [g + w * x for g, x in zip(gains, column)]
             offset = a * step
-            for start, gain, den in zip(starts, gains, line_dens):
+            for start, gain, line_den in zip(starts, gains, line_dens):
                 if not gain:
                     continue
                 flat = start + offset
-                if dens[flat] == den:
+                line_den *= den
+                if dens[flat] == line_den:
                     nums[flat] += gain
                 else:
-                    nums[flat] = nums[flat] * den + gain * dens[flat]
-                    dens[flat] *= den
+                    nums[flat] = nums[flat] * line_den + gain * dens[flat]
+                    dens[flat] *= line_den
     return nums, dens
 
 

@@ -8,8 +8,10 @@ search, `correlated`'s coupling system and its read-back), and neither
 can vouch for its own output. The scheme verifiers share only the game's
 integer payoff view with the producers; no producer calls
 `games.surplus_parts`. They compare each profile's surplus with its fee
-in integers, by cross-multiplying numerators and denominators, and build
-a Fraction only for the income and for a violation's shortfall. They
+in integers, by cross-multiplying numerators and denominators, in one
+pass over the whole table; the first violating profile is looked for
+only when the largest excess is positive. They build a Fraction only
+for the income and for a violation's shortfall. They
 return the exact expected fee income rather than a boolean: callers
 decide what sign they require, since zero-income schemes are legal
 objects. An infeasible scheme raises `SchemeViolation` carrying the
@@ -24,7 +26,9 @@ a Fraction view: `MarginalProfile.int_rows`, `JointDistribution.int_probs`,
 `verify_witness` compares the integer stores of p and of
 `JointDistribution.marginals()`, shared model code that sums q's
 marginals as integers over q's one denominator; its incentive check,
-`is_correlated_equilibrium`, reads the integer payoff view too.
+`is_correlated_equilibrium`, reads the integer payoff view too, and only
+on the lines through q's support, so a point mass or a sparse witness
+costs time in its support, not in the game's size.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import mul, sub
 
 from .games import (
     ActionwiseScheme,
@@ -71,26 +75,30 @@ class IncomeClaimError(ValueError):
 def is_correlated_equilibrium(game: Game, q: JointDistribution) -> bool:
     """Direct check of every incentive inequality, no solver involved.
 
-    The mass is q's integer store, `JointDistribution.int_probs`, and, per
-    player, the `Game.int_payoffs` of the lines that carry mass are put
-    over the lcm of their denominators, so each deviation pair is one
-    integer comparison."""
+    The mass is q's integer store, `JointDistribution.int_probs`. Per
+    player, the lines that carry mass are read off its support, and their
+    `Game.int_payoffs` are put over the lcm of their denominators, so
+    each deviation pair is one integer comparison."""
     check_shape(game, q)
     mass, _scale = q.int_probs
+    support = list(itertools.compress(range(len(mass)), mass))
     for i, (k, step) in enumerate(zip(game.shape, game.strides)):
         pay, pay_dens = game.int_payoffs[i]
-        lines = [range(start, start + k * step, step) for start in game.line_starts(i)]
-        lines = [line for line in lines if any(mass[f] for f in line)]
-        common = lcm(*(pay_dens[line[0]] for line in lines))
+        # The supported profiles of each line, keyed by its start: profile
+        # f is where i plays a = (f // step) % k, on the line at f - a*step.
+        lines = {}
+        for f in support:
+            a = f // step % k
+            lines.setdefault(f - a * step, []).append((a, mass[f]))
+        common = lcm(*(pay_dens[start] for start in lines))
         # told[a][b]: i's scaled payoff from playing b, summed over the
         # mass of the profiles where i is told a.
         told = [[0] * k for _ in range(k)]
-        for line in lines:
-            factor = common // pay_dens[line[0]]
-            values = [pay[f] * factor for f in line]
-            for a, f in enumerate(line):
-                if mass[f]:
-                    told[a] = [t + mass[f] * v for t, v in zip(told[a], values)]
+        for start, cells in lines.items():
+            factor = common // pay_dens[start]
+            values = [n * factor for n in pay[start : start + k * step : step]]
+            for a, m in cells:
+                told[a] = [t + m * v for t, v in zip(told[a], values)]
         if any(row[a] < max(row) for a, row in enumerate(told)):
             return False
     return True
@@ -109,16 +117,22 @@ def verify_nash(game: Game, p: MarginalProfile) -> bool:
     return is_correlated_equilibrium(game, product_distribution(p))
 
 
-def _check_fees(game: Game, kernel: DeviationKernel, fees) -> None:
+def _check_fees(game: Game, kernel: DeviationKernel, fees, fee_dens) -> None:
     """Raise `SchemeViolation` at the first profile, row-major, whose fee,
-    given as `(numerator, positive denominator)`, exceeds the surplus."""
+    given as columns of numerators and positive denominators, one entry
+    per profile, exceeds the surplus. Every profile's excess is formed in
+    one pass; the violation is looked for only once its maximum is
+    positive."""
     nums, dens = surplus_parts(game, kernel)
-    for profile, num, den, (fee, fee_den) in zip(game.profiles(), nums, dens, fees):
-        excess = fee * den - num * fee_den
-        if excess > 0:
-            raise SchemeViolation(
-                profile, game.profile_labels(profile), Fraction(excess, fee_den * den)
-            )
+    excess = list(map(sub, map(mul, fees, dens), map(mul, nums, fee_dens)))
+    if max(excess) > 0:
+        flat = next(f for f, e in enumerate(excess) if e > 0)
+        profile = next(itertools.islice(game.profiles(), flat, None))
+        raise SchemeViolation(
+            profile,
+            game.profile_labels(profile),
+            Fraction(excess[flat], fee_dens[flat] * dens[flat]),
+        )
 
 
 def verify_actionwise(game: Game, p: MarginalProfile, scheme) -> Fraction:
@@ -127,8 +141,8 @@ def verify_actionwise(game: Game, p: MarginalProfile, scheme) -> Fraction:
     check_shape(game, scheme.kernel, p)
     scale = lcm(*(den for _nums, den in scheme.int_fees))
     scaled = [[n * (scale // den) for n in nums] for nums, den in scheme.int_fees]
-    totals = map(sum, itertools.product(*scaled))
-    _check_fees(game, scheme.kernel, ((total, scale) for total in totals))
+    totals = list(map(sum, itertools.product(*scaled)))
+    _check_fees(game, scheme.kernel, totals, [scale] * len(totals))
     # sum_i sum_a (w_ia / d_i) * (f_ia / scale), over the lcm of the d_i.
     den = lcm(*(d for _w, d in p.int_rows))
     income = sum(
@@ -144,7 +158,7 @@ def verify_profilewise(game: Game, p: MarginalProfile, scheme) -> Fraction:
     fees, fee_dens = scheme.int_fee
     if len(fees) != game.num_profiles:
         raise ValueError("fee table length does not match game")
-    _check_fees(game, scheme.kernel, zip(fees, fee_dens))
+    _check_fees(game, scheme.kernel, fees, fee_dens)
     cells, den = independent_play(game.shape, p.int_rows)
     fee_den = lcm(*(fee_dens[flat] for flat, _ in cells))
     income = sum(

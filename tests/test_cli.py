@@ -671,6 +671,30 @@ def test_a_refused_nash_kernel_exits_four(files, monkeypatch, capsys):
     assert len(lines) == 1 and lines[0].startswith("internal error:")
 
 
+def test_a_nash_scheme_that_fails_its_check_exits_four(files, monkeypatch, capsys):
+    # A profile-wise scheme whose fee is 1 over the surplus at one profile
+    # is checked before it is written: an internal error, not a verdict.
+    from eqaudit import cli, games, nash
+
+    real = nash.test_nash_exploitability
+
+    def overcharge(game, p):
+        verdict = real(game, p)
+        scheme = verdict.scheme
+        fee = list(games.surplus_table(game, scheme.kernel))
+        fee[2] += 1
+        bad = nash.ProfilewiseScheme(fee, scheme.kernel)
+        return games.Exploitable(bad, verdict.expected_profit)
+
+    monkeypatch.setattr(cli, "test_nash_exploitability", overcharge)
+    assert cli.main(["test-nash", files["game.json"], files["skewed.json"]]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("internal error:")
+    assert "scheme infeasible at profile T/R" in lines[0]
+
+
 def test_huge_exponent_payoff_exits_two(files, tmp_path):
     doc = json.loads(GAME_DOC)
     doc["payoffs"]["P1"][0] = "1e1000000"

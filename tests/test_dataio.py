@@ -586,6 +586,92 @@ def test_kernel_rows_must_still_be_lists():
         dataio.parse_kernel('{"A": ["1", %s]}' % ", ".join(_UNIT_ROWS), game)
 
 
+def _kernel_row_by_row(text, game):
+    """The kernel, or the first error line, when every row of every
+    player is read with its own `_ratio_row` call."""
+    try:
+        rows = dataio._parse_table(
+            dataio._loads(text), game.players, "kernel",
+            dataio._each(dataio._kernel_row), game.shape,
+        )
+        return DeviationKernel.from_columns(rows)
+    except ValueError as exc:  # a DataFormatError or the model's own check
+        return str(exc)
+
+
+_KERNEL_VALUES = st.one_of(
+    st.sampled_from(("0", "1", "1/2", "2/4", "0/3", 0, 1)),
+    st.builds(lambda n, d: f"{n}/{d}", st.integers(0, 9), st.integers(1, 9)),
+)
+_BAD_KERNEL_VALUES = ("x", "", "1/0", "5/0", "1/-2", "01", "1,0", True, None, 0.5)
+
+
+@st.composite
+def _kernel_docs(draw):
+    """A game and a kernel document for it, valid or with one fault: a
+    row one entry short or long, a scalar in place of a row, a bad value
+    in the last row, a zero denominator anywhere, or a player missing or
+    added."""
+    shape = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    game = Game(
+        tuple(f"P{i}" for i in range(len(shape))),
+        tuple(tuple(f"a{j}" for j in range(k)) for k in shape),
+        ((0,) * prod(shape),) * len(shape),
+    )
+    doc = {}
+    for player, k in zip(game.players, shape):
+        rows = []
+        for _ in range(k):
+            weights = draw(st.lists(st.integers(0, 4), min_size=k, max_size=k).filter(any))
+            total = sum(weights)
+            rows.append([str(F(w, total)) if draw(st.booleans()) else f"{w}/{total}"
+                         for w in weights])
+        if draw(st.booleans()):  # values that are not all canonical
+            rows[draw(st.integers(0, k - 1))][draw(st.integers(0, k - 1))] = draw(
+                _KERNEL_VALUES
+            )
+        doc[player] = rows
+    i = draw(st.integers(0, len(shape) - 1))
+    player, k = game.players[i], shape[i]
+    rows = doc[player]
+    a, b = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+    fault = draw(st.sampled_from(
+        ("none", "short", "long", "scalar", "late", "zero", "missing", "extra")
+    ))
+    if fault == "short":
+        rows[a].pop()
+    elif fault == "long":
+        rows[a].append(draw(_KERNEL_VALUES))
+    elif fault == "scalar":
+        rows[a] = draw(st.sampled_from(("1", 1, None)))
+    elif fault == "late":
+        rows[-1][b] = draw(st.sampled_from(_BAD_KERNEL_VALUES))
+    elif fault == "zero":
+        rows[a][b] = f"{draw(st.integers(0, 3))}/0"
+    elif fault == "missing":
+        del doc[player]
+    elif fault == "extra":
+        doc["Z"] = [["1"]]
+    return game, json.dumps(doc)
+
+
+@given(_kernel_docs())
+@settings(max_examples=300, deadline=None)
+def test_a_kernel_table_reads_as_row_by_row(case):
+    # A table of square rows is read in one scan and cut into rows; it
+    # must give the kernel, or the first error line, of reading each row
+    # on its own.
+    game, text = case
+    expected = _kernel_row_by_row(text, game)
+    if isinstance(expected, str):
+        with pytest.raises(DataFormatError) as got:
+            dataio.parse_kernel(text, game)
+        assert str(got.value) == expected
+    else:
+        got = dataio.parse_kernel(text, game)
+        assert got == expected and got.int_rows == expected.int_rows
+
+
 def test_the_verify_path_builds_no_fraction_view(
     coordination, diagonal_profile, skewed_profile
 ):

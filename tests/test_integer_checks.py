@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import fraction_checks
 from conftest import duplicate_action
+from test_games import MANY_PLAYERS
 from eqaudit import correlated, lp, nash
 from eqaudit.games import (
     DeviationKernel,
@@ -101,6 +102,48 @@ def test_is_correlated_equilibrium_matches_the_fraction_check(vertices, other):
     for g, q in ((game, shifted), (other[0], product_distribution(other[1]))):
         expected = fraction_checks.is_correlated_equilibrium(g, q)
         assert correlated.is_correlated_equilibrium(g, q) == expected
+
+
+@st.composite
+def _sparse_witnesses(draw):
+    """A game of four or five players and a joint distribution on one to
+    three profiles. Payoffs are few distinct values, and half the time
+    each player gets a payoff of 5 at every supported profile, so both
+    verdicts occur."""
+    shape = draw(MANY_PLAYERS)
+    size = prod(shape)
+    cells = st.integers(0, size - 1)
+    support = draw(st.lists(cells, min_size=1, max_size=3, unique=True))
+    value = st.sampled_from((0, 1, 2, F(1, 2), F(-1, 3)))
+    payoffs = []
+    for _ in shape:
+        row = draw(st.lists(value, min_size=size, max_size=size))
+        if draw(st.booleans()):
+            for f in support:
+                row[f] = 5
+        payoffs.append(row)
+    game = Game(
+        tuple(f"P{i}" for i in range(len(shape))),
+        tuple(tuple(f"a{x}" for x in range(k)) for k in shape),
+        payoffs,
+    )
+    weights = [draw(st.integers(1, 5)) for _ in support]
+    probs = [F(0)] * size
+    for f, w in zip(support, weights):
+        probs[f] = F(w, sum(weights))
+    return game, JointDistribution(shape, probs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_witnesses())
+def test_is_correlated_equilibrium_on_sparse_witnesses(case):
+    # The check reads only the lines through supported profiles, finding
+    # each line's start from the profile; the middle players of four- and
+    # five-player games are the ones whose lines are neither one run nor
+    # one stride apart.
+    game, q = case
+    expected = fraction_checks.is_correlated_equilibrium(game, q)
+    assert correlated.is_correlated_equilibrium(game, q) == expected
 
 
 @settings(max_examples=200, deadline=None)

@@ -261,3 +261,83 @@ def test_tampered_schemes_match_brute_force(seed):
         with pytest.raises(SchemeViolation) as err:
             verify_actionwise(game, p, scheme)
         assert (err.value.profile, err.value.shortfall) == expected
+
+
+def _row_over(rng, k, den):
+    """A random probability row of length `k` over the prime `den`, with
+    one entry strictly between 0 and 1, so its reduced denominator is
+    `den`."""
+    cuts = sorted(rng.randint(0, den) for _ in range(k - 1))
+    weights = [high - low for low, high in zip([0, *cuts], [*cuts, den])]
+    top = weights.index(max(weights))
+    if weights[top] == den:
+        weights[top] -= 1
+        weights[(top + 1) % k] += 1
+    return tuple(F(w, den) for w in weights)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("shape", [(2, 2, 2, 2), (2, 3, 3, 2), (3, 2, 2, 3), (4, 4, 4, 4)])
+def test_four_player_schemes_match_brute_force(shape, seed):
+    # Two middle players, as in the 4x4x4x4 and 5x5x5x5 games the
+    # verifier is timed on, and every kernel row of a player over its own
+    # prime denominator, so no two rows of a player share one.
+    rng = random.Random(seed)
+    size = prod(shape)
+    game = Game(
+        tuple(f"P{i}" for i in range(len(shape))),
+        tuple(tuple(f"a{x}" for x in range(k)) for k in shape),
+        tuple(
+            tuple(_random_rational(rng, -20, 20) for _ in range(size)) for _ in shape
+        ),
+    )
+    p = MarginalProfile(tuple(_random_row(rng, k) for k in shape))
+    kernel = DeviationKernel(
+        tuple(
+            tuple(_row_over(rng, k, den) for den in rng.sample((2, 3, 5, 7, 11), k))
+            for k in shape
+        )
+    )
+    for player_rows in kernel.int_rows:
+        assert len({den for _nums, den in player_rows}) == len(player_rows)
+
+    table = surplus_table(game, kernel)
+    for tamper in (False, True):
+        fee = [v - _random_rational(rng, 0, 3) for v in table]
+        if tamper:
+            for flat in rng.sample(range(size), 2):
+                fee[flat] += 3 + _random_rational(rng, 1, 4)
+        expected = _first_violation(game, kernel, lambda flat, _a: fee[flat])
+        assert (expected is not None) == tamper
+        scheme = ProfilewiseScheme(tuple(fee), kernel)
+        if expected is None:
+            q = product_distribution(p)
+            income = sum(qa * fa for qa, fa in zip(q.probs, fee))
+            assert verify_profilewise(game, p, scheme) == income
+        else:
+            with pytest.raises(SchemeViolation) as err:
+                verify_profilewise(game, p, scheme)
+            assert (err.value.profile, err.value.shortfall) == expected
+
+        floor = min(table) / len(shape)
+        fees = [[floor - _random_rational(rng, 0, 3) for _ in range(k)] for k in shape]
+        if tamper:
+            raise_by = max(table) - min(table) + 3 * len(shape)
+            fees[rng.randrange(len(shape))][-1] += raise_by + _random_rational(rng, 1, 4)
+        fees = tuple(map(tuple, fees))
+        expected = _first_violation(
+            game, kernel, lambda _flat, a: sum(fees[i][x] for i, x in enumerate(a))
+        )
+        assert (expected is not None) == tamper
+        scheme = ActionwiseScheme(fees, kernel)
+        if expected is None:
+            income = sum(
+                prob * fee
+                for row, fee_row in zip(p.probs, fees)
+                for prob, fee in zip(row, fee_row)
+            )
+            assert verify_actionwise(game, p, scheme) == income
+        else:
+            with pytest.raises(SchemeViolation) as err:
+                verify_actionwise(game, p, scheme)
+            assert (err.value.profile, err.value.shortfall) == expected

@@ -10,9 +10,10 @@ and "1e-1000000" are malformed, because the cost of building such a
 number grows faster than its exponent; `parse_rational` reads every
 string with `Fraction` once that bound is checked. Bare JSON number
 literals follow the same rules as strings: 1e4301 is malformed, and so
-is an integer of more than 4300 digits, bare or inside a string. A key
-repeated in any JSON object is malformed, not overwritten. An error line
-quotes at most 40 characters of an input value (`games.quoted`).
+is an integer of more than 4300 digits, bare (the scanner's error, mapped
+once, in `_loads`) or inside a string. A key repeated in any JSON object
+is malformed, not overwritten. An error line quotes at most 40 characters
+of an input value (`games.quoted`).
 Every rational table (payoffs, witnesses, kernel rows, fee tables,
 marginals) is read by one row reader, `_ratio_row`, into integer columns
 `(numerators, denominators)`: a row of JSON integer literals and "n/d"
@@ -22,10 +23,6 @@ scanner, making no Fraction and no per-value pair. Any other row (a
 leading zero, whitespace, a sign, a decimal, a zero or negative
 denominator, a value that is not a string) is read value by value, as
 `parse_rational` reads it, so the first bad value is the one reported.
-A player's kernel rows are joined, read in one such call and cut apart
-when every row is a list with one entry per row; any other kernel table
-is read row by row. Both give the values and the first error line of
-reading each row on its own.
 Every table, play log frequencies included, goes straight into the
 `from_columns` constructor of its model type, which validates in
 integers. Games and certificates are written from the same integer
@@ -165,13 +162,6 @@ def _digit_limit_error() -> DataFormatError:
     )
 
 
-def _int_literal(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:  # more digits than str-to-int converts
-        raise _digit_limit_error() from None
-
-
 def _unique_keys(pairs: list) -> dict:
     """A JSON object's members as a dict; a repeated key is malformed."""
     doc = dict(pairs)
@@ -183,10 +173,13 @@ def _unique_keys(pairs: list) -> dict:
 
 def _loads(text: str) -> dict:
     try:
-        doc = json.loads(text, parse_float=parse_rational, parse_int=_int_literal,
-                         object_pairs_hook=_unique_keys)
+        doc = json.loads(text, parse_float=parse_rational, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"invalid JSON: {exc}") from None
+    except DataFormatError:  # raised by a hook, already worded
+        raise
+    except ValueError:  # an integer literal with more digits than int() converts
+        raise _digit_limit_error() from None
     except RecursionError:
         raise DataFormatError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
@@ -306,19 +299,6 @@ def _kernel_row(row) -> tuple[list[int], list[int]]:
     return _ratio_row(row)
 
 
-def _kernel_rows(rows) -> list[tuple[list[int], list[int]]]:
-    """One player's kernel rows as integer columns. When every row is a
-    list with one entry per row, the rows are joined, read in one
-    `_ratio_row` call and cut apart; any other table is read row by row.
-    Either way the values and the first error are those of reading each
-    row on its own."""
-    k = len(rows)
-    if not all(isinstance(row, list) and len(row) == k for row in rows):
-        return list(map(_kernel_row, rows))
-    nums, dens = _ratio_row([value for row in rows for value in row])
-    return [(nums[j : j + k], dens[j : j + k]) for j in range(0, k * k, k)]
-
-
 def parse_game(text: str) -> Game:
     """Read a game document: players, per-player action lists, and one
     row-major payoff list per player, read straight into `Game.int_payoffs`."""
@@ -354,7 +334,7 @@ def emit_marginals(game: Game, p: MarginalProfile) -> str:
 
 
 def _parse_kernel_doc(doc, game: Game) -> DeviationKernel:
-    rows = _parse_table(doc, game.players, "kernel", _kernel_rows, game.shape)
+    rows = _parse_table(doc, game.players, "kernel", _each(_kernel_row), game.shape)
     return _checked(DeviationKernel.from_columns, rows)
 
 

@@ -45,8 +45,8 @@ integer views as an unreduced integer ratio, a column at a time: for
 each player and recommended action, one pass over all of that player's
 lines per nonzero kernel weight, with each kernel row over its own
 denominator. The checkers, `nash`'s best-response search and
-`correlated`'s fee fill read the integer payoffs too, and
-`JointDistribution.marginals` sums every marginal in one integer pass.
+`correlated`'s fee fill read the integer payoffs too, and `marginals`
+sums a `JointDistribution`'s marginals in one pass over its support.
 `independent_play` is the one integer walk over independent play, on
 `MarginalProfile.int_rows`, `payoff_numerators` the one table of every
 player's expected payoffs against it, which the producers in `nash` and
@@ -463,13 +463,13 @@ class JointDistribution(_Frozen):
         return self.marginals().probs[i]
 
     def marginals(self) -> MarginalProfile:
-        """Every player's marginal, summed in integers over `int_probs`."""
+        """Every player's marginal, summed in integers over the support."""
         mass, scale = self.int_probs
         sums = [[0] * k for k in self.shape]
-        for profile, m in zip(self.profiles(), mass):
-            if m:
-                for row, a in zip(sums, profile):
-                    row[a] += m
+        support = itertools.compress(self.profiles(), mass)
+        for profile, m in zip(support, filter(None, mass)):
+            for row, a in zip(sums, profile):
+                row[a] += m
         return MarginalProfile.from_columns([(row, [scale] * len(row)) for row in sums])
 
 

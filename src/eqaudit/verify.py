@@ -24,8 +24,8 @@ a Fraction view: `MarginalProfile.int_rows`, `JointDistribution.int_probs`,
 `DeviationKernel.int_rows` (through `surplus_parts`), `int_fees` and
 `int_fee`, and each scheme checker sums its income as one integer.
 `verify_witness` compares the integer stores of p and of
-`JointDistribution.marginals()`, shared model code that sums q's
-marginals as integers over q's one denominator; its incentive check,
+`JointDistribution.marginals()`, shared model code that adds up q's
+support cells as integers over q's one denominator; its incentive check,
 `is_correlated_equilibrium`, reads the integer payoff view too, and only
 on the lines through q's support, so a point mass or a sparse witness
 costs time in its support, not in the game's size.

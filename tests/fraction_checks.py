@@ -1,8 +1,9 @@
 """Reference Fraction checks for the integer ones in `eqaudit`.
 
-`is_correlated_equilibrium`, `expected_payoff` and `best_deviation` are
-the plain Fraction forms of `correlated.is_correlated_equilibrium`, one
-player's row of `games.payoff_numerators` and `nash._best_deviation`,
+`is_correlated_equilibrium`, `marginals`, `expected_payoff` and
+`best_deviation` are the plain Fraction forms of
+`correlated.is_correlated_equilibrium`, `JointDistribution.marginals`,
+one player's row of `games.payoff_numerators` and `nash._best_deviation`,
 which compute over common integer denominators; `witness_holds` and `product_income` are
 what `verify.verify_witness` and the income of `verify.verify_profilewise`
 must return. `verify_outcome`, `check_distribution` and `normalize_dual`
@@ -54,6 +55,15 @@ def is_correlated_equilibrium(game: Game, q: JointDistribution) -> bool:
     return True
 
 
+def marginals(q: JointDistribution) -> MarginalProfile:
+    """Every player's marginal, summed in Fractions over every profile."""
+    sums = [[_ZERO] * k for k in q.shape]
+    for profile, prob in zip(itertools.product(*map(range, q.shape)), q.probs):
+        for row, a in zip(sums, profile):
+            row[a] += prob
+    return MarginalProfile(sums)
+
+
 def expected_payoff(game: Game, p: MarginalProfile, i: int, action: int) -> Fraction:
     """Player `i`'s expected payoff for `action` against the independent
     mixture of everyone else."""
@@ -88,7 +98,7 @@ def best_deviation(game: Game, p: MarginalProfile):
 
 def witness_holds(game: Game, p: MarginalProfile, q: JointDistribution) -> bool:
     """`q` has the marginals `p` and passes every incentive inequality."""
-    return q.marginals() == p and is_correlated_equilibrium(game, q)
+    return marginals(q) == p and is_correlated_equilibrium(game, q)
 
 
 def product_income(p: MarginalProfile, fee) -> Fraction:

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from test_dataio import DIGIT_LIMIT_LINE, LITERAL_SITES
+
 GAME_DOC = """{
   "players": ["P1", "P2"],
   "actions": {"P1": ["T", "B"], "P2": ["L", "M", "R"]},
@@ -707,19 +709,39 @@ def test_huge_exponent_payoff_exits_two(files, tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+# The command that reads each site's document, with DOC for its file.
+_READERS = {
+    "parse_game": ("test-nash", "DOC", "skewed.json"),
+    "parse_marginals": ("test-nash", "game.json", "DOC"),
+    "parse_kernel": ("surplus", "game.json", "DOC"),
+    "parse_scheme": ("verify", "game.json", "skewed.json", "DOC"),
+    "parse_certificate": ("verify", "game.json", "skewed.json", "DOC"),
+    "parse_verdict": ("verify", "game.json", "skewed.json", "DOC"),
+}
+_LONG = "7" * 5000
+_EXPONENT = "exponent magnitude over 4300"
+
+
+# A long integer in every kind of value, and, in a row holding both
+# literals, whichever limit comes first in the text.
 @pytest.mark.parametrize(
-    "literal, message",
+    "site, literal, message",
     [
-        ("1e4301", "exponent magnitude over 4300"),
-        ("1e-1000000", "exponent magnitude over 4300"),
-        ("7" * 5000, "integer literal over the 4300-digit input limit"),
+        pytest.param("payoff", "1e4301", _EXPONENT, id="exponent-4301"),
+        pytest.param("payoff", "1e-1000000", _EXPONENT, id="exponent-minus-million"),
+        pytest.param("payoff", _LONG, DIGIT_LIMIT_LINE, id="integer-5000-digits"),
+        *(pytest.param(site, _LONG, DIGIT_LIMIT_LINE, id=site)
+          for site in LITERAL_SITES if site != "payoff"),
+        pytest.param("payoff", "1e4301, " + _LONG, _EXPONENT, id="exponent-first"),
+        pytest.param("payoff", _LONG + ", 1e4301", DIGIT_LIMIT_LINE, id="integer-first"),
     ],
-    ids=["exponent-4301", "exponent-minus-million", "integer-5000-digits"],
 )
-def test_bare_number_literal_over_a_limit_exits_two(files, tmp_path, literal, message):
-    game = tmp_path / "bare.json"
-    game.write_text(GAME_DOC.replace('"9"', literal, 1))
-    res = run_cli("test-nash", str(game), files["skewed.json"], timeout=30)
+def test_bare_number_literal_over_a_limit_exits_two(files, tmp_path, site, literal, message):
+    read, doc = LITERAL_SITES[site]
+    path = tmp_path / "bare.json"
+    path.write_text(doc.replace("LIT", literal))
+    args = [str(path) if a == "DOC" else files.get(a, a) for a in _READERS[read.__name__]]
+    res = run_cli(*args, timeout=30)
     assert res.returncode == 2
     assert res.stdout == ""
     lines = res.stderr.splitlines()

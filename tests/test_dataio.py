@@ -296,19 +296,65 @@ def _bare_payoff(literal: str) -> str:
     return GAME_DOC.replace('"9"', literal, 1)
 
 
-def test_bare_number_literals_follow_the_string_rules():
-    assert dataio.parse_game(_bare_payoff("1e4300")).payoffs[0][0] == 10**4300
-    assert dataio.parse_game(_bare_payoff("25E-4300")).payoffs[0][0] == F(25, 10**4300)
+_IDENTITY = (
+    '{"P1": [["1", "0"], ["0", "1"]],'
+    ' "P2": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}'
+)
+# Every kind of value an input document holds, as the reader of the
+# document and the document for GAME_DOC's game with a bare JSON number
+# `LIT` in that value. Each document is valid with LIT = 0.
+LITERAL_SITES = {
+    "payoff": (dataio.parse_game, _bare_payoff("LIT")),
+    "marginal": (dataio.parse_marginals, '{"P1": [LIT, "1"], "P2": ["1/4", "3/4", "0"]}'),
+    "kernel": (dataio.parse_kernel, _IDENTITY.replace('["1", "0"]', '["1", LIT]', 1)),
+    "actionwise-fee": (
+        dataio.parse_scheme,
+        '{"type": "actionwise", "fees": {"P1": [LIT, "0"], "P2": ["0", "9", "0"]},'
+        ' "kernel": %s}' % _IDENTITY,
+    ),
+    "profilewise-fee": (
+        dataio.parse_scheme,
+        '{"type": "profilewise", "fee": ["1", "0", LIT, "0", "0", "0"], "kernel": %s}'
+        % _IDENTITY,
+    ),
+    "witness": (dataio.parse_certificate, '{"witness": ["1", "0", "0", "0", LIT, "0"]}'),
+    "expected-profit": (
+        dataio.parse_verdict,
+        '{"verdict": "exploitable", "expected_profit": LIT, "scheme":'
+        ' {"type": "profilewise", "fee": ["0", "0", "0", "0", "0", "0"], "kernel": %s}}'
+        % _IDENTITY,
+    ),
+    "ignored-key": (dataio.parse_game, GAME_DOC.replace("{", '{"note": LIT,', 1)),
+}
+DIGIT_LIMIT_LINE = "malformed number: an integer literal over the 4300-digit input limit"
+
+
+def _read_site(site: str, literal: str):
+    read, doc = LITERAL_SITES[site]
+    text = doc.replace("LIT", literal)
+    if read is dataio.parse_game:
+        return read(text)
+    return read(text, dataio.parse_game(GAME_DOC))
+
+
+@pytest.mark.parametrize("site", LITERAL_SITES)
+def test_bare_number_literals_follow_the_string_rules(site):
+    # The scanner's over-long integer is mapped to the same line wherever
+    # the literal sits, even in a value that is otherwise ignored.
+    _read_site(site, "0")
     for literal in ("1e4301", "1e-1000000", "2.5e1000000"):
         with pytest.raises(DataFormatError, match="exponent magnitude over 4300"):
-            dataio.parse_game(_bare_payoff(literal))
-    with pytest.raises(DataFormatError, match="over the 4300-digit input limit"):
-        dataio.parse_game(_bare_payoff("7" * 5000))
+            _read_site(site, literal)
+    with pytest.raises(DataFormatError) as got:
+        _read_site(site, "7" * 5000)
+    assert str(got.value) == DIGIT_LIMIT_LINE
 
 
 def test_parse_rational_bounds_the_exponent():
     assert dataio.parse_rational("1e4300") == 10**4300
     assert dataio.parse_rational("25E-4300") == F(25, 10**4300)
+    assert dataio.parse_game(_bare_payoff("1e4300")).payoffs[0][0] == 10**4300
+    assert dataio.parse_game(_bare_payoff("25E-4300")).payoffs[0][0] == F(25, 10**4300)
     for text in ("1e4301", "1e-1000000", "1e1000000", "2.5e+1_000_000", "1e" + "9" * 5000):
         with pytest.raises(DataFormatError):
             dataio.parse_rational(text)

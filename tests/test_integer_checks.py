@@ -1,4 +1,4 @@
-"""The integer incentive, best-response and income checks, the
+"""The integer incentive, marginal, best-response and income checks, the
 distribution check, the coupling system's incentive rows and the
 read-back of its multipliers against their Fraction references in
 `fraction_checks`.
@@ -144,6 +144,32 @@ def test_is_correlated_equilibrium_on_sparse_witnesses(case):
     game, q = case
     expected = fraction_checks.is_correlated_equilibrium(game, q)
     assert correlated.is_correlated_equilibrium(game, q) == expected
+
+
+@st.composite
+def _many_player_joints(draw):
+    """A joint distribution over a four- or five-player shape: on one to
+    three profiles, or dense, with a weight (often zero) at every one."""
+    shape = draw(MANY_PLAYERS)
+    size = prod(shape)
+    weight = st.integers(1, 2**19)
+    if draw(st.booleans()):
+        weights = [0] * size
+        for f in draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=3, unique=True)):
+            weights[f] = draw(weight)
+    else:
+        weights = draw(st.lists(st.one_of(st.just(0), weight), min_size=size, max_size=size))
+        if not any(weights):
+            weights[draw(st.integers(0, size - 1))] = 1
+    return JointDistribution(shape, [F(w, sum(weights)) for w in weights])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_many_player_joints())
+def test_marginals_match_the_fraction_sums(q):
+    # `marginals` adds up only the support's cells, each paired with its
+    # own profile.
+    assert q.marginals() == fraction_checks.marginals(q)
 
 
 @settings(max_examples=200, deadline=None)
